@@ -33,9 +33,7 @@ _EXPORTS = {
     "OracleGuardError": ".errors",
     "ConfigError": ".errors",
     # waveform
-    "FrameLabel": ".waveform",
     "ScheduleKind": ".waveform",
-    "Frame": ".waveform",
     "GolayPair": ".waveform",
     "FrameSchedule": ".waveform",
     "aperiodic_autocorrelation": ".waveform",
@@ -45,7 +43,6 @@ _EXPORTS = {
     "generate_pmcw": ".waveform",
     "build_schedule": ".waveform",
     # scene
-    "TargetKind": ".scene",
     "PathLoss": ".scene",
     "PointScatterer": ".scene",
     "TargetModel": ".scene",
@@ -60,8 +57,6 @@ _EXPORTS = {
     "DopplerGrid": ".rsp",
     "default_grid": ".rsp",
     "symmetric_grid": ".rsp",
-    "ReferenceBank": ".rsp",
-    "build_reference_bank": ".rsp",
     "RangeDopplerMap": ".rsp",
     "Detection": ".rsp",
     "matched_filter_rd": ".rsp",
@@ -84,7 +79,6 @@ _EXPORTS = {
     "parse_config": ".config",
     "render_config": ".config",
     "parse_waveform_list": ".config",
-    "with_packets": ".config",
     # harness
     "run_comparison": ".harness",
     "run_benchmarks": ".harness",

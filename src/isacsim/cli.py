@@ -2,8 +2,9 @@
 
 `isacsim run <config> [--out DIR] [--preset table1|ci] [--waveforms LIST]
 [--bench] [--oracle]` executes a comparison run. Exit codes: 0 on success,
-2 for configuration problems, 3 for scenario problems (impossible geometry),
-4 when the run completed but at least one waveform failed.
+2 for configuration problems (including an output directory that cannot be
+written), 3 for scenario problems (impossible geometry), 4 when the run
+completed but at least one waveform failed.
 
 The environment variable ISACSIM_THREADS caps the numeric thread pools; it is
 applied before the numeric stack is imported, so it must be read here and not
@@ -67,9 +68,10 @@ def main(argv=None) -> int:
     # Imported only after the thread caps are in place: these pull in numpy.
     from dataclasses import replace
 
-    from .config import parse_config, parse_waveform_list, with_packets
+    from .config import parse_config, parse_waveform_list
     from .errors import ConfigError, ScenarioError
     from .harness import run_comparison
+    from .params import scaled_profile
 
     try:
         try:
@@ -79,7 +81,7 @@ def main(argv=None) -> int:
             raise ConfigError(f"cannot read config file {args.config!r}: {exc}") from None
         cfg = parse_config(text)
         if args.preset:
-            cfg = with_packets(cfg, _PRESET_PACKETS[args.preset])
+            cfg = replace(cfg, params=scaled_profile(cfg.params, _PRESET_PACKETS[args.preset]))
         if args.waveforms:
             try:
                 cfg = replace(cfg, waveforms=parse_waveform_list(args.waveforms))
@@ -100,6 +102,9 @@ def main(argv=None) -> int:
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # only the artifact writers touch the file system
+        print(f"config error: cannot write to {cfg.output_dir!r}: {exc}", file=sys.stderr)
+        return 2
 
     for warning in outcome.summary["warnings"]:
         print(f"warning: {warning}")

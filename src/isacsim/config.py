@@ -9,7 +9,8 @@ yields the default 60 GHz profile with the canonical point-target scene.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import ConfigError, ParameterError
@@ -57,6 +58,8 @@ _ALL_WAVEFORMS = (
     ScheduleKind.GOLAY_DOPPLER_RESILIENT,
 )
 
+_GOLAY_WAVEFORMS = (ScheduleKind.GOLAY_STANDARD, ScheduleKind.GOLAY_DOPPLER_RESILIENT)
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -82,6 +85,17 @@ class ScenarioConfig:
     bench_repeats: int = 5
     warnings: tuple[str, ...] = field(default=(), compare=False)
 
+    def __post_init__(self):
+        # Rules across keys, so they hold after a CLI override as well.
+        n = self.params.code_length
+        golay = [k.value for k in self.waveforms if k in _GOLAY_WAVEFORMS]
+        if golay and n & (n - 1):
+            raise ConfigError(f"{golay[0]} needs a power-of-two 'code_length', got {n}")
+        if self.target_kind == "car" and self.scatterer_count < 4:
+            raise ConfigError(
+                f"a car target needs 'scatterer_count' >= 4, got {self.scatterer_count}"
+            )
+
 
 _BOOL_WORDS = {
     "true": True,
@@ -102,11 +116,18 @@ def _to_bool(raw: str) -> bool:
         raise ValueError(f"expected a boolean, got {raw!r}") from None
 
 
+def _to_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {raw.strip()!r}")
+    return value
+
+
 def _to_vector(raw: str) -> tuple[float, float, float]:
     parts = [p.strip() for p in raw.split(",")]
     if len(parts) != 3:
         raise ValueError(f"expected three comma-separated numbers, got {raw!r}")
-    return tuple(float(p) for p in parts)  # type: ignore[return-value]
+    return tuple(_to_float(p) for p in parts)  # type: ignore[return-value]
 
 
 def _to_formats(raw: str) -> tuple[FixedPointFormat, ...]:
@@ -124,10 +145,6 @@ def _to_formats(raw: str) -> tuple[FixedPointFormat, ...]:
 
 def parse_waveform_list(raw: str) -> tuple[ScheduleKind, ...]:
     """Comma-separated waveform names as schedule kinds (CLI and config)."""
-    return _to_waveforms(raw)
-
-
-def _to_waveforms(raw: str) -> tuple[ScheduleKind, ...]:
     names = [p.strip().lower() for p in raw.split(",") if p.strip()]
     if not names:
         raise ValueError("waveform list is empty")
@@ -211,11 +228,11 @@ def parse_config(text: str) -> ScenarioConfig:
     defaults = ScenarioConfig()
     base = defaults.params
 
-    carrier = entries.get("radar", "carrier_freq_hz", float, base.carrier_freq_hz)
+    carrier = entries.get("radar", "carrier_freq_hz", _to_float, base.carrier_freq_hz)
     entries.require_positive("radar", "carrier_freq_hz", carrier)
-    bandwidth = entries.get("radar", "bandwidth_hz", float, base.bandwidth_hz)
+    bandwidth = entries.get("radar", "bandwidth_hz", _to_float, base.bandwidth_hz)
     entries.require_positive("radar", "bandwidth_hz", bandwidth)
-    pri = entries.get("radar", "pri_s", float, base.pri_s)
+    pri = entries.get("radar", "pri_s", _to_float, base.pri_s)
     entries.require_positive("radar", "pri_s", pri)
     if entries.has("radar", "cpi_s") and entries.has("radar", "packets"):
         raise ConfigError(
@@ -227,12 +244,12 @@ def parse_config(text: str) -> ScenarioConfig:
             raise ConfigError("'packets' must be at least 1", entries.line("radar", "packets"))
         cpi = packets * pri
     else:
-        cpi = entries.get("radar", "cpi_s", float, base.cpi_s)
+        cpi = entries.get("radar", "cpi_s", _to_float, base.cpi_s)
         entries.require_positive("radar", "cpi_s", cpi)
     code_length = entries.get("radar", "code_length", int, base.code_length)
-    amplitude = entries.get("radar", "amplitude", float, base.amplitude)
+    amplitude = entries.get("radar", "amplitude", _to_float, base.amplitude)
     pulse_shape = entries.get("radar", "pulse_shape", PulseShape, base.pulse_shape)
-    pulse_rolloff = entries.get("radar", "pulse_rolloff", float, base.pulse_rolloff)
+    pulse_rolloff = entries.get("radar", "pulse_rolloff", _to_float, base.pulse_rolloff)
 
     def chirp_conv(raw: str):
         word = raw.strip().lower()
@@ -240,7 +257,7 @@ def parse_config(text: str) -> ScenarioConfig:
             return None
         if word == "window":
             return code_length / bandwidth
-        return float(raw)
+        return _to_float(raw)
 
     chirp = entries.get("radar", "chirp_duration_s", chirp_conv, base.chirp_duration_s)
 
@@ -274,11 +291,11 @@ def parse_config(text: str) -> ScenarioConfig:
         radial_speed = None
     else:
         radial_speed = entries.get(
-            "scene", "radial_speed_mps", float, defaults.radial_speed_mps
+            "scene", "radial_speed_mps", _to_float, defaults.radial_speed_mps
         )
 
     def snr_conv(raw: str):
-        return None if raw.strip().lower() == "off" else float(raw)
+        return None if raw.strip().lower() == "off" else _to_float(raw)
 
     bins_line = entries.line("doppler", "bins") if entries.has("doppler", "bins") else None
 
@@ -303,12 +320,12 @@ def parse_config(text: str) -> ScenarioConfig:
 
     return ScenarioConfig(
         params=params,
-        waveforms=entries.get("run", "waveforms", _to_waveforms, defaults.waveforms),
+        waveforms=entries.get("run", "waveforms", parse_waveform_list, defaults.waveforms),
         target_kind=target_kind,
         position_m=entries.get("scene", "position_m", _to_vector, defaults.position_m),
         velocity_mps=velocity,
         radial_speed_mps=radial_speed,
-        rcs_dbsm=entries.get("scene", "rcs_dbsm", float, defaults.rcs_dbsm),
+        rcs_dbsm=entries.get("scene", "rcs_dbsm", _to_float, defaults.rcs_dbsm),
         scatterer_count=scatterer_count,
         snr_db=entries.get("scene", "snr_db", snr_conv, defaults.snr_db),
         path_loss=entries.get("scene", "path_loss", PathLoss, defaults.path_loss),
@@ -377,8 +394,3 @@ def render_config(cfg: ScenarioConfig) -> str:
         "",
     ]
     return "\n".join(lines)
-
-
-def with_packets(cfg: ScenarioConfig, packets: int) -> ScenarioConfig:
-    """Config with the CPI re-derived from a packet count (preset support)."""
-    return replace(cfg, params=replace(cfg.params, cpi_s=packets * cfg.params.pri_s))

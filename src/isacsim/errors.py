@@ -20,7 +20,7 @@ class ScenarioError(SimError):
 
 
 class ProcessingError(SimError):
-    """Signal-processing inputs are inconsistent (cube/bank shape mismatch)."""
+    """Signal-processing inputs are inconsistent (cube/schedule shape mismatch)."""
 
 
 class NoDetectionError(ProcessingError):

@@ -25,15 +25,9 @@ from enum import Enum
 import numpy as np
 
 from .errors import DataError, ParameterError
-from .rsp import (
-    DopplerGrid,
-    RangeDopplerMap,
-    ReferenceBank,
-    detect_peak,
-    matched_filter_rd,
-    pslr_db,
-)
+from .rsp import DopplerGrid, RangeDopplerMap, detect_peak, matched_filter_rd, pslr_db
 from .scene import DataCube
+from .waveform import FrameSchedule
 
 
 class Scaling(Enum):
@@ -173,7 +167,7 @@ def _stage(
 
 def quantized_matched_filter(
     cube: DataCube,
-    bank: ReferenceBank,
+    schedule: FrameSchedule,
     grid: DopplerGrid,
     fmt: FixedPointFormat,
     mode: FxpMode = FxpMode.FULL_CHAIN,
@@ -187,17 +181,18 @@ def quantized_matched_filter(
     output LSB) counts as agreement; degradation beyond 0.5 dB does not.
     """
     params = cube.params
-    double_map = matched_filter_rd(cube, bank, grid)
+    double_map = matched_filter_rd(cube, schedule, grid)
     counts: dict[str, int] = {}
     sizes: dict[str, int] = {}
 
     x = cube.samples
     if mode is FxpMode.FULL_CHAIN:
         x = _stage(x, fmt, counts, sizes, "input")
-    ref = _stage(bank.spectra, fmt, counts, sizes, "reference")
+    ref = np.conj(np.fft.fft(schedule.frames, axis=1))
+    ref = _stage(ref, fmt, counts, sizes, "reference")
     spectra = np.fft.fft(x, axis=0)
     spectra = _stage(spectra, fmt, counts, sizes, "post_fft")
-    matched = spectra * ref[bank.packet_map].T
+    matched = spectra * ref[schedule.packet_map].T
     p_idx = np.arange(params.packets_per_cpi) * params.pri_s
     twiddle = np.exp(2j * np.pi * np.outer(p_idx, grid.frequencies_hz))
     twiddle = _stage(twiddle, fmt, counts, sizes, "twiddle")
@@ -252,18 +247,6 @@ class SweepRow:
     report: FxpReport
     runtime_s: float
 
-    @property
-    def sqnr_db(self) -> float:
-        return self.report.sqnr_db
-
-    @property
-    def peak_agree(self) -> bool:
-        return self.report.peak_bin_agree
-
-    @property
-    def pslr_delta_db(self) -> float:
-        return self.report.pslr_delta_db
-
 
 @dataclass(frozen=True)
 class SweepResult:
@@ -274,7 +257,7 @@ class SweepResult:
 
 def precision_sweep(
     cube: DataCube,
-    bank: ReferenceBank,
+    schedule: FrameSchedule,
     grid: DopplerGrid,
     formats,
     mode: FxpMode = FxpMode.FULL_CHAIN,
@@ -287,7 +270,7 @@ def precision_sweep(
     rows = []
     for fmt in formats:
         start = time.perf_counter()
-        _, report = quantized_matched_filter(cube, bank, grid, fmt, mode)
+        _, report = quantized_matched_filter(cube, schedule, grid, fmt, mode)
         elapsed = time.perf_counter() - start
         rows.append(SweepRow(format=fmt, report=report, runtime_s=elapsed))
     monotone = True
@@ -297,6 +280,6 @@ def precision_sweep(
     for group in by_int.values():
         group = sorted(group, key=lambda r: r.format.word_bits)
         for prev, cur in zip(group, group[1:]):
-            if cur.sqnr_db < prev.sqnr_db - 3.0:
+            if cur.report.sqnr_db < prev.report.sqnr_db - 3.0:
                 monotone = False
     return SweepResult(rows=tuple(rows), monotone_sqnr=monotone)

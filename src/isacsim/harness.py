@@ -31,8 +31,6 @@ from .rsp import (
     Detection,
     DopplerGrid,
     RangeDopplerMap,
-    ReferenceBank,
-    build_reference_bank,
     default_grid,
     detect_peak,
     map_relative_deviation,
@@ -131,7 +129,6 @@ class WaveformResult:
     kind: ScheduleKind
     schedule: FrameSchedule
     cube: DataCube
-    bank: ReferenceBank
     grid: DopplerGrid
     rd_map: RangeDopplerMap
     detection: Detection | None
@@ -200,8 +197,7 @@ def run_waveform(
         path_loss=cfg.path_loss,
     )
     t1 = time.perf_counter()
-    bank = build_reference_bank(schedule)
-    rd_map = matched_filter_rd(cube, bank, grid)
+    rd_map = matched_filter_rd(cube, schedule, grid)
     t2 = time.perf_counter()
 
     detection = None
@@ -217,7 +213,6 @@ def run_waveform(
         kind=kind,
         schedule=schedule,
         cube=cube,
-        bank=bank,
         grid=grid,
         rd_map=rd_map,
         detection=detection,
@@ -237,7 +232,7 @@ def run_waveform(
             result.oracle_note = f"oracle skipped: {exc}"
 
     if cfg.fxp_formats and failure is None:
-        result.sweep = precision_sweep(cube, bank, grid, cfg.fxp_formats, cfg.fxp_mode)
+        result.sweep = precision_sweep(cube, schedule, grid, cfg.fxp_formats, cfg.fxp_mode)
     return result
 
 
@@ -392,9 +387,11 @@ def _median_seconds(fn, repeats: int) -> float:
 def _oracle_bench(cfg: ScenarioConfig, result: WaveformResult, repeats: int) -> dict:
     """Time the oracle on the largest guard-compliant prefix of the cube.
 
-    The full instance usually violates the Q*P*J work guard; timing the first
-    P' packets with a matching P'-bin grid keeps the measurement honest, and
-    the scaled estimate extrapolates the correlation stage linearly in P.
+    The full instance usually violates the Q*P*J work guard, so the oracle is
+    timed on the first P' packets with a matching P'-bin grid. Its work is
+    Q*Q*P multiply-adds of correlation plus Q*P*J of steering; the scaled
+    estimate multiplies the measured time by the ratio of that work at full
+    size to the work of the timed instance.
     """
     params = result.cube.params
     q_len = params.samples_per_pri
@@ -414,19 +411,22 @@ def _oracle_bench(cfg: ScenarioConfig, result: WaveformResult, repeats: int) -> 
     median = _median_seconds(
         lambda: time_domain_oracle(sub_cube, sub_schedule, sub_grid), repeats
     )
-    scaled = median * (p_len / p_used)
+    ratio = (q_len * q_len * p_len + q_len * p_len * len(result.grid)) / (
+        q_len * q_len * p_used + q_len * p_used * len(sub_grid)
+    )
     note = None
     if p_used < p_len:
         note = (
             f"oracle timed on the first {p_used} of {p_len} packets with a "
-            f"{len(sub_grid)}-bin grid (work guard); the estimate scales the "
-            f"correlation stage linearly to the full packet count"
+            f"{len(sub_grid)}-bin grid (work guard); the estimate scales that time by "
+            f"the ratio {ratio:.4g} of the oracle's work Q*Q*P + Q*P*J at full size "
+            f"to its work on the timed instance"
         )
     return {
         "packets_used": p_used,
         "bins_used": len(sub_grid),
         "median_s": median,
-        "scaled_estimate_s": scaled,
+        "scaled_estimate_s": median * ratio,
         "note": note,
     }
 
@@ -439,7 +439,7 @@ def run_benchmarks(
     bench_waveforms = []
     for result in results:
         fft_median = _median_seconds(
-            lambda: matched_filter_rd(result.cube, result.bank, result.grid), repeats
+            lambda: matched_filter_rd(result.cube, result.schedule, result.grid), repeats
         )
         oracle = _oracle_bench(cfg, result, repeats)
         entry = {

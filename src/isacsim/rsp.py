@@ -21,7 +21,7 @@ import numpy as np
 from .errors import NoDetectionError, OracleGuardError, ParameterError, ProcessingError
 from .params import SPEED_OF_LIGHT_MPS, WaveformParams
 from .scene import DataCube
-from .waveform import FrameSchedule, ScheduleKind
+from .waveform import FrameSchedule
 
 # Largest Q*P*J the brute-force oracle will accept.
 ORACLE_GUARD = 4_194_304
@@ -77,22 +77,6 @@ def symmetric_grid(params: WaveformParams, bins: int) -> DopplerGrid:
 
 
 @dataclass(frozen=True)
-class ReferenceBank:
-    """Conjugated reference spectra, one per distinct frame, plus the map
-    telling which entry each packet correlates against."""
-
-    spectra: np.ndarray     # U x Q complex, conj(FFT(frame))
-    packet_map: np.ndarray  # P ints into spectra
-    kind: ScheduleKind
-
-
-def build_reference_bank(schedule: FrameSchedule) -> ReferenceBank:
-    distinct, index = schedule.distinct_frames()
-    spectra = np.stack([np.conj(np.fft.fft(f.samples)) for f in distinct], axis=0)
-    return ReferenceBank(spectra=spectra, packet_map=index, kind=schedule.kind)
-
-
-@dataclass(frozen=True)
 class RangeDopplerMap:
     values: np.ndarray           # J x Q magnitudes
     range_axis_m: np.ndarray     # Q entries
@@ -128,22 +112,32 @@ def _axes(params: WaveformParams, grid: DopplerGrid) -> tuple[np.ndarray, np.nda
     return range_axis, doppler_axis
 
 
-def matched_filter_rd(cube: DataCube, bank: ReferenceBank, grid: DopplerGrid) -> RangeDopplerMap:
+def _check_schedule(cube: DataCube, schedule: FrameSchedule):
+    """Raise ProcessingError unless the schedule's frames and packets match the cube."""
+    q_len, p_len = cube.samples.shape
+    if schedule.frames.shape[1] != q_len or len(schedule) != p_len:
+        raise ProcessingError(
+            f"schedule of {len(schedule.frames)} x {schedule.frames.shape[1]} frames over "
+            f"{len(schedule)} packets does not match a {q_len} x {p_len} cube"
+        )
+
+
+def matched_filter_rd(
+    cube: DataCube, schedule: FrameSchedule, grid: DopplerGrid
+) -> RangeDopplerMap:
     """Frequency-domain matched filter with Doppler steering.
 
-    For each hypothesis f_j the per-packet matched spectra are weighted by
-    exp(+j 2 pi f_j p T_pri), summed over packets, and IFFT'd to a range
+    Each packet's spectrum is multiplied by the conjugate spectrum of the
+    frame it carried. For each hypothesis f_j the matched spectra are weighted
+    by exp(+j 2 pi f_j p T_pri), summed over packets, and IFFT'd to a range
     profile; the map stores magnitudes as J x Q.
     """
     params = cube.params
-    q_len, p_len = params.samples_per_pri, params.packets_per_cpi
-    if bank.spectra.shape[1] != q_len or bank.packet_map.shape != (p_len,):
-        raise ProcessingError(
-            f"reference bank shaped {bank.spectra.shape} with {bank.packet_map.shape} packets "
-            f"does not match a {q_len} x {p_len} cube"
-        )
+    p_len = params.packets_per_cpi
+    _check_schedule(cube, schedule)
     spectra = fast_time_fft(cube)
-    matched = spectra * bank.spectra[bank.packet_map].T  # Q x P
+    ref = np.conj(np.fft.fft(schedule.frames, axis=1))  # U x Q
+    matched = spectra * ref[schedule.packet_map].T  # Q x P
     j_len = len(grid)
     if grid.fft_aligned:
         # sum_p M[q,p] exp(+2 pi i p (j - J//2) / P) == P * ifft_p(M) reordered
@@ -179,14 +173,11 @@ def time_domain_oracle(
         raise OracleGuardError(
             f"oracle instance Q*P*J = {q_len * p_len * j_len} exceeds the guard {guard}"
         )
-    if len(schedule) != p_len:
-        raise ProcessingError("schedule length does not match the cube")
-    distinct, index = schedule.distinct_frames()
+    _check_schedule(cube, schedule)
     corr = np.empty((q_len, p_len), dtype=np.complex128)
-    for u, frame in enumerate(distinct):
-        cols = np.nonzero(index == u)[0]
+    for u, ref in enumerate(schedule.frames):
+        cols = np.nonzero(schedule.packet_map == u)[0]
         sub = cube.samples[:, cols]
-        ref = frame.samples
         for k in range(q_len):
             rolled = np.conj(np.roll(ref, k))
             corr[k, cols] = rolled @ sub

@@ -20,11 +20,6 @@ from .params import SPEED_OF_LIGHT_MPS, WaveformParams
 from .waveform import FrameSchedule
 
 
-class TargetKind(Enum):
-    SINGLE_POINT = "single_point"
-    CLUSTER = "cluster"
-
-
 class PathLoss(Enum):
     OFF = "off"
     INVERSE_SQUARE = "inverse_square"
@@ -42,7 +37,7 @@ class PointScatterer:
         if self.position_m.shape != (3,) or self.velocity_mps.shape != (3,):
             raise ParameterError("scatterer position and velocity must be 3-vectors")
         if self.range_m <= 0:
-            raise ParameterError("scatterer must sit strictly away from the receiver")
+            raise ScenarioError("scatterer must sit strictly away from the receiver")
 
     @property
     def range_m(self) -> float:
@@ -56,10 +51,7 @@ class PointScatterer:
 
 @dataclass(frozen=True)
 class TargetModel:
-    kind: TargetKind
     scatterers: tuple[PointScatterer, ...]
-    bulk_rcs_dbsm: float
-    descriptor: str = ""
 
     def total_reflected_power(self) -> float:
         return float(sum(abs(s.reflectivity) ** 2 for s in self.scatterers))
@@ -78,9 +70,7 @@ class DataCube:
             raise ParameterError(f"cube must be {q} x {p}, got {self.samples.shape}")
 
 
-def point_target(
-    position_m, velocity_mps, rcs_dbsm: float = 0.0, descriptor: str = "point"
-) -> TargetModel:
+def point_target(position_m, velocity_mps, rcs_dbsm: float = 0.0) -> TargetModel:
     """Single scatterer whose reflected power matches the given RCS."""
     sigma = np.sqrt(10.0 ** (rcs_dbsm / 10.0))
     scatterer = PointScatterer(
@@ -88,18 +78,13 @@ def point_target(
         velocity_mps=np.asarray(velocity_mps, dtype=np.float64),
         reflectivity=complex(sigma),
     )
-    return TargetModel(
-        kind=TargetKind.SINGLE_POINT,
-        scatterers=(scatterer,),
-        bulk_rcs_dbsm=rcs_dbsm,
-        descriptor=descriptor,
-    )
+    return TargetModel(scatterers=(scatterer,))
 
 
 def radial_unit(position_m: np.ndarray) -> np.ndarray:
     r = np.linalg.norm(position_m)
     if r == 0:
-        raise ParameterError("cannot take a radial direction at the origin")
+        raise ScenarioError("cannot take a radial direction at the origin")
     return np.asarray(position_m, dtype=np.float64) / r
 
 
@@ -136,12 +121,7 @@ def make_pedestrian(
         )
         for off, dv, ph in zip(offsets, perturb, phases)
     )
-    return TargetModel(
-        kind=TargetKind.CLUSTER,
-        scatterers=scatterers,
-        bulk_rcs_dbsm=rcs_dbsm,
-        descriptor="pedestrian",
-    )
+    return TargetModel(scatterers=scatterers)
 
 
 def make_car(
@@ -187,12 +167,7 @@ def make_car(
         )
         for off, ph in zip(offsets, phases)
     )
-    return TargetModel(
-        kind=TargetKind.CLUSTER,
-        scatterers=scatterers,
-        bulk_rcs_dbsm=rcs_dbsm,
-        descriptor="car",
-    )
+    return TargetModel(scatterers=scatterers)
 
 
 def delay_bin(range_m: float, params: WaveformParams) -> int:
@@ -229,7 +204,9 @@ def synthesize_echo(
             f"schedule carries {len(schedule)} packets but the CPI holds {p_len}"
         )
     cube = np.zeros((q_len, p_len), dtype=np.complex128)
-    frames = schedule.sample_matrix()
+    # Q x P with packet p's frame in column p, in C order like the cube, so
+    # the per-scatterer sums below run over contiguous rows
+    frames = np.take(schedule.frames.T, schedule.packet_map, axis=1)
     pri = params.pri_s
     lam = params.wavelength_m
     v_max = params.max_unambiguous_velocity_mps

@@ -2,9 +2,9 @@
 
 Each frame is one PRI of complex baseband samples: an active window of
 `code_length` unit-modulus chips scaled by the amplitude, followed by zeros
-(listening time). Schedules describe which frame each of the P packets
-carries along with the reference the receiver correlates against (always the
-transmitted frame itself).
+(listening time). A schedule is the set of distinct frames plus a packet map
+naming the frame each of the P packets carries; the receiver correlates every
+packet against the frame it carried.
 
 The two Golay schedules differ only in how the complementary pair (a, b) is
 spread across packets: the standard schedule alternates a, b, a, b, ... so
@@ -24,30 +24,11 @@ from .errors import ParameterError
 from .params import PulseShape, WaveformParams
 
 
-class FrameLabel(Enum):
-    FMCW = "fmcw"
-    PMCW = "pmcw"
-    GOLAY_A = "golay_a"
-    GOLAY_B = "golay_b"
-
-
 class ScheduleKind(Enum):
     FMCW = "fmcw"
     PMCW = "pmcw"
     GOLAY_STANDARD = "golay_standard"
     GOLAY_DOPPLER_RESILIENT = "golay_doppler_resilient"
-
-
-@dataclass(frozen=True)
-class Frame:
-    """One PRI of complex baseband samples (length Q)."""
-
-    samples: np.ndarray
-    label: FrameLabel
-
-    def __post_init__(self):
-        if self.samples.ndim != 1:
-            raise ParameterError("frame samples must be one-dimensional")
 
 
 @dataclass(frozen=True)
@@ -59,42 +40,19 @@ class GolayPair:
 
 
 @dataclass(frozen=True)
-class PtmSequence:
-    """bits[p] = parity of the popcount of p."""
-
-    bits: np.ndarray  # {0,1} int64, length P
-
-
-@dataclass(frozen=True)
 class FrameSchedule:
-    """Per-packet transmit frames over one CPI (P entries)."""
+    """Transmit schedule over one CPI: packet p carries frames[packet_map[p]]."""
 
-    frames: tuple[Frame, ...]
     kind: ScheduleKind
+    frames: np.ndarray      # U x Q complex, the distinct transmit frames
+    packet_map: np.ndarray  # P ints into frames
+
+    def __post_init__(self):
+        if self.frames.ndim != 2 or self.packet_map.ndim != 1:
+            raise ParameterError("a schedule needs a U x Q frame array and a packet vector")
 
     def __len__(self) -> int:
-        return len(self.frames)
-
-    def sample_matrix(self) -> np.ndarray:
-        """Q x P matrix with packet p's frame in column p."""
-        return np.stack([f.samples for f in self.frames], axis=1)
-
-    def reference_for(self, packet: int) -> np.ndarray:
-        """Reference sequence the receiver correlates packet `packet` against
-        (identical to the transmitted frame)."""
-        return self.frames[packet].samples
-
-    def distinct_frames(self) -> tuple[list[Frame], np.ndarray]:
-        """The distinct frames (by label) and the per-packet index into them."""
-        order: list[Frame] = []
-        labels: dict[FrameLabel, int] = {}
-        index = np.empty(len(self.frames), dtype=np.intp)
-        for p, frame in enumerate(self.frames):
-            if frame.label not in labels:
-                labels[frame.label] = len(order)
-                order.append(frame)
-            index[p] = labels[frame.label]
-        return order, index
+        return self.packet_map.size
 
 
 def aperiodic_autocorrelation(x: np.ndarray) -> np.ndarray:
@@ -125,12 +83,12 @@ def golay_pair(n_log2: int) -> GolayPair:
     return GolayPair(a=a, b=b)
 
 
-def ptm_sequence(length: int) -> PtmSequence:
-    """First `length` bits of the Prouhet-Thue-Morse sequence."""
+def ptm_sequence(length: int) -> np.ndarray:
+    """First `length` bits of the Prouhet-Thue-Morse sequence: bit p is the
+    parity of the popcount of p."""
     if length < 1:
         raise ParameterError("length must be at least 1")
-    bits = np.array([p.bit_count() & 1 for p in range(length)], dtype=np.int64)
-    return PtmSequence(bits=bits)
+    return np.array([p.bit_count() & 1 for p in range(length)], dtype=np.int64)
 
 
 def _shape_chips(active: np.ndarray, params: WaveformParams) -> np.ndarray:
@@ -158,15 +116,15 @@ def _shape_chips(active: np.ndarray, params: WaveformParams) -> np.ndarray:
     return shaped
 
 
-def _frame_from_active(active: np.ndarray, params: WaveformParams, label: FrameLabel) -> Frame:
+def _frame_from_active(active: np.ndarray, params: WaveformParams) -> np.ndarray:
     """Scale, shape, and zero-pad an active window into a full-Q frame."""
     q = params.samples_per_pri
     samples = np.zeros(q, dtype=np.complex128)
     samples[: active.size] = _shape_chips(params.amplitude * active.astype(np.complex128), params)
-    return Frame(samples=samples, label=label)
+    return samples
 
 
-def generate_fmcw(params: WaveformParams) -> Frame:
+def generate_fmcw(params: WaveformParams) -> np.ndarray:
     """Linear chirp gated to the active window.
 
     samples[q] = amplitude * exp(j*pi*(BW/T_chirp)*(q*T_s)^2) for q inside the
@@ -180,10 +138,10 @@ def generate_fmcw(params: WaveformParams) -> Frame:
     slope = params.bandwidth_hz / params.chirp_sweep_duration_s
     q = np.arange(n)
     active = np.exp(1j * np.pi * slope * (q * ts) ** 2)
-    return _frame_from_active(active, params, FrameLabel.FMCW)
+    return _frame_from_active(active, params)
 
 
-def generate_pmcw(params: WaveformParams, seed: int) -> Frame:
+def generate_pmcw(params: WaveformParams, seed: int) -> np.ndarray:
     """Differentially encoded binary phase code.
 
     A seeded pseudo-random chip sequence c in {0,1}^N is encoded as d[0] = +1,
@@ -195,23 +153,21 @@ def generate_pmcw(params: WaveformParams, seed: int) -> Frame:
     signs = np.where(chips == 1, -1.0, 1.0)
     signs[0] = 1.0  # d[0] is pinned to +1; c[0] is not consumed
     d = np.cumprod(signs)
-    return _frame_from_active(d, params, FrameLabel.PMCW)
+    return _frame_from_active(d, params)
 
 
-def _golay_frames(params: WaveformParams) -> tuple[Frame, Frame]:
+def _golay_frames(params: WaveformParams) -> np.ndarray:
+    """The pair's frames as rows: a, then b."""
     n = params.code_length
     n_log2 = n.bit_length() - 1
     if 2**n_log2 != n:
         raise ParameterError(f"Golay schedules need a power-of-two code_length, got {n}")
     pair = golay_pair(n_log2)
-    return (
-        _frame_from_active(pair.a, params, FrameLabel.GOLAY_A),
-        _frame_from_active(pair.b, params, FrameLabel.GOLAY_B),
-    )
+    return np.stack([_frame_from_active(pair.a, params), _frame_from_active(pair.b, params)])
 
 
 def build_schedule(kind: ScheduleKind, params: WaveformParams, seed: int = 0) -> FrameSchedule:
-    """Per-packet frame sequence over the CPI for the requested waveform.
+    """Distinct frames and packet map over the CPI for the requested waveform.
 
     FMCW/PMCW repeat a single frame. The standard Golay schedule alternates
     the pair members a, b, a, b, ... across packets; the Doppler-resilient
@@ -220,16 +176,17 @@ def build_schedule(kind: ScheduleKind, params: WaveformParams, seed: int = 0) ->
     """
     p_count = params.packets_per_cpi
     if kind is ScheduleKind.FMCW:
-        frames = (generate_fmcw(params),) * p_count
+        frames = generate_fmcw(params)[None, :]
+        packet_map = np.zeros(p_count, dtype=np.int64)
     elif kind is ScheduleKind.PMCW:
-        frames = (generate_pmcw(params, seed),) * p_count
+        frames = generate_pmcw(params, seed)[None, :]
+        packet_map = np.zeros(p_count, dtype=np.int64)
     elif kind is ScheduleKind.GOLAY_STANDARD:
-        fa, fb = _golay_frames(params)
-        frames = tuple(fa if p % 2 == 0 else fb for p in range(p_count))
+        frames = _golay_frames(params)
+        packet_map = np.arange(p_count, dtype=np.int64) % 2
     elif kind is ScheduleKind.GOLAY_DOPPLER_RESILIENT:
-        fa, fb = _golay_frames(params)
-        bits = ptm_sequence(p_count).bits
-        frames = tuple(fa if bits[p] == 0 else fb for p in range(p_count))
+        frames = _golay_frames(params)
+        packet_map = ptm_sequence(p_count)
     else:
         raise ParameterError(f"unknown schedule kind {kind!r}")
-    return FrameSchedule(frames=frames, kind=kind)
+    return FrameSchedule(kind, frames, packet_map)

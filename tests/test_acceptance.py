@@ -35,7 +35,7 @@ class CanonicalRun:
     detections: dict
     maps: dict
     cubes: dict
-    banks: dict
+    schedules: dict
     pslr: dict
     elapsed_s: float
 
@@ -47,19 +47,18 @@ def canonical():
     vel = 2.0 * pos / np.linalg.norm(pos)
     targets = [iz.point_target(pos, vel)]
     grid = iz.default_grid(params)
-    detections, maps, cubes, banks, pslr = {}, {}, {}, {}, {}
+    detections, maps, cubes, schedules, pslr = {}, {}, {}, {}, {}
     start = time.perf_counter()
     for kind in KINDS:
         schedule = iz.build_schedule(kind, params, seed=7)
         cube = iz.synthesize_echo(schedule, targets, params)  # noise off
-        bank = iz.build_reference_bank(schedule)
-        rd_map = iz.matched_filter_rd(cube, bank, grid)
+        rd_map = iz.matched_filter_rd(cube, schedule, grid)
         det = iz.detect_peak(rd_map)
         detections[kind], maps[kind] = det, rd_map
-        cubes[kind], banks[kind] = cube, bank
+        cubes[kind], schedules[kind] = cube, schedule
         pslr[kind] = iz.pslr_db(rd_map.range_cut(det.doppler_bin))
     elapsed = time.perf_counter() - start
-    return CanonicalRun(params, grid, detections, maps, cubes, banks, pslr, elapsed)
+    return CanonicalRun(params, grid, detections, maps, cubes, schedules, pslr, elapsed)
 
 
 def test_criterion_1_golay_identity_exact():
@@ -82,7 +81,7 @@ def test_criterion_2_oracle_equivalence():
     worst = 0.0
     for _ in range(20):
         cube, schedule, grid = random_case(rng)
-        fast = iz.matched_filter_rd(cube, iz.build_reference_bank(schedule), grid)
+        fast = iz.matched_filter_rd(cube, schedule, grid)
         slow = iz.time_domain_oracle(cube, schedule, grid)
         worst = max(worst, iz.map_relative_deviation(fast, slow))
         assert worst < 1e-6
@@ -156,7 +155,7 @@ def test_criterion_6_static_complementarity(canonical):
     for kind in (iz.ScheduleKind.GOLAY_STANDARD, iz.ScheduleKind.GOLAY_DOPPLER_RESILIENT):
         schedule = iz.build_schedule(kind, params, seed=7)
         cube = iz.synthesize_echo(schedule, static, params)
-        rd_map = iz.matched_filter_rd(cube, iz.build_reference_bank(schedule), grid)
+        rd_map = iz.matched_filter_rd(cube, schedule, grid)
         det = iz.detect_peak(rd_map)
         sidelobe_db = -iz.pslr_db(rd_map.range_cut(det.doppler_bin))
         levels[kind.value] = sidelobe_db
@@ -170,17 +169,17 @@ def test_criterion_7_fixed_point(canonical):
     sweep_formats = [iz.FixedPointFormat(w, 1) for w in (16, 24, 32)]
     details = []
     for kind in KINDS:
-        cube, bank = canonical.cubes[kind], canonical.banks[kind]
+        cube, schedule = canonical.cubes[kind], canonical.schedules[kind]
         _, report = iz.quantized_matched_filter(
-            cube, bank, canonical.grid, fmt24, iz.FxpMode.FULL_CHAIN
+            cube, schedule, canonical.grid, fmt24, iz.FxpMode.FULL_CHAIN
         )
         assert report.peak_bin_agree, f"{kind.value}: quantized peak moved"
         assert report.pslr_agree, (
             f"{kind.value}: PSLR {report.pslr_fxp_db:.2f} vs "
             f"{report.pslr_double_db:.2f} dB"
         )
-        sweep = iz.precision_sweep(cube, bank, canonical.grid, sweep_formats)
-        sqnrs = [row.sqnr_db for row in sweep.rows]
+        sweep = iz.precision_sweep(cube, schedule, canonical.grid, sweep_formats)
+        sqnrs = [row.report.sqnr_db for row in sweep.rows]
         assert sweep.monotone_sqnr
         assert sqnrs[0] <= sqnrs[1] <= sqnrs[2], f"{kind.value}: SQNR not monotone {sqnrs}"
         delta = report.pslr_delta_db

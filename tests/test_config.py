@@ -1,5 +1,7 @@
 """Config parsing: defaults, diagnostics, round-trips."""
 
+import dataclasses
+
 import pytest
 
 import isacsim as iz
@@ -132,6 +134,18 @@ class TestDiagnostics:
     def test_bad_format_string(self):
         self.expect_error("[fixedpoint]\nformats = 24\n", "invalid value for 'formats'", line=2)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[scene]\nsnr_db = nan\n",
+            "[scene]\nrcs_dbsm = inf\n",
+            "[scene]\nposition_m = nan,1,0\n",
+        ],
+        ids=["snr_nan", "rcs_inf", "position_nan"],
+    )
+    def test_non_finite_numbers_rejected(self, text):
+        self.expect_error(text, "expected a finite number", line=2)
+
     def test_nonpositive_counts(self):
         self.expect_error("[scene]\nscatterer_count = 0\n", "must be positive", line=2)
         self.expect_error("[benchmark]\nrepeats = 0\n", "at least 1", line=2)
@@ -203,9 +217,9 @@ repeats = 3
         assert rendered == cfg  # equality ignores the warning channel
         assert rendered.warnings == ()
 
-    def test_with_packets_rescales_only_the_cpi(self):
+    def test_scaled_profile_rescales_only_the_cpi(self):
         cfg = iz.parse_config("")
-        scaled = iz.with_packets(cfg, 64)
+        scaled = dataclasses.replace(cfg, params=iz.scaled_profile(cfg.params, 64))
         assert scaled.params.packets_per_cpi == 64
         assert scaled.params.pri_s == cfg.params.pri_s
         assert scaled.waveforms == cfg.waveforms

@@ -14,7 +14,7 @@ def small_pipeline(params, kind=iz.ScheduleKind.PMCW, snr_db=None):
     vel = 2.0 * pos / np.linalg.norm(pos)
     sched = iz.build_schedule(kind, params, seed=7)
     cube = iz.synthesize_echo(sched, [iz.point_target(pos, vel)], params, snr_db=snr_db)
-    return cube, iz.build_reference_bank(sched), iz.default_grid(params)
+    return cube, sched, iz.default_grid(params)
 
 
 class TestFormat:
@@ -112,35 +112,35 @@ class TestQuantize:
 
 class TestQuantizedChain:
     def test_double_like_format_is_transparent(self, small_params):
-        cube, bank, grid = small_pipeline(small_params)
-        _, report = iz.quantized_matched_filter(cube, bank, grid, iz.FixedPointFormat(53, 2))
+        cube, sched, grid = small_pipeline(small_params)
+        _, report = iz.quantized_matched_filter(cube, sched, grid, iz.FixedPointFormat(53, 2))
         assert report.sqnr_db > 200.0
         assert report.peak_bin_agree
         assert report.pslr_agree
 
     def test_24_bit_full_chain_matches_peak(self, small_params):
-        cube, bank, grid = small_pipeline(small_params, snr_db=15.0)
-        _, report = iz.quantized_matched_filter(cube, bank, grid, iz.FixedPointFormat(24, 1))
+        cube, sched, grid = small_pipeline(small_params, snr_db=15.0)
+        _, report = iz.quantized_matched_filter(cube, sched, grid, iz.FixedPointFormat(24, 1))
         assert report.peak_bin_agree
         assert report.pslr_agree
         assert report.sqnr_db > 60.0
         assert report.saturation_fraction == 0.0  # max-abs stages cannot clip
 
     def test_8_bit_survives_and_reports_degradation(self, small_params):
-        cube, bank, grid = small_pipeline(small_params)
+        cube, sched, grid = small_pipeline(small_params)
         fxp_map, report = iz.quantized_matched_filter(
-            cube, bank, grid, iz.FixedPointFormat(8, 1)
+            cube, sched, grid, iz.FixedPointFormat(8, 1)
         )
         assert np.all(np.isfinite(fxp_map.values))
         assert report.sqnr_db < 40.0
 
     def test_core_only_skips_io_stages(self, small_params):
-        cube, bank, grid = small_pipeline(small_params)
+        cube, sched, grid = small_pipeline(small_params)
         _, full = iz.quantized_matched_filter(
-            cube, bank, grid, iz.FixedPointFormat(16, 1), iz.FxpMode.FULL_CHAIN
+            cube, sched, grid, iz.FixedPointFormat(16, 1), iz.FxpMode.FULL_CHAIN
         )
         _, core = iz.quantized_matched_filter(
-            cube, bank, grid, iz.FixedPointFormat(16, 1), iz.FxpMode.CORE_ONLY
+            cube, sched, grid, iz.FixedPointFormat(16, 1), iz.FxpMode.CORE_ONLY
         )
         assert "input" in full.saturation_counts
         assert "post_ifft" in full.saturation_counts
@@ -149,15 +149,15 @@ class TestQuantizedChain:
         assert core.mode is iz.FxpMode.CORE_ONLY
 
     def test_sweep_sqnr_grows_with_word_length(self, small_params):
-        cube, bank, grid = small_pipeline(small_params)
+        cube, sched, grid = small_pipeline(small_params)
         formats = [iz.FixedPointFormat(w, 1) for w in (8, 16, 24, 32)]
-        sweep = iz.precision_sweep(cube, bank, grid, formats)
-        sqnrs = [row.sqnr_db for row in sweep.rows]
+        sweep = iz.precision_sweep(cube, sched, grid, formats)
+        sqnrs = [row.report.sqnr_db for row in sweep.rows]
         assert sweep.monotone_sqnr
         assert all(b > a for a, b in zip(sqnrs, sqnrs[1:]))
         assert all(row.runtime_s >= 0.0 for row in sweep.rows)
 
     def test_sweep_requires_formats(self, small_params):
-        cube, bank, grid = small_pipeline(small_params)
+        cube, sched, grid = small_pipeline(small_params)
         with pytest.raises(iz.ParameterError):
-            iz.precision_sweep(cube, bank, grid, [])
+            iz.precision_sweep(cube, sched, grid, [])

@@ -209,7 +209,27 @@ class TestBenchmark:
         # Q*P*J = 512*64*64 fits the guard, so the oracle runs in full
         assert row["oracle"]["packets_used"] == 64
         assert row["oracle"]["note"] is None
+        assert row["oracle"]["scaled_estimate_s"] == row["oracle"]["median_s"]
         assert row["speedup_vs_oracle"] > 1.0
+
+    def test_truncated_oracle_scales_by_its_work(self, tmp_path):
+        # Q*P*P = 512*128*128 exceeds the guard, so the oracle is timed on
+        # P' = 90 packets; its work is Q*Q*P + Q*P*J with J = P
+        pri = 512 / 1.76e9
+        params = iz.WaveformParams(pri_s=pri, cpi_s=128 * pri, code_length=256)
+        cfg = dataclasses.replace(
+            iz.parse_config(""),
+            params=params,
+            waveforms=(iz.ScheduleKind.PMCW,),
+            bench_enabled=True,
+            bench_repeats=1,
+        )
+        oracle = iz.run_comparison(cfg, tmp_path).summary["benchmark"]["waveforms"][0]["oracle"]
+        q, p, p_used = 512, 128, 90
+        assert (oracle["packets_used"], oracle["bins_used"]) == (p_used, p_used)
+        ratio = (q * q * p + q * p * p) / (q * q * p_used + q * p_used * p_used)
+        assert oracle["scaled_estimate_s"] == pytest.approx(oracle["median_s"] * ratio)
+        assert f"{ratio:.4g}" in oracle["note"]
 
     def test_disabled_benchmark_leaves_no_table(self, tmp_path):
         outcome = iz.run_comparison(small_cfg(), tmp_path)
@@ -246,6 +266,36 @@ class TestCli:
         path = self.write_ini(tmp_path, SMALL_INI + "[scene]\nposition_m = 900, 0, 0\n")
         assert cli.main(["run", path, "--out", str(tmp_path / "out")]) == 3
         assert "scenario error" in capsys.readouterr().err
+
+    def expect_one_line_error(self, capsys, code, argv, fragment):
+        assert cli.main(argv) == code
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert fragment in err
+
+    def test_golay_with_odd_code_length_exits_2(self, tmp_path, capsys):
+        path = self.write_ini(tmp_path, SMALL_INI.replace("256", "500"))
+        self.expect_one_line_error(capsys, 2, ["run", path], "power-of-two 'code_length'")
+
+    def test_golay_chosen_on_the_command_line_exits_2(self, tmp_path, capsys):
+        text = SMALL_INI.replace("256", "500") + "[run]\nwaveforms = fmcw\n"
+        argv = ["run", self.write_ini(tmp_path, text), "--waveforms", "golay_doppler_resilient"]
+        self.expect_one_line_error(capsys, 2, argv, "golay_doppler_resilient needs")
+
+    def test_small_car_exits_2(self, tmp_path, capsys):
+        path = self.write_ini(tmp_path, SMALL_INI + "[scene]\ntarget = car\nscatterer_count = 3\n")
+        self.expect_one_line_error(capsys, 2, ["run", path], "'scatterer_count' >= 4")
+
+    def test_target_at_the_origin_exits_3(self, tmp_path, capsys):
+        path = self.write_ini(tmp_path, SMALL_INI + "[scene]\nposition_m = 0, 0, 0\n")
+        argv = ["run", path, "--out", str(tmp_path / "out")]
+        self.expect_one_line_error(capsys, 3, argv, "scenario error")
+
+    def test_unwritable_output_exits_2(self, tmp_path, capsys):
+        blocker = tmp_path / "taken"
+        blocker.write_text("a file where the output directory should go\n")
+        argv = ["run", self.write_ini(tmp_path), "--out", str(blocker)]
+        self.expect_one_line_error(capsys, 2, argv, "File exists")
 
     def test_zero_target_exits_4(self, tmp_path, capsys):
         path = self.write_ini(tmp_path, SMALL_INI + "[scene]\ntarget = none\n")

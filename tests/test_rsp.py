@@ -46,8 +46,7 @@ class TestMatchedFilter:
         for kind in all_kinds:
             sched = iz.build_schedule(kind, ci_params, seed=7)
             cube = iz.synthesize_echo(sched, static, ci_params)
-            bank = iz.build_reference_bank(sched)
-            det = iz.detect_peak(iz.matched_filter_rd(cube, bank, grid))
+            det = iz.detect_peak(iz.matched_filter_rd(cube, sched, grid))
             assert det.range_bin == 176
             assert det.doppler_bin == grid.zero_bin == 32
 
@@ -60,7 +59,7 @@ class TestMatchedFilter:
         target = [iz.point_target(pos, np.array([v, 0.0, 0.0]))]
         sched = iz.build_schedule(iz.ScheduleKind.PMCW, small_params, seed=7)
         cube = iz.synthesize_echo(sched, target, small_params)
-        det = iz.detect_peak(iz.matched_filter_rd(cube, iz.build_reference_bank(sched), grid))
+        det = iz.detect_peak(iz.matched_filter_rd(cube, sched, grid))
         assert det.doppler_bin == grid.zero_bin + k
         assert det.range_bin == iz.delay_bin(10.0, small_params)
         assert det.velocity_mps == pytest.approx(v)
@@ -78,18 +77,16 @@ class TestMatchedFilter:
         for kind in all_kinds:
             sched = iz.build_schedule(kind, small_params, seed=7)
             cube = iz.synthesize_echo(sched, target, small_params, snr_db=10.0)
-            bank = iz.build_reference_bank(sched)
-            a = iz.matched_filter_rd(cube, bank, aligned)
-            b = iz.matched_filter_rd(cube, bank, dense)
+            a = iz.matched_filter_rd(cube, sched, aligned)
+            b = iz.matched_filter_rd(cube, sched, dense)
             assert iz.map_relative_deviation(a, b) < 1e-9
 
-    def test_rejects_mismatched_bank(self, small_params, ci_params):
+    def test_rejects_mismatched_schedule(self, small_params, ci_params):
         sched_small = iz.build_schedule(iz.ScheduleKind.FMCW, small_params)
         sched_big = iz.build_schedule(iz.ScheduleKind.FMCW, ci_params)
         cube = iz.synthesize_echo(sched_small, [], small_params)
-        bank_big = iz.build_reference_bank(sched_big)
         with pytest.raises(iz.ProcessingError):
-            iz.matched_filter_rd(cube, bank_big, iz.default_grid(small_params))
+            iz.matched_filter_rd(cube, sched_big, iz.default_grid(small_params))
 
     def test_range_axis_spacing_is_the_range_resolution(self, small_params):
         axis = small_params.range_axis_m()
@@ -102,7 +99,7 @@ class TestOracleEquivalence:
         rng = np.random.default_rng(2024)
         for _ in range(6):
             cube, schedule, grid = random_case(rng)
-            fast = iz.matched_filter_rd(cube, iz.build_reference_bank(schedule), grid)
+            fast = iz.matched_filter_rd(cube, schedule, grid)
             slow = iz.time_domain_oracle(cube, schedule, grid)
             assert iz.map_relative_deviation(fast, slow) < 1e-6
 
@@ -117,7 +114,7 @@ class TestOracleEquivalence:
     def test_oracle_rejects_schedule_mismatch(self, small_params):
         sched = iz.build_schedule(iz.ScheduleKind.FMCW, small_params)
         cube = iz.synthesize_echo(sched, [], small_params)
-        shorter = iz.FrameSchedule(frames=sched.frames[:-1], kind=sched.kind)
+        shorter = iz.FrameSchedule(sched.kind, sched.frames, sched.packet_map[:-1])
         with pytest.raises(iz.ProcessingError):
             iz.time_domain_oracle(cube, shorter, iz.default_grid(small_params))
 
@@ -139,7 +136,7 @@ class TestCanonicalPslr:
         for kind in all_kinds:
             sched = iz.build_schedule(kind, ci_params, seed=7)
             cube = iz.synthesize_echo(sched, targets, ci_params)
-            rd_map = iz.matched_filter_rd(cube, iz.build_reference_bank(sched), grid)
+            rd_map = iz.matched_filter_rd(cube, sched, grid)
             value = iz.peak_cut_pslr_db(rd_map)
             if kind in expected:
                 assert value == pytest.approx(expected[kind], abs=0.05), kind.value
@@ -207,8 +204,6 @@ class TestPslr:
         target = [iz.point_target(np.array([8.0, 0.0, 0.0]), np.zeros(3))]
         sched = iz.build_schedule(iz.ScheduleKind.PMCW, small_params, seed=7)
         cube = iz.synthesize_echo(sched, target, small_params)
-        rd_map = iz.matched_filter_rd(
-            cube, iz.build_reference_bank(sched), iz.default_grid(small_params)
-        )
+        rd_map = iz.matched_filter_rd(cube, sched, iz.default_grid(small_params))
         det = iz.detect_peak(rd_map)
         assert iz.peak_cut_pslr_db(rd_map) == iz.pslr_db(rd_map.range_cut(det.doppler_bin))

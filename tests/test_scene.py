@@ -34,7 +34,7 @@ class TestEchoPlacement:
         assert qb == 176
         assert np.all(cube.samples[:qb, :] == 0)
         # echo is the frame shifted down by qb (reflectivity 1, no loss)
-        frame = sched.frames[0].samples
+        frame = sched.frames[0]
         keep = ci_params.samples_per_pri - qb
         np.testing.assert_allclose(cube.samples[qb:, 0], frame[:keep], atol=1e-12)
 

@@ -1,10 +1,9 @@
-"""Frame generators, Golay pairs, and CPI schedules."""
+"""Transmit frame generators, Golay pairs, and CPI schedules."""
 
 import numpy as np
 import pytest
 
 import isacsim as iz
-from isacsim.waveform import FrameLabel
 
 
 def complementary_sum(pair):
@@ -46,15 +45,15 @@ class TestGolayPairs:
 
 class TestPtmSequence:
     def test_first_eight_bits(self):
-        assert iz.ptm_sequence(8).bits.tolist() == [0, 1, 1, 0, 1, 0, 0, 1]
+        assert iz.ptm_sequence(8).tolist() == [0, 1, 1, 0, 1, 0, 0, 1]
 
     def test_prefix_property(self):
-        long = iz.ptm_sequence(64).bits
-        short = iz.ptm_sequence(16).bits
+        long = iz.ptm_sequence(64)
+        short = iz.ptm_sequence(16)
         assert np.array_equal(long[:16], short)
 
     def test_doubling_recurrences(self):
-        bits = iz.ptm_sequence(128).bits
+        bits = iz.ptm_sequence(128)
         k = np.arange(64)
         assert np.array_equal(bits[2 * k], bits[k])
         assert np.array_equal(bits[2 * k + 1], 1 - bits[k])
@@ -63,15 +62,15 @@ class TestPtmSequence:
 class TestFmcw:
     def test_starts_at_unit_amplitude(self):
         frame = iz.generate_fmcw(iz.WaveformParams())
-        assert frame.samples[0] == pytest.approx(1.0 + 0.0j)
+        assert frame[0] == pytest.approx(1.0 + 0.0j)
 
     def test_active_window_then_silence(self):
         params = iz.WaveformParams()
         frame = iz.generate_fmcw(params)
         n, q = params.code_length, params.samples_per_pri
-        assert frame.samples.shape == (q,)
-        assert np.all(np.abs(frame.samples[:n]) > 0)
-        assert np.all(frame.samples[n:] == 0)
+        assert frame.shape == (q,)
+        assert np.all(np.abs(frame[:n]) > 0)
+        assert np.all(frame[n:] == 0)
 
     def test_window_sweep_phase_is_quadratic_in_window_fraction(self):
         # with the sweep compressed into the N-sample window, the phase is
@@ -80,7 +79,7 @@ class TestFmcw:
         frame = iz.generate_fmcw(params)
         q = np.arange(params.code_length)
         expected = np.exp(1j * np.pi * q**2 / params.code_length)
-        np.testing.assert_allclose(frame.samples[: q.size], expected, atol=1e-9)
+        np.testing.assert_allclose(frame[: q.size], expected, atol=1e-9)
 
     def test_default_sweep_spans_the_pri(self):
         # slope BW/T_pri: phase pi * q^2 / Q over the active window
@@ -89,14 +88,14 @@ class TestFmcw:
         n, q_len = params.code_length, params.samples_per_pri
         q = np.arange(n)
         expected = np.exp(1j * np.pi * q**2 / q_len)
-        np.testing.assert_allclose(frame.samples[:n], expected, atol=1e-9)
+        np.testing.assert_allclose(frame[:n], expected, atol=1e-9)
 
     def test_chip_rate_phase_increment(self):
         # adjacent-sample phase steps grow linearly with the chirp slope
         params = iz.WaveformParams(chirp_duration_s=512 / 1.76e9)
         frame = iz.generate_fmcw(params)
         n = params.code_length
-        steps = np.angle(frame.samples[1:n] * np.conj(frame.samples[: n - 1]))
+        steps = np.angle(frame[1:n] * np.conj(frame[: n - 1]))
         increments = np.diff(np.unwrap(steps))
         slope = params.bandwidth_hz / params.chirp_sweep_duration_s
         expected = 2 * np.pi * slope * params.sample_period_s**2
@@ -108,10 +107,10 @@ class TestPmcw:
         params = iz.WaveformParams()
         frame = iz.generate_pmcw(params, seed=7)
         n = params.code_length
-        d = frame.samples[:n].real
+        d = frame[:n].real
         assert d[0] == pytest.approx(1.0)
         assert np.all(np.isin(d, [-1.0, 1.0]))
-        assert np.all(frame.samples[:n].imag == 0)
+        assert np.all(frame[:n].imag == 0)
         # transitions reproduce the seeded chip stream (c[0] unused)
         chips = np.random.default_rng(7).integers(0, 2, size=n)
         transitions = (d[1:] != d[:-1]).astype(int)
@@ -119,11 +118,20 @@ class TestPmcw:
 
     def test_seed_determinism(self):
         params = iz.WaveformParams()
-        a = iz.generate_pmcw(params, seed=7).samples
-        b = iz.generate_pmcw(params, seed=7).samples
-        c = iz.generate_pmcw(params, seed=8).samples
+        a = iz.generate_pmcw(params, seed=7)
+        b = iz.generate_pmcw(params, seed=7)
+        c = iz.generate_pmcw(params, seed=8)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+
+def golay_frames(params):
+    """Frames a and b of the Golay pair, built here from the code itself."""
+    n = params.code_length
+    pair = iz.golay_pair(n.bit_length() - 1)
+    frames = np.zeros((2, params.samples_per_pri), dtype=np.complex128)
+    frames[0, :n], frames[1, :n] = pair.a, pair.b
+    return frames
 
 
 class TestSchedules:
@@ -131,53 +139,63 @@ class TestSchedules:
         for kind in (iz.ScheduleKind.FMCW, iz.ScheduleKind.PMCW):
             sched = iz.build_schedule(kind, small_params, seed=7)
             assert len(sched) == small_params.packets_per_cpi
-            mat = sched.sample_matrix()
-            for p in range(1, mat.shape[1]):
-                assert np.array_equal(mat[:, p], mat[:, 0])
+            transmitted = sched.frames[sched.packet_map]
+            for p in range(1, len(transmitted)):
+                assert np.array_equal(transmitted[p], transmitted[0])
 
     def test_standard_golay_alternates(self, small_params):
         sched = iz.build_schedule(iz.ScheduleKind.GOLAY_STANDARD, small_params)
-        labels = [f.label for f in sched.frames]
-        for p, label in enumerate(labels):
-            assert label is (FrameLabel.GOLAY_A if p % 2 == 0 else FrameLabel.GOLAY_B)
+        a, b = golay_frames(small_params)
+        for p, frame in enumerate(sched.frames[sched.packet_map]):
+            assert np.array_equal(frame, a if p % 2 == 0 else b)
 
     def test_resilient_golay_follows_ptm(self, small_params):
         sched = iz.build_schedule(iz.ScheduleKind.GOLAY_DOPPLER_RESILIENT, small_params)
-        bits = iz.ptm_sequence(len(sched)).bits
-        for p, frame in enumerate(sched.frames):
-            expected = FrameLabel.GOLAY_B if bits[p] else FrameLabel.GOLAY_A
-            assert frame.label is expected
+        a, b = golay_frames(small_params)
+        bits = iz.ptm_sequence(len(sched))
+        assert np.array_equal(sched.packet_map, bits)
+        for p, frame in enumerate(sched.frames[sched.packet_map]):
+            assert np.array_equal(frame, b if bits[p] else a)
 
     def test_schedules_differ_between_arrangements(self, small_params):
         std = iz.build_schedule(iz.ScheduleKind.GOLAY_STANDARD, small_params)
         res = iz.build_schedule(iz.ScheduleKind.GOLAY_DOPPLER_RESILIENT, small_params)
-        assert [f.label for f in std.frames] != [f.label for f in res.frames]
+        assert not np.array_equal(std.frames[std.packet_map], res.frames[res.packet_map])
 
-    def test_distinct_frames_roundtrip(self, small_params, all_kinds):
+    def test_frames_and_packet_map_roundtrip(self, small_params, all_kinds):
+        # the distinct frames are exactly the frames the packets carry
         for kind in all_kinds:
             sched = iz.build_schedule(kind, small_params, seed=7)
-            distinct, index = sched.distinct_frames()
-            mat = sched.sample_matrix()
-            rebuilt = np.stack([distinct[u].samples for u in index], axis=1)
-            assert np.array_equal(rebuilt, mat)
+            transmitted = sched.frames[sched.packet_map]
+            assert transmitted.shape == (len(sched), small_params.samples_per_pri)
+            unique = np.unique(transmitted, axis=0)
+            assert len(unique) == len(sched.frames)
+            for u, frame in enumerate(sched.frames):
+                assert np.array_equal(transmitted[np.argmax(sched.packet_map == u)], frame)
 
     def test_golay_needs_power_of_two(self):
         params = iz.WaveformParams(code_length=384)
         with pytest.raises(iz.ParameterError):
             iz.build_schedule(iz.ScheduleKind.GOLAY_STANDARD, params)
 
-    def test_reference_equals_transmit(self, small_params):
-        sched = iz.build_schedule(iz.ScheduleKind.GOLAY_STANDARD, small_params)
-        for p in range(len(sched)):
-            assert np.array_equal(sched.reference_for(p), sched.frames[p].samples)
+    def test_reference_equals_transmit(self, small_params, all_kinds):
+        # the matched filter correlates each packet against the frame it carried
+        static = [iz.point_target(np.array([8.0, 0.0, 0.0]), np.zeros(3))]
+        grid = iz.default_grid(small_params)
+        for kind in all_kinds:
+            sched = iz.build_schedule(kind, small_params, seed=7)
+            cube = iz.synthesize_echo(sched, static, small_params, path_loss=iz.PathLoss.OFF)
+            det = iz.detect_peak(iz.matched_filter_rd(cube, sched, grid))
+            energy = np.sum(np.abs(sched.frames[sched.packet_map]) ** 2)
+            assert det.peak_magnitude == pytest.approx(energy, rel=1e-9)
 
 
 class TestPulseShaping:
     def test_zero_rolloff_is_identity(self):
         base = iz.WaveformParams()
         shaped = iz.WaveformParams(pulse_shape=iz.PulseShape.RAISED_COSINE, pulse_rolloff=0.0)
-        a = iz.generate_pmcw(base, seed=7).samples
-        b = iz.generate_pmcw(shaped, seed=7).samples
+        a = iz.generate_pmcw(base, seed=7)
+        b = iz.generate_pmcw(shaped, seed=7)
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_taper_caps_peak_at_amplitude(self):
@@ -185,13 +203,13 @@ class TestPulseShaping:
             pulse_shape=iz.PulseShape.RAISED_COSINE, pulse_rolloff=0.25, amplitude=2.0
         )
         frame = iz.generate_pmcw(params, seed=7)
-        assert np.abs(frame.samples).max() == pytest.approx(2.0)
+        assert np.abs(frame).max() == pytest.approx(2.0)
 
     def test_taper_changes_the_waveform(self):
         base = iz.WaveformParams()
         shaped = iz.WaveformParams(pulse_shape=iz.PulseShape.RAISED_COSINE, pulse_rolloff=0.5)
-        a = iz.generate_pmcw(base, seed=7).samples
-        b = iz.generate_pmcw(shaped, seed=7).samples
+        a = iz.generate_pmcw(base, seed=7)
+        b = iz.generate_pmcw(shaped, seed=7)
         assert not np.allclose(a, b)
 
 
