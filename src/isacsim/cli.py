@@ -8,7 +8,7 @@ completed but at least one waveform failed.
 
 The environment variable ISACSIM_THREADS caps the numeric thread pools; it is
 applied before the numeric stack is imported, so it must be read here and not
-in library code.
+in library code. A value that is not a positive integer exits 2.
 """
 
 from __future__ import annotations
@@ -54,15 +54,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_thread_env():
+def _apply_thread_env() -> str | None:
+    """Copy ISACSIM_THREADS into each unset pool variable; return an error
+    message, and copy nothing, unless it is a positive integer."""
     threads = os.environ.get("ISACSIM_THREADS")
-    if threads:
-        for var in _THREAD_VARS:
-            os.environ.setdefault(var, threads)
+    if not threads:
+        return None
+    if not (threads.isascii() and threads.isdigit() and int(threads) > 0):
+        return f"ISACSIM_THREADS must be a positive integer, got {threads!r}"
+    for var in _THREAD_VARS:
+        os.environ.setdefault(var, threads)
+    return None
 
 
 def main(argv=None) -> int:
-    _apply_thread_env()
+    thread_error = _apply_thread_env()
+    if thread_error:
+        print(f"config error: {thread_error}", file=sys.stderr)
+        return 2
     args = _build_parser().parse_args(argv)
 
     # Imported only after the thread caps are in place: these pull in numpy.

@@ -137,11 +137,13 @@ def matched_filter_rd(
     _check_schedule(cube, schedule)
     spectra = fast_time_fft(cube)
     ref = np.conj(np.fft.fft(schedule.frames, axis=1))  # U x Q
-    matched = spectra * ref[schedule.packet_map].T  # Q x P
+    matched = spectra  # Q x P, multiplied in place: spectra is not read again
+    matched *= ref[schedule.packet_map].T
     j_len = len(grid)
     if grid.fft_aligned:
         # sum_p M[q,p] exp(+2 pi i p (j - J//2) / P) == P * ifft_p(M) reordered
-        steered_all = np.fft.ifft(matched, axis=1) * p_len
+        steered_all = np.fft.ifft(matched, axis=1)
+        steered_all *= p_len
         cols = (np.arange(j_len) - j_len // 2) % p_len
         steered = steered_all[:, cols]
     else:

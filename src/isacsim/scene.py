@@ -6,6 +6,13 @@ inverse-square two-way path loss) and rotated by the slow-time Doppler phase
 that its advancing range implies. Delays are rounded to the sample grid and
 held at their CPI-start value (stop-and-hop: the worst-case range migration
 over a CPI here is centimeters, below one range bin).
+
+Because the delay only moves a frame in fast time and the Doppler phase only
+rotates it in slow time, the echo of S scatterers under a schedule of U
+distinct frames is one matrix product, cube = Shifts (Q x U*S) @ Phases
+(U*S x P): column u*S + s of Shifts is frame u delayed and weighted for
+scatterer s, and row u*S + s of Phases is s's slow-time rotation on the
+packets that carry frame u and zero on the others.
 """
 
 from __future__ import annotations
@@ -191,6 +198,12 @@ def synthesize_echo(
     r_b(p) = ||position + velocity * p * T_pri||. For radial motion this
     equals the textbook -2 pi f_D p T_pri with f_D = 2 v / lambda, exactly.
 
+    The sum over scatterers is the single product Shifts @ Phases described
+    in the module docstring, one code path for one (FMCW, PMCW) or two
+    (Golay) distinct frames. It runs only over the rows [min q_b, max q_b +
+    support), where support ends at the last nonzero sample of any frame;
+    every other row of the echo is exactly zero.
+
     When snr_db is set, circular complex white Gaussian noise is added,
     calibrated so the per-sample SNR of the strongest scatterer's echo equals
     snr_db (reference power amplitude^2 when there are no scatterers). The
@@ -203,17 +216,13 @@ def synthesize_echo(
         raise ScenarioError(
             f"schedule carries {len(schedule)} packets but the CPI holds {p_len}"
         )
-    cube = np.zeros((q_len, p_len), dtype=np.complex128)
-    # Q x P with packet p's frame in column p, in C order like the cube, so
-    # the per-scatterer sums below run over contiguous rows
-    frames = np.take(schedule.frames.T, schedule.packet_map, axis=1)
     pri = params.pri_s
     lam = params.wavelength_m
     v_max = params.max_unambiguous_velocity_mps
     max_range = SPEED_OF_LIGHT_MPS * q_len * params.sample_period_s / 2.0
     packet_idx = np.arange(p_len)
 
-    strongest = 0.0
+    delays, sigmas, rotations = [], [], []
     for target in targets:
         for sc in target.scatterers:
             r0 = sc.range_m
@@ -232,15 +241,38 @@ def synthesize_echo(
             sigma = sc.reflectivity
             if path_loss is PathLoss.INVERSE_SQUARE:
                 sigma = sigma / r0**2
-            strongest = max(strongest, abs(sigma))
             # advancing range drives the slow-time phase; delay stays put
             r_p = np.linalg.norm(
                 sc.position_m[None, :] + sc.velocity_mps[None, :] * (packet_idx[:, None] * pri),
                 axis=1,
             )
-            phase = np.exp(-1j * (4.0 * np.pi / lam) * (r_p - r0))
-            keep = q_len - qb
-            cube[qb:, :] += sigma * frames[:keep, :] * phase[None, :]
+            delays.append(qb)
+            sigmas.append(sigma)
+            rotations.append(np.exp(-1j * (4.0 * np.pi / lam) * (r_p - r0)))
+    strongest = max((abs(sigma) for sigma in sigmas), default=0.0)
+
+    cube = np.zeros((q_len, p_len), dtype=np.complex128)
+    # Every frame is zero past its last active sample, so only rows
+    # [min q_b, max q_b + support) can hold echo; the product fills that band.
+    active = np.flatnonzero(schedule.frames.any(axis=0))
+    if delays and active.size:
+        frames = schedule.frames
+        u_len, s_len = len(frames), len(delays)
+        lo = min(delays)
+        hi = min(q_len, max(delays) + int(active[-1]) + 1)
+        # shifts[q, u, s] = sigma_s * frames[u, q - q_s]: column u*S + s of Shifts
+        shifts = np.zeros((hi - lo, u_len, s_len), dtype=np.complex128)
+        for s, (qb, sigma) in enumerate(zip(delays, sigmas)):
+            keep = hi - qb
+            shifts[qb - lo :, :, s] = sigma * frames[:, :keep].T
+        # phases[u, s, p] = rotation_s[p] where packet p carries frame u, else 0
+        carries = schedule.packet_map == np.arange(u_len)[:, None, None]
+        phases = np.where(carries, np.array(rotations), 0.0)
+        np.matmul(
+            shifts.reshape(hi - lo, u_len * s_len),
+            phases.reshape(u_len * s_len, p_len),
+            out=cube[lo:hi],
+        )
 
     if snr_db is not None:
         ref_power = params.amplitude**2 * (strongest**2 if strongest > 0 else 1.0)

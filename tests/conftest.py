@@ -1,9 +1,16 @@
 """Shared fixtures: parameter profiles and canonical scenes."""
 
-import numpy as np
-import pytest
+import isacsim.cli
 
-import isacsim as iz
+# Cap the thread pools from ISACSIM_THREADS before numpy loads, as the CLI
+# does, so the suite runs the BLAS pool a CLI run would get. A malformed
+# value leaves the pools alone here and fails the CLI tests instead.
+isacsim.cli._apply_thread_env()
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+import isacsim as iz  # noqa: E402
 
 CI_PACKETS = 64
 

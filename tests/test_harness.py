@@ -337,3 +337,15 @@ class TestCli:
         cli._apply_thread_env()
         for var in cli._THREAD_VARS:
             assert os.environ[var] == "2"
+
+    @pytest.mark.parametrize("threads", ["abc", "0", "-3"])
+    def test_malformed_thread_cap_exits_2(self, tmp_path, capsys, monkeypatch, threads):
+        for var in cli._THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        monkeypatch.setenv("ISACSIM_THREADS", threads)
+        argv = ["run", self.write_ini(tmp_path), "--out", str(tmp_path / "out")]
+        message = f"config error: ISACSIM_THREADS must be a positive integer, got '{threads}'"
+        self.expect_one_line_error(capsys, 2, argv, message)
+        assert not (tmp_path / "out").exists()
+        for var in cli._THREAD_VARS:
+            assert var not in os.environ

@@ -1,5 +1,6 @@
 """Property tests over random packet counts, all four schedules and random
-scenes: the packet map, echo synthesis and oracle equivalence."""
+scenes: the packet map, echo synthesis of point and cluster targets, and
+oracle equivalence."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -40,7 +41,7 @@ def test_packet_map_orders_the_frames(kind, p_count):
         assert np.array_equal(transmitted[p], b if carries_b[p] else a)
 
 
-def reference_echo(schedule, targets, params):
+def reference_echo(schedule, targets, params, path_loss=iz.PathLoss.INVERSE_SQUARE):
     """Per packet and per scatterer: the carried frame, delayed and rotated."""
     q_len, p_len = params.samples_per_pri, params.packets_per_cpi
     transmitted = schedule.frames[schedule.packet_map]
@@ -49,7 +50,9 @@ def reference_echo(schedule, targets, params):
         for sc in target.scatterers:
             r0 = sc.range_m
             qb = iz.delay_bin(r0, params)
-            sigma = sc.reflectivity / r0**2
+            sigma = sc.reflectivity
+            if path_loss is iz.PathLoss.INVERSE_SQUARE:
+                sigma = sigma / r0**2
             for p in range(p_len):
                 r_p = np.linalg.norm(sc.position_m + sc.velocity_mps * p * params.pri_s)
                 rotation = np.exp(-4j * np.pi * (r_p - r0) / params.wavelength_m)
@@ -75,6 +78,44 @@ def test_synthesis_matches_per_scatterer_reference(kind, p_count, ranges, speed)
     # phase error near 1e-11 rad
     tolerance = 1e-10 * np.abs(expected).max()
     np.testing.assert_allclose(cube.samples, expected, rtol=0, atol=tolerance)
+
+
+@deterministic
+@given(
+    kind=kinds,
+    p_count=st.integers(min_value=1, max_value=40),
+    cluster=st.sampled_from(["car", "pedestrian"]),
+    count=st.integers(min_value=4, max_value=16),
+    distance=st.floats(min_value=5.0, max_value=20.0),
+    azimuth=st.floats(min_value=-np.pi, max_value=np.pi),
+    speed=st.floats(min_value=-30.0, max_value=30.0),
+    seed=st.integers(min_value=0, max_value=2**16),
+    path_loss=st.sampled_from(list(iz.PathLoss)),
+)
+def test_cluster_synthesis_matches_per_scatterer_reference(
+    kind, p_count, cluster, count, distance, azimuth, speed, seed, path_loss
+):
+    params = params_for(p_count)
+    sched = iz.build_schedule(kind, params, seed=3)
+    center = np.array([distance * np.cos(azimuth), distance * np.sin(azimuth), 0.5])
+    if cluster == "car":
+        target = iz.make_car(center, seed=seed, speed_mps=speed, count=count)
+    else:
+        target = iz.make_pedestrian(center, seed=seed, speed_mps=speed)
+    cube = iz.synthesize_echo(sched, [target], params, path_loss=path_loss).samples
+    expected = reference_echo(sched, [target], params, path_loss)
+    tolerance = 1e-10 * np.abs(expected).max()
+    np.testing.assert_allclose(cube, expected, rtol=0, atol=tolerance)
+    nearest = min(iz.delay_bin(sc.range_m, params) for sc in target.scatterers)
+    assert not cube[:nearest].any()
+
+
+@deterministic
+@given(kind=kinds, p_count=packets)
+def test_empty_scene_synthesizes_an_exactly_zero_cube(kind, p_count):
+    params = params_for(p_count)
+    sched = iz.build_schedule(kind, params, seed=3)
+    assert not iz.synthesize_echo(sched, [], params).samples.any()
 
 
 @settings(max_examples=15, deadline=None, derandomize=True)

@@ -105,6 +105,16 @@ class TestNoise:
         sigma_prime = 1.0 / 15.0**2  # unit reflectivity, inverse-square loss
         assert np.mean(np.abs(noise) ** 2) == pytest.approx(sigma_prime**2, rel=0.02)
 
+    def test_car_cube_is_bit_identical_across_calls(self, ci_params, all_kinds):
+        # a 64-scatterer car is large enough for the synthesis product to run
+        # on several BLAS threads; re-runs must still agree to the bit
+        car = iz.make_car(np.array([20.0, 5.0, 0.0]), seed=301, speed_mps=10.0, count=64)
+        for kind in all_kinds:
+            sched = iz.build_schedule(kind, ci_params, seed=7)
+            a = iz.synthesize_echo(sched, [car], ci_params, snr_db=10.0, noise_seed=5)
+            b = iz.synthesize_echo(sched, [car], ci_params, snr_db=10.0, noise_seed=5)
+            assert np.array_equal(a.samples, b.samples)
+
     def test_seed_determinism(self, small_params):
         sched = iz.build_schedule(iz.ScheduleKind.FMCW, small_params)
         a = iz.synthesize_echo(sched, [], small_params, snr_db=10.0, noise_seed=11)
