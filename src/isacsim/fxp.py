@@ -171,9 +171,11 @@ def quantized_matched_filter(
     grid: DopplerGrid,
     fmt: FixedPointFormat,
     mode: FxpMode = FxpMode.FULL_CHAIN,
+    double_map: RangeDopplerMap | None = None,
 ) -> tuple[RangeDopplerMap, FxpReport]:
     """Range-Doppler map computed on the fixed-point grid plus an accuracy
-    report against the double-precision map of the same inputs.
+    report against the double-precision map of the same inputs
+    (`double_map`, computed here when not given).
 
     PSLR agreement is one-sided around the 0.5 dB budget: a quantized PSLR
     that is *better* than double precision (including the no-sidelobe
@@ -181,7 +183,8 @@ def quantized_matched_filter(
     output LSB) counts as agreement; degradation beyond 0.5 dB does not.
     """
     params = cube.params
-    double_map = matched_filter_rd(cube, schedule, grid)
+    if double_map is None:
+        double_map = matched_filter_rd(cube, schedule, grid)
     counts: dict[str, int] = {}
     sizes: dict[str, int] = {}
 
@@ -261,16 +264,20 @@ def precision_sweep(
     grid: DopplerGrid,
     formats,
     mode: FxpMode = FxpMode.FULL_CHAIN,
+    double_map: RangeDopplerMap | None = None,
 ) -> SweepResult:
     """One quantized run per format, with timing, plus an SQNR monotonicity
-    summary across word lengths."""
+    summary across word lengths. The double-precision map of the cube is
+    computed once, before the timed runs, unless `double_map` passes it in."""
     formats = list(formats)
     if not formats:
         raise ParameterError("precision_sweep needs at least one format")
+    if double_map is None:
+        double_map = matched_filter_rd(cube, schedule, grid)
     rows = []
     for fmt in formats:
         start = time.perf_counter()
-        _, report = quantized_matched_filter(cube, schedule, grid, fmt, mode)
+        _, report = quantized_matched_filter(cube, schedule, grid, fmt, mode, double_map)
         elapsed = time.perf_counter() - start
         rows.append(SweepRow(format=fmt, report=report, runtime_s=elapsed))
     monotone = True

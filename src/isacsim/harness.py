@@ -5,9 +5,13 @@ scene, writes one range-Doppler map CSV and one peak-cut range profile CSV
 per waveform plus a machine-readable `summary.json`, and reports per-waveform
 detections, PSLR, optional oracle deviations, and optional fixed-point
 accuracy rows. CSV artifacts are deterministic for a fixed configuration
-(timings live only in the summary). `run_benchmarks` adds median-of-k wall
-times for the FFT processor, the time-domain oracle (on a guard-limited
-instance when the full one is too large), and each fixed-point format.
+(timings live only in the summary): every number is the text of
+`'%.9g' % x`, produced a block of rows at a time by the vectorized formatter
+in `_csvformat`. Each waveform's summary times its synthesis, processing and
+artifact writing. The fixed-point sweep reuses the waveform's double map.
+`run_benchmarks` adds median-of-k wall times for the FFT processor, the
+time-domain oracle (on a guard-limited instance when the full one is too
+large), and each fixed-point format.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._csvformat import write_rows
 from .config import ScenarioConfig, render_config
 from .errors import NoDetectionError, OracleGuardError
 from .fxp import SweepResult, precision_sweep
@@ -149,26 +154,22 @@ class RunOutcome:
     exit_code: int  # 0 = clean, 4 = at least one waveform failed
 
 
-def _axis_line(values: np.ndarray) -> str:
-    return ",".join(f"{v:.9g}" for v in values)
-
-
 def write_rd_map_csv(path: Path, rd_map: RangeDopplerMap):
     """Two header lines (range axis in m, Doppler-velocity axis in m/s), then
     one row of %.9g magnitudes per Doppler bin."""
-    with open(path, "w", newline="") as fh:
-        fh.write(_axis_line(rd_map.range_axis_m) + "\n")
-        fh.write(_axis_line(rd_map.doppler_axis_mps) + "\n")
-        np.savetxt(fh, rd_map.values, fmt="%.9g", delimiter=",")
+    with open(path, "wb") as fh:
+        write_rows(fh, rd_map.range_axis_m[None, :])
+        write_rows(fh, rd_map.doppler_axis_mps[None, :])
+        write_rows(fh, rd_map.values)
 
 
 def write_range_profile_csv(path: Path, rd_map: RangeDopplerMap, doppler_bin: int):
     """Same header convention as the map; the second line holds the single
     velocity of the extracted Doppler cut."""
-    with open(path, "w", newline="") as fh:
-        fh.write(_axis_line(rd_map.range_axis_m) + "\n")
-        fh.write(f"{rd_map.doppler_axis_mps[doppler_bin]:.9g}\n")
-        np.savetxt(fh, rd_map.range_cut(doppler_bin)[None, :], fmt="%.9g", delimiter=",")
+    with open(path, "wb") as fh:
+        write_rows(fh, rd_map.range_axis_m[None, :])
+        write_rows(fh, [[rd_map.doppler_axis_mps[doppler_bin]]])
+        write_rows(fh, rd_map.range_cut(doppler_bin)[None, :])
 
 
 def _json_float(x: float | None) -> float | None:
@@ -232,11 +233,15 @@ def run_waveform(
             result.oracle_note = f"oracle skipped: {exc}"
 
     if cfg.fxp_formats and failure is None:
-        result.sweep = precision_sweep(cube, schedule, grid, cfg.fxp_formats, cfg.fxp_mode)
+        result.sweep = precision_sweep(
+            cube, schedule, grid, cfg.fxp_formats, cfg.fxp_mode, double_map=rd_map
+        )
     return result
 
 
-def _waveform_summary(result: WaveformResult, artifacts: dict[str, str]) -> dict:
+def _waveform_summary(
+    result: WaveformResult, artifacts: dict[str, str], write_s: float
+) -> dict:
     entry: dict = {"waveform": result.kind.value}
     if result.detection is not None:
         det = result.detection
@@ -257,6 +262,7 @@ def _waveform_summary(result: WaveformResult, artifacts: dict[str, str]) -> dict
     entry["timings_s"] = {
         "synthesize": result.synth_s,
         "process": result.process_s,
+        "write": write_s,
     }
     if result.oracle_deviation is not None:
         entry["oracle_max_relative_deviation"] = result.oracle_deviation
@@ -313,14 +319,16 @@ def run_comparison(cfg: ScenarioConfig, out_dir: Path | str | None = None) -> Ru
 
         map_name = f"{kind.value}_rd_map.csv"
         profile_name = f"{kind.value}_range_profile.csv"
+        t0 = time.perf_counter()
         write_rd_map_csv(out_path / map_name, result.rd_map)
         cut_bin = (
             result.detection.doppler_bin if result.detection is not None else grid.zero_bin
         )
         write_range_profile_csv(out_path / profile_name, result.rd_map, cut_bin)
+        write_s = time.perf_counter() - t0
 
         entry = _waveform_summary(
-            result, {"rd_map_csv": map_name, "range_profile_csv": profile_name}
+            result, {"rd_map_csv": map_name, "range_profile_csv": profile_name}, write_s
         )
         waveform_entries.append(entry)
         if result.failure is not None:

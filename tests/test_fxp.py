@@ -161,3 +161,22 @@ class TestQuantizedChain:
         cube, sched, grid = small_pipeline(small_params)
         with pytest.raises(iz.ParameterError):
             iz.precision_sweep(cube, sched, grid, [])
+
+    def test_sweep_reuses_the_given_double_map(self, small_params, monkeypatch):
+        import isacsim.fxp as fxp
+
+        cube, sched, grid = small_pipeline(small_params, snr_db=20.0)
+        formats = [iz.FixedPointFormat(w, 1) for w in (12, 24)]
+        calls = []
+        real = fxp.matched_filter_rd
+        monkeypatch.setattr(fxp, "matched_filter_rd", lambda *a: calls.append(a) or real(*a))
+        computed = iz.precision_sweep(cube, sched, grid, formats)
+        assert len(calls) == 1  # once per sweep, not once per format
+        given = iz.precision_sweep(
+            cube, sched, grid, formats, double_map=real(cube, sched, grid)
+        )
+        assert len(calls) == 1
+        assert [r.report for r in given.rows] == [r.report for r in computed.rows]
+        for row in given.rows:
+            single = fxp.quantized_matched_filter(cube, sched, grid, row.format)[1]
+            assert single == row.report

@@ -82,6 +82,45 @@ class TestRunComparison:
             if name.endswith(".csv"):
                 assert filecmp.cmp(a / name, b / name, shallow=False), name
 
+    def test_csv_bytes_match_the_savetxt_writer(self, tmp_path):
+        # CI-preset PMCW map (Q 3520 x P 64); the reference is the earlier
+        # writer: f-string axis lines and np.savetxt rows
+        cfg = iz.parse_config("")
+        cfg = dataclasses.replace(
+            cfg,
+            params=iz.scaled_profile(cfg.params, 64),
+            waveforms=(iz.ScheduleKind.PMCW,),
+        )
+        result = iz.run_comparison(cfg, tmp_path).results[0]
+        rd_map, cut = result.rd_map, result.detection.doppler_bin
+
+        def axis_line(values):
+            return ",".join(f"{v:.9g}" for v in values)
+
+        ref_map, ref_profile = tmp_path / "ref_map.csv", tmp_path / "ref_profile.csv"
+        with open(ref_map, "w", newline="") as fh:
+            fh.write(axis_line(rd_map.range_axis_m) + "\n")
+            fh.write(axis_line(rd_map.doppler_axis_mps) + "\n")
+            np.savetxt(fh, rd_map.values, fmt="%.9g", delimiter=",")
+        with open(ref_profile, "w", newline="") as fh:
+            fh.write(axis_line(rd_map.range_axis_m) + "\n")
+            fh.write(f"{rd_map.doppler_axis_mps[cut]:.9g}\n")
+            np.savetxt(fh, rd_map.range_cut(cut)[None, :], fmt="%.9g", delimiter=",")
+        written = (tmp_path / "pmcw_rd_map.csv").read_bytes()
+        assert written == ref_map.read_bytes()
+        assert (tmp_path / "pmcw_range_profile.csv").read_bytes() == ref_profile.read_bytes()
+
+    def test_summary_times_the_artifact_writes(self, tmp_path):
+        iz.run_comparison(small_cfg(), tmp_path)
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        spent = 0.0
+        for entry in summary["waveforms"]:
+            timings = entry["timings_s"]
+            assert set(timings) == {"synthesize", "process", "write"}
+            assert timings["write"] >= 0.0
+            spent += sum(timings.values())
+        assert spent <= summary["timings_s"]["total"]
+
     def test_summary_contract(self, tmp_path):
         cfg = small_cfg()
         outcome = iz.run_comparison(cfg, tmp_path)

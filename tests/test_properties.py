@@ -1,12 +1,17 @@
 """Property tests over random packet counts, all four schedules and random
 scenes: the packet map, echo synthesis of point and cluster targets, and
-oracle equivalence."""
+oracle equivalence; and the CSV formatter against np.savetxt."""
+
+import io
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 import isacsim as iz
+from isacsim._csvformat import CHUNK_VALUES, format_rows, write_rows
 from oracle_cases import KINDS, random_case
 
 PRI_S = 512 / 1.76e9  # Q = 512
@@ -125,3 +130,74 @@ def test_fast_path_matches_the_oracle(seed):
     fast = iz.matched_filter_rd(cube, schedule, grid)
     slow = iz.time_domain_oracle(cube, schedule, grid)
     assert iz.map_relative_deviation(fast, slow) < 1e-6
+
+
+def savetxt_bytes(values) -> bytes:
+    """The reference: np.savetxt with the artifacts' format."""
+    buf = io.StringIO()
+    np.savetxt(buf, values, fmt="%.9g", delimiter=",")
+    return buf.getvalue().encode()
+
+
+def _near_power_of_ten(k, step):
+    p = float(f"1e{k}")
+    return float(np.nextafter(p, np.inf * step)) if step else p
+
+
+def _half_way(n, k):
+    """Nearest float to n.5e(k - 1): a tie at the ninth significant digit,
+    exact for small k, within an ulp of one otherwise."""
+    if 0 <= k <= 6:
+        return (2 * n + 1) * 10**k / 2
+    return float(f"{n}.5e{k}")
+
+
+adversarial = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308]),
+    st.builds(
+        _near_power_of_ten, st.integers(-300, 300), st.sampled_from([-1, 0, 1])
+    ),
+    st.builds(
+        _half_way, st.integers(10**8, 10**9 - 1), st.integers(-300, 290)
+    ),
+    st.builds(lambda x, sign: sign * x, st.floats(1e-6, 1e10), st.sampled_from([-1, 1])),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    arrays(
+        np.float64,
+        array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=12),
+        elements=adversarial,
+    )
+)
+def test_format_rows_matches_savetxt(values):
+    assert format_rows(values) == savetxt_bytes(values)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 37), (37, 1)])
+def test_format_rows_edge_shapes(shape):
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal(shape) * 10.0 ** rng.integers(-12, 12, shape)
+    assert format_rows(values) == savetxt_bytes(values)
+
+
+def test_write_rows_streams_partial_chunks():
+    # 20 map rows of Q = 3520 go out in blocks of 9, 9 and 2 rows
+    rows, cols = 20, 3520
+    step = CHUNK_VALUES // cols
+    assert rows % step != 0
+    values = np.random.default_rng(6).random((rows, cols)) * 1e3
+    blocks = []
+
+    class Recorder(io.BytesIO):
+        def write(self, data):
+            blocks.append(data.count(b"\n"))
+            return super().write(data)
+
+    buf = Recorder()
+    write_rows(buf, values)
+    assert buf.getvalue() == savetxt_bytes(values)
+    assert blocks == [step] * (rows // step) + [rows % step]
