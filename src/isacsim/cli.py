@@ -8,7 +8,10 @@ completed but at least one waveform failed.
 
 The environment variable ISACSIM_THREADS caps the numeric thread pools; it is
 applied before the numeric stack is imported, so it must be read here and not
-in library code. A value that is not a positive integer exits 2.
+in library code. The matched filter also splits its FFT passes across that
+many threads (across the CPUs the process may use when it is unset); see
+`_threads.thread_count`, the one rule both follow. A value that is not a
+positive integer exits 2.
 """
 
 from __future__ import annotations
@@ -16,6 +19,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+
+from ._threads import thread_count
+from .errors import ParameterError
 
 _THREAD_VARS = (
     "OMP_NUM_THREADS",
@@ -57,13 +63,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def _apply_thread_env() -> str | None:
     """Copy ISACSIM_THREADS into each unset pool variable; return an error
     message, and copy nothing, unless it is a positive integer."""
+    try:
+        thread_count()
+    except ParameterError as exc:
+        return str(exc)
     threads = os.environ.get("ISACSIM_THREADS")
-    if not threads:
-        return None
-    if not (threads.isascii() and threads.isdigit() and int(threads) > 0):
-        return f"ISACSIM_THREADS must be a positive integer, got {threads!r}"
-    for var in _THREAD_VARS:
-        os.environ.setdefault(var, threads)
+    if threads:
+        for var in _THREAD_VARS:
+            os.environ.setdefault(var, threads)
     return None
 
 

@@ -78,7 +78,12 @@ class FixedPointFormat:
 
 @dataclass(frozen=True)
 class QuantizedCube:
-    """Integer mantissas at step*scale units, plus bookkeeping."""
+    """Mantissas at step*scale units, plus bookkeeping.
+
+    The mantissas are integer-valued float64 arrays (never -0.0). A float64
+    holds every mantissa of a W <= 53 format exactly, and every clipped
+    mantissa of a wider one, so no integer round trip is needed.
+    """
 
     re_mantissa: np.ndarray
     im_mantissa: np.ndarray
@@ -124,10 +129,13 @@ def quantize(
     saturated = 0
     mants = []
     for comp in (x.real, x.imag):
-        raw = np.rint(comp / unit)
+        raw = comp / unit
+        np.rint(raw, out=raw)
         clipped = (raw > top) | (raw < bot)
         saturated += int(clipped.sum())
-        mants.append(np.clip(raw, bot, top).astype(np.int64))
+        np.clip(raw, bot, top, out=raw)
+        raw += 0.0  # -0.0 -> +0.0, as an integer mantissa would read
+        mants.append(raw)
     return QuantizedCube(
         re_mantissa=mants[0],
         im_mantissa=mants[1],

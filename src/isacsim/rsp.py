@@ -6,6 +6,9 @@ Doppler hypothesis, sum over packets, and IFFT back to range. Steering uses
 the conjugate of the echo's Doppler rotation, exp(+j 2 pi f_j p T_pri). When
 the Doppler grid coincides with the slow-time FFT bins the steering collapses
 to an IFFT across packets; otherwise the steering matrix is applied directly.
+The FFT passes and products run in contiguous blocks on ISACSIM_THREADS
+threads (every CPU the process may use when it is unset); the map does not
+depend on the thread count.
 
 The oracle computes the same map by rolling time-domain references under each
 packet, which is deliberately slow and shares no FFT code with the fast path.
@@ -18,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._threads import for_blocks
 from .errors import NoDetectionError, OracleGuardError, ParameterError, ProcessingError
 from .params import SPEED_OF_LIGHT_MPS, WaveformParams
 from .scene import DataCube
@@ -101,11 +105,6 @@ class Detection:
     doppler_bin: int
 
 
-def fast_time_fft(cube: DataCube) -> np.ndarray:
-    """Column-wise Q-point FFT of the cube (fast time to frequency)."""
-    return np.fft.fft(cube.samples, axis=0)
-
-
 def _axes(params: WaveformParams, grid: DopplerGrid) -> tuple[np.ndarray, np.ndarray]:
     range_axis = params.range_axis_m()
     doppler_axis = grid.frequencies_hz * params.wavelength_m / 2.0
@@ -131,29 +130,49 @@ def matched_filter_rd(
     frame it carried. For each hypothesis f_j the matched spectra are weighted
     by exp(+j 2 pi f_j p T_pri), summed over packets, and IFFT'd to a range
     profile; the map stores magnitudes as J x Q.
+
+    The fast-time FFT and multiply (per packet), the slow-time IFFT (per range
+    bin) and the range IFFT and magnitude (per Doppler bin) each run in
+    contiguous blocks on the ISACSIM_THREADS cores (`_threads.for_blocks`).
+    Every block does the arithmetic a single pass would, so the map is the
+    same to the bit for any thread count.
     """
     params = cube.params
-    p_len = params.packets_per_cpi
-    _check_schedule(cube, schedule)
-    spectra = fast_time_fft(cube)
-    ref = np.conj(np.fft.fft(schedule.frames, axis=1))  # U x Q
-    matched = spectra  # Q x P, multiplied in place: spectra is not read again
-    matched *= ref[schedule.packet_map].T
+    q_len, p_len = cube.samples.shape
     j_len = len(grid)
+    _check_schedule(cube, schedule)
+    samples, packet_map = cube.samples, schedule.packet_map
+    ref = np.conj(np.fft.fft(schedule.frames, axis=1))  # U x Q
+    spectra = np.empty((q_len, p_len), dtype=np.complex128)
+
+    def match(b):  # packets b: fast-time FFT times the carried frames' reference
+        np.fft.fft(samples[:, b], axis=0, out=spectra[:, b])
+        spectra[:, b] *= ref[packet_map[b]].T
+
+    for_blocks(match, p_len)
     if grid.fft_aligned:
         # sum_p M[q,p] exp(+2 pi i p (j - J//2) / P) == P * ifft_p(M) reordered
-        steered_all = np.fft.ifft(matched, axis=1)
-        steered_all *= p_len
+        def steer(r):  # range bins r, in place
+            np.fft.ifft(spectra[r], axis=1, out=spectra[r])
+            spectra[r] *= p_len
+
+        for_blocks(steer, q_len)
+        steered = spectra
         cols = (np.arange(j_len) - j_len // 2) % p_len
-        steered = steered_all[:, cols]
     else:
         p_idx = np.arange(p_len) * params.pri_s
         w = np.exp(2j * np.pi * np.outer(p_idx, grid.frequencies_hz))  # P x J
-        steered = matched @ w
-    profiles = np.fft.ifft(steered, axis=0)  # Q x J
+        steered = spectra @ w  # one product: OpenBLAS threads it itself
+        cols = np.arange(j_len)
+    values = np.empty((j_len, q_len))
+
+    def profile(b):  # Doppler bins b: range IFFT and magnitude
+        values[b] = np.abs(np.fft.ifft(steered[:, cols[b]], axis=0)).T
+
+    for_blocks(profile, j_len)
     range_axis, doppler_axis = _axes(params, grid)
     return RangeDopplerMap(
-        values=np.abs(profiles).T.copy(),
+        values=values,
         range_axis_m=range_axis,
         doppler_axis_mps=doppler_axis,
     )

@@ -95,6 +95,15 @@ class TestQuantize:
         qc = iz.quantize(x, fmt, scaling=Scaling.FIXED, scale=1.0)
         assert qc.re_mantissa.tolist() == [2, 2]
 
+    def test_small_negatives_quantize_to_positive_zero(self):
+        # as an integer mantissa would: no -0.0 reaches dequantize
+        fmt = iz.FixedPointFormat(8, 1)
+        x = np.array([-0.25 * fmt.step - 0.25j * fmt.step, -0.0 - 0.0j])
+        qc = iz.quantize(x, fmt, scaling=Scaling.FIXED, scale=1.0)
+        for mant in (qc.re_mantissa, qc.im_mantissa):
+            assert not np.signbit(mant).any()
+        assert not np.signbit(qc.dequantize().real).any()
+
     def test_rejects_non_finite_input(self):
         fmt = iz.FixedPointFormat(16, 1)
         with pytest.raises(iz.DataError):
@@ -106,8 +115,11 @@ class TestQuantize:
         fmt = iz.FixedPointFormat(64, 2)
         x = np.array([fmt.max_value + 0j, fmt.min_value + 0j])
         qc = iz.quantize(x, fmt, scaling=Scaling.FIXED, scale=1.0)
-        assert qc.re_mantissa.dtype == np.int64
+        # integer-valued float64 mantissas, each exactly representable in an int64
+        assert qc.re_mantissa.dtype == np.float64
         assert (qc.re_mantissa >= np.iinfo(np.int64).min).all()
+        assert (qc.re_mantissa < 2.0**63).all()
+        assert np.array_equal(qc.re_mantissa.astype(np.int64), qc.re_mantissa)
 
 
 class TestQuantizedChain:

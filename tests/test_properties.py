@@ -1,8 +1,10 @@
 """Property tests over random packet counts, all four schedules and random
-scenes: the packet map, echo synthesis of point and cluster targets, and
-oracle equivalence; and the CSV formatter against np.savetxt."""
+scenes: the packet map, echo synthesis of point and cluster targets, oracle
+equivalence and the block-parallel matched filter against its serial form;
+and the CSV formatter against np.savetxt."""
 
 import io
+import threading
 
 import numpy as np
 import pytest
@@ -130,6 +132,60 @@ def test_fast_path_matches_the_oracle(seed):
     fast = iz.matched_filter_rd(cube, schedule, grid)
     slow = iz.time_domain_oracle(cube, schedule, grid)
     assert iz.map_relative_deviation(fast, slow) < 1e-6
+
+
+def serial_matched_filter(cube, schedule, grid):
+    """The reference: the matched filter as one pass per stage on one thread."""
+    params = cube.params
+    p_len = params.packets_per_cpi
+    spectra = np.fft.fft(cube.samples, axis=0)
+    ref = np.conj(np.fft.fft(schedule.frames, axis=1))
+    matched = spectra
+    matched *= ref[schedule.packet_map].T
+    j_len = len(grid)
+    if grid.fft_aligned:
+        steered_all = np.fft.ifft(matched, axis=1)
+        steered_all *= p_len
+        cols = (np.arange(j_len) - j_len // 2) % p_len
+        steered = steered_all[:, cols]
+    else:
+        p_idx = np.arange(p_len) * params.pri_s
+        w = np.exp(2j * np.pi * np.outer(p_idx, grid.frequencies_hz))
+        steered = matched @ w
+    profiles = np.fft.ifft(steered, axis=0)
+    return np.abs(profiles).T.copy()
+
+
+PRIMES_TO_40 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+
+
+@deterministic
+@given(
+    kind=kinds,
+    p_count=st.one_of(st.sampled_from(PRIMES_TO_40), st.integers(min_value=2, max_value=40)),
+    bins=st.one_of(st.none(), st.integers(min_value=1, max_value=40).map(lambda k: 2 * k + 1)),
+    threads=st.sampled_from(["1", "2", "3", "5"]),
+    distance=st.floats(min_value=1.0, max_value=30.0),
+    speed=st.floats(min_value=-200.0, max_value=200.0),
+    snr_db=st.one_of(st.none(), st.floats(min_value=-10.0, max_value=30.0)),
+)
+def test_block_parallel_filter_equals_the_serial_filter(
+    kind, p_count, bins, threads, distance, speed, snr_db
+):
+    params = params_for(p_count)
+    sched = iz.build_schedule(kind, params, seed=5)
+    grid = iz.default_grid(params) if bins is None else iz.symmetric_grid(params, bins)
+    pos = np.array([distance, 2.0, 0.0])
+    target = iz.point_target(pos, speed * pos / np.linalg.norm(pos))
+    cube = iz.synthesize_echo(sched, [target], params, snr_db=snr_db, noise_seed=11)
+    expected = serial_matched_filter(cube, sched, grid)
+    before = threading.active_count()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("ISACSIM_THREADS", threads)
+        values = iz.matched_filter_rd(cube, sched, grid).values
+    assert threading.active_count() == before
+    assert values.shape == expected.shape and values.dtype == expected.dtype
+    assert np.array_equal(values, expected)
 
 
 def savetxt_bytes(values) -> bytes:
