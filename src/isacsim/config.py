@@ -60,6 +60,9 @@ _ALL_WAVEFORMS = (
 
 _GOLAY_WAVEFORMS = (ScheduleKind.GOLAY_STANDARD, ScheduleKind.GOLAY_DOPPLER_RESILIENT)
 
+# Largest |snr_db| and |rcs_dbsm| the scene accepts.
+MAX_DB = 300.0
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -120,6 +123,20 @@ def _to_float(raw: str) -> float:
     value = float(raw)
     if not math.isfinite(value):
         raise ValueError(f"expected a finite number, got {raw.strip()!r}")
+    return value
+
+
+def _to_db(raw: str) -> float:
+    value = _to_float(raw)
+    if abs(value) > MAX_DB:  # 10 ** (dB / 10) would overflow or underflow
+        raise ValueError(f"expected a dB value within +-{MAX_DB:g}, got {raw.strip()!r}")
+    return value
+
+
+def _to_seed(raw: str) -> int:
+    value = int(raw)
+    if value < 0:
+        raise ValueError(f"expected a non-negative integer, got {raw.strip()!r}")
     return value
 
 
@@ -295,7 +312,7 @@ def parse_config(text: str) -> ScenarioConfig:
         )
 
     def snr_conv(raw: str):
-        return None if raw.strip().lower() == "off" else _to_float(raw)
+        return None if raw.strip().lower() == "off" else _to_db(raw)
 
     bins_line = entries.line("doppler", "bins") if entries.has("doppler", "bins") else None
 
@@ -325,13 +342,13 @@ def parse_config(text: str) -> ScenarioConfig:
         position_m=entries.get("scene", "position_m", _to_vector, defaults.position_m),
         velocity_mps=velocity,
         radial_speed_mps=radial_speed,
-        rcs_dbsm=entries.get("scene", "rcs_dbsm", _to_float, defaults.rcs_dbsm),
+        rcs_dbsm=entries.get("scene", "rcs_dbsm", _to_db, defaults.rcs_dbsm),
         scatterer_count=scatterer_count,
         snr_db=entries.get("scene", "snr_db", snr_conv, defaults.snr_db),
         path_loss=entries.get("scene", "path_loss", PathLoss, defaults.path_loss),
-        seed_code=entries.get("scene", "seed_code", int, defaults.seed_code),
-        seed_noise=entries.get("scene", "seed_noise", int, defaults.seed_noise),
-        seed_scene=entries.get("scene", "seed_scene", int, defaults.seed_scene),
+        seed_code=entries.get("scene", "seed_code", _to_seed, defaults.seed_code),
+        seed_noise=entries.get("scene", "seed_noise", _to_seed, defaults.seed_noise),
+        seed_scene=entries.get("scene", "seed_scene", _to_seed, defaults.seed_scene),
         doppler_bins=doppler_bins,
         fxp_formats=entries.get("fixedpoint", "formats", _to_formats, defaults.fxp_formats),
         fxp_mode=entries.get("fixedpoint", "mode", FxpMode, defaults.fxp_mode),

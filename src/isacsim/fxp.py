@@ -1,8 +1,8 @@
 """Fixed-point emulation of the matched-filter chain.
 
 Signals are quantized to a two's-complement <word,integer> grid with
-round-to-nearest-even and saturation. The quantized pipeline re-runs the
-range-Doppler chain with quantization applied at the stage boundaries a
+round-to-nearest-even and saturation. The quantized map is `rsp`'s own
+range-Doppler chain, run with a stage hook that quantizes at the boundaries a
 hardware implementation would expose: the input cube, the stored reference
 spectra, the steering (twiddle) factors, and the outputs of the FFT, the
 steering accumulation, and the final IFFT. Each quantization point uses
@@ -12,7 +12,9 @@ the units of the double-precision map. The FFTs themselves run in double on
 grid-quantized data; butterfly-internal effects are out of scope.
 
 The steering stage always applies the dense quantized twiddle matrix, even on
-FFT-aligned grids, because the point is to model quantized multipliers.
+FFT-aligned grids, because the point is to model quantized multipliers. The
+chain splits its passes across ISACSIM_THREADS threads as the double filter
+does; every map and report is the same to the bit for any thread count.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DataError, ParameterError
-from .rsp import DopplerGrid, RangeDopplerMap, detect_peak, matched_filter_rd, pslr_db
+from .rsp import DopplerGrid, RangeDopplerMap, _chain, detect_peak, matched_filter_rd, pslr_db
 from .scene import DataCube
 from .waveform import FrameSchedule
 
@@ -160,19 +162,6 @@ class FxpReport:
     warning: str | None
 
 
-def _stage(
-    x: np.ndarray,
-    fmt: FixedPointFormat,
-    counts: dict[str, int],
-    sizes: dict[str, int],
-    name: str,
-) -> np.ndarray:
-    qc = quantize(x, fmt)
-    counts[name] = qc.saturation_count
-    sizes[name] = 2 * x.size  # re and im components
-    return qc.dequantize()
-
-
 def quantized_matched_filter(
     cube: DataCube,
     schedule: FrameSchedule,
@@ -190,29 +179,22 @@ def quantized_matched_filter(
     sentinel, which occurs when roundoff-level sidelobes fall below half an
     output LSB) counts as agreement; degradation beyond 0.5 dB does not.
     """
-    params = cube.params
     if double_map is None:
         double_map = matched_filter_rd(cube, schedule, grid)
     counts: dict[str, int] = {}
     sizes: dict[str, int] = {}
+    skipped = ("input", "post_ifft") if mode is FxpMode.CORE_ONLY else ()
 
-    x = cube.samples
-    if mode is FxpMode.FULL_CHAIN:
-        x = _stage(x, fmt, counts, sizes, "input")
-    ref = np.conj(np.fft.fft(schedule.frames, axis=1))
-    ref = _stage(ref, fmt, counts, sizes, "reference")
-    spectra = np.fft.fft(x, axis=0)
-    spectra = _stage(spectra, fmt, counts, sizes, "post_fft")
-    matched = spectra * ref[schedule.packet_map].T
-    p_idx = np.arange(params.packets_per_cpi) * params.pri_s
-    twiddle = np.exp(2j * np.pi * np.outer(p_idx, grid.frequencies_hz))
-    twiddle = _stage(twiddle, fmt, counts, sizes, "twiddle")
-    steered = _stage(matched @ twiddle, fmt, counts, sizes, "post_steering")
-    profiles = np.fft.ifft(steered, axis=0)
-    if mode is FxpMode.FULL_CHAIN:
-        profiles = _stage(profiles, fmt, counts, sizes, "post_ifft")
+    def stage(name: str, x: np.ndarray) -> np.ndarray:
+        if name in skipped:
+            return x
+        qc = quantize(x, fmt)
+        counts[name] = qc.saturation_count
+        sizes[name] = 2 * x.size  # re and im components
+        return qc.dequantize()
+
     fxp_map = RangeDopplerMap(
-        values=np.abs(profiles).T.copy(),
+        values=_chain(cube, schedule, grid, True, stage),
         range_axis_m=double_map.range_axis_m,
         doppler_axis_mps=double_map.doppler_axis_mps,
     )

@@ -8,7 +8,7 @@ the Doppler grid coincides with the slow-time FFT bins the steering collapses
 to an IFFT across packets; otherwise the steering matrix is applied directly.
 The FFT passes and products run in contiguous blocks on ISACSIM_THREADS
 threads (every CPU the process may use when it is unset); the map does not
-depend on the thread count.
+depend on the thread count. `fxp` runs the same chain with quantizing hooks.
 
 The oracle computes the same map by rolling time-domain references under each
 packet, which is deliberately slow and shares no FFT code with the fast path.
@@ -121,6 +121,65 @@ def _check_schedule(cube: DataCube, schedule: FrameSchedule):
         )
 
 
+def _chain(cube: DataCube, schedule: FrameSchedule, grid: DopplerGrid, dense: bool, stage):
+    """The range-Doppler chain of both matched filters; returns the J x Q map.
+
+    At each stage boundary the chain goes on with stage(name, x): x itself or
+    a copy it may overwrite. In order: "input", "reference" (conjugate frame
+    spectra), "post_fft", "twiddle" (dense only), "post_steering", "post_ifft".
+    Dense steering applies the P x J matrix; otherwise the grid must be
+    FFT-aligned and steering is a slow-time IFFT. Each pass runs in contiguous
+    blocks on the ISACSIM_THREADS cores (`_threads.for_blocks`), and each block
+    does the arithmetic of one whole pass, so no bit depends on the thread count.
+    """
+    params = cube.params
+    q_len, p_len = cube.samples.shape
+    j_len = len(grid)
+    _check_schedule(cube, schedule)
+    samples, packet_map = stage("input", cube.samples), schedule.packet_map
+    ref = stage("reference", np.conj(np.fft.fft(schedule.frames, axis=1)))  # U x Q
+    spectra = np.empty((q_len, p_len), dtype=np.complex128)
+
+    def fast_time(b):  # packets b
+        np.fft.fft(samples[:, b], axis=0, out=spectra[:, b])
+
+    for_blocks(fast_time, p_len)
+    spectra = stage("post_fft", spectra)
+
+    def match(b):  # packets b: times the carried frames' reference
+        spectra[:, b] *= ref[packet_map[b]].T
+
+    for_blocks(match, p_len)
+    if dense:
+        p_idx = np.arange(p_len) * params.pri_s
+        w = np.exp(2j * np.pi * np.outer(p_idx, grid.frequencies_hz))  # P x J
+        steered = spectra @ stage("twiddle", w)  # one product: OpenBLAS threads it itself
+        cols = np.arange(j_len)
+    else:
+        # sum_p M[q,p] exp(+2 pi i p (j - J//2) / P) == P * ifft_p(M) reordered
+        def steer(r):  # range bins r, in place
+            np.fft.ifft(spectra[r], axis=1, out=spectra[r])
+            spectra[r] *= p_len
+
+        for_blocks(steer, q_len)
+        steered = spectra
+        cols = (np.arange(j_len) - j_len // 2) % p_len
+    steered = stage("post_steering", steered)
+
+    def range_ifft(b):  # columns b, in place
+        np.fft.ifft(steered[:, b], axis=0, out=steered[:, b])
+
+    for_blocks(range_ifft, steered.shape[1])
+    profiles = stage("post_ifft", steered)
+    values = np.empty((j_len, q_len))
+
+    def magnitude(b):  # Doppler bins b
+        values[b] = np.abs(profiles[:, cols[b]]).T
+
+    for_blocks(magnitude, j_len)
+    return values
+
+
 def matched_filter_rd(
     cube: DataCube, schedule: FrameSchedule, grid: DopplerGrid
 ) -> RangeDopplerMap:
@@ -130,52 +189,9 @@ def matched_filter_rd(
     frame it carried. For each hypothesis f_j the matched spectra are weighted
     by exp(+j 2 pi f_j p T_pri), summed over packets, and IFFT'd to a range
     profile; the map stores magnitudes as J x Q.
-
-    The fast-time FFT and multiply (per packet), the slow-time IFFT (per range
-    bin) and the range IFFT and magnitude (per Doppler bin) each run in
-    contiguous blocks on the ISACSIM_THREADS cores (`_threads.for_blocks`).
-    Every block does the arithmetic a single pass would, so the map is the
-    same to the bit for any thread count.
     """
-    params = cube.params
-    q_len, p_len = cube.samples.shape
-    j_len = len(grid)
-    _check_schedule(cube, schedule)
-    samples, packet_map = cube.samples, schedule.packet_map
-    ref = np.conj(np.fft.fft(schedule.frames, axis=1))  # U x Q
-    spectra = np.empty((q_len, p_len), dtype=np.complex128)
-
-    def match(b):  # packets b: fast-time FFT times the carried frames' reference
-        np.fft.fft(samples[:, b], axis=0, out=spectra[:, b])
-        spectra[:, b] *= ref[packet_map[b]].T
-
-    for_blocks(match, p_len)
-    if grid.fft_aligned:
-        # sum_p M[q,p] exp(+2 pi i p (j - J//2) / P) == P * ifft_p(M) reordered
-        def steer(r):  # range bins r, in place
-            np.fft.ifft(spectra[r], axis=1, out=spectra[r])
-            spectra[r] *= p_len
-
-        for_blocks(steer, q_len)
-        steered = spectra
-        cols = (np.arange(j_len) - j_len // 2) % p_len
-    else:
-        p_idx = np.arange(p_len) * params.pri_s
-        w = np.exp(2j * np.pi * np.outer(p_idx, grid.frequencies_hz))  # P x J
-        steered = spectra @ w  # one product: OpenBLAS threads it itself
-        cols = np.arange(j_len)
-    values = np.empty((j_len, q_len))
-
-    def profile(b):  # Doppler bins b: range IFFT and magnitude
-        values[b] = np.abs(np.fft.ifft(steered[:, cols[b]], axis=0)).T
-
-    for_blocks(profile, j_len)
-    range_axis, doppler_axis = _axes(params, grid)
-    return RangeDopplerMap(
-        values=values,
-        range_axis_m=range_axis,
-        doppler_axis_mps=doppler_axis,
-    )
+    values = _chain(cube, schedule, grid, not grid.fft_aligned, lambda name, x: x)
+    return RangeDopplerMap(values, *_axes(cube.params, grid))
 
 
 def time_domain_oracle(

@@ -325,6 +325,29 @@ class TestCli:
         path = self.write_ini(tmp_path, SMALL_INI + "[scene]\ntarget = car\nscatterer_count = 3\n")
         self.expect_one_line_error(capsys, 2, ["run", path], "'scatterer_count' >= 4")
 
+    @pytest.mark.parametrize("key", ["seed_code", "seed_noise", "seed_scene"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, key):
+        path = self.write_ini(tmp_path, SMALL_INI + f"[scene]\n{key} = -1\n")
+        fragment = f"line 6: invalid value for '{key}': expected a non-negative integer"
+        self.expect_one_line_error(capsys, 2, ["run", path], fragment)
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("snr_db", "1e308"), ("snr_db", "-1e308"), ("rcs_dbsm", "1e308"), ("rcs_dbsm", "-300.5")],
+    )
+    def test_db_value_beyond_300_exits_2(self, tmp_path, capsys, key, value):
+        path = self.write_ini(tmp_path, SMALL_INI + f"[scene]\n{key} = {value}\n")
+        fragment = f"line 6: invalid value for '{key}': expected a dB value within +-300"
+        self.expect_one_line_error(capsys, 2, ["run", path], fragment)
+
+    @pytest.mark.parametrize("snr_db,rcs_dbsm", [("300", "-300"), ("-300", "300")])
+    def test_db_extremes_run_clean(self, tmp_path, snr_db, rcs_dbsm):
+        # a numpy RuntimeWarning (overflow, division by zero) fails the test
+        text = SMALL_INI + f"[scene]\nsnr_db = {snr_db}\nrcs_dbsm = {rcs_dbsm}\n"
+        text += "[fixedpoint]\nformats = 12:1, 24:1\n"
+        argv = ["run", self.write_ini(tmp_path, text), "--oracle", "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 0
+
     def test_target_at_the_origin_exits_3(self, tmp_path, capsys):
         path = self.write_ini(tmp_path, SMALL_INI + "[scene]\nposition_m = 0, 0, 0\n")
         argv = ["run", path, "--out", str(tmp_path / "out")]

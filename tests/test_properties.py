@@ -1,9 +1,10 @@
 """Property tests over random packet counts, all four schedules and random
 scenes: the packet map, echo synthesis of point and cluster targets, oracle
-equivalence and the block-parallel matched filter against its serial form;
-and the CSV formatter against np.savetxt."""
+equivalence, and the block-parallel double and fixed-point matched filters
+against their serial forms; and the CSV formatter against np.savetxt."""
 
 import io
+import math
 import threading
 
 import numpy as np
@@ -186,6 +187,106 @@ def test_block_parallel_filter_equals_the_serial_filter(
     assert threading.active_count() == before
     assert values.shape == expected.shape and values.dtype == expected.dtype
     assert np.array_equal(values, expected)
+
+
+def serial_quantized_matched_filter(cube, schedule, grid, fmt, mode):
+    """The reference: the fixed-point chain as one pass per stage on one
+    thread, with its own FFTs, gather, twiddle and magnitude pass."""
+    params = cube.params
+    double_map = iz.matched_filter_rd(cube, schedule, grid)
+    counts, sizes = {}, {}
+
+    def quantized(x, name):
+        qc = iz.quantize(x, fmt)
+        counts[name] = qc.saturation_count
+        sizes[name] = 2 * x.size
+        return qc.dequantize()
+
+    x = cube.samples
+    if mode is iz.FxpMode.FULL_CHAIN:
+        x = quantized(x, "input")
+    ref = quantized(np.conj(np.fft.fft(schedule.frames, axis=1)), "reference")
+    spectra = quantized(np.fft.fft(x, axis=0), "post_fft")
+    matched = spectra * ref[schedule.packet_map].T
+    p_idx = np.arange(params.packets_per_cpi) * params.pri_s
+    twiddle = np.exp(2j * np.pi * np.outer(p_idx, grid.frequencies_hz))
+    twiddle = quantized(twiddle, "twiddle")
+    steered = quantized(matched @ twiddle, "post_steering")
+    profiles = np.fft.ifft(steered, axis=0)
+    if mode is iz.FxpMode.FULL_CHAIN:
+        profiles = quantized(profiles, "post_ifft")
+    values = np.abs(profiles).T.copy()
+
+    err = double_map.values - values
+    err_power = float(np.sum(err**2))
+    sig_power = float(np.sum(double_map.values**2))
+    sqnr = math.inf if err_power == 0.0 else 10.0 * math.log10(sig_power / err_power)
+    fxp_map = iz.RangeDopplerMap(values, double_map.range_axis_m, double_map.doppler_axis_mps)
+    det_d, det_f = iz.detect_peak(double_map), iz.detect_peak(fxp_map)
+    pslr_d = iz.pslr_db(double_map.range_cut(det_d.doppler_bin))
+    pslr_f = iz.pslr_db(values[det_f.doppler_bin])
+    delta = pslr_f - pslr_d
+    frac = sum(counts.values()) / sum(sizes.values())
+    report = iz.FxpReport(
+        format=fmt,
+        mode=mode,
+        sqnr_db=sqnr,
+        peak_bin_agree=(det_d.range_bin, det_d.doppler_bin) == (det_f.range_bin, det_f.doppler_bin),
+        pslr_double_db=pslr_d,
+        pslr_fxp_db=pslr_f,
+        pslr_delta_db=delta,
+        pslr_agree=(math.isfinite(delta) and abs(delta) <= 0.5) or pslr_f >= pslr_d,
+        saturation_counts=counts,
+        saturation_fraction=frac,
+        warning=(
+            f"pervasive saturation: {frac:.2%} of quantized components clipped"
+            if frac > 0.01
+            else None
+        ),
+    )
+    return values, report
+
+
+@deterministic
+@given(
+    kind=kinds,
+    p_count=st.one_of(st.sampled_from(PRIMES_TO_40), st.integers(min_value=2, max_value=40)),
+    bins=st.one_of(st.none(), st.integers(min_value=1, max_value=40).map(lambda k: 2 * k + 1)),
+    mode=st.sampled_from(list(iz.FxpMode)),
+    word_bits=st.sampled_from([8, 16, 24, 53]),
+    integer_bits=st.integers(min_value=1, max_value=4),
+    threads=st.sampled_from(["1", "2", "3", "5"]),
+    pedestrian=st.booleans(),
+    distance=st.floats(min_value=1.0, max_value=30.0),
+    speed=st.floats(min_value=-200.0, max_value=200.0),
+    snr_db=st.one_of(st.none(), st.floats(min_value=-10.0, max_value=30.0)),
+)
+def test_quantized_chain_equals_the_serial_quantized_filter(
+    kind, p_count, bins, mode, word_bits, integer_bits, threads, pedestrian, distance, speed,
+    snr_db,
+):
+    params = params_for(p_count)
+    sched = iz.build_schedule(kind, params, seed=5)
+    grid = iz.default_grid(params) if bins is None else iz.symmetric_grid(params, bins)
+    pos = np.array([distance, 2.0, 0.0])
+    if pedestrian:
+        target = iz.make_pedestrian(pos, seed=9, speed_mps=speed)
+    else:
+        target = iz.point_target(pos, speed * pos / np.linalg.norm(pos))
+    cube = iz.synthesize_echo(sched, [target], params, snr_db=snr_db, noise_seed=11)
+    fmt = iz.FixedPointFormat(word_bits, integer_bits)
+    expected_values, expected_report = serial_quantized_matched_filter(
+        cube, sched, grid, fmt, mode
+    )
+    before = threading.active_count()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("ISACSIM_THREADS", threads)
+        fxp_map, report = iz.quantized_matched_filter(cube, sched, grid, fmt, mode)
+    assert threading.active_count() == before
+    assert report == expected_report
+    assert list(report.saturation_counts) == list(expected_report.saturation_counts)
+    assert fxp_map.values.dtype == expected_values.dtype
+    assert np.array_equal(fxp_map.values, expected_values)
 
 
 def savetxt_bytes(values) -> bytes:
