@@ -52,6 +52,8 @@ _EXPORTS = {
     "make_car": ".scene",
     "delay_bin": ".scene",
     "synthesize_echo": ".scene",
+    "noise_block": ".scene",
+    "strongest_amplitude": ".scene",
     # rsp
     "ORACLE_GUARD": ".rsp",
     "DopplerGrid": ".rsp",

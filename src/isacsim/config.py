@@ -10,6 +10,7 @@ yields the default 60 GHz profile with the canonical point-target scene.
 from __future__ import annotations
 
 import math
+import unicodedata
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -89,7 +90,11 @@ class ScenarioConfig:
     warnings: tuple[str, ...] = field(default=(), compare=False)
 
     def __post_init__(self):
-        # Rules across keys, so they hold after a CLI override as well.
+        # Rules that must hold after a CLI override as well.
+        try:
+            _to_output_dir(self.output_dir)
+        except ValueError as exc:
+            raise ConfigError(f"invalid output directory: {exc}") from None
         n = self.params.code_length
         golay = [k.value for k in self.waveforms if k in _GOLAY_WAVEFORMS]
         if golay and n & (n - 1):
@@ -145,6 +150,19 @@ def _to_vector(raw: str) -> tuple[float, float, float]:
     if len(parts) != 3:
         raise ValueError(f"expected three comma-separated numbers, got {raw!r}")
     return tuple(_to_float(p) for p in parts)  # type: ignore[return-value]
+
+
+def _to_output_dir(raw: str) -> str:
+    """A directory name that `render_config` can echo and parse back."""
+    if "#" in raw:
+        reason = "contains '#', which starts a comment"
+    elif raw != raw.strip():
+        reason = "has leading or trailing whitespace, which the parser strips"
+    elif any(unicodedata.category(ch) in ("Cc", "Zl", "Zp") for ch in raw):
+        reason = "contains a line break or another control character"
+    else:
+        return raw
+    raise ValueError(f"{raw!r} {reason}")
 
 
 def _to_formats(raw: str) -> tuple[FixedPointFormat, ...]:
@@ -352,7 +370,7 @@ def parse_config(text: str) -> ScenarioConfig:
         doppler_bins=doppler_bins,
         fxp_formats=entries.get("fixedpoint", "formats", _to_formats, defaults.fxp_formats),
         fxp_mode=entries.get("fixedpoint", "mode", FxpMode, defaults.fxp_mode),
-        output_dir=entries.get("run", "output_dir", str, defaults.output_dir),
+        output_dir=entries.get("run", "output_dir", _to_output_dir, defaults.output_dir),
         run_oracle=entries.get("run", "oracle", _to_bool, defaults.run_oracle),
         bench_enabled=entries.get("benchmark", "enabled", _to_bool, defaults.bench_enabled),
         bench_repeats=repeats,

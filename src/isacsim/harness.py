@@ -7,11 +7,17 @@ detections, PSLR, optional oracle deviations, and optional fixed-point
 accuracy rows. CSV artifacts are deterministic for a fixed configuration
 (timings live only in the summary): every number is the text of
 `'%.9g' % x`, produced a block of rows at a time by the vectorized formatter
-in `_csvformat`. Each waveform's summary times its synthesis, processing and
-artifact writing. The fixed-point sweep reuses the waveform's double map.
-`run_benchmarks` adds median-of-k wall times for the FFT processor, the
-time-domain oracle (on a guard-limited instance when the full one is too
-large), and each fixed-point format.
+in `_csvformat`.
+
+The run streams: it draws the scene's receiver noise once (`noise_block`),
+then `run_waveform` takes one waveform at a time from its schedule through
+synthesis, the matched filter, detection and PSLR, the optional oracle and
+fixed-point sweep (which reuses the double map), the CSVs and the optional
+`run_benchmarks` timings. Only then is the next waveform started, and its
+cube and map are gone: a `WaveformResult` holds no array, so one cube and
+one map are in memory at a time, besides the shared noise block. Each
+waveform's summary times its synthesis (without the shared noise draw, which
+the run-level `timings_s.noise` times), processing and artifact writing.
 """
 
 from __future__ import annotations
@@ -19,9 +25,11 @@ from __future__ import annotations
 import importlib.metadata
 import json
 import math
+import resource
 import statistics
+import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -47,10 +55,13 @@ from .rsp import (
 from .scene import (
     DataCube,
     TargetModel,
+    check_scene,
     make_car,
     make_pedestrian,
+    noise_block,
     point_target,
     radial_unit,
+    strongest_amplitude,
     synthesize_echo,
 )
 from .waveform import FrameSchedule, ScheduleKind, build_schedule
@@ -131,18 +142,20 @@ def derived_parameters(params: WaveformParams) -> dict:
 
 @dataclass
 class WaveformResult:
+    """What one waveform leaves once its artifacts are written: figures and
+    file names, no cube, map or other array."""
+
     kind: ScheduleKind
-    schedule: FrameSchedule
-    cube: DataCube
-    grid: DopplerGrid
-    rd_map: RangeDopplerMap
     detection: Detection | None
     pslr_db: float | None
     synth_s: float
     process_s: float
+    write_s: float
+    artifacts: dict[str, str]
     oracle_deviation: float | None = None
     oracle_note: str | None = None
     sweep: SweepResult | None = None
+    benchmark: dict | None = None  # run_benchmarks' entry under --bench
     failure: str | None = None
 
 
@@ -183,9 +196,13 @@ def run_waveform(
     kind: ScheduleKind,
     targets: list[TargetModel],
     grid: DopplerGrid,
+    out_path: Path,
+    noise: np.ndarray | None = None,
 ) -> WaveformResult:
-    """Full pipeline for one waveform: schedule, echo, matched filter, peak
-    detection and PSLR, plus optional oracle and fixed-point passes."""
+    """Full pipeline for one waveform: schedule, echo (plus the run's shared
+    `noise` block), matched filter, peak detection and PSLR, the optional
+    oracle and fixed-point passes, the two CSVs in `out_path` and the
+    optional benchmark timings. The cube and map die with this call."""
     params = cfg.params
     t0 = time.perf_counter()
     schedule = build_schedule(kind, params, seed=cfg.seed_code)
@@ -196,6 +213,7 @@ def run_waveform(
         snr_db=cfg.snr_db,
         noise_seed=cfg.seed_noise,
         path_loss=cfg.path_loss,
+        noise=noise,
     )
     t1 = time.perf_counter()
     rd_map = matched_filter_rd(cube, schedule, grid)
@@ -210,38 +228,49 @@ def run_waveform(
     except NoDetectionError as exc:
         failure = str(exc)
 
-    result = WaveformResult(
+    oracle_deviation = oracle_note = None
+    if cfg.run_oracle:
+        try:
+            oracle_map = time_domain_oracle(cube, schedule, grid)
+            oracle_deviation = map_relative_deviation(rd_map, oracle_map)
+        except OracleGuardError as exc:
+            oracle_note = f"oracle skipped: {exc}"
+        except NoDetectionError as exc:  # all-zero map has no deviation scale
+            oracle_note = f"oracle skipped: {exc}"
+
+    sweep = None
+    if cfg.fxp_formats and failure is None:
+        sweep = precision_sweep(
+            cube, schedule, grid, cfg.fxp_formats, cfg.fxp_mode, double_map=rd_map
+        )
+
+    artifacts = {
+        "rd_map_csv": f"{kind.value}_rd_map.csv",
+        "range_profile_csv": f"{kind.value}_range_profile.csv",
+    }
+    t3 = time.perf_counter()
+    write_rd_map_csv(out_path / artifacts["rd_map_csv"], rd_map)
+    cut_bin = detection.doppler_bin if detection is not None else grid.zero_bin
+    write_range_profile_csv(out_path / artifacts["range_profile_csv"], rd_map, cut_bin)
+    write_s = time.perf_counter() - t3
+
+    return WaveformResult(
         kind=kind,
-        schedule=schedule,
-        cube=cube,
-        grid=grid,
-        rd_map=rd_map,
         detection=detection,
         pslr_db=pslr,
         synth_s=t1 - t0,
         process_s=t2 - t1,
+        write_s=write_s,
+        artifacts=artifacts,
+        oracle_deviation=oracle_deviation,
+        oracle_note=oracle_note,
+        sweep=sweep,
+        benchmark=run_benchmarks(cfg, cube, schedule, grid, sweep) if cfg.bench_enabled else None,
         failure=failure,
     )
 
-    if cfg.run_oracle:
-        try:
-            oracle_map = time_domain_oracle(cube, schedule, grid)
-            result.oracle_deviation = map_relative_deviation(rd_map, oracle_map)
-        except OracleGuardError as exc:
-            result.oracle_note = f"oracle skipped: {exc}"
-        except NoDetectionError as exc:  # all-zero map has no deviation scale
-            result.oracle_note = f"oracle skipped: {exc}"
 
-    if cfg.fxp_formats and failure is None:
-        result.sweep = precision_sweep(
-            cube, schedule, grid, cfg.fxp_formats, cfg.fxp_mode, double_map=rd_map
-        )
-    return result
-
-
-def _waveform_summary(
-    result: WaveformResult, artifacts: dict[str, str], write_s: float
-) -> dict:
+def _waveform_summary(result: WaveformResult) -> dict:
     entry: dict = {"waveform": result.kind.value}
     if result.detection is not None:
         det = result.detection
@@ -262,7 +291,7 @@ def _waveform_summary(
     entry["timings_s"] = {
         "synthesize": result.synth_s,
         "process": result.process_s,
-        "write": write_s,
+        "write": result.write_s,
     }
     if result.oracle_deviation is not None:
         entry["oracle_max_relative_deviation"] = result.oracle_deviation
@@ -291,8 +320,15 @@ def _waveform_summary(
             "rows": rows,
             "sqnr_non_decreasing": result.sweep.monotone_sqnr,
         }
-    entry["artifacts"] = artifacts
+    entry["artifacts"] = result.artifacts
     return entry
+
+
+def _peak_rss_mb() -> float:
+    """Peak resident memory of this process so far, in MB (2^20 bytes)."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # ru_maxrss counts bytes on macOS and KiB on Linux
+    return peak / (1 << 20) if sys.platform == "darwin" else peak / 1024.0
 
 
 def run_comparison(cfg: ScenarioConfig, out_dir: Path | str | None = None) -> RunOutcome:
@@ -313,24 +349,18 @@ def run_comparison(cfg: ScenarioConfig, out_dir: Path | str | None = None) -> Ru
     partial = []
     runtime_warnings: list[str] = list(cfg.warnings)
 
-    for kind in cfg.waveforms:
-        result = run_waveform(cfg, kind, targets, grid)
-        results.append(result)
-
-        map_name = f"{kind.value}_rd_map.csv"
-        profile_name = f"{kind.value}_range_profile.csv"
+    noise, noise_s = None, 0.0
+    if cfg.snr_db is not None:  # one draw for every waveform
+        check_scene(targets, cfg.params)  # fail before drawing for a scene that cannot run
         t0 = time.perf_counter()
-        write_rd_map_csv(out_path / map_name, result.rd_map)
-        cut_bin = (
-            result.detection.doppler_bin if result.detection is not None else grid.zero_bin
-        )
-        write_range_profile_csv(out_path / profile_name, result.rd_map, cut_bin)
-        write_s = time.perf_counter() - t0
+        strongest = strongest_amplitude(targets, cfg.path_loss)
+        noise = noise_block(cfg.params, cfg.snr_db, cfg.seed_noise, strongest)
+        noise_s = time.perf_counter() - t0
 
-        entry = _waveform_summary(
-            result, {"rd_map_csv": map_name, "range_profile_csv": profile_name}, write_s
-        )
-        waveform_entries.append(entry)
+    for kind in cfg.waveforms:
+        result = run_waveform(cfg, kind, targets, grid, out_path, noise)
+        results.append(result)
+        waveform_entries.append(_waveform_summary(result))
         if result.failure is not None:
             partial.append({"waveform": kind.value, "error": result.failure})
         if result.sweep is not None:
@@ -367,9 +397,14 @@ def run_comparison(cfg: ScenarioConfig, out_dir: Path | str | None = None) -> Ru
     }
 
     if cfg.bench_enabled:
-        summary["benchmark"] = run_benchmarks(cfg, results, repeats=cfg.bench_repeats)
+        summary["benchmark"] = {
+            "repeats": cfg.bench_repeats,
+            "warmup": 1,
+            "waveforms": [result.benchmark for result in results],
+        }
 
-    summary["timings_s"] = {"total": time.perf_counter() - started}
+    summary["timings_s"] = {"total": time.perf_counter() - started, "noise": noise_s}
+    summary["peak_rss_mb"] = _peak_rss_mb()
     with open(out_path / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, allow_nan=False)
         fh.write("\n")
@@ -392,7 +427,9 @@ def _median_seconds(fn, repeats: int) -> float:
     return statistics.median(times)
 
 
-def _oracle_bench(cfg: ScenarioConfig, result: WaveformResult, repeats: int) -> dict:
+def _oracle_bench(
+    cfg: ScenarioConfig, kind: ScheduleKind, cube: DataCube, grid: DopplerGrid
+) -> dict:
     """Time the oracle on the largest guard-compliant prefix of the cube.
 
     The full instance usually violates the Q*P*J work guard, so the oracle is
@@ -401,25 +438,25 @@ def _oracle_bench(cfg: ScenarioConfig, result: WaveformResult, repeats: int) -> 
     estimate multiplies the measured time by the ratio of that work at full
     size to the work of the timed instance.
     """
-    params = result.cube.params
+    params = cube.params
     q_len = params.samples_per_pri
     p_len = params.packets_per_cpi
     # J tracks P' on the default grid, so solve Q * P' * P' <= guard.
     max_p = int(math.floor(math.sqrt(ORACLE_GUARD / q_len)))
     p_used = min(p_len, max(1, max_p))
     sub_params = scaled_profile(params, p_used)
-    sub_schedule = build_schedule(result.kind, sub_params, seed=cfg.seed_code)
+    sub_schedule = build_schedule(kind, sub_params, seed=cfg.seed_code)
     sub_cube = DataCube(
-        samples=result.cube.samples[:, :p_used].copy(),
+        samples=cube.samples[:, :p_used].copy(),
         params=sub_params,
-        noise_seed=result.cube.noise_seed,
-        snr_db=result.cube.snr_db,
+        noise_seed=cube.noise_seed,
+        snr_db=cube.snr_db,
     )
     sub_grid = default_grid(sub_params)
     median = _median_seconds(
-        lambda: time_domain_oracle(sub_cube, sub_schedule, sub_grid), repeats
+        lambda: time_domain_oracle(sub_cube, sub_schedule, sub_grid), cfg.bench_repeats
     )
-    ratio = (q_len * q_len * p_len + q_len * p_len * len(result.grid)) / (
+    ratio = (q_len * q_len * p_len + q_len * p_len * len(grid)) / (
         q_len * q_len * p_used + q_len * p_used * len(sub_grid)
     )
     note = None
@@ -440,28 +477,29 @@ def _oracle_bench(cfg: ScenarioConfig, result: WaveformResult, repeats: int) -> 
 
 
 def run_benchmarks(
-    cfg: ScenarioConfig, results: list[WaveformResult], repeats: int = 5
+    cfg: ScenarioConfig,
+    cube: DataCube,
+    schedule: FrameSchedule,
+    grid: DopplerGrid,
+    sweep: SweepResult | None = None,
 ) -> dict:
-    """Median-of-k wall times (one warmup excluded) for each waveform's FFT
-    processor, the time-domain oracle, and any configured fixed-point runs."""
-    bench_waveforms = []
-    for result in results:
-        fft_median = _median_seconds(
-            lambda: matched_filter_rd(result.cube, result.schedule, result.grid), repeats
-        )
-        oracle = _oracle_bench(cfg, result, repeats)
-        entry = {
-            "waveform": result.kind.value,
-            "fft_median_s": fft_median,
-            "oracle": oracle,
-            "speedup_vs_oracle": (
-                oracle["scaled_estimate_s"] / fft_median if fft_median > 0 else None
-            ),
-        }
-        if result.sweep is not None:
-            entry["fixed_point"] = [
-                {"format": str(row.format), "runtime_s": row.runtime_s}
-                for row in result.sweep.rows
-            ]
-        bench_waveforms.append(entry)
-    return {"repeats": repeats, "warmup": 1, "waveforms": bench_waveforms}
+    """Median-of-`cfg.bench_repeats` wall times (one warmup excluded) for one
+    waveform's FFT processor and time-domain oracle, plus the runtimes of its
+    fixed-point `sweep`: the waveform's entry of the summary's benchmark."""
+    fft_median = _median_seconds(
+        lambda: matched_filter_rd(cube, schedule, grid), cfg.bench_repeats
+    )
+    oracle = _oracle_bench(cfg, schedule.kind, cube, grid)
+    entry = {
+        "waveform": schedule.kind.value,
+        "fft_median_s": fft_median,
+        "oracle": oracle,
+        "speedup_vs_oracle": (
+            oracle["scaled_estimate_s"] / fft_median if fft_median > 0 else None
+        ),
+    }
+    if sweep is not None:
+        entry["fixed_point"] = [
+            {"format": str(row.format), "runtime_s": row.runtime_s} for row in sweep.rows
+        ]
+    return entry

@@ -13,6 +13,12 @@ distinct frames is one matrix product, cube = Shifts (Q x U*S) @ Phases
 (U*S x P): column u*S + s of Shifts is frame u delayed and weighted for
 scatterer s, and row u*S + s of Phases is s's slow-time rotation on the
 packets that carry frame u and zero on the others.
+
+Receiver noise belongs to the scene, not to the waveform: its seed, its
+per-packet streams and its scale (set by the strongest scatterer) are the
+same for every schedule. `noise_block` draws it once as a packet-major
+P x Q block, and `synthesize_echo` adds a block it is handed to each echo,
+so a comparison run draws the noise once for all its waveforms.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from enum import Enum
 
 import numpy as np
 
+from ._threads import for_blocks
 from .errors import ParameterError, ScenarioError
 from .params import SPEED_OF_LIGHT_MPS, WaveformParams
 from .waveform import FrameSchedule
@@ -177,9 +184,82 @@ def make_car(
     return TargetModel(scatterers=scatterers)
 
 
+def _weighted_reflectivity(sc: PointScatterer, path_loss: PathLoss):
+    """sigma': the reflectivity, over r0^2 under inverse-square path loss."""
+    if path_loss is PathLoss.INVERSE_SQUARE:
+        return sc.reflectivity / sc.range_m**2
+    return sc.reflectivity
+
+
+def strongest_amplitude(targets, path_loss: PathLoss = PathLoss.INVERSE_SQUARE) -> float:
+    """Largest |sigma'| over the scene's scatterers, 0.0 for an empty scene."""
+    return max(
+        (abs(_weighted_reflectivity(sc, path_loss)) for t in targets for sc in t.scatterers),
+        default=0.0,
+    )
+
+
+def noise_block(
+    params: WaveformParams, snr_db: float, seed: int, strongest: float
+) -> np.ndarray:
+    """Scaled receiver noise as a packet-major P x Q complex block.
+
+    Circular complex white Gaussian noise, calibrated so the per-sample SNR
+    of an echo of amplitude `strongest` equals snr_db (reference power
+    amplitude^2 when `strongest` is 0). Row p is drawn from its own stream,
+    SeedSequence(seed).spawn(P)[p], so the block does not depend on how its
+    rows are split across the ISACSIM_THREADS workers. Add it to a Q x P
+    cube with `cube += block.T`.
+    """
+    q_len = params.samples_per_pri
+    p_len = params.packets_per_cpi
+    ref_power = params.amplitude**2 * (strongest**2 if strongest > 0 else 1.0)
+    noise_power = ref_power / 10.0 ** (snr_db / 10.0)
+    scale = np.sqrt(noise_power / 2.0)
+    child_seeds = np.random.SeedSequence(seed).spawn(p_len)
+    block = np.empty((p_len, q_len), dtype=np.complex128)
+
+    def draw(rows: slice):
+        for p in range(rows.start, rows.stop):
+            rng = np.random.default_rng(child_seeds[p])
+            block[p] = scale * (rng.standard_normal(q_len) + 1j * rng.standard_normal(q_len))
+
+    for_blocks(draw, p_len)
+    return block
+
+
 def delay_bin(range_m: float, params: WaveformParams) -> int:
     """q_b = round(2 r / (c T_s)), the rounded two-way delay in samples."""
     return round(2.0 * range_m / (SPEED_OF_LIGHT_MPS * params.sample_period_s))
+
+
+def _checked_delay_bin(sc: PointScatterer, params: WaveformParams) -> int:
+    """The scatterer's delay bin; ScenarioError when its echo does not fit
+    the PRI or its radial speed exceeds the Doppler ambiguity limit."""
+    q_len = params.samples_per_pri
+    max_range = SPEED_OF_LIGHT_MPS * q_len * params.sample_period_s / 2.0
+    r0 = sc.range_m
+    if r0 >= max_range:
+        raise ScenarioError(
+            f"scatterer at {r0:.2f} m is beyond the unambiguous range {max_range:.2f} m"
+        )
+    v_max = params.max_unambiguous_velocity_mps
+    if abs(sc.radial_velocity_mps) > v_max:
+        raise ScenarioError(
+            f"radial speed {sc.radial_velocity_mps:.2f} m/s exceeds the "
+            f"ambiguity limit {v_max:.2f} m/s"
+        )
+    qb = delay_bin(r0, params)
+    if qb >= q_len:
+        raise ScenarioError(f"delay bin {qb} falls outside the PRI ({q_len} samples)")
+    return qb
+
+
+def check_scene(targets, params: WaveformParams) -> None:
+    """Raise the ScenarioError `synthesize_echo` would raise for this scene."""
+    for target in targets:
+        for sc in target.scatterers:
+            _checked_delay_bin(sc, params)
 
 
 def synthesize_echo(
@@ -189,6 +269,7 @@ def synthesize_echo(
     snr_db: float | None = None,
     noise_seed: int = 0,
     path_loss: PathLoss = PathLoss.INVERSE_SQUARE,
+    noise: np.ndarray | None = None,
 ) -> DataCube:
     """Received Q x P cube for the given schedule and targets.
 
@@ -204,11 +285,11 @@ def synthesize_echo(
     support), where support ends at the last nonzero sample of any frame;
     every other row of the echo is exactly zero.
 
-    When snr_db is set, circular complex white Gaussian noise is added,
-    calibrated so the per-sample SNR of the strongest scatterer's echo equals
-    snr_db (reference power amplitude^2 when there are no scatterers). The
-    generator is partitioned per packet from the master seed, so parallel and
-    serial synthesis produce identical cubes.
+    `noise`, a P x Q block from `noise_block`, is added as it is; snr_db and
+    noise_seed are then only recorded in the cube. Without a block and with
+    snr_db set, the echo draws its own: noise_block(params, snr_db,
+    noise_seed, strongest scatterer), the same block a comparison run draws
+    once and shares across its waveforms.
     """
     q_len = params.samples_per_pri
     p_len = params.packets_per_cpi
@@ -218,29 +299,14 @@ def synthesize_echo(
         )
     pri = params.pri_s
     lam = params.wavelength_m
-    v_max = params.max_unambiguous_velocity_mps
-    max_range = SPEED_OF_LIGHT_MPS * q_len * params.sample_period_s / 2.0
     packet_idx = np.arange(p_len)
 
     delays, sigmas, rotations = [], [], []
     for target in targets:
         for sc in target.scatterers:
+            qb = _checked_delay_bin(sc, params)
             r0 = sc.range_m
-            if r0 >= max_range:
-                raise ScenarioError(
-                    f"scatterer at {r0:.2f} m is beyond the unambiguous range {max_range:.2f} m"
-                )
-            if abs(sc.radial_velocity_mps) > v_max:
-                raise ScenarioError(
-                    f"radial speed {sc.radial_velocity_mps:.2f} m/s exceeds the "
-                    f"ambiguity limit {v_max:.2f} m/s"
-                )
-            qb = delay_bin(r0, params)
-            if qb >= q_len:
-                raise ScenarioError(f"delay bin {qb} falls outside the PRI ({q_len} samples)")
-            sigma = sc.reflectivity
-            if path_loss is PathLoss.INVERSE_SQUARE:
-                sigma = sigma / r0**2
+            sigma = _weighted_reflectivity(sc, path_loss)
             # advancing range drives the slow-time phase; delay stays put
             r_p = np.linalg.norm(
                 sc.position_m[None, :] + sc.velocity_mps[None, :] * (packet_idx[:, None] * pri),
@@ -274,13 +340,11 @@ def synthesize_echo(
             out=cube[lo:hi],
         )
 
-    if snr_db is not None:
-        ref_power = params.amplitude**2 * (strongest**2 if strongest > 0 else 1.0)
-        noise_power = ref_power / 10.0 ** (snr_db / 10.0)
-        scale = np.sqrt(noise_power / 2.0)
-        child_seeds = np.random.SeedSequence(noise_seed).spawn(p_len)
-        for p, ss in enumerate(child_seeds):
-            rng = np.random.default_rng(ss)
-            cube[:, p] += scale * (rng.standard_normal(q_len) + 1j * rng.standard_normal(q_len))
+    if noise is None and snr_db is not None:
+        noise = noise_block(params, snr_db, noise_seed, strongest)
+    if noise is not None:
+        if noise.shape != (p_len, q_len):
+            raise ParameterError(f"noise block must be {p_len} x {q_len}, got {noise.shape}")
+        cube += noise.T
 
     return DataCube(samples=cube, params=params, noise_seed=noise_seed, snr_db=snr_db)

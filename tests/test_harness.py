@@ -4,12 +4,15 @@ import dataclasses
 import filecmp
 import json
 import os
+import weakref
 
 import numpy as np
 import pytest
 
 import isacsim as iz
 import isacsim.cli as cli
+import isacsim.harness as harness
+from isacsim.harness import grid_for
 
 
 def small_cfg(**overrides):
@@ -18,6 +21,21 @@ def small_cfg(**overrides):
     pri = 512 / 1.76e9
     params = iz.WaveformParams(pri_s=pri, cpi_s=16 * pri, code_length=256)
     return dataclasses.replace(cfg, params=params, **overrides)
+
+
+def rebuild_map(cfg, kind):
+    """The map a run of `cfg` wrote for `kind`, rebuilt through the library:
+    run results keep no maps."""
+    schedule = iz.build_schedule(kind, cfg.params, seed=cfg.seed_code)
+    cube = iz.synthesize_echo(
+        schedule,
+        iz.build_targets(cfg),
+        cfg.params,
+        snr_db=cfg.snr_db,
+        noise_seed=cfg.seed_noise,
+        path_loss=cfg.path_loss,
+    )
+    return iz.matched_filter_rd(cube, schedule, grid_for(cfg))
 
 
 SMALL_INI = """\
@@ -43,24 +61,25 @@ class TestRunComparison:
 
     def test_csv_layout_matches_the_map(self, tmp_path):
         cfg = small_cfg(waveforms=(iz.ScheduleKind.PMCW,))
-        outcome = iz.run_comparison(cfg, tmp_path)
-        result = outcome.results[0]
+        iz.run_comparison(cfg, tmp_path)
+        rd_map = rebuild_map(cfg, iz.ScheduleKind.PMCW)
         lines = (tmp_path / "pmcw_rd_map.csv").read_text().splitlines()
-        j, q = result.rd_map.values.shape
+        j, q = rd_map.values.shape
         assert len(lines) == 2 + j
         header_range = np.array([float(v) for v in lines[0].split(",")])
         header_vel = np.array([float(v) for v in lines[1].split(",")])
         assert header_range.shape == (q,)
         assert header_vel.shape == (j,)
-        np.testing.assert_allclose(header_range, result.rd_map.range_axis_m, rtol=1e-8)
-        np.testing.assert_allclose(header_vel, result.rd_map.doppler_axis_mps, rtol=1e-8)
+        np.testing.assert_allclose(header_range, rd_map.range_axis_m, rtol=1e-8)
+        np.testing.assert_allclose(header_vel, rd_map.doppler_axis_mps, rtol=1e-8)
         data = np.loadtxt(tmp_path / "pmcw_rd_map.csv", delimiter=",", skiprows=2)
-        np.testing.assert_allclose(data, result.rd_map.values, rtol=1e-6, atol=1e-12)
+        np.testing.assert_allclose(data, rd_map.values, rtol=1e-6, atol=1e-12)
 
     def test_range_profile_is_the_peak_cut(self, tmp_path):
         cfg = small_cfg(waveforms=(iz.ScheduleKind.GOLAY_STANDARD,))
         outcome = iz.run_comparison(cfg, tmp_path)
         result = outcome.results[0]
+        rd_map = rebuild_map(cfg, iz.ScheduleKind.GOLAY_STANDARD)
         lines = (tmp_path / "golay_standard_range_profile.csv").read_text().splitlines()
         assert len(lines) == 3
         cut_velocity = float(lines[1])
@@ -68,7 +87,7 @@ class TestRunComparison:
         profile = np.array([float(v) for v in lines[2].split(",")])
         np.testing.assert_allclose(
             profile,
-            result.rd_map.range_cut(result.detection.doppler_bin),
+            rd_map.range_cut(result.detection.doppler_bin),
             rtol=1e-6,
             atol=1e-12,
         )
@@ -92,7 +111,7 @@ class TestRunComparison:
             waveforms=(iz.ScheduleKind.PMCW,),
         )
         result = iz.run_comparison(cfg, tmp_path).results[0]
-        rd_map, cut = result.rd_map, result.detection.doppler_bin
+        rd_map, cut = rebuild_map(cfg, iz.ScheduleKind.PMCW), result.detection.doppler_bin
 
         def axis_line(values):
             return ",".join(f"{v:.9g}" for v in values)
@@ -120,6 +139,103 @@ class TestRunComparison:
             assert timings["write"] >= 0.0
             spent += sum(timings.values())
         assert spent <= summary["timings_s"]["total"]
+
+    @pytest.mark.parametrize("path_loss", list(iz.PathLoss))
+    def test_shared_noise_gives_every_waveform_its_own_draws_cube(
+        self, tmp_path, monkeypatch, path_loss
+    ):
+        # the run draws the noise once; each cube must equal the one the
+        # waveform's own synthesize_echo call draws
+        cubes = {}
+        match = harness.matched_filter_rd
+
+        def recorded_match(cube, schedule, grid):
+            cubes[schedule.kind] = cube.samples.copy()
+            return match(cube, schedule, grid)
+
+        monkeypatch.setattr(harness, "matched_filter_rd", recorded_match)
+        cfg = small_cfg(snr_db=3.0, seed_noise=23, path_loss=path_loss, target_kind="pedestrian")
+        iz.run_comparison(cfg, tmp_path)
+        assert list(cubes) == list(cfg.waveforms)
+        for kind, samples in cubes.items():
+            own = iz.synthesize_echo(
+                iz.build_schedule(kind, cfg.params, seed=cfg.seed_code),
+                iz.build_targets(cfg),
+                cfg.params,
+                snr_db=3.0,
+                noise_seed=23,
+                path_loss=path_loss,
+            )
+            assert np.array_equal(samples, own.samples)
+
+    def test_impossible_noisy_scene_fails_before_the_noise_draw(self, tmp_path, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("noise drawn for a scene that cannot run")
+
+        monkeypatch.setattr(harness, "noise_block", no_draw)
+        cfg = small_cfg(snr_db=10.0, position_m=(900.0, 0.0, 0.0))
+        with pytest.raises(iz.ScenarioError, match="beyond the unambiguous range"):
+            iz.run_comparison(cfg, tmp_path)
+
+    def test_summary_reports_the_noise_draw_and_peak_memory(self, tmp_path):
+        quiet = iz.run_comparison(small_cfg(), tmp_path / "quiet").summary
+        assert quiet["timings_s"]["noise"] == 0.0
+        noisy = iz.run_comparison(small_cfg(snr_db=10.0), tmp_path / "noisy").summary
+        assert 0.0 < noisy["timings_s"]["noise"] < noisy["timings_s"]["total"]
+        assert list(noisy)[-2:] == ["timings_s", "peak_rss_mb"]
+        assert noisy["peak_rss_mb"] > 1.0
+
+    @pytest.mark.parametrize("bench", [False, True])
+    def test_each_waveform_drops_its_cube_and_map(self, tmp_path, monkeypatch, bench):
+        # when a waveform's range profile is written, the cube and map of
+        # every waveform before it are already collected
+        cubes, maps, checks = [], [], []
+        synthesize = harness.synthesize_echo
+        match = harness.matched_filter_rd
+        write_profile = harness.write_range_profile_csv
+
+        def recorded_synthesis(*args, **kwargs):
+            cube = synthesize(*args, **kwargs)
+            cubes.append(weakref.ref(cube))
+            return cube
+
+        def recorded_match(cube, schedule, grid):
+            rd_map = match(cube, schedule, grid)
+            if len(maps) < len(cubes):  # the waveform's map, not a benchmark repeat
+                maps.append(weakref.ref(rd_map))
+            return rd_map
+
+        def checked_write(path, rd_map, doppler_bin):
+            earlier = cubes[:-1] + maps[:-1]
+            checks.append(all(ref() is None for ref in earlier) and cubes[-1]() is not None)
+            write_profile(path, rd_map, doppler_bin)
+
+        monkeypatch.setattr(harness, "synthesize_echo", recorded_synthesis)
+        monkeypatch.setattr(harness, "matched_filter_rd", recorded_match)
+        monkeypatch.setattr(harness, "write_range_profile_csv", checked_write)
+        cfg = small_cfg(
+            snr_db=10.0,
+            run_oracle=True,
+            fxp_formats=(iz.FixedPointFormat(16, 1),),
+            bench_enabled=bench,
+            bench_repeats=1,
+        )
+        outcome = iz.run_comparison(cfg, tmp_path)
+        assert checks == [True] * len(cfg.waveforms)
+        assert all(ref() is None for ref in cubes + maps)
+
+        def arrays(obj):
+            if isinstance(obj, np.ndarray):
+                return 1
+            if dataclasses.is_dataclass(obj):
+                obj = [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+            elif isinstance(obj, dict):
+                obj = list(obj.values())
+            elif not isinstance(obj, (list, tuple)):
+                return 0
+            return sum(arrays(item) for item in obj)
+
+        assert arrays(outcome.results) == 0
 
     def test_summary_contract(self, tmp_path):
         cfg = small_cfg()
@@ -216,9 +332,9 @@ class TestPedestrianProfile:
             waveforms=(iz.ScheduleKind.GOLAY_DOPPLER_RESILIENT,),
         )
         outcome = iz.run_comparison(cfg, tmp_path)
-        result = outcome.results[0]
-        det = result.detection
-        profile = result.rd_map.range_cut(det.doppler_bin)
+        det = outcome.results[0].detection
+        rd_map = rebuild_map(cfg, iz.ScheduleKind.GOLAY_DOPPLER_RESILIENT)
+        profile = rd_map.range_cut(det.doppler_bin)
         bins = [
             iz.delay_bin(s.range_m, cfg.params)
             for s in iz.build_targets(cfg)[0].scatterers
@@ -269,6 +385,29 @@ class TestBenchmark:
         ratio = (q * q * p + q * p * p) / (q * q * p_used + q * p_used * p_used)
         assert oracle["scaled_estimate_s"] == pytest.approx(oracle["median_s"] * ratio)
         assert f"{ratio:.4g}" in oracle["note"]
+
+    def test_benchmark_table_keeps_its_shape(self, tmp_path):
+        cfg = small_cfg(
+            waveforms=(iz.ScheduleKind.GOLAY_STANDARD, iz.ScheduleKind.PMCW),
+            fxp_formats=(iz.FixedPointFormat(16, 1), iz.FixedPointFormat(24, 1)),
+            bench_enabled=True,
+            bench_repeats=1,
+        )
+        summary = iz.run_comparison(cfg, tmp_path).summary
+        assert list(summary)[-3:] == ["benchmark", "timings_s", "peak_rss_mb"]
+        bench = summary["benchmark"]
+        assert list(bench) == ["repeats", "warmup", "waveforms"]
+        assert (bench["repeats"], bench["warmup"]) == (1, 1)
+        assert [row["waveform"] for row in bench["waveforms"]] == ["golay_standard", "pmcw"]
+        for row in bench["waveforms"]:
+            assert list(row) == [
+                "waveform", "fft_median_s", "oracle", "speedup_vs_oracle", "fixed_point"
+            ]
+            assert list(row["oracle"]) == [
+                "packets_used", "bins_used", "median_s", "scaled_estimate_s", "note"
+            ]
+            assert [list(f) for f in row["fixed_point"]] == [["format", "runtime_s"]] * 2
+            assert [f["format"] for f in row["fixed_point"]] == ["<16,1>", "<24,1>"]
 
     def test_disabled_benchmark_leaves_no_table(self, tmp_path):
         outcome = iz.run_comparison(small_cfg(), tmp_path)
@@ -347,6 +486,17 @@ class TestCli:
         text += "[fixedpoint]\nformats = 12:1, 24:1\n"
         argv = ["run", self.write_ini(tmp_path, text), "--oracle", "--out", str(tmp_path / "out")]
         assert cli.main(argv) == 0
+
+    @pytest.mark.parametrize("out", ["run#3", " x ", "x\t", "a\nb", "a\u2028b"])
+    def test_output_dir_the_echo_cannot_carry_exits_2(self, tmp_path, capsys, out):
+        argv = ["run", self.write_ini(tmp_path), "--out", out]
+        self.expect_one_line_error(capsys, 2, argv, "config error: invalid output directory")
+        assert not (tmp_path / out).exists()
+
+    def test_output_dir_key_with_a_control_character_exits_2(self, tmp_path, capsys):
+        path = self.write_ini(tmp_path, SMALL_INI + "[run]\noutput_dir = a\x07b\n")
+        fragment = "line 6: invalid value for 'output_dir': 'a\\x07b' contains a line break"
+        self.expect_one_line_error(capsys, 2, ["run", path], fragment)
 
     def test_target_at_the_origin_exits_3(self, tmp_path, capsys):
         path = self.write_ini(tmp_path, SMALL_INI + "[scene]\nposition_m = 0, 0, 0\n")

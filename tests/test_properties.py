@@ -1,8 +1,12 @@
 """Property tests over random packet counts, all four schedules and random
-scenes: the packet map, echo synthesis of point and cluster targets, oracle
-equivalence, and the block-parallel double and fixed-point matched filters
-against their serial forms; and the CSV formatter against np.savetxt."""
+scenes: the packet map, echo synthesis of point and cluster targets, the
+shared noise block against the per-packet draw, oracle equivalence, and the
+block-parallel double and fixed-point matched filters against their serial
+forms; the CSV formatter against np.savetxt; and the config text, which
+renders and parses back to the same config and rejects any other input with
+a ConfigError only."""
 
+import dataclasses
 import io
 import math
 import threading
@@ -15,6 +19,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 import isacsim as iz
 from isacsim._csvformat import CHUNK_VALUES, format_rows, write_rows
+from isacsim.config import _SECTIONS
 from oracle_cases import KINDS, random_case
 
 PRI_S = 512 / 1.76e9  # Q = 512
@@ -124,6 +129,62 @@ def test_empty_scene_synthesizes_an_exactly_zero_cube(kind, p_count):
     params = params_for(p_count)
     sched = iz.build_schedule(kind, params, seed=3)
     assert not iz.synthesize_echo(sched, [], params).samples.any()
+
+
+def serial_noisy_cube(schedule, targets, params, snr_db, seed, path_loss):
+    """The reference: the clean echo plus noise drawn one packet column at a
+    time, as synthesis did before the noise became one shared block."""
+    cube = iz.synthesize_echo(schedule, targets, params, path_loss=path_loss).samples.copy()
+    sigmas = []
+    for target in targets:
+        for sc in target.scatterers:
+            sigma = sc.reflectivity
+            if path_loss is iz.PathLoss.INVERSE_SQUARE:
+                sigma = sigma / sc.range_m**2
+            sigmas.append(sigma)
+    strongest = max((abs(sigma) for sigma in sigmas), default=0.0)
+    q_len, p_len = params.samples_per_pri, params.packets_per_cpi
+    ref_power = params.amplitude**2 * (strongest**2 if strongest > 0 else 1.0)
+    noise_power = ref_power / 10.0 ** (snr_db / 10.0)
+    scale = np.sqrt(noise_power / 2.0)
+    child_seeds = np.random.SeedSequence(seed).spawn(p_len)
+    for p, ss in enumerate(child_seeds):
+        rng = np.random.default_rng(ss)
+        cube[:, p] += scale * (rng.standard_normal(q_len) + 1j * rng.standard_normal(q_len))
+    return cube
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "3", "5"])
+@pytest.mark.parametrize("scene", ["none", "point", "pedestrian"])
+@pytest.mark.parametrize("path_loss", list(iz.PathLoss))
+def test_shared_noise_block_equals_the_per_packet_draw(threads, scene, path_loss):
+    targets = {
+        "none": [],
+        "point": [iz.point_target([6.0, 2.0, 0.0], [1.5, 0.5, 0.0], rcs_dbsm=3.0)],
+        "pedestrian": [iz.make_pedestrian([0.0, 8.0, 0.0], seed=4, speed_mps=-1.0)],
+    }[scene]
+    before = threading.active_count()
+    for p_count, kind in zip([2, 3, 13, 37], KINDS):
+        params = params_for(p_count)
+        sched = iz.build_schedule(kind, params, seed=5)
+        expected = serial_noisy_cube(sched, targets, params, 7.5, 19, path_loss)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("ISACSIM_THREADS", threads)
+            strongest = iz.strongest_amplitude(targets, path_loss)
+            block = iz.noise_block(params, 7.5, 19, strongest)
+            own = iz.synthesize_echo(
+                sched, targets, params, snr_db=7.5, noise_seed=19, path_loss=path_loss
+            )
+            shared = iz.synthesize_echo(
+                sched, targets, params, snr_db=7.5, noise_seed=19, path_loss=path_loss,
+                noise=block,
+            )
+        assert block.shape == (p_count, params.samples_per_pri)
+        assert np.array_equal(own.samples, expected)
+        assert np.array_equal(shared.samples, expected)
+        if not targets:
+            assert np.array_equal(block.T, expected)
+    assert threading.active_count() == before
 
 
 @settings(max_examples=15, deadline=None, derandomize=True)
@@ -358,3 +419,125 @@ def test_write_rows_streams_partial_chunks():
     write_rows(buf, values)
     assert buf.getvalue() == savetxt_bytes(values)
     assert blocks == [step] * (rows // step) + [rows % step]
+
+
+# --- the config text: render/parse round trip, and errors on any input ---
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+db_values = st.floats(min_value=-300.0, max_value=300.0)
+seeds = st.integers(min_value=0, max_value=2**64)
+GOLAY = {iz.ScheduleKind.GOLAY_STANDARD, iz.ScheduleKind.GOLAY_DOPPLER_RESILIENT}
+
+
+def _is_echoable_dir(name):
+    try:
+        dataclasses.replace(iz.ScenarioConfig(), output_dir=name)
+    except iz.ConfigError:
+        return False
+    return True
+
+
+@st.composite
+def radar_params(draw, power_of_two_code):
+    bandwidth = draw(st.floats(min_value=1e6, max_value=1e10))
+    samples = draw(st.integers(min_value=1, max_value=4096))
+    pri = samples / bandwidth
+    if power_of_two_code:
+        code_length = 2 ** draw(st.integers(min_value=0, max_value=samples.bit_length() - 1))
+    else:
+        code_length = draw(st.integers(min_value=1, max_value=samples))
+    return iz.WaveformParams(
+        carrier_freq_hz=draw(st.floats(min_value=1e6, max_value=1e12)),
+        bandwidth_hz=bandwidth,
+        pri_s=pri,
+        cpi_s=pri * draw(st.floats(min_value=1.0, max_value=1e4)),
+        code_length=code_length,
+        amplitude=draw(st.floats(min_value=1e-6, max_value=1e6)),
+        pulse_shape=draw(st.sampled_from(list(iz.PulseShape))),
+        pulse_rolloff=draw(st.floats(min_value=0.0, max_value=1.0)),
+        chirp_duration_s=draw(st.none() | st.floats(min_value=1e-12, max_value=1.0)),
+    )
+
+
+@st.composite
+def scenario_configs(draw):
+    waveforms = tuple(draw(st.lists(st.sampled_from(KINDS), min_size=1, max_size=5)))
+    target = draw(st.sampled_from(["single_point", "pedestrian", "car", "none"]))
+    moving = draw(st.booleans())
+    return iz.ScenarioConfig(
+        params=draw(radar_params(power_of_two_code=bool(GOLAY.intersection(waveforms)))),
+        waveforms=waveforms,
+        target_kind=target,
+        position_m=tuple(draw(st.lists(finite, min_size=3, max_size=3))),
+        velocity_mps=tuple(draw(st.lists(finite, min_size=3, max_size=3))) if moving else None,
+        radial_speed_mps=None if moving else draw(finite),
+        rcs_dbsm=draw(db_values),
+        scatterer_count=draw(st.integers(min_value=4 if target == "car" else 1, max_value=10**6)),
+        snr_db=draw(st.none() | db_values),
+        path_loss=draw(st.sampled_from(list(iz.PathLoss))),
+        seed_code=draw(seeds),
+        seed_noise=draw(seeds),
+        seed_scene=draw(seeds),
+        doppler_bins=draw(st.none() | st.integers(min_value=1, max_value=5000).map(lambda k: 2 * k + 1)),
+        fxp_formats=tuple(
+            draw(
+                st.lists(
+                    st.integers(min_value=2, max_value=64).flatmap(
+                        lambda w: st.builds(
+                            iz.FixedPointFormat, st.just(w), st.integers(min_value=1, max_value=w)
+                        )
+                    ),
+                    max_size=4,
+                )
+            )
+        ),
+        fxp_mode=draw(st.sampled_from(list(iz.FxpMode))),
+        output_dir=draw(st.text(max_size=20).filter(_is_echoable_dir)),
+        run_oracle=draw(st.booleans()),
+        bench_enabled=draw(st.booleans()),
+        bench_repeats=draw(st.integers(min_value=1, max_value=1000)),
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(scenario_configs())
+def test_rendered_config_parses_back_to_itself(cfg):
+    assert iz.parse_config(iz.render_config(cfg)) == cfg
+
+
+CONFIG_KEYS = sorted({key for keys in _SECTIONS.values() for key in keys})
+config_values = st.one_of(
+    st.text(max_size=20),
+    st.integers(min_value=-(10**30), max_value=10**30).map(str),
+    finite.map(repr),
+    st.sampled_from(
+        ["nan", "-inf", "1e400", "9" * 5000, "off", "pri", "window", "default", "true",
+         "16:1, 99:1", "<24,1>", "0:0", "1, 2", "1, 2, 3", "5e-324", "0x10", "1_000", "٣"]
+    ),
+)
+
+
+def config_section(name):
+    entry = st.builds(
+        lambda key, value: f"{key} = {value}", st.sampled_from(sorted(_SECTIONS[name])), config_values
+    )
+    return st.lists(entry, max_size=6).map(lambda lines: "\n".join([f"[{name}]", *lines]))
+
+
+config_text = st.lists(
+    st.one_of(
+        st.sampled_from(sorted(_SECTIONS)).flatmap(config_section),
+        st.text(max_size=30),
+        st.builds(lambda key, value: f"{key} = {value}", st.sampled_from(CONFIG_KEYS), config_values),
+    ),
+    max_size=8,
+).map("\n".join)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(config_text)
+def test_parse_config_raises_only_config_errors(text):
+    try:
+        iz.parse_config(text)
+    except iz.ConfigError:
+        pass
