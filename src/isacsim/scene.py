@@ -287,9 +287,9 @@ def synthesize_echo(
 
     `noise`, a P x Q block from `noise_block`, is added as it is; snr_db and
     noise_seed are then only recorded in the cube. Without a block and with
-    snr_db set, the echo draws its own: noise_block(params, snr_db,
-    noise_seed, strongest scatterer), the same block a comparison run draws
-    once and shares across its waveforms.
+    snr_db set, the echo draws its own, noise_block(params, snr_db,
+    noise_seed, strongest_amplitude(targets, path_loss)): the block a
+    comparison run draws once and shares across its waveforms.
     """
     q_len = params.samples_per_pri
     p_len = params.packets_per_cpi
@@ -315,7 +315,6 @@ def synthesize_echo(
             delays.append(qb)
             sigmas.append(sigma)
             rotations.append(np.exp(-1j * (4.0 * np.pi / lam) * (r_p - r0)))
-    strongest = max((abs(sigma) for sigma in sigmas), default=0.0)
 
     cube = np.zeros((q_len, p_len), dtype=np.complex128)
     # Every frame is zero past its last active sample, so only rows
@@ -341,7 +340,7 @@ def synthesize_echo(
         )
 
     if noise is None and snr_db is not None:
-        noise = noise_block(params, snr_db, noise_seed, strongest)
+        noise = noise_block(params, snr_db, noise_seed, strongest_amplitude(targets, path_loss))
     if noise is not None:
         if noise.shape != (p_len, q_len):
             raise ParameterError(f"noise block must be {p_len} x {q_len}, got {noise.shape}")
