@@ -71,7 +71,6 @@ _EXPORTS = {
     "Scaling": ".fxp",
     "FxpMode": ".fxp",
     "FixedPointFormat": ".fxp",
-    "QuantizedCube": ".fxp",
     "quantize": ".fxp",
     "FxpReport": ".fxp",
     "quantized_matched_filter": ".fxp",

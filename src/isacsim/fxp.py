@@ -1,9 +1,11 @@
 """Fixed-point emulation of the matched-filter chain.
 
 Signals are quantized to a two's-complement <word,integer> grid with
-round-to-nearest-even and saturation. The quantized map is `rsp`'s own
-range-Doppler chain, run with a stage hook that quantizes at the boundaries a
-hardware implementation would expose: the input cube, the stored reference
+round-to-nearest-even and saturation. `quantize` returns the values already
+on that grid, in the input's units, with the count of clipped components; no
+mantissa array is kept. The quantized map is `rsp`'s own range-Doppler
+chain, run with a stage hook that quantizes at the boundaries a hardware
+implementation would expose: the input cube, the stored reference
 spectra, the steering (twiddle) factors, and the outputs of the FFT, the
 steering accumulation, and the final IFFT. Each quantization point uses
 max-abs normalization (the block-floating-point scale a fixed-point design
@@ -78,26 +80,6 @@ class FixedPointFormat:
         return f"<{self.word_bits},{self.integer_bits}>"
 
 
-@dataclass(frozen=True)
-class QuantizedCube:
-    """Mantissas at step*scale units, plus bookkeeping.
-
-    The mantissas are integer-valued float64 arrays (never -0.0). A float64
-    holds every mantissa of a W <= 53 format exactly, and every clipped
-    mantissa of a wider one, so no integer round trip is needed.
-    """
-
-    re_mantissa: np.ndarray
-    im_mantissa: np.ndarray
-    format: FixedPointFormat
-    saturation_count: int
-    scale: float  # pre-quantization normalization factor (1.0 for fixed scaling)
-
-    def dequantize(self) -> np.ndarray:
-        unit = self.format.step * self.scale
-        return (self.re_mantissa + 1j * self.im_mantissa) * unit
-
-
 def _mantissa_limits(fmt: FixedPointFormat) -> tuple[float, float]:
     top = 2.0 ** (fmt.word_bits - 1) - 1.0
     if top >= 2.0 ** (fmt.word_bits - 1):  # rounded up past int64 territory (W > 53)
@@ -110,41 +92,37 @@ def quantize(
     fmt: FixedPointFormat,
     scaling: Scaling = Scaling.MAX_ABS,
     scale: float = 1.0,
-) -> QuantizedCube:
+) -> tuple[np.ndarray, int]:
     """Round-to-nearest-even quantization onto the format grid.
 
-    MAX_ABS scaling maps the largest |re|/|im| component onto the format's
-    maximum value (so nothing saturates by construction); FIXED scaling uses
-    the given scale and saturates anything beyond the representable range,
-    counting clipped components.
+    Returns (values, saturated): the quantized signal as a new complex128
+    array of the input's shape and units, each component an integer mantissa
+    (never -0.0) times step * scale, and the number of clipped re/im
+    components. MAX_ABS scaling maps the largest |re|/|im| component onto the
+    format's maximum value, so only float rounding can push a component past
+    the top mantissa (W >= 53); FIXED scaling uses the given scale and
+    saturates anything beyond the representable range.
     """
     x = np.asarray(signal, dtype=np.complex128)
-    if not np.all(np.isfinite(x.real)) or not np.all(np.isfinite(x.imag)):
+    # interleaved re/im components; a copy only for strided views
+    comps = np.ascontiguousarray(x).reshape(-1).view(np.float64)
+    if not np.isfinite(comps).all():
         raise DataError("quantizer input contains non-finite values")
+    values = np.empty_like(comps)  # the one output, worked in place below
     if scaling is Scaling.MAX_ABS:
-        m = max(np.abs(x.real).max(initial=0.0), np.abs(x.imag).max(initial=0.0))
+        m = np.abs(comps, out=values).max(initial=0.0)
         scale = m / fmt.max_value if m > 0.0 else 1.0
     elif scale <= 0.0:
         raise ParameterError("fixed scaling needs a positive scale")
     bot, top = _mantissa_limits(fmt)
     unit = fmt.step * scale
-    saturated = 0
-    mants = []
-    for comp in (x.real, x.imag):
-        raw = comp / unit
-        np.rint(raw, out=raw)
-        clipped = (raw > top) | (raw < bot)
-        saturated += int(clipped.sum())
-        np.clip(raw, bot, top, out=raw)
-        raw += 0.0  # -0.0 -> +0.0, as an integer mantissa would read
-        mants.append(raw)
-    return QuantizedCube(
-        re_mantissa=mants[0],
-        im_mantissa=mants[1],
-        format=fmt,
-        saturation_count=saturated,
-        scale=scale,
-    )
+    np.divide(comps, unit, out=values)
+    np.rint(values, out=values)
+    saturated = int(np.count_nonzero(values > top)) + int(np.count_nonzero(values < bot))
+    np.clip(values, bot, top, out=values)
+    values += 0.0  # -0.0 -> +0.0, as an integer mantissa would read
+    values *= unit
+    return values.view(np.complex128).reshape(x.shape), saturated
 
 
 @dataclass(frozen=True)
@@ -188,10 +166,9 @@ def quantized_matched_filter(
     def stage(name: str, x: np.ndarray) -> np.ndarray:
         if name in skipped:
             return x
-        qc = quantize(x, fmt)
-        counts[name] = qc.saturation_count
+        values, counts[name] = quantize(x, fmt)
         sizes[name] = 2 * x.size  # re and im components
-        return qc.dequantize()
+        return values
 
     fxp_map = RangeDopplerMap(
         values=_chain(cube, schedule, grid, True, stage),
@@ -236,7 +213,6 @@ def quantized_matched_filter(
 
 @dataclass(frozen=True)
 class SweepRow:
-    format: FixedPointFormat
     report: FxpReport
     runtime_s: float
 
@@ -269,13 +245,13 @@ def precision_sweep(
         start = time.perf_counter()
         _, report = quantized_matched_filter(cube, schedule, grid, fmt, mode, double_map)
         elapsed = time.perf_counter() - start
-        rows.append(SweepRow(format=fmt, report=report, runtime_s=elapsed))
+        rows.append(SweepRow(report=report, runtime_s=elapsed))
     monotone = True
     by_int: dict[int, list[SweepRow]] = {}
     for row in rows:
-        by_int.setdefault(row.format.integer_bits, []).append(row)
+        by_int.setdefault(row.report.format.integer_bits, []).append(row)
     for group in by_int.values():
-        group = sorted(group, key=lambda r: r.format.word_bits)
+        group = sorted(group, key=lambda r: r.report.format.word_bits)
         for prev, cur in zip(group, group[1:]):
             if cur.report.sqnr_db < prev.report.sqnr_db - 3.0:
                 monotone = False

@@ -325,7 +325,11 @@ def _waveform_summary(result: WaveformResult) -> dict:
 
 
 def _peak_rss_mb() -> float:
-    """Peak resident memory of this process so far, in MB (2^20 bytes)."""
+    """Peak resident memory of this process so far, in MB (2^20 bytes).
+
+    This is the lifetime ru_maxrss, so a process that runs several
+    comparisons reads the largest earlier run's peak here, not this run's.
+    """
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     # ru_maxrss counts bytes on macOS and KiB on Linux
     return peak / (1 << 20) if sys.platform == "darwin" else peak / 1024.0
@@ -446,12 +450,7 @@ def _oracle_bench(
     p_used = min(p_len, max(1, max_p))
     sub_params = scaled_profile(params, p_used)
     sub_schedule = build_schedule(kind, sub_params, seed=cfg.seed_code)
-    sub_cube = DataCube(
-        samples=cube.samples[:, :p_used].copy(),
-        params=sub_params,
-        noise_seed=cube.noise_seed,
-        snr_db=cube.snr_db,
-    )
+    sub_cube = DataCube(samples=cube.samples[:, :p_used].copy(), params=sub_params)
     sub_grid = default_grid(sub_params)
     median = _median_seconds(
         lambda: time_domain_oracle(sub_cube, sub_schedule, sub_grid), cfg.bench_repeats
@@ -500,6 +499,6 @@ def run_benchmarks(
     }
     if sweep is not None:
         entry["fixed_point"] = [
-            {"format": str(row.format), "runtime_s": row.runtime_s} for row in sweep.rows
+            {"format": str(row.report.format), "runtime_s": row.runtime_s} for row in sweep.rows
         ]
     return entry

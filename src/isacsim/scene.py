@@ -75,8 +75,6 @@ class TargetModel:
 class DataCube:
     samples: np.ndarray  # Q x P complex
     params: WaveformParams
-    noise_seed: int
-    snr_db: float | None
 
     def __post_init__(self):
         q, p = self.params.samples_per_pri, self.params.packets_per_cpi
@@ -285,11 +283,11 @@ def synthesize_echo(
     support), where support ends at the last nonzero sample of any frame;
     every other row of the echo is exactly zero.
 
-    `noise`, a P x Q block from `noise_block`, is added as it is; snr_db and
-    noise_seed are then only recorded in the cube. Without a block and with
-    snr_db set, the echo draws its own, noise_block(params, snr_db,
-    noise_seed, strongest_amplitude(targets, path_loss)): the block a
-    comparison run draws once and shares across its waveforms.
+    `noise`, a P x Q block from `noise_block`, is added as it is, and snr_db
+    and noise_seed go unused. Without a block and with snr_db set, the echo
+    draws its own, noise_block(params, snr_db, noise_seed,
+    strongest_amplitude(targets, path_loss)): the block a comparison run
+    draws once and shares across its waveforms.
     """
     q_len = params.samples_per_pri
     p_len = params.packets_per_cpi
@@ -346,4 +344,4 @@ def synthesize_echo(
             raise ParameterError(f"noise block must be {p_len} x {q_len}, got {noise.shape}")
         cube += noise.T
 
-    return DataCube(samples=cube, params=params, noise_seed=noise_seed, snr_db=snr_db)
+    return DataCube(samples=cube, params=params)

@@ -1,10 +1,10 @@
 """Property tests over random packet counts, all four schedules and random
 scenes: the packet map, echo synthesis of point and cluster targets, the
-shared noise block against the per-packet draw, oracle equivalence, and the
-block-parallel double and fixed-point matched filters against their serial
-forms; the CSV formatter against np.savetxt; and the config text, which
-renders and parses back to the same config and rejects any other input with
-a ConfigError only."""
+shared noise block against the per-packet draw, oracle equivalence, the
+quantizer against its mantissa round trip, and the block-parallel double and
+fixed-point matched filters against their serial forms; the CSV formatter
+against np.savetxt; and the config text, which renders and parses back to the
+same config and rejects any other input with a ConfigError only."""
 
 import dataclasses
 import io
@@ -20,6 +20,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 import isacsim as iz
 from isacsim._csvformat import CHUNK_VALUES, format_rows, write_rows
 from isacsim.config import _SECTIONS
+from isacsim.fxp import Scaling
 from oracle_cases import KINDS, random_case
 
 PRI_S = 512 / 1.76e9  # Q = 512
@@ -250,6 +251,102 @@ def test_block_parallel_filter_equals_the_serial_filter(
     assert np.array_equal(values, expected)
 
 
+def reference_quantize(signal, fmt, scaling=Scaling.MAX_ABS, scale=1.0):
+    """The reference: the quantizer as integer-valued float64 mantissas per
+    component, each rounded, counted and clipped in its own arrays, then
+    (re + 1j * im) * step * scale."""
+    x = np.asarray(signal, dtype=np.complex128)
+    if not np.all(np.isfinite(x.real)) or not np.all(np.isfinite(x.imag)):
+        raise iz.DataError("quantizer input contains non-finite values")
+    if scaling is Scaling.MAX_ABS:
+        m = max(np.abs(x.real).max(initial=0.0), np.abs(x.imag).max(initial=0.0))
+        scale = m / fmt.max_value if m > 0.0 else 1.0
+    elif scale <= 0.0:
+        raise iz.ParameterError("fixed scaling needs a positive scale")
+    bot = -(2.0 ** (fmt.word_bits - 1))
+    top = 2.0 ** (fmt.word_bits - 1) - 1.0
+    if top >= 2.0 ** (fmt.word_bits - 1):  # W > 53: the largest float below 2**(W-1)
+        top = np.nextafter(2.0 ** (fmt.word_bits - 1), 0.0)
+    unit = fmt.step * scale
+    saturated = 0
+    mants = []
+    for comp in (x.real, x.imag):
+        raw = comp / unit
+        np.rint(raw, out=raw)
+        clipped = (raw > top) | (raw < bot)
+        saturated += int(clipped.sum())
+        np.clip(raw, bot, top, out=raw)
+        raw += 0.0
+        mants.append(raw)
+    return (mants[0] + 1j * mants[1]) * unit, saturated
+
+
+@st.composite
+def quantizer_inputs(draw):
+    """A format, a scaling and a signal of zeros, -0.0, half-step ties and
+    magnitudes from 1e-30 to 1e30, laid out as a 0-d, contiguous or strided
+    array (the view and the array it views)."""
+    word_bits = draw(st.integers(min_value=2, max_value=64))
+    fmt = iz.FixedPointFormat(word_bits, draw(st.integers(min_value=1, max_value=word_bits)))
+    scaling = draw(st.sampled_from(list(Scaling)))
+    scale = draw(st.floats(min_value=1e-6, max_value=1e6))
+    unit = fmt.step * scale
+    component = st.one_of(
+        st.sampled_from([0.0, -0.0]),
+        st.builds(
+            lambda sign, mag: sign * mag,
+            st.sampled_from([-1.0, 1.0]),
+            st.floats(min_value=1e-30, max_value=1e30),
+        ),
+        st.integers(min_value=-(2**10), max_value=2**10).map(lambda k: (k + 0.5) * unit),
+    )
+    layout = draw(st.sampled_from(["0-d", "contiguous", "strided", "transposed"]))
+    shape = () if layout == "0-d" else (draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+    n = math.prod(shape)
+    re = draw(st.lists(component, min_size=n, max_size=n))
+    im = draw(st.lists(component, min_size=n, max_size=n))
+    base = (np.array(re) + 1j * np.array(im)).reshape(shape)
+    if layout == "strided":
+        return fmt, scaling, scale, base, base[:, ::2]
+    if layout == "transposed":
+        return fmt, scaling, scale, base, base.T
+    return fmt, scaling, scale, base, base
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(quantizer_inputs())
+def test_quantize_equals_the_mantissa_round_trip(case):
+    fmt, scaling, scale, base, x = case
+    before = base.tobytes()
+    values, saturated = iz.quantize(x, fmt, scaling=scaling, scale=scale)
+    # the reference's out= passes reject the 0-d scalars a 0-d input divides into
+    flat = x.reshape(x.shape or (1,))
+    expected, expected_saturated = reference_quantize(flat, fmt, scaling=scaling, scale=scale)
+    expected = expected.reshape(x.shape)
+    assert base.tobytes() == before  # the input is never written
+    assert values.shape == x.shape and values.dtype == np.complex128
+    assert values.tobytes() == expected.tobytes()  # -0.0 and +0.0 differ here
+    assert saturated == expected_saturated
+
+
+@pytest.mark.parametrize("word_bits", [12, 24, 52, 53, 56, 60, 64])
+def test_max_abs_scaling_clips_only_past_float_precision(word_bits):
+    """Max-abs scaling puts the largest component on the top mantissa, so a
+    component clips only when float rounding lifts it past that mantissa:
+    never at W <= 52, sometimes from W = 53 on."""
+    rng = np.random.default_rng(word_bits)
+    fmt = iz.FixedPointFormat(word_bits, 1)
+    total = 0
+    for _ in range(50):
+        x = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+        values, saturated = iz.quantize(x, fmt)
+        expected, expected_saturated = reference_quantize(x, fmt)
+        assert values.tobytes() == expected.tobytes()
+        assert saturated == expected_saturated
+        total += saturated
+    assert (total > 0) == (word_bits >= 53)
+
+
 def serial_quantized_matched_filter(cube, schedule, grid, fmt, mode):
     """The reference: the fixed-point chain as one pass per stage on one
     thread, with its own FFTs, gather, twiddle and magnitude pass."""
@@ -258,10 +355,9 @@ def serial_quantized_matched_filter(cube, schedule, grid, fmt, mode):
     counts, sizes = {}, {}
 
     def quantized(x, name):
-        qc = iz.quantize(x, fmt)
-        counts[name] = qc.saturation_count
+        values, counts[name] = reference_quantize(x, fmt)
         sizes[name] = 2 * x.size
-        return qc.dequantize()
+        return values
 
     x = cube.samples
     if mode is iz.FxpMode.FULL_CHAIN:
