@@ -5,6 +5,13 @@ comments. Parsing is hand-rolled so every diagnostic can name the offending
 key and line, and so duplicate keys can follow the documented last-wins rule
 while still leaving a warning for the run summary. An empty file is valid and
 yields the default 60 GHz profile with the canonical point-target scene.
+
+`_KEYS` is the one description of the format: one row per key, in file
+order, giving its section, the config field it sets, how its value parses
+and range-checks, and how it renders. `_SECTIONS`, `parse_config` and
+`render_config` are loops over it, so adding a key is adding a row. The
+rules that span keys (`cpi_s`/`packets`, `chirp_duration_s = window`,
+`velocity_mps`/`radial_speed_mps`) follow the loop in `parse_config`.
 """
 
 from __future__ import annotations
@@ -12,45 +19,13 @@ from __future__ import annotations
 import math
 import unicodedata
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Any, Callable, NamedTuple
 
 from .errors import ConfigError, ParameterError
 from .fxp import FixedPointFormat, FxpMode
 from .params import PulseShape, WaveformParams
 from .scene import PathLoss
 from .waveform import ScheduleKind
-
-_SECTIONS: dict[str, set[str]] = {
-    "radar": {
-        "carrier_freq_hz",
-        "bandwidth_hz",
-        "pri_s",
-        "cpi_s",
-        "packets",
-        "code_length",
-        "amplitude",
-        "pulse_shape",
-        "pulse_rolloff",
-        "chirp_duration_s",
-    },
-    "run": {"waveforms", "output_dir", "oracle"},
-    "scene": {
-        "target",
-        "position_m",
-        "velocity_mps",
-        "radial_speed_mps",
-        "rcs_dbsm",
-        "scatterer_count",
-        "snr_db",
-        "path_loss",
-        "seed_code",
-        "seed_noise",
-        "seed_scene",
-    },
-    "doppler": {"bins"},
-    "fixedpoint": {"formats", "mode"},
-    "benchmark": {"enabled", "repeats"},
-}
 
 _ALL_WAVEFORMS = (
     ScheduleKind.FMCW,
@@ -90,6 +65,10 @@ class ScenarioConfig:
     warnings: tuple[str, ...] = field(default=(), compare=False)
 
     def __post_init__(self):
+        # A target given neither motion stands still; spelled out so that the
+        # rendered config parses back to an equal one.
+        if self.velocity_mps is None and self.radial_speed_mps is None:
+            object.__setattr__(self, "radial_speed_mps", 0.0)
         # Rules that must hold after a CLI override as well.
         try:
             _to_output_dir(self.output_dir)
@@ -169,13 +148,18 @@ def _to_formats(raw: str) -> tuple[FixedPointFormat, ...]:
     items = [p.strip() for p in raw.split(",") if p.strip()]
     out = []
     for item in items:
-        body = item.strip("<>")
-        sep = ":" if ":" in body else ","
-        fields = body.split(sep)
+        fields = item.strip("<>").split(":")
         if len(fields) != 2:
             raise ValueError(f"expected word:integer bits, got {item!r}")
         out.append(FixedPointFormat(word_bits=int(fields[0]), integer_bits=int(fields[1])))
     return tuple(out)
+
+
+def _to_target(raw: str) -> str:
+    kind = raw.lower()
+    if kind not in ("single_point", "pedestrian", "car", "none"):
+        raise ValueError(f"unknown target kind {kind!r}")
+    return kind
 
 
 def parse_waveform_list(raw: str) -> tuple[ScheduleKind, ...]:
@@ -193,38 +177,114 @@ def parse_waveform_list(raw: str) -> tuple[ScheduleKind, ...]:
     return tuple(kinds)
 
 
-class _Entries:
-    """Parsed (section, key) -> (raw value, line) with typed accessors."""
+class _OutOfRange(ValueError):
+    """A well-formed value outside its key's range; the message is the rule."""
 
-    def __init__(self):
-        self.values: dict[tuple[str, str], tuple[str, int]] = {}
-        self.warnings: list[str] = []
 
-    def put(self, section: str, key: str, raw: str, line: int):
-        if (section, key) in self.values:
-            self.warnings.append(
-                f"line {line}: duplicate key '{key}' in [{section}]; last value wins"
-            )
-        self.values[(section, key)] = (raw, line)
+def _checked(conv: Callable[[str], Any], ok: Callable[[Any], bool], rule: str):
+    def parse(raw: str):
+        value = conv(raw)
+        if not ok(value):
+            raise _OutOfRange(rule)
+        return value
 
-    def has(self, section: str, key: str) -> bool:
-        return (section, key) in self.values
+    return parse
 
-    def line(self, section: str, key: str) -> int:
-        return self.values[(section, key)][1]
 
-    def get(self, section: str, key: str, conv: Callable, default):
-        if (section, key) not in self.values:
-            return default
-        raw, line = self.values[(section, key)]
-        try:
-            return conv(raw)
-        except (ValueError, ParameterError) as exc:
-            raise ConfigError(f"invalid value for '{key}': {exc}", line) from None
+def _positive(conv: Callable[[str], Any]):
+    return _checked(conv, lambda v: v > 0, "must be positive")
 
-    def require_positive(self, section: str, key: str, value: float):
-        if self.has(section, key) and value <= 0:
-            raise ConfigError(f"'{key}' must be positive", self.line(section, key))
+
+_AT_LEAST_1 = _checked(int, lambda v: v >= 1, "must be at least 1")
+
+
+def _word(word: str, meaning: Any, conv: Callable[[str], Any]):
+    """Parse `word` as `meaning` and any other value with `conv`."""
+    return lambda raw: meaning if raw.lower() == word else conv(raw)
+
+
+def _unless_none(word: str | None, render: Callable[[Any], str]):
+    """Render None as `word`; a None word leaves the key's line out."""
+    return lambda value: word if value is None else render(value)
+
+
+def _flag(value: bool) -> str:
+    return "true" if value else "false"
+
+
+def _enum(value) -> str:
+    return value.value
+
+
+def _vector(values) -> str:
+    return ", ".join(repr(v) for v in values)
+
+
+class _Key(NamedTuple):
+    section: str
+    name: str
+    parse: Callable[[str], Any]  # raises ValueError, _OutOfRange for a range rule
+    render: Callable[[Any], str | None] | None  # None: never rendered
+    field: str | None = None  # ScenarioConfig field ([radar]: WaveformParams); None: name
+
+
+_KEYS = (
+    _Key("radar", "carrier_freq_hz", _positive(_to_float), repr),
+    _Key("radar", "bandwidth_hz", _positive(_to_float), repr),
+    _Key("radar", "pri_s", _positive(_to_float), repr),
+    _Key("radar", "cpi_s", _positive(_to_float), repr),
+    _Key("radar", "packets", _AT_LEAST_1, None),  # becomes cpi_s = packets * pri_s
+    _Key("radar", "code_length", int, str),
+    _Key("radar", "amplitude", _to_float, repr),
+    _Key("radar", "pulse_shape", PulseShape, _enum),
+    _Key("radar", "pulse_rolloff", _to_float, repr),
+    _Key(
+        "radar",
+        "chirp_duration_s",
+        _word("pri", None, _word("window", "window", _to_float)),  # window: N / BW
+        _unless_none("pri", repr),
+    ),
+    _Key("run", "waveforms", parse_waveform_list, lambda kinds: ", ".join(k.value for k in kinds)),
+    _Key("run", "output_dir", _to_output_dir, str),
+    _Key("run", "oracle", _to_bool, _flag, "run_oracle"),
+    _Key("scene", "target", _to_target, str, "target_kind"),
+    _Key("scene", "position_m", _to_vector, _vector),
+    _Key("scene", "velocity_mps", _to_vector, _unless_none(None, _vector)),
+    _Key("scene", "radial_speed_mps", _to_float, repr),  # left out when velocity_mps is set
+    _Key("scene", "rcs_dbsm", _to_db, repr),
+    _Key("scene", "scatterer_count", _positive(int), str),
+    _Key("scene", "snr_db", _word("off", None, _to_db), _unless_none("off", repr)),
+    _Key("scene", "path_loss", PathLoss, _enum),
+    _Key("scene", "seed_code", _to_seed, str),
+    _Key("scene", "seed_noise", _to_seed, str),
+    _Key("scene", "seed_scene", _to_seed, str),
+    _Key(
+        "doppler",
+        "bins",
+        _checked(
+            _word("default", None, int),
+            lambda v: v is None or (v >= 3 and v % 2 == 1),
+            "must be 'default' or an odd integer >= 3",
+        ),
+        _unless_none("default", str),
+        "doppler_bins",
+    ),
+    _Key(
+        "fixedpoint",
+        "formats",
+        _to_formats,
+        lambda formats: ", ".join(f"{f.word_bits}:{f.integer_bits}" for f in formats),
+        "fxp_formats",
+    ),
+    _Key("fixedpoint", "mode", FxpMode, _enum, "fxp_mode"),
+    _Key("benchmark", "enabled", _to_bool, _flag, "bench_enabled"),
+    _Key("benchmark", "repeats", _AT_LEAST_1, str, "bench_repeats"),
+)
+
+_SECTIONS: dict[str, set[str]] = {
+    section: {key.name for key in _KEYS if key.section == section}
+    for section in dict.fromkeys(key.section for key in _KEYS)
+}
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -234,7 +294,8 @@ def parse_config(text: str) -> ScenarioConfig:
     sections and keys are errors; duplicate keys keep the last value and add
     a warning that the run summary reproduces.
     """
-    entries = _Entries()
+    entries: dict[tuple[str, str], tuple[str, int]] = {}
+    warnings: list[str] = []
     section: str | None = None
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -258,174 +319,58 @@ def parse_config(text: str) -> ScenarioConfig:
         value = value.strip()
         if key not in _SECTIONS[section]:
             raise ConfigError(f"unknown key '{key}' in section [{section}]", lineno)
-        entries.put(section, key, value, lineno)
+        if (section, key) in entries:
+            warnings.append(f"line {lineno}: duplicate key '{key}' in [{section}]; last value wins")
+        entries[(section, key)] = (value, lineno)
 
-    defaults = ScenarioConfig()
-    base = defaults.params
+    radar: dict[str, Any] = {}
+    scene: dict[str, Any] = {}
+    lines: dict[str, int] = {}
+    for key in _KEYS:
+        if (key.section, key.name) not in entries:
+            continue
+        raw, lines[key.name] = entries[(key.section, key.name)]
+        try:
+            value = key.parse(raw)
+        except _OutOfRange as exc:
+            raise ConfigError(f"'{key.name}' {exc}", lines[key.name]) from None
+        except (ValueError, ParameterError) as exc:
+            raise ConfigError(f"invalid value for '{key.name}': {exc}", lines[key.name]) from None
+        (radar if key.section == "radar" else scene)[key.field or key.name] = value
 
-    carrier = entries.get("radar", "carrier_freq_hz", _to_float, base.carrier_freq_hz)
-    entries.require_positive("radar", "carrier_freq_hz", carrier)
-    bandwidth = entries.get("radar", "bandwidth_hz", _to_float, base.bandwidth_hz)
-    entries.require_positive("radar", "bandwidth_hz", bandwidth)
-    pri = entries.get("radar", "pri_s", _to_float, base.pri_s)
-    entries.require_positive("radar", "pri_s", pri)
-    if entries.has("radar", "cpi_s") and entries.has("radar", "packets"):
-        raise ConfigError(
-            "'cpi_s' and 'packets' are mutually exclusive", entries.line("radar", "packets")
-        )
-    if entries.has("radar", "packets"):
-        packets = entries.get("radar", "packets", int, None)
-        if packets < 1:
-            raise ConfigError("'packets' must be at least 1", entries.line("radar", "packets"))
-        cpi = packets * pri
-    else:
-        cpi = entries.get("radar", "cpi_s", _to_float, base.cpi_s)
-        entries.require_positive("radar", "cpi_s", cpi)
-    code_length = entries.get("radar", "code_length", int, base.code_length)
-    amplitude = entries.get("radar", "amplitude", _to_float, base.amplitude)
-    pulse_shape = entries.get("radar", "pulse_shape", PulseShape, base.pulse_shape)
-    pulse_rolloff = entries.get("radar", "pulse_rolloff", _to_float, base.pulse_rolloff)
-
-    def chirp_conv(raw: str):
-        word = raw.strip().lower()
-        if word == "pri":
-            return None
-        if word == "window":
-            return code_length / bandwidth
-        return _to_float(raw)
-
-    chirp = entries.get("radar", "chirp_duration_s", chirp_conv, base.chirp_duration_s)
-
+    base = WaveformParams()
+    if "packets" in radar:
+        if "cpi_s" in radar:
+            raise ConfigError("'cpi_s' and 'packets' are mutually exclusive", lines["packets"])
+        radar["cpi_s"] = radar.pop("packets") * radar.get("pri_s", base.pri_s)
+    if radar.get("chirp_duration_s") == "window":
+        code_length = radar.get("code_length", base.code_length)
+        radar["chirp_duration_s"] = code_length / radar.get("bandwidth_hz", base.bandwidth_hz)
+    if "velocity_mps" in scene:
+        if "radial_speed_mps" in scene:
+            raise ConfigError(
+                "'velocity_mps' and 'radial_speed_mps' are mutually exclusive",
+                lines["velocity_mps"],
+            )
+        scene["radial_speed_mps"] = None
     try:
-        params = WaveformParams(
-            carrier_freq_hz=carrier,
-            bandwidth_hz=bandwidth,
-            pri_s=pri,
-            cpi_s=cpi,
-            code_length=code_length,
-            amplitude=amplitude,
-            pulse_shape=pulse_shape,
-            pulse_rolloff=pulse_rolloff,
-            chirp_duration_s=chirp,
-        )
+        params = WaveformParams(**radar)
     except ParameterError as exc:
         raise ConfigError(f"invalid radar parameters: {exc}") from None
-
-    target_kind = entries.get("scene", "target", str.lower, defaults.target_kind)
-    if target_kind not in {"single_point", "pedestrian", "car", "none"}:
-        raise ConfigError(
-            f"unknown target kind {target_kind!r}", entries.line("scene", "target")
-        )
-    if entries.has("scene", "velocity_mps") and entries.has("scene", "radial_speed_mps"):
-        raise ConfigError(
-            "'velocity_mps' and 'radial_speed_mps' are mutually exclusive",
-            entries.line("scene", "velocity_mps"),
-        )
-    velocity = entries.get("scene", "velocity_mps", _to_vector, None)
-    if velocity is not None:
-        radial_speed = None
-    else:
-        radial_speed = entries.get(
-            "scene", "radial_speed_mps", _to_float, defaults.radial_speed_mps
-        )
-
-    def snr_conv(raw: str):
-        return None if raw.strip().lower() == "off" else _to_db(raw)
-
-    bins_line = entries.line("doppler", "bins") if entries.has("doppler", "bins") else None
-
-    def bins_conv(raw: str):
-        word = raw.strip().lower()
-        if word == "default":
-            return None
-        return int(raw)
-
-    doppler_bins = entries.get("doppler", "bins", bins_conv, defaults.doppler_bins)
-    if doppler_bins is not None and (doppler_bins < 3 or doppler_bins % 2 == 0):
-        raise ConfigError("'bins' must be 'default' or an odd integer >= 3", bins_line)
-
-    scatterer_count = entries.get("scene", "scatterer_count", int, defaults.scatterer_count)
-    if scatterer_count < 1:
-        raise ConfigError(
-            "'scatterer_count' must be positive", entries.line("scene", "scatterer_count")
-        )
-    repeats = entries.get("benchmark", "repeats", int, defaults.bench_repeats)
-    if repeats < 1:
-        raise ConfigError("'repeats' must be at least 1", entries.line("benchmark", "repeats"))
-
-    return ScenarioConfig(
-        params=params,
-        waveforms=entries.get("run", "waveforms", parse_waveform_list, defaults.waveforms),
-        target_kind=target_kind,
-        position_m=entries.get("scene", "position_m", _to_vector, defaults.position_m),
-        velocity_mps=velocity,
-        radial_speed_mps=radial_speed,
-        rcs_dbsm=entries.get("scene", "rcs_dbsm", _to_db, defaults.rcs_dbsm),
-        scatterer_count=scatterer_count,
-        snr_db=entries.get("scene", "snr_db", snr_conv, defaults.snr_db),
-        path_loss=entries.get("scene", "path_loss", PathLoss, defaults.path_loss),
-        seed_code=entries.get("scene", "seed_code", _to_seed, defaults.seed_code),
-        seed_noise=entries.get("scene", "seed_noise", _to_seed, defaults.seed_noise),
-        seed_scene=entries.get("scene", "seed_scene", _to_seed, defaults.seed_scene),
-        doppler_bins=doppler_bins,
-        fxp_formats=entries.get("fixedpoint", "formats", _to_formats, defaults.fxp_formats),
-        fxp_mode=entries.get("fixedpoint", "mode", FxpMode, defaults.fxp_mode),
-        output_dir=entries.get("run", "output_dir", _to_output_dir, defaults.output_dir),
-        run_oracle=entries.get("run", "oracle", _to_bool, defaults.run_oracle),
-        bench_enabled=entries.get("benchmark", "enabled", _to_bool, defaults.bench_enabled),
-        bench_repeats=repeats,
-        warnings=tuple(entries.warnings),
-    )
+    return ScenarioConfig(params=params, warnings=tuple(warnings), **scene)
 
 
 def render_config(cfg: ScenarioConfig) -> str:
     """Canonical text for a config; parse_config(render_config(c)) == c."""
-    p = cfg.params
-    lines = [
-        "[radar]",
-        f"carrier_freq_hz = {p.carrier_freq_hz!r}",
-        f"bandwidth_hz = {p.bandwidth_hz!r}",
-        f"pri_s = {p.pri_s!r}",
-        f"cpi_s = {p.cpi_s!r}",
-        f"code_length = {p.code_length}",
-        f"amplitude = {p.amplitude!r}",
-        f"pulse_shape = {p.pulse_shape.value}",
-        f"pulse_rolloff = {p.pulse_rolloff!r}",
-        "chirp_duration_s = "
-        + ("pri" if p.chirp_duration_s is None else repr(p.chirp_duration_s)),
-        "",
-        "[run]",
-        "waveforms = " + ", ".join(k.value for k in cfg.waveforms),
-        f"output_dir = {cfg.output_dir}",
-        f"oracle = {'true' if cfg.run_oracle else 'false'}",
-        "",
-        "[scene]",
-        f"target = {cfg.target_kind}",
-        "position_m = " + ", ".join(repr(v) for v in cfg.position_m),
-    ]
-    if cfg.velocity_mps is not None:
-        lines.append("velocity_mps = " + ", ".join(repr(v) for v in cfg.velocity_mps))
-    elif cfg.radial_speed_mps is not None:
-        lines.append(f"radial_speed_mps = {cfg.radial_speed_mps!r}")
-    lines += [
-        f"rcs_dbsm = {cfg.rcs_dbsm!r}",
-        f"scatterer_count = {cfg.scatterer_count}",
-        "snr_db = " + ("off" if cfg.snr_db is None else repr(cfg.snr_db)),
-        f"path_loss = {cfg.path_loss.value}",
-        f"seed_code = {cfg.seed_code}",
-        f"seed_noise = {cfg.seed_noise}",
-        f"seed_scene = {cfg.seed_scene}",
-        "",
-        "[doppler]",
-        "bins = " + ("default" if cfg.doppler_bins is None else str(cfg.doppler_bins)),
-        "",
-        "[fixedpoint]",
-        "formats = " + ", ".join(f"{f.word_bits}:{f.integer_bits}" for f in cfg.fxp_formats),
-        f"mode = {cfg.fxp_mode.value}",
-        "",
-        "[benchmark]",
-        f"enabled = {'true' if cfg.bench_enabled else 'false'}",
-        f"repeats = {cfg.bench_repeats}",
-        "",
-    ]
-    return "\n".join(lines)
+    lines: list[str] = []
+    section = None
+    for key in _KEYS:
+        if key.section != section:
+            section = key.section
+            lines += ["", f"[{section}]"]
+        if key.render is None or (key.name == "radial_speed_mps" and cfg.velocity_mps is not None):
+            continue
+        text = key.render(getattr(cfg.params if section == "radar" else cfg, key.field or key.name))
+        if text is not None:
+            lines.append(f"{key.name} = {text}")
+    return "\n".join([*lines[1:], ""])

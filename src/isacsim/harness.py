@@ -206,15 +206,7 @@ def run_waveform(
     params = cfg.params
     t0 = time.perf_counter()
     schedule = build_schedule(kind, params, seed=cfg.seed_code)
-    cube = synthesize_echo(
-        schedule,
-        targets,
-        params,
-        snr_db=cfg.snr_db,
-        noise_seed=cfg.seed_noise,
-        path_loss=cfg.path_loss,
-        noise=noise,
-    )
+    cube = synthesize_echo(schedule, targets, params, path_loss=cfg.path_loss, noise=noise)
     t1 = time.perf_counter()
     rd_map = matched_filter_rd(cube, schedule, grid)
     t2 = time.perf_counter()

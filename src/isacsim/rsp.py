@@ -68,16 +68,14 @@ def default_grid(params: WaveformParams) -> DopplerGrid:
 
 def symmetric_grid(params: WaveformParams, bins: int) -> DopplerGrid:
     """Custom grid with an odd number of bins spanning [-f_max, +f_max]
-    inclusive, zero at the center."""
+    inclusive, zero at the center. Never FFT-aligned: its spacing
+    1/((bins-1)*T_pri) differs from the FFT's 1/(P*T_pri) even at bins = P."""
     if bins < 3 or bins % 2 == 0:
         raise ParameterError("a custom Doppler grid needs an odd bin count >= 3")
     f_max = params.doppler_max_hz
     spacing = 2.0 * f_max / (bins - 1)
     freqs = (np.arange(bins) - bins // 2) * spacing
-    aligned = bins == params.packets_per_cpi and math.isclose(
-        spacing, 1.0 / (params.packets_per_cpi * params.pri_s)
-    )
-    return DopplerGrid(frequencies_hz=freqs, spacing_hz=spacing, fft_aligned=aligned)
+    return DopplerGrid(frequencies_hz=freqs, spacing_hz=spacing, fft_aligned=False)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,63 @@
 """Config parsing: defaults, diagnostics, round-trips."""
 
 import dataclasses
+from pathlib import Path
 
 import pytest
 
 import isacsim as iz
+from isacsim.config import _SECTIONS
+
+SAMPLE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "point_target.ini"
+
+# render_config(parse_config(<SAMPLE_CONFIG>)), byte for byte
+SAMPLE_ECHO = "\n".join(
+    [
+        "[radar]",
+        "carrier_freq_hz = 60000000000.0",
+        "bandwidth_hz = 1760000000.0",
+        "pri_s = 2e-06",
+        "cpi_s = 0.000128",
+        "code_length = 512",
+        "amplitude = 1.0",
+        "pulse_shape = identity",
+        "pulse_rolloff = 0.25",
+        "chirp_duration_s = pri",
+        "",
+        "[run]",
+        "waveforms = fmcw, pmcw, golay_standard, golay_doppler_resilient",
+        "output_dir = out",
+        "oracle = false",
+        "",
+        "[scene]",
+        "target = single_point",
+        "position_m = 12.0, 9.0, 0.0",
+        "radial_speed_mps = 2.0",
+        "rcs_dbsm = 0.0",
+        "scatterer_count = 64",
+        "snr_db = off",
+        "path_loss = inverse_square",
+        "seed_code = 7",
+        "seed_noise = 11",
+        "seed_scene = 3",
+        "",
+        "[doppler]",
+        "bins = default",
+        "",
+        "[fixedpoint]",
+        "formats = ",
+        "mode = full_chain",
+        "",
+        "[benchmark]",
+        "enabled = false",
+        "repeats = 5",
+        "",
+    ]
+)
+
+CONFIG_KEYS = sorted((section, key) for section, keys in _SECTIONS.items() for key in keys)
+# one malformed value per key; every key not named here rejects "abc"
+MALFORMED = {"output_dir": "a\x01b", "position_m": "1, 2", "velocity_mps": "1, 2"}
 
 
 class TestDefaults:
@@ -146,6 +199,11 @@ class TestDiagnostics:
     def test_non_finite_numbers_rejected(self, text):
         self.expect_error(text, "expected a finite number", line=2)
 
+    @pytest.mark.parametrize("section,key", CONFIG_KEYS, ids=[key for _, key in CONFIG_KEYS])
+    def test_malformed_value_names_its_line(self, section, key):
+        text = f"[{section}]\n{key} = {MALFORMED.get(key, 'abc')}\n"
+        self.expect_error(text, "", line=2)
+
     def test_nonpositive_counts(self):
         self.expect_error("[scene]\nscatterer_count = 0\n", "must be positive", line=2)
         self.expect_error("[benchmark]\nrepeats = 0\n", "at least 1", line=2)
@@ -209,6 +267,9 @@ repeats = 3
         cfg = iz.parse_config(text)
         again = iz.parse_config(iz.render_config(cfg))
         assert again == cfg
+
+    def test_sample_config_renders_canonically(self):
+        assert iz.render_config(iz.parse_config(SAMPLE_CONFIG.read_text())) == SAMPLE_ECHO
 
     def test_warnings_do_not_break_round_trip_equality(self):
         cfg = iz.parse_config("[radar]\ncode_length = 64\ncode_length = 64\n")

@@ -559,14 +559,14 @@ def radar_params(draw, power_of_two_code):
 def scenario_configs(draw):
     waveforms = tuple(draw(st.lists(st.sampled_from(KINDS), min_size=1, max_size=5)))
     target = draw(st.sampled_from(["single_point", "pedestrian", "car", "none"]))
-    moving = draw(st.booleans())
+    motion = draw(st.sampled_from(["vector", "radial", "static"]))
     return iz.ScenarioConfig(
         params=draw(radar_params(power_of_two_code=bool(GOLAY.intersection(waveforms)))),
         waveforms=waveforms,
         target_kind=target,
         position_m=tuple(draw(st.lists(finite, min_size=3, max_size=3))),
-        velocity_mps=tuple(draw(st.lists(finite, min_size=3, max_size=3))) if moving else None,
-        radial_speed_mps=None if moving else draw(finite),
+        velocity_mps=tuple(draw(st.lists(finite, min_size=3, max_size=3))) if motion == "vector" else None,
+        radial_speed_mps=draw(finite) if motion == "radial" else None,
         rcs_dbsm=draw(db_values),
         scatterer_count=draw(st.integers(min_value=4 if target == "car" else 1, max_value=10**6)),
         snr_db=draw(st.none() | db_values),

@@ -37,6 +37,13 @@ def test_documented_value_parses(section, key, value):
     iz.parse_config(f"[{section}]\n{key} = {value}\n")
 
 
+def test_every_key_is_documented():
+    section = re.search(r"^## Configuration file\n(.*?)^## ", README, re.S | re.M).group(1)
+    keys = sorted(key for names in _SECTIONS.values() for key in names)
+    missing = [key for key in keys if not re.search(rf"`{key}( = [^`]*)?`", section)]
+    assert not missing, f"keys not named in the README's configuration section: {missing}"
+
+
 def test_listed_values_parse():
     # "`key` (`a`, `b` or `c`)": every listed word that is not itself a key
     keys = {key: section for section, names in _SECTIONS.items() for key in names}

@@ -26,6 +26,9 @@ class TestGrids:
         assert grid.frequencies_hz[-1] == pytest.approx(f_max)
         assert grid.frequencies_hz[4] == 0.0
         assert not grid.fft_aligned
+        # one bin per packet is still not the FFT grid: the span ends at +f_max
+        odd = iz.scaled_profile(small_params, 63)
+        assert not iz.symmetric_grid(odd, 63).fft_aligned
 
     def test_symmetric_grid_rejects_even_or_tiny_bin_counts(self, small_params):
         for bins in (2, 4, 1):
