@@ -68,7 +68,6 @@ _EXPORTS = {
     "peak_cut_pslr_db": ".rsp",
     "map_relative_deviation": ".rsp",
     # fxp
-    "Scaling": ".fxp",
     "FxpMode": ".fxp",
     "FixedPointFormat": ".fxp",
     "quantize": ".fxp",

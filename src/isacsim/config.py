@@ -65,9 +65,12 @@ class ScenarioConfig:
     warnings: tuple[str, ...] = field(default=(), compare=False)
 
     def __post_init__(self):
-        # A target given neither motion stands still; spelled out so that the
-        # rendered config parses back to an equal one.
-        if self.velocity_mps is None and self.radial_speed_mps is None:
+        # A vector target has no separate radial speed, and a target given
+        # neither motion stands still; spelled out so that the rendered
+        # config parses back to an equal one.
+        if self.velocity_mps is not None:
+            object.__setattr__(self, "radial_speed_mps", None)
+        elif self.radial_speed_mps is None:
             object.__setattr__(self, "radial_speed_mps", 0.0)
         # Rules that must hold after a CLI override as well.
         try:
@@ -250,7 +253,7 @@ _KEYS = (
     _Key("scene", "target", _to_target, str, "target_kind"),
     _Key("scene", "position_m", _to_vector, _vector),
     _Key("scene", "velocity_mps", _to_vector, _unless_none(None, _vector)),
-    _Key("scene", "radial_speed_mps", _to_float, repr),  # left out when velocity_mps is set
+    _Key("scene", "radial_speed_mps", _to_float, _unless_none(None, repr)),  # None under a vector
     _Key("scene", "rcs_dbsm", _to_db, repr),
     _Key("scene", "scatterer_count", _positive(int), str),
     _Key("scene", "snr_db", _word("off", None, _to_db), _unless_none("off", repr)),
@@ -346,13 +349,11 @@ def parse_config(text: str) -> ScenarioConfig:
     if radar.get("chirp_duration_s") == "window":
         code_length = radar.get("code_length", base.code_length)
         radar["chirp_duration_s"] = code_length / radar.get("bandwidth_hz", base.bandwidth_hz)
-    if "velocity_mps" in scene:
-        if "radial_speed_mps" in scene:
-            raise ConfigError(
-                "'velocity_mps' and 'radial_speed_mps' are mutually exclusive",
-                lines["velocity_mps"],
-            )
-        scene["radial_speed_mps"] = None
+    if "velocity_mps" in scene and "radial_speed_mps" in scene:
+        raise ConfigError(
+            "'velocity_mps' and 'radial_speed_mps' are mutually exclusive",
+            lines["velocity_mps"],
+        )
     try:
         params = WaveformParams(**radar)
     except ParameterError as exc:
@@ -368,7 +369,7 @@ def render_config(cfg: ScenarioConfig) -> str:
         if key.section != section:
             section = key.section
             lines += ["", f"[{section}]"]
-        if key.render is None or (key.name == "radial_speed_mps" and cfg.velocity_mps is not None):
+        if key.render is None:
             continue
         text = key.render(getattr(cfg.params if section == "radar" else cfg, key.field or key.name))
         if text is not None:

@@ -34,11 +34,6 @@ from .scene import DataCube
 from .waveform import FrameSchedule
 
 
-class Scaling(Enum):
-    MAX_ABS = "max_abs"  # normalize the cube's largest component to the format's top
-    FIXED = "fixed"      # interpret values directly at a caller-supplied scale
-
-
 class FxpMode(Enum):
     FULL_CHAIN = "full_chain"  # quantize every stage listed above
     CORE_ONLY = "core_only"    # quantize only the matched-filter core (reference,
@@ -87,21 +82,15 @@ def _mantissa_limits(fmt: FixedPointFormat) -> tuple[float, float]:
     return -(2.0 ** (fmt.word_bits - 1)), top
 
 
-def quantize(
-    signal: np.ndarray,
-    fmt: FixedPointFormat,
-    scaling: Scaling = Scaling.MAX_ABS,
-    scale: float = 1.0,
-) -> tuple[np.ndarray, int]:
-    """Round-to-nearest-even quantization onto the format grid.
+def quantize(signal: np.ndarray, fmt: FixedPointFormat) -> tuple[np.ndarray, int]:
+    """Round-to-nearest-even quantization onto the format grid, max-abs scaled.
 
-    Returns (values, saturated): the quantized signal as a new complex128
-    array of the input's shape and units, each component an integer mantissa
-    (never -0.0) times step * scale, and the number of clipped re/im
-    components. MAX_ABS scaling maps the largest |re|/|im| component onto the
-    format's maximum value, so only float rounding can push a component past
-    the top mantissa (W >= 53); FIXED scaling uses the given scale and
-    saturates anything beyond the representable range.
+    The scale maps the largest |re|/|im| component onto the format's maximum
+    value. Returns (values, saturated): the quantized signal as a new
+    complex128 array of the input's shape and units, each component an
+    integer mantissa (never -0.0) times step * scale, and the number of
+    clipped re/im components; only float rounding can push a component past
+    the top mantissa (W >= 53).
     """
     x = np.asarray(signal, dtype=np.complex128)
     # interleaved re/im components; a copy only for strided views
@@ -109,11 +98,8 @@ def quantize(
     if not np.isfinite(comps).all():
         raise DataError("quantizer input contains non-finite values")
     values = np.empty_like(comps)  # the one output, worked in place below
-    if scaling is Scaling.MAX_ABS:
-        m = np.abs(comps, out=values).max(initial=0.0)
-        scale = m / fmt.max_value if m > 0.0 else 1.0
-    elif scale <= 0.0:
-        raise ParameterError("fixed scaling needs a positive scale")
+    m = np.abs(comps, out=values).max(initial=0.0)
+    scale = m / fmt.max_value if m > 0.0 else 1.0
     bot, top = _mantissa_limits(fmt)
     unit = fmt.step * scale
     np.divide(comps, unit, out=values)

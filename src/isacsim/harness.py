@@ -86,7 +86,7 @@ def build_targets(cfg: ScenarioConfig) -> list[TargetModel]:
         vel = np.asarray(cfg.velocity_mps, dtype=np.float64)
         speed = float(vel @ unit)
     else:
-        speed = float(cfg.radial_speed_mps or 0.0)
+        speed = float(cfg.radial_speed_mps)
         vel = speed * unit
     if cfg.target_kind == "single_point":
         return [point_target(pos, vel, rcs_dbsm=cfg.rcs_dbsm)]
@@ -424,15 +424,16 @@ def _median_seconds(fn, repeats: int) -> float:
 
 
 def _oracle_bench(
-    cfg: ScenarioConfig, kind: ScheduleKind, cube: DataCube, grid: DopplerGrid
+    cube: DataCube, schedule: FrameSchedule, grid: DopplerGrid, repeats: int
 ) -> dict:
     """Time the oracle on the largest guard-compliant prefix of the cube.
 
     The full instance usually violates the Q*P*J work guard, so the oracle is
-    timed on the first P' packets with a matching P'-bin grid. Its work is
-    Q*Q*P multiply-adds of correlation plus Q*P*J of steering; the scaled
-    estimate multiplies the measured time by the ratio of that work at full
-    size to the work of the timed instance.
+    timed on the first P' packets, under the schedule's first P' entries,
+    with a matching P'-bin grid. Its work is Q*Q*P multiply-adds of
+    correlation plus Q*P*J of steering; the scaled estimate multiplies the
+    measured time by the ratio of that work at full size to the work of the
+    timed instance.
     """
     params = cube.params
     q_len = params.samples_per_pri
@@ -441,11 +442,11 @@ def _oracle_bench(
     max_p = int(math.floor(math.sqrt(ORACLE_GUARD / q_len)))
     p_used = min(p_len, max(1, max_p))
     sub_params = scaled_profile(params, p_used)
-    sub_schedule = build_schedule(kind, sub_params, seed=cfg.seed_code)
+    sub_schedule = FrameSchedule(schedule.kind, schedule.frames, schedule.packet_map[:p_used])
     sub_cube = DataCube(samples=cube.samples[:, :p_used].copy(), params=sub_params)
     sub_grid = default_grid(sub_params)
     median = _median_seconds(
-        lambda: time_domain_oracle(sub_cube, sub_schedule, sub_grid), cfg.bench_repeats
+        lambda: time_domain_oracle(sub_cube, sub_schedule, sub_grid), repeats
     )
     ratio = (q_len * q_len * p_len + q_len * p_len * len(grid)) / (
         q_len * q_len * p_used + q_len * p_used * len(sub_grid)
@@ -480,7 +481,7 @@ def run_benchmarks(
     fft_median = _median_seconds(
         lambda: matched_filter_rd(cube, schedule, grid), cfg.bench_repeats
     )
-    oracle = _oracle_bench(cfg, schedule.kind, cube, grid)
+    oracle = _oracle_bench(cube, schedule, grid, cfg.bench_repeats)
     entry = {
         "waveform": schedule.kind.value,
         "fft_median_s": fft_median,

@@ -193,20 +193,17 @@ def matched_filter_rd(
 
 
 def time_domain_oracle(
-    cube: DataCube,
-    schedule: FrameSchedule,
-    grid: DopplerGrid,
-    guard: int = ORACLE_GUARD,
+    cube: DataCube, schedule: FrameSchedule, grid: DopplerGrid
 ) -> RangeDopplerMap:
     """Brute-force reference: circular time-domain correlation per packet,
     then a directly accumulated Doppler-steered sum. Refuses instances with
-    Q*P*J beyond the guard."""
+    Q*P*J beyond ORACLE_GUARD."""
     params = cube.params
     q_len, p_len = params.samples_per_pri, params.packets_per_cpi
     j_len = len(grid)
-    if q_len * p_len * j_len > guard:
+    if q_len * p_len * j_len > ORACLE_GUARD:
         raise OracleGuardError(
-            f"oracle instance Q*P*J = {q_len * p_len * j_len} exceeds the guard {guard}"
+            f"oracle instance Q*P*J = {q_len * p_len * j_len} exceeds the guard {ORACLE_GUARD}"
         )
     _check_schedule(cube, schedule)
     corr = np.empty((q_len, p_len), dtype=np.complex128)

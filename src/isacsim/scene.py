@@ -16,8 +16,8 @@ packets that carry frame u and zero on the others.
 
 Receiver noise belongs to the scene, not to the waveform: its seed, its
 per-packet streams and its scale (set by the strongest scatterer) are the
-same for every schedule. `noise_block` draws it once as a packet-major
-P x Q block, and `synthesize_echo` adds a block it is handed to each echo,
+same for every schedule. `noise_block` draws it once as a Q x P block, the
+cube's shape, and `synthesize_echo` adds a block it is handed to each echo,
 so a comparison run draws the noise once for all its waveforms.
 """
 
@@ -200,14 +200,14 @@ def strongest_amplitude(targets, path_loss: PathLoss = PathLoss.INVERSE_SQUARE) 
 def noise_block(
     params: WaveformParams, snr_db: float, seed: int, strongest: float
 ) -> np.ndarray:
-    """Scaled receiver noise as a packet-major P x Q complex block.
+    """Scaled receiver noise as a Q x P complex block, the cube's shape.
 
     Circular complex white Gaussian noise, calibrated so the per-sample SNR
     of an echo of amplitude `strongest` equals snr_db (reference power
-    amplitude^2 when `strongest` is 0). Row p is drawn from its own stream,
-    SeedSequence(seed).spawn(P)[p], so the block does not depend on how its
-    rows are split across the ISACSIM_THREADS workers. Add it to a Q x P
-    cube with `cube += block.T`.
+    amplitude^2 when `strongest` is 0). Packet p's column is drawn from its
+    own stream, SeedSequence(seed).spawn(P)[p], so the block does not depend
+    on how its packets are split across the ISACSIM_THREADS workers. Each
+    draw fills one row of a packet-major buffer, returned transposed.
     """
     q_len = params.samples_per_pri
     p_len = params.packets_per_cpi
@@ -223,7 +223,7 @@ def noise_block(
             block[p] = scale * (rng.standard_normal(q_len) + 1j * rng.standard_normal(q_len))
 
     for_blocks(draw, p_len)
-    return block
+    return block.T
 
 
 def delay_bin(range_m: float, params: WaveformParams) -> int:
@@ -264,8 +264,6 @@ def synthesize_echo(
     schedule: FrameSchedule,
     targets,
     params: WaveformParams,
-    snr_db: float | None = None,
-    noise_seed: int = 0,
     path_loss: PathLoss = PathLoss.INVERSE_SQUARE,
     noise: np.ndarray | None = None,
 ) -> DataCube:
@@ -283,11 +281,8 @@ def synthesize_echo(
     support), where support ends at the last nonzero sample of any frame;
     every other row of the echo is exactly zero.
 
-    `noise`, a P x Q block from `noise_block`, is added as it is, and snr_db
-    and noise_seed go unused. Without a block and with snr_db set, the echo
-    draws its own, noise_block(params, snr_db, noise_seed,
-    strongest_amplitude(targets, path_loss)): the block a comparison run
-    draws once and shares across its waveforms.
+    `noise`, a Q x P block from `noise_block`, is added as it is; without
+    one the echo is noise-free.
     """
     q_len = params.samples_per_pri
     p_len = params.packets_per_cpi
@@ -337,11 +332,9 @@ def synthesize_echo(
             out=cube[lo:hi],
         )
 
-    if noise is None and snr_db is not None:
-        noise = noise_block(params, snr_db, noise_seed, strongest_amplitude(targets, path_loss))
     if noise is not None:
-        if noise.shape != (p_len, q_len):
-            raise ParameterError(f"noise block must be {p_len} x {q_len}, got {noise.shape}")
-        cube += noise.T
+        if noise.shape != (q_len, p_len):
+            raise ParameterError(f"noise block must be {q_len} x {p_len}, got {noise.shape}")
+        cube += noise
 
     return DataCube(samples=cube, params=params)

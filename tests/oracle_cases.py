@@ -46,11 +46,9 @@ def random_case(rng: np.random.Generator):
         targets.append(iz.point_target(pos, vel, rcs_dbsm=rng.uniform(-5.0, 5.0)))
 
     snr = float(rng.uniform(-5.0, 25.0)) if rng.random() < 0.5 else None
-    cube = iz.synthesize_echo(
-        schedule,
-        targets,
-        params,
-        snr_db=snr,
-        noise_seed=int(rng.integers(0, 10_000)),
-    )
+    noise_seed = int(rng.integers(0, 10_000))
+    noise = None
+    if snr is not None:
+        noise = iz.noise_block(params, snr, noise_seed, iz.strongest_amplitude(targets))
+    cube = iz.synthesize_echo(schedule, targets, params, noise=noise)
     return cube, schedule, grid

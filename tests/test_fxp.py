@@ -6,14 +6,17 @@ import numpy as np
 import pytest
 
 import isacsim as iz
-from isacsim.fxp import Scaling
 
 
 def small_pipeline(params, kind=iz.ScheduleKind.PMCW, snr_db=None):
     pos = np.array([6.0, 8.0, 0.0])
     vel = 2.0 * pos / np.linalg.norm(pos)
+    targets = [iz.point_target(pos, vel)]
     sched = iz.build_schedule(kind, params, seed=7)
-    cube = iz.synthesize_echo(sched, [iz.point_target(pos, vel)], params, snr_db=snr_db)
+    noise = None
+    if snr_db is not None:
+        noise = iz.noise_block(params, snr_db, 0, iz.strongest_amplitude(targets))
+    cube = iz.synthesize_echo(sched, targets, params, noise=noise)
     return cube, sched, iz.default_grid(params)
 
 
@@ -50,15 +53,8 @@ class TestQuantize:
     def test_max_value_round_trips_at_unit_scale(self):
         fmt = iz.FixedPointFormat(24, 1)
         x = np.array([fmt.max_value + 0.0j])
-        values, saturated = iz.quantize(x, fmt, scaling=Scaling.FIXED, scale=1.0)
+        values, saturated = iz.quantize(x, fmt)
         assert saturated == 0
-        assert values[0] == fmt.max_value
-
-    def test_overflow_saturates_and_is_counted(self):
-        fmt = iz.FixedPointFormat(24, 1)
-        x = np.array([1.0 + 2.0**-24 + 0.0j])
-        values, saturated = iz.quantize(x, fmt, scaling=Scaling.FIXED, scale=1.0)
-        assert saturated == 1
         assert values[0] == fmt.max_value
 
     def test_max_abs_scaling_never_saturates(self):
@@ -88,24 +84,30 @@ class TestQuantize:
         rng = np.random.default_rng(7)
         x = rng.standard_normal(64) + 1j * rng.standard_normal(64)
         fmt = iz.FixedPointFormat(16, 1)
-        first, _ = iz.quantize(x, fmt, scaling=Scaling.FIXED, scale=0.25)
-        second, _ = iz.quantize(first, fmt, scaling=Scaling.FIXED, scale=0.25)
+        # pin the max-abs scale to 0.25: one component at 0.25 * max_value,
+        # every other one within it
+        x *= 0.2 / max(np.abs(x.real).max(), np.abs(x.imag).max())
+        x[0] = 0.25 * fmt.max_value
+        first, _ = iz.quantize(x, fmt)
+        second, _ = iz.quantize(first, fmt)
         unit = fmt.step * 0.25
         assert np.array_equal((first / unit).real, (second / unit).real)
         assert np.array_equal((first / unit).imag, (second / unit).imag)
 
     def test_round_half_to_even(self):
         fmt = iz.FixedPointFormat(8, 1)  # step 2**-7
-        # 1.5 and 2.5 steps round to the even mantissas 2 and 2
-        x = np.array([1.5 * fmt.step + 0j, 2.5 * fmt.step + 0j])
-        values, _ = iz.quantize(x, fmt, scaling=Scaling.FIXED, scale=1.0)
-        assert (values / (fmt.step * 1.0)).real.tolist() == [2, 2]
+        # 1.5 and 2.5 steps round to the even mantissas 2 and 2; the third
+        # component, the format maximum, pins the max-abs scale to 1.0
+        x = np.array([1.5 * fmt.step + 0j, 2.5 * fmt.step + 0j, fmt.max_value + 0j])
+        values, _ = iz.quantize(x, fmt)
+        assert (values / (fmt.step * 1.0)).real.tolist() == [2, 2, 127]
 
     def test_small_negatives_quantize_to_positive_zero(self):
         # as an integer mantissa would: no -0.0 leaves the quantizer
         fmt = iz.FixedPointFormat(8, 1)
-        x = np.array([-0.25 * fmt.step - 0.25j * fmt.step, -0.0 - 0.0j])
-        values, _ = iz.quantize(x, fmt, scaling=Scaling.FIXED, scale=1.0)
+        # the format maximum pins the max-abs scale to 1.0
+        x = np.array([-0.25 * fmt.step - 0.25j * fmt.step, -0.0 - 0.0j, fmt.max_value + 0j])
+        values, _ = iz.quantize(x, fmt)
         mantissas = values / (fmt.step * 1.0)
         for mant in (mantissas.real, mantissas.imag):
             assert not np.signbit(mant).any()
@@ -120,8 +122,9 @@ class TestQuantize:
 
     def test_wide_word_mantissa_limits_stay_in_int64(self):
         fmt = iz.FixedPointFormat(64, 2)
+        # max_value rounds to 2.0 = |min_value| in float64: the max-abs scale is 1.0
         x = np.array([fmt.max_value + 0j, fmt.min_value + 0j])
-        values, _ = iz.quantize(x, fmt, scaling=Scaling.FIXED, scale=1.0)
+        values, _ = iz.quantize(x, fmt)
         mantissas = (values / (fmt.step * 1.0)).real
         # integer-valued float64 mantissas, each exactly representable in an int64
         assert mantissas.dtype == np.float64

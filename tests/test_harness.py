@@ -27,13 +27,13 @@ def rebuild_map(cfg, kind):
     """The map a run of `cfg` wrote for `kind`, rebuilt through the library:
     run results keep no maps."""
     schedule = iz.build_schedule(kind, cfg.params, seed=cfg.seed_code)
+    targets = iz.build_targets(cfg)
+    noise = None
+    if cfg.snr_db is not None:
+        strongest = iz.strongest_amplitude(targets, cfg.path_loss)
+        noise = iz.noise_block(cfg.params, cfg.snr_db, cfg.seed_noise, strongest)
     cube = iz.synthesize_echo(
-        schedule,
-        iz.build_targets(cfg),
-        cfg.params,
-        snr_db=cfg.snr_db,
-        noise_seed=cfg.seed_noise,
-        path_loss=cfg.path_loss,
+        schedule, targets, cfg.params, path_loss=cfg.path_loss, noise=noise
     )
     return iz.matched_filter_rd(cube, schedule, grid_for(cfg))
 
@@ -144,8 +144,8 @@ class TestRunComparison:
     def test_shared_noise_gives_every_waveform_its_own_draws_cube(
         self, tmp_path, monkeypatch, path_loss
     ):
-        # the run draws the noise once; each cube must equal the one the
-        # waveform's own synthesize_echo call draws
+        # the run draws the noise once; each cube must equal the echo of a
+        # block drawn for that waveform alone
         cubes = {}
         match = harness.matched_filter_rd
 
@@ -157,14 +157,16 @@ class TestRunComparison:
         cfg = small_cfg(snr_db=3.0, seed_noise=23, path_loss=path_loss, target_kind="pedestrian")
         iz.run_comparison(cfg, tmp_path)
         assert list(cubes) == list(cfg.waveforms)
+        targets = iz.build_targets(cfg)
         for kind, samples in cubes.items():
             own = iz.synthesize_echo(
                 iz.build_schedule(kind, cfg.params, seed=cfg.seed_code),
-                iz.build_targets(cfg),
+                targets,
                 cfg.params,
-                snr_db=3.0,
-                noise_seed=23,
                 path_loss=path_loss,
+                noise=iz.noise_block(
+                    cfg.params, 3.0, 23, iz.strongest_amplitude(targets, path_loss)
+                ),
             )
             assert np.array_equal(samples, own.samples)
 

@@ -20,7 +20,6 @@ from hypothesis.extra.numpy import array_shapes, arrays
 import isacsim as iz
 from isacsim._csvformat import CHUNK_VALUES, format_rows, write_rows
 from isacsim.config import _SECTIONS
-from isacsim.fxp import Scaling
 from oracle_cases import KINDS, random_case
 
 PRI_S = 512 / 1.76e9  # Q = 512
@@ -174,17 +173,15 @@ def test_shared_noise_block_equals_the_per_packet_draw(threads, scene, path_loss
             strongest = iz.strongest_amplitude(targets, path_loss)
             block = iz.noise_block(params, 7.5, 19, strongest)
             own = iz.synthesize_echo(
-                sched, targets, params, snr_db=7.5, noise_seed=19, path_loss=path_loss
+                sched, targets, params, path_loss=path_loss,
+                noise=iz.noise_block(params, 7.5, 19, strongest),
             )
-            shared = iz.synthesize_echo(
-                sched, targets, params, snr_db=7.5, noise_seed=19, path_loss=path_loss,
-                noise=block,
-            )
-        assert block.shape == (p_count, params.samples_per_pri)
+            shared = iz.synthesize_echo(sched, targets, params, path_loss=path_loss, noise=block)
+        assert block.shape == (params.samples_per_pri, p_count)
         assert np.array_equal(own.samples, expected)
         assert np.array_equal(shared.samples, expected)
         if not targets:
-            assert np.array_equal(block.T, expected)
+            assert np.array_equal(block, expected)
     assert threading.active_count() == before
 
 
@@ -222,6 +219,13 @@ def serial_matched_filter(cube, schedule, grid):
 PRIMES_TO_40 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
 
 
+def noise_or_none(params, snr_db, targets):
+    """The scene's noise block under seed 11, None with the noise off."""
+    if snr_db is None:
+        return None
+    return iz.noise_block(params, snr_db, 11, iz.strongest_amplitude(targets))
+
+
 @deterministic
 @given(
     kind=kinds,
@@ -240,7 +244,7 @@ def test_block_parallel_filter_equals_the_serial_filter(
     grid = iz.default_grid(params) if bins is None else iz.symmetric_grid(params, bins)
     pos = np.array([distance, 2.0, 0.0])
     target = iz.point_target(pos, speed * pos / np.linalg.norm(pos))
-    cube = iz.synthesize_echo(sched, [target], params, snr_db=snr_db, noise_seed=11)
+    cube = iz.synthesize_echo(sched, [target], params, noise=noise_or_none(params, snr_db, [target]))
     expected = serial_matched_filter(cube, sched, grid)
     before = threading.active_count()
     with pytest.MonkeyPatch.context() as mp:
@@ -251,18 +255,15 @@ def test_block_parallel_filter_equals_the_serial_filter(
     assert np.array_equal(values, expected)
 
 
-def reference_quantize(signal, fmt, scaling=Scaling.MAX_ABS, scale=1.0):
+def reference_quantize(signal, fmt):
     """The reference: the quantizer as integer-valued float64 mantissas per
     component, each rounded, counted and clipped in its own arrays, then
-    (re + 1j * im) * step * scale."""
+    (re + 1j * im) * step * scale under the max-abs scale."""
     x = np.asarray(signal, dtype=np.complex128)
     if not np.all(np.isfinite(x.real)) or not np.all(np.isfinite(x.imag)):
         raise iz.DataError("quantizer input contains non-finite values")
-    if scaling is Scaling.MAX_ABS:
-        m = max(np.abs(x.real).max(initial=0.0), np.abs(x.imag).max(initial=0.0))
-        scale = m / fmt.max_value if m > 0.0 else 1.0
-    elif scale <= 0.0:
-        raise iz.ParameterError("fixed scaling needs a positive scale")
+    m = max(np.abs(x.real).max(initial=0.0), np.abs(x.imag).max(initial=0.0))
+    scale = m / fmt.max_value if m > 0.0 else 1.0
     bot = -(2.0 ** (fmt.word_bits - 1))
     top = 2.0 ** (fmt.word_bits - 1) - 1.0
     if top >= 2.0 ** (fmt.word_bits - 1):  # W > 53: the largest float below 2**(W-1)
@@ -283,13 +284,20 @@ def reference_quantize(signal, fmt, scaling=Scaling.MAX_ABS, scale=1.0):
 
 @st.composite
 def quantizer_inputs(draw):
-    """A format, a scaling and a signal of zeros, -0.0, half-step ties and
-    magnitudes from 1e-30 to 1e30, laid out as a 0-d, contiguous or strided
-    array (the view and the array it views)."""
+    """A format and a signal of zeros, -0.0, half-step ties and magnitudes
+    from 1e-30 to 1e30, laid out as a 0-d, contiguous or strided array (the
+    view and the array it views).
+
+    A pinned signal holds a component of magnitude s * max_value, s a power
+    of two, and none larger, so the max-abs scale is exactly s and the
+    half-step values are exact ties on the format grid."""
     word_bits = draw(st.integers(min_value=2, max_value=64))
     fmt = iz.FixedPointFormat(word_bits, draw(st.integers(min_value=1, max_value=word_bits)))
-    scaling = draw(st.sampled_from(list(Scaling)))
-    scale = draw(st.floats(min_value=1e-6, max_value=1e6))
+    pinned = draw(st.booleans())
+    if pinned:
+        scale = 2.0 ** draw(st.integers(min_value=-20, max_value=20))
+    else:
+        scale = draw(st.floats(min_value=1e-6, max_value=1e6))
     unit = fmt.step * scale
     component = st.one_of(
         st.sampled_from([0.0, -0.0]),
@@ -305,23 +313,28 @@ def quantizer_inputs(draw):
     n = math.prod(shape)
     re = draw(st.lists(component, min_size=n, max_size=n))
     im = draw(st.lists(component, min_size=n, max_size=n))
+    if pinned:
+        top = scale * fmt.max_value
+        re, im = ([min(max(c, -top), top) for c in comps] for comps in (re, im))
+        # element 0 lies in every view below
+        draw(st.sampled_from([re, im]))[0] = draw(st.sampled_from([top, -top]))
     base = (np.array(re) + 1j * np.array(im)).reshape(shape)
     if layout == "strided":
-        return fmt, scaling, scale, base, base[:, ::2]
+        return fmt, base, base[:, ::2]
     if layout == "transposed":
-        return fmt, scaling, scale, base, base.T
-    return fmt, scaling, scale, base, base
+        return fmt, base, base.T
+    return fmt, base, base
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(quantizer_inputs())
 def test_quantize_equals_the_mantissa_round_trip(case):
-    fmt, scaling, scale, base, x = case
+    fmt, base, x = case
     before = base.tobytes()
-    values, saturated = iz.quantize(x, fmt, scaling=scaling, scale=scale)
+    values, saturated = iz.quantize(x, fmt)
     # the reference's out= passes reject the 0-d scalars a 0-d input divides into
     flat = x.reshape(x.shape or (1,))
-    expected, expected_saturated = reference_quantize(flat, fmt, scaling=scaling, scale=scale)
+    expected, expected_saturated = reference_quantize(flat, fmt)
     expected = expected.reshape(x.shape)
     assert base.tobytes() == before  # the input is never written
     assert values.shape == x.shape and values.dtype == np.complex128
@@ -430,7 +443,7 @@ def test_quantized_chain_equals_the_serial_quantized_filter(
         target = iz.make_pedestrian(pos, seed=9, speed_mps=speed)
     else:
         target = iz.point_target(pos, speed * pos / np.linalg.norm(pos))
-    cube = iz.synthesize_echo(sched, [target], params, snr_db=snr_db, noise_seed=11)
+    cube = iz.synthesize_echo(sched, [target], params, noise=noise_or_none(params, snr_db, [target]))
     fmt = iz.FixedPointFormat(word_bits, integer_bits)
     expected_values, expected_report = serial_quantized_matched_filter(
         cube, sched, grid, fmt, mode
@@ -559,14 +572,15 @@ def radar_params(draw, power_of_two_code):
 def scenario_configs(draw):
     waveforms = tuple(draw(st.lists(st.sampled_from(KINDS), min_size=1, max_size=5)))
     target = draw(st.sampled_from(["single_point", "pedestrian", "car", "none"]))
-    motion = draw(st.sampled_from(["vector", "radial", "static"]))
+    # "vector and radial": a library caller may set both; the vector wins
+    motion = draw(st.sampled_from(["vector", "vector and radial", "radial", "static"]))
     return iz.ScenarioConfig(
         params=draw(radar_params(power_of_two_code=bool(GOLAY.intersection(waveforms)))),
         waveforms=waveforms,
         target_kind=target,
         position_m=tuple(draw(st.lists(finite, min_size=3, max_size=3))),
-        velocity_mps=tuple(draw(st.lists(finite, min_size=3, max_size=3))) if motion == "vector" else None,
-        radial_speed_mps=draw(finite) if motion == "radial" else None,
+        velocity_mps=tuple(draw(st.lists(finite, min_size=3, max_size=3))) if motion.startswith("vector") else None,
+        radial_speed_mps=draw(finite) if motion.endswith("radial") else None,
         rcs_dbsm=draw(db_values),
         scatterer_count=draw(st.integers(min_value=4 if target == "car" else 1, max_value=10**6)),
         snr_db=draw(st.none() | db_values),

@@ -77,9 +77,10 @@ class TestMatchedFilter:
         target = [
             iz.point_target(np.array([6.0, 8.0, 0.0]), np.array([30.0, 40.0, 0.0]))
         ]
+        noise = iz.noise_block(small_params, 10.0, 0, iz.strongest_amplitude(target))
         for kind in all_kinds:
             sched = iz.build_schedule(kind, small_params, seed=7)
-            cube = iz.synthesize_echo(sched, target, small_params, snr_db=10.0)
+            cube = iz.synthesize_echo(sched, target, small_params, noise=noise)
             a = iz.matched_filter_rd(cube, sched, aligned)
             b = iz.matched_filter_rd(cube, sched, dense)
             assert iz.map_relative_deviation(a, b) < 1e-9

@@ -89,7 +89,8 @@ class TestNoise:
         # complex noise power equals 10**(-snr/10)
         sched = iz.build_schedule(iz.ScheduleKind.FMCW, ci_params)
         snr = 7.0
-        cube = iz.synthesize_echo(sched, [], ci_params, snr_db=snr, noise_seed=11)
+        noise = iz.noise_block(ci_params, snr, 11, iz.strongest_amplitude([]))
+        cube = iz.synthesize_echo(sched, [], ci_params, noise=noise)
         n = cube.samples.size
         assert n >= 100_000
         measured = np.mean(np.abs(cube.samples) ** 2)
@@ -100,7 +101,8 @@ class TestNoise:
         sched = iz.build_schedule(iz.ScheduleKind.FMCW, ci_params)
         target = iz.point_target(pos, np.zeros(3))
         clean = iz.synthesize_echo(sched, [target], ci_params)
-        noisy = iz.synthesize_echo(sched, [target], ci_params, snr_db=0.0, noise_seed=11)
+        block = iz.noise_block(ci_params, 0.0, 11, iz.strongest_amplitude([target]))
+        noisy = iz.synthesize_echo(sched, [target], ci_params, noise=block)
         noise = noisy.samples - clean.samples
         sigma_prime = 1.0 / 15.0**2  # unit reflectivity, inverse-square loss
         assert np.mean(np.abs(noise) ** 2) == pytest.approx(sigma_prime**2, rel=0.02)
@@ -109,19 +111,38 @@ class TestNoise:
         # a 64-scatterer car is large enough for the synthesis product to run
         # on several BLAS threads; re-runs must still agree to the bit
         car = iz.make_car(np.array([20.0, 5.0, 0.0]), seed=301, speed_mps=10.0, count=64)
+        strongest = iz.strongest_amplitude([car])
         for kind in all_kinds:
             sched = iz.build_schedule(kind, ci_params, seed=7)
-            a = iz.synthesize_echo(sched, [car], ci_params, snr_db=10.0, noise_seed=5)
-            b = iz.synthesize_echo(sched, [car], ci_params, snr_db=10.0, noise_seed=5)
+            a = iz.synthesize_echo(
+                sched, [car], ci_params, noise=iz.noise_block(ci_params, 10.0, 5, strongest)
+            )
+            b = iz.synthesize_echo(
+                sched, [car], ci_params, noise=iz.noise_block(ci_params, 10.0, 5, strongest)
+            )
             assert np.array_equal(a.samples, b.samples)
 
     def test_seed_determinism(self, small_params):
         sched = iz.build_schedule(iz.ScheduleKind.FMCW, small_params)
-        a = iz.synthesize_echo(sched, [], small_params, snr_db=10.0, noise_seed=11)
-        b = iz.synthesize_echo(sched, [], small_params, snr_db=10.0, noise_seed=11)
-        c = iz.synthesize_echo(sched, [], small_params, snr_db=10.0, noise_seed=12)
+        a, b, c = (
+            iz.synthesize_echo(
+                sched, [], small_params, noise=iz.noise_block(small_params, 10.0, seed, 0.0)
+            )
+            for seed in (11, 11, 12)
+        )
         assert np.array_equal(a.samples, b.samples)
         assert not np.array_equal(a.samples, c.samples)
+
+    def test_rejects_a_packet_major_block(self, small_params):
+        sched = iz.build_schedule(iz.ScheduleKind.FMCW, small_params)
+        q_len, p_len = small_params.samples_per_pri, small_params.packets_per_cpi
+        assert q_len != p_len
+        block = np.zeros((p_len, q_len), dtype=np.complex128)
+        with pytest.raises(iz.ParameterError) as exc:
+            iz.synthesize_echo(sched, [], small_params, noise=block)
+        message = str(exc.value)
+        assert f"{q_len} x {p_len}" in message
+        assert str((p_len, q_len)) in message
 
 
 class TestClusters:

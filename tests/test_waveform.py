@@ -173,6 +173,27 @@ class TestSchedules:
             for u, frame in enumerate(sched.frames):
                 assert np.array_equal(transmitted[np.argmax(sched.packet_map == u)], frame)
 
+    @pytest.mark.parametrize("kind", list(iz.ScheduleKind), ids=lambda k: k.value)
+    @pytest.mark.parametrize(
+        "shaping",
+        [
+            {},
+            {"pulse_shape": iz.PulseShape.RAISED_COSINE, "pulse_rolloff": 0.5},
+            {"chirp_duration_s": 256 / 1.76e9},
+        ],
+        ids=["identity", "raised_cosine", "chirp_duration"],
+    )
+    def test_a_shorter_cpi_schedules_the_prefix(self, kind, shaping):
+        # the oracle benchmark times the first P' packets under the first P'
+        # entries of the run's schedule, in place of a P'-packet rebuild
+        pri = 512 / 1.76e9
+        params = iz.WaveformParams(pri_s=pri, cpi_s=64 * pri, code_length=256, **shaping)
+        full = iz.build_schedule(kind, params, seed=7)
+        for packets in (1, 2, 3, 37, 64):
+            short = iz.build_schedule(kind, iz.scaled_profile(params, packets), seed=7)
+            assert np.array_equal(short.frames, full.frames)
+            assert np.array_equal(short.packet_map, full.packet_map[:packets])
+
     def test_golay_needs_power_of_two(self):
         params = iz.WaveformParams(code_length=384)
         with pytest.raises(iz.ParameterError):
