@@ -3,8 +3,9 @@
 `isacsim run <config> [--out DIR] [--preset table1|ci] [--waveforms LIST]
 [--bench] [--oracle]` executes a comparison run. Exit codes: 0 on success,
 2 for configuration problems (including an output directory that cannot be
-written), 3 for scenario problems (impossible geometry), 4 when the run
-completed but at least one waveform failed.
+written), 3 for scenario problems (impossible geometry, an echo that could
+overflow, a run that does not fit in memory), 4 when the run completed but
+at least one waveform failed.
 
 The environment variable ISACSIM_THREADS caps the numeric thread pools; it is
 applied before the numeric stack is imported, so it must be read here and not
@@ -117,6 +118,9 @@ def main(argv=None) -> int:
         outcome = run_comparison(cfg)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:  # a CPI too large to hold
+        print(f"scenario error: out of memory: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:  # only the artifact writers touch the file system
         print(f"config error: cannot write to {cfg.output_dir!r}: {exc}", file=sys.stderr)

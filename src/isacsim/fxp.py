@@ -29,7 +29,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DataError, ParameterError
-from .rsp import DopplerGrid, RangeDopplerMap, _chain, detect_peak, matched_filter_rd, pslr_db
+from .rsp import DopplerGrid, RangeDopplerMap, _chain, detect_peak, pslr_db
 from .scene import DataCube
 from .waveform import FrameSchedule
 
@@ -132,19 +132,17 @@ def quantized_matched_filter(
     grid: DopplerGrid,
     fmt: FixedPointFormat,
     mode: FxpMode = FxpMode.FULL_CHAIN,
-    double_map: RangeDopplerMap | None = None,
+    *,
+    double_map: RangeDopplerMap,
 ) -> tuple[RangeDopplerMap, FxpReport]:
     """Range-Doppler map computed on the fixed-point grid plus an accuracy
-    report against the double-precision map of the same inputs
-    (`double_map`, computed here when not given).
+    report against `double_map`, the double-precision map of the same inputs.
 
     PSLR agreement is one-sided around the 0.5 dB budget: a quantized PSLR
     that is *better* than double precision (including the no-sidelobe
     sentinel, which occurs when roundoff-level sidelobes fall below half an
     output LSB) counts as agreement; degradation beyond 0.5 dB does not.
     """
-    if double_map is None:
-        double_map = matched_filter_rd(cube, schedule, grid)
     counts: dict[str, int] = {}
     sizes: dict[str, int] = {}
     skipped = ("input", "post_ifft") if mode is FxpMode.CORE_ONLY else ()
@@ -216,20 +214,21 @@ def precision_sweep(
     grid: DopplerGrid,
     formats,
     mode: FxpMode = FxpMode.FULL_CHAIN,
-    double_map: RangeDopplerMap | None = None,
+    *,
+    double_map: RangeDopplerMap,
 ) -> SweepResult:
     """One quantized run per format, with timing, plus an SQNR monotonicity
-    summary across word lengths. The double-precision map of the cube is
-    computed once, before the timed runs, unless `double_map` passes it in."""
+    summary across word lengths. Every row is scored against `double_map`,
+    the double-precision map of the cube."""
     formats = list(formats)
     if not formats:
         raise ParameterError("precision_sweep needs at least one format")
-    if double_map is None:
-        double_map = matched_filter_rd(cube, schedule, grid)
     rows = []
     for fmt in formats:
         start = time.perf_counter()
-        _, report = quantized_matched_filter(cube, schedule, grid, fmt, mode, double_map)
+        _, report = quantized_matched_filter(
+            cube, schedule, grid, fmt, mode, double_map=double_map
+        )
         elapsed = time.perf_counter() - start
         rows.append(SweepRow(report=report, runtime_s=elapsed))
     monotone = True

@@ -9,20 +9,22 @@ accuracy rows. CSV artifacts are deterministic for a fixed configuration
 `'%.9g' % x`, produced a block of rows at a time by the vectorized formatter
 in `_csvformat`.
 
-The run streams: it draws the scene's receiver noise once (`noise_block`),
-then `run_waveform` takes one waveform at a time from its schedule through
-synthesis, the matched filter, detection and PSLR, the optional oracle and
-fixed-point sweep (which reuses the double map), the CSVs and the optional
-`run_benchmarks` timings. Only then is the next waveform started, and its
-cube and map are gone: a `WaveformResult` holds no array, so one cube and
-one map are in memory at a time, besides the shared noise block. Each
-waveform's summary times its synthesis (without the shared noise draw, which
-the run-level `timings_s.noise` times), processing and artifact writing.
+The run streams: it checks the scene (`check_scene`, which also rejects an
+echo that could overflow), draws the scene's receiver noise once
+(`noise_block`), then `run_waveform` takes one waveform at a time from its
+schedule through synthesis, the matched filter, detection and PSLR, the
+optional oracle and fixed-point sweep (scored against the run's own double
+map), the CSVs and the optional `run_benchmarks` timings. Only then is the
+next waveform started, and its cube and map are gone: a `WaveformResult`
+holds no array, so one cube and one map are in memory at a time, besides the
+shared noise block. Each waveform's summary times its synthesis (without the
+shared noise draw, which the run-level `timings_s.noise` times), processing
+and artifact writing. The summary's `tool.version` is `isacsim.__version__`,
+the one place the version is written.
 """
 
 from __future__ import annotations
 
-import importlib.metadata
 import json
 import math
 import resource
@@ -34,6 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from ._csvformat import write_rows
 from .config import ScenarioConfig, render_config
 from .errors import NoDetectionError, OracleGuardError
@@ -67,13 +70,6 @@ from .scene import (
 from .waveform import FrameSchedule, ScheduleKind, build_schedule
 
 TOOL_NAME = "isacsim"
-
-
-def _version() -> str:
-    try:
-        return importlib.metadata.version(TOOL_NAME)
-    except importlib.metadata.PackageNotFoundError:
-        return "0.0.0"
 
 
 def build_targets(cfg: ScenarioConfig) -> list[TargetModel]:
@@ -227,8 +223,6 @@ def run_waveform(
             oracle_deviation = map_relative_deviation(rd_map, oracle_map)
         except OracleGuardError as exc:
             oracle_note = f"oracle skipped: {exc}"
-        except NoDetectionError as exc:  # all-zero map has no deviation scale
-            oracle_note = f"oracle skipped: {exc}"
 
     sweep = None
     if cfg.fxp_formats and failure is None:
@@ -345,9 +339,9 @@ def run_comparison(cfg: ScenarioConfig, out_dir: Path | str | None = None) -> Ru
     partial = []
     runtime_warnings: list[str] = list(cfg.warnings)
 
+    check_scene(targets, cfg.params, cfg.path_loss, cfg.snr_db)  # fail before any work
     noise, noise_s = None, 0.0
     if cfg.snr_db is not None:  # one draw for every waveform
-        check_scene(targets, cfg.params)  # fail before drawing for a scene that cannot run
         t0 = time.perf_counter()
         strongest = strongest_amplitude(targets, cfg.path_loss)
         noise = noise_block(cfg.params, cfg.snr_db, cfg.seed_noise, strongest)
@@ -368,7 +362,7 @@ def run_comparison(cfg: ScenarioConfig, out_dir: Path | str | None = None) -> Ru
 
     scatterer_total = sum(len(t.scatterers) for t in targets)
     summary = {
-        "tool": {"name": TOOL_NAME, "version": _version()},
+        "tool": {"name": TOOL_NAME, "version": __version__},
         "config_echo": render_config(cfg).splitlines(),
         "warnings": runtime_warnings,
         "derived": derived_parameters(cfg.params),

@@ -23,7 +23,7 @@ import numpy as np
 
 from ._threads import for_blocks
 from .errors import NoDetectionError, OracleGuardError, ParameterError, ProcessingError
-from .params import SPEED_OF_LIGHT_MPS, WaveformParams
+from .params import WaveformParams
 from .scene import DataCube
 from .waveform import FrameSchedule
 

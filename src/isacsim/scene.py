@@ -23,6 +23,7 @@ so a comparison run draws the noise once for all its waveforms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -197,6 +198,13 @@ def strongest_amplitude(targets, path_loss: PathLoss = PathLoss.INVERSE_SQUARE) 
     )
 
 
+def _noise_power(params: WaveformParams, snr_db: float, strongest: float) -> float:
+    """Complex noise power per sample that puts an echo of amplitude
+    `strongest` at snr_db (reference power amplitude^2 when it is 0)."""
+    ref_power = params.amplitude**2 * (strongest**2 if strongest > 0 else 1.0)
+    return ref_power / 10.0 ** (snr_db / 10.0)
+
+
 def noise_block(
     params: WaveformParams, snr_db: float, seed: int, strongest: float
 ) -> np.ndarray:
@@ -211,9 +219,7 @@ def noise_block(
     """
     q_len = params.samples_per_pri
     p_len = params.packets_per_cpi
-    ref_power = params.amplitude**2 * (strongest**2 if strongest > 0 else 1.0)
-    noise_power = ref_power / 10.0 ** (snr_db / 10.0)
-    scale = np.sqrt(noise_power / 2.0)
+    scale = np.sqrt(_noise_power(params, snr_db, strongest) / 2.0)
     child_seeds = np.random.SeedSequence(seed).spawn(p_len)
     block = np.empty((p_len, q_len), dtype=np.complex128)
 
@@ -253,11 +259,41 @@ def _checked_delay_bin(sc: PointScatterer, params: WaveformParams) -> int:
     return qb
 
 
-def check_scene(targets, params: WaveformParams) -> None:
-    """Raise the ScenarioError `synthesize_echo` would raise for this scene."""
+def check_scene(
+    targets, params: WaveformParams, path_loss: PathLoss, snr_db: float | None
+) -> None:
+    """Raise the ScenarioError `synthesize_echo` would raise for this scene,
+    or one for a scene whose numbers could overflow.
+
+    The overflow bound holds before anything is drawn. No echo sample exceeds
+    X = A * sum |sigma'| + 10 noise std, with A the chip amplitude (complex
+    Gaussian noise passes ten standard deviations with probability e^-100).
+    The fast-time FFT gains at most Q, the N-chip reference spectrum N * A,
+    the steering sum P and the unscaled inverse FFT Q, so no value of either
+    matched filter exceeds B = Q^2 N P A X. B must stay below 1e150: a map
+    value (at most B / Q) then squares to below 1e300 / Q^2, so the
+    fixed-point sweep's signal power, a sum of J * Q such squares, stays
+    finite for any grid of fewer than 1e8 * Q bins.
+    """
+    reach = 0.0
     for target in targets:
         for sc in target.scatterers:
             _checked_delay_bin(sc, params)
+            reach += abs(_weighted_reflectivity(sc, path_loss))
+    noise_std = 0.0
+    if snr_db is not None:
+        strongest = strongest_amplitude(targets, path_loss)
+        try:  # the noise power exactly as `noise_block` computes it
+            noise_std = math.sqrt(_noise_power(params, snr_db, strongest))
+        except OverflowError:  # a float ** 2 past the float range
+            noise_std = math.inf
+    amp = params.amplitude
+    q_len, p_len = params.samples_per_pri, params.packets_per_cpi
+    bound = q_len * q_len * params.code_length * p_len * amp * (amp * reach + 10.0 * noise_std)
+    if not bound < 1e150:
+        raise ScenarioError(
+            f"the echo could overflow: its matched filter may reach {bound:.3g} (limit 1e150)"
+        )
 
 
 def synthesize_echo(

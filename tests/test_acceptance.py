@@ -170,15 +170,18 @@ def test_criterion_7_fixed_point(canonical):
     details = []
     for kind in KINDS:
         cube, schedule = canonical.cubes[kind], canonical.schedules[kind]
+        rd_map = canonical.maps[kind]
         _, report = iz.quantized_matched_filter(
-            cube, schedule, canonical.grid, fmt24, iz.FxpMode.FULL_CHAIN
+            cube, schedule, canonical.grid, fmt24, iz.FxpMode.FULL_CHAIN, double_map=rd_map
         )
         assert report.peak_bin_agree, f"{kind.value}: quantized peak moved"
         assert report.pslr_agree, (
             f"{kind.value}: PSLR {report.pslr_fxp_db:.2f} vs "
             f"{report.pslr_double_db:.2f} dB"
         )
-        sweep = iz.precision_sweep(cube, schedule, canonical.grid, sweep_formats)
+        sweep = iz.precision_sweep(
+            cube, schedule, canonical.grid, sweep_formats, double_map=rd_map
+        )
         sqnrs = [row.report.sqnr_db for row in sweep.rows]
         assert sweep.monotone_sqnr
         assert sqnrs[0] <= sqnrs[1] <= sqnrs[2], f"{kind.value}: SQNR not monotone {sqnrs}"

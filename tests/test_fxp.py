@@ -17,7 +17,8 @@ def small_pipeline(params, kind=iz.ScheduleKind.PMCW, snr_db=None):
     if snr_db is not None:
         noise = iz.noise_block(params, snr_db, 0, iz.strongest_amplitude(targets))
     cube = iz.synthesize_echo(sched, targets, params, noise=noise)
-    return cube, sched, iz.default_grid(params)
+    grid = iz.default_grid(params)
+    return cube, sched, grid, iz.matched_filter_rd(cube, sched, grid)
 
 
 class TestFormat:
@@ -135,35 +136,40 @@ class TestQuantize:
 
 class TestQuantizedChain:
     def test_double_like_format_is_transparent(self, small_params):
-        cube, sched, grid = small_pipeline(small_params)
-        _, report = iz.quantized_matched_filter(cube, sched, grid, iz.FixedPointFormat(53, 2))
+        cube, sched, grid, double_map = small_pipeline(small_params)
+        _, report = iz.quantized_matched_filter(
+            cube, sched, grid, iz.FixedPointFormat(53, 2), double_map=double_map
+        )
         assert report.sqnr_db > 200.0
         assert report.peak_bin_agree
         assert report.pslr_agree
 
     def test_24_bit_full_chain_matches_peak(self, small_params):
-        cube, sched, grid = small_pipeline(small_params, snr_db=15.0)
-        _, report = iz.quantized_matched_filter(cube, sched, grid, iz.FixedPointFormat(24, 1))
+        cube, sched, grid, double_map = small_pipeline(small_params, snr_db=15.0)
+        _, report = iz.quantized_matched_filter(
+            cube, sched, grid, iz.FixedPointFormat(24, 1), double_map=double_map
+        )
         assert report.peak_bin_agree
         assert report.pslr_agree
         assert report.sqnr_db > 60.0
         assert report.saturation_fraction == 0.0  # max-abs stages cannot clip
 
     def test_8_bit_survives_and_reports_degradation(self, small_params):
-        cube, sched, grid = small_pipeline(small_params)
+        cube, sched, grid, double_map = small_pipeline(small_params)
         fxp_map, report = iz.quantized_matched_filter(
-            cube, sched, grid, iz.FixedPointFormat(8, 1)
+            cube, sched, grid, iz.FixedPointFormat(8, 1), double_map=double_map
         )
         assert np.all(np.isfinite(fxp_map.values))
         assert report.sqnr_db < 40.0
 
     def test_core_only_skips_io_stages(self, small_params):
-        cube, sched, grid = small_pipeline(small_params)
+        cube, sched, grid, double_map = small_pipeline(small_params)
+        fmt = iz.FixedPointFormat(16, 1)
         _, full = iz.quantized_matched_filter(
-            cube, sched, grid, iz.FixedPointFormat(16, 1), iz.FxpMode.FULL_CHAIN
+            cube, sched, grid, fmt, iz.FxpMode.FULL_CHAIN, double_map=double_map
         )
         _, core = iz.quantized_matched_filter(
-            cube, sched, grid, iz.FixedPointFormat(16, 1), iz.FxpMode.CORE_ONLY
+            cube, sched, grid, fmt, iz.FxpMode.CORE_ONLY, double_map=double_map
         )
         assert "input" in full.saturation_counts
         assert "post_ifft" in full.saturation_counts
@@ -172,34 +178,25 @@ class TestQuantizedChain:
         assert core.mode is iz.FxpMode.CORE_ONLY
 
     def test_sweep_sqnr_grows_with_word_length(self, small_params):
-        cube, sched, grid = small_pipeline(small_params)
+        cube, sched, grid, double_map = small_pipeline(small_params)
         formats = [iz.FixedPointFormat(w, 1) for w in (8, 16, 24, 32)]
-        sweep = iz.precision_sweep(cube, sched, grid, formats)
+        sweep = iz.precision_sweep(cube, sched, grid, formats, double_map=double_map)
         sqnrs = [row.report.sqnr_db for row in sweep.rows]
         assert sweep.monotone_sqnr
         assert all(b > a for a, b in zip(sqnrs, sqnrs[1:]))
         assert all(row.runtime_s >= 0.0 for row in sweep.rows)
 
     def test_sweep_requires_formats(self, small_params):
-        cube, sched, grid = small_pipeline(small_params)
+        cube, sched, grid, double_map = small_pipeline(small_params)
         with pytest.raises(iz.ParameterError):
-            iz.precision_sweep(cube, sched, grid, [])
+            iz.precision_sweep(cube, sched, grid, [], double_map=double_map)
 
-    def test_sweep_reuses_the_given_double_map(self, small_params, monkeypatch):
-        import isacsim.fxp as fxp
-
-        cube, sched, grid = small_pipeline(small_params, snr_db=20.0)
+    def test_sweep_reuses_the_given_double_map(self, small_params):
+        cube, sched, grid, double_map = small_pipeline(small_params, snr_db=20.0)
         formats = [iz.FixedPointFormat(w, 1) for w in (12, 24)]
-        calls = []
-        real = fxp.matched_filter_rd
-        monkeypatch.setattr(fxp, "matched_filter_rd", lambda *a: calls.append(a) or real(*a))
-        computed = iz.precision_sweep(cube, sched, grid, formats)
-        assert len(calls) == 1  # once per sweep, not once per format
-        given = iz.precision_sweep(
-            cube, sched, grid, formats, double_map=real(cube, sched, grid)
-        )
-        assert len(calls) == 1
-        assert [r.report for r in given.rows] == [r.report for r in computed.rows]
+        given = iz.precision_sweep(cube, sched, grid, formats, double_map=double_map)
         for row in given.rows:
-            single = fxp.quantized_matched_filter(cube, sched, grid, row.report.format)[1]
+            single = iz.quantized_matched_filter(
+                cube, sched, grid, row.report.format, double_map=double_map
+            )[1]
             assert single == row.report

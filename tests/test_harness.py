@@ -243,7 +243,7 @@ class TestRunComparison:
         cfg = small_cfg()
         outcome = iz.run_comparison(cfg, tmp_path)
         summary = json.loads((tmp_path / "summary.json").read_text())
-        assert summary["tool"]["name"] == "isacsim"
+        assert summary["tool"] == {"name": "isacsim", "version": iz.__version__}
         # the echoed config re-parses to the very configuration that ran
         echoed = iz.parse_config("\n".join(summary["config_echo"]))
         assert echoed == cfg
@@ -500,10 +500,27 @@ class TestCli:
         fragment = "line 6: invalid value for 'output_dir': 'a\\x07b' contains a line break"
         self.expect_one_line_error(capsys, 2, ["run", path], fragment)
 
-    def test_target_at_the_origin_exits_3(self, tmp_path, capsys):
-        path = self.write_ini(tmp_path, SMALL_INI + "[scene]\nposition_m = 0, 0, 0\n")
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            "[scene]\nposition_m = 0, 0, 0\n",
+            "amplitude = 1e200\n",  # an echo past the float range
+            "amplitude = 1e200\n[scene]\nsnr_db = 10\n",  # and its noise power
+            "[scene]\nposition_m = 1e-150, 0, 0\nrcs_dbsm = 100\n",
+        ],
+    )
+    def test_scene_that_cannot_run_exits_3(self, tmp_path, capsys, extra):
+        path = self.write_ini(tmp_path, SMALL_INI + extra)
         argv = ["run", path, "--out", str(tmp_path / "out")]
         self.expect_one_line_error(capsys, 3, argv, "scenario error")
+
+    def test_run_out_of_memory_exits_3(self, tmp_path, capsys, monkeypatch):
+        def no_memory(cfg):
+            raise MemoryError("Unable to allocate 105. GiB for an array")
+
+        monkeypatch.setattr(harness, "run_comparison", no_memory)
+        argv = ["run", self.write_ini(tmp_path), "--out", str(tmp_path / "out")]
+        self.expect_one_line_error(capsys, 3, argv, "scenario error: out of memory")
 
     def test_unwritable_output_exits_2(self, tmp_path, capsys):
         blocker = tmp_path / "taken"

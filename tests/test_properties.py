@@ -1,6 +1,7 @@
 """Property tests over random packet counts, all four schedules and random
 scenes: the packet map, echo synthesis of point and cluster targets, the
-shared noise block against the per-packet draw, oracle equivalence, the
+shared noise block against the per-packet draw, oracle equivalence,
+localization of on-grid point targets within one bin, the
 quantizer against its mantissa round trip, and the block-parallel double and
 fixed-point matched filters against their serial forms; the CSV formatter
 against np.savetxt; and the config text, which renders and parses back to the
@@ -192,6 +193,30 @@ def test_fast_path_matches_the_oracle(seed):
     fast = iz.matched_filter_rd(cube, schedule, grid)
     slow = iz.time_domain_oracle(cube, schedule, grid)
     assert iz.map_relative_deviation(fast, slow) < 1e-6
+
+
+LOCALIZATION_PARAMS = iz.WaveformParams(pri_s=PRI_S, cpi_s=16 * PRI_S, code_length=256)
+
+
+@deterministic
+@given(
+    delay=st.integers(min_value=1, max_value=512 - 256),  # the echo stays in the window
+    doppler=st.integers(min_value=-7, max_value=7),  # FFT bins inside the ambiguity limit
+    azimuth=st.floats(min_value=-np.pi, max_value=np.pi),
+)
+def test_on_grid_point_targets_are_located_within_one_bin(delay, doppler, azimuth):
+    params = LOCALIZATION_PARAMS
+    grid = iz.default_grid(params)
+    distance = delay * iz.SPEED_OF_LIGHT_MPS * params.sample_period_s / 2.0
+    unit = np.array([np.cos(azimuth), np.sin(azimuth), 0.0])
+    speed = grid.frequencies_hz[grid.zero_bin + doppler] * params.wavelength_m / 2.0
+    targets = [iz.point_target(distance * unit, speed * unit)]  # noise off
+    for kind in KINDS:
+        sched = iz.build_schedule(kind, params, seed=11)
+        cube = iz.synthesize_echo(sched, targets, params)
+        det = iz.detect_peak(iz.matched_filter_rd(cube, sched, grid))
+        assert abs(det.range_bin - delay) <= 1, kind
+        assert abs(det.doppler_bin - (grid.zero_bin + doppler)) <= 1, kind
 
 
 def serial_matched_filter(cube, schedule, grid):
@@ -451,7 +476,9 @@ def test_quantized_chain_equals_the_serial_quantized_filter(
     before = threading.active_count()
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("ISACSIM_THREADS", threads)
-        fxp_map, report = iz.quantized_matched_filter(cube, sched, grid, fmt, mode)
+        fxp_map, report = iz.quantized_matched_filter(
+            cube, sched, grid, fmt, mode, double_map=iz.matched_filter_rd(cube, sched, grid)
+        )
     assert threading.active_count() == before
     assert report == expected_report
     assert list(report.saturation_counts) == list(expected_report.saturation_counts)
