@@ -7,12 +7,13 @@ written), 3 for scenario problems (impossible geometry, an echo that could
 overflow, a run that does not fit in memory), 4 when the run completed but
 at least one waveform failed.
 
-The environment variable ISACSIM_THREADS caps the numeric thread pools; it is
-applied before the numeric stack is imported, so it must be read here and not
-in library code. The matched filter also splits its FFT passes across that
-many threads (across the CPUs the process may use when it is unset); see
-`_threads.thread_count`, the one rule both follow. A value that is not a
-positive integer exits 2.
+The environment variable ISACSIM_THREADS is the run's one source of
+concurrency: the synthesis, the matched filter and the fixed-point sweep split
+their passes across that many threads (across the CPUs the process may use
+when it is unset; see `_threads.thread_count`). The BLAS, OpenMP, MKL and
+numexpr pools are set to one thread before the numeric stack is imported, so
+no second pool competes with those threads for the cores. A value that is not
+a positive integer exits 2.
 """
 
 from __future__ import annotations
@@ -62,16 +63,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_thread_env() -> str | None:
-    """Copy ISACSIM_THREADS into each unset pool variable; return an error
-    message, and copy nothing, unless it is a positive integer."""
+    """Set each pool variable to one thread; return an error message, and set
+    nothing, unless ISACSIM_THREADS is unset or a positive integer."""
     try:
         thread_count()
     except ParameterError as exc:
         return str(exc)
-    threads = os.environ.get("ISACSIM_THREADS")
-    if threads:
-        for var in _THREAD_VARS:
-            os.environ.setdefault(var, threads)
+    for var in _THREAD_VARS:
+        os.environ[var] = "1"
     return None
 
 

@@ -16,17 +16,20 @@ schedule through synthesis, the matched filter, detection and PSLR, the
 optional oracle and fixed-point sweep (scored against the run's own double
 map), the CSVs and the optional `run_benchmarks` timings. Only then is the
 next waveform started, and its cube and map are gone: a `WaveformResult`
-holds no array, so one cube and one map are in memory at a time, besides the
-shared noise block. Each waveform's summary times its synthesis (without the
-shared noise draw, which the run-level `timings_s.noise` times), processing
-and artifact writing. The summary's `tool.version` is `isacsim.__version__`,
-the one place the version is written.
+holds no array, so one P x Q cube and one J x Q map are in memory at a time,
+besides the shared P x Q noise block. Each waveform's summary times its
+synthesis (without the shared noise draw, which the run-level
+`timings_s.noise` times), processing and artifact writing. The summary's
+`tool.version` is `isacsim.__version__`, the one place the version is
+written, and its `environment` block records what produced the numbers.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import platform
 import resource
 import statistics
 import sys
@@ -38,6 +41,7 @@ import numpy as np
 
 from . import __version__
 from ._csvformat import write_rows
+from ._threads import blas_pool_size, thread_count
 from .config import ScenarioConfig, render_config
 from .errors import NoDetectionError, OracleGuardError
 from .fxp import SweepResult, precision_sweep
@@ -321,6 +325,24 @@ def _peak_rss_mb() -> float:
     return peak / (1 << 20) if sys.platform == "darwin" else peak / 1024.0
 
 
+def _environment() -> dict:
+    """What produced the run's numbers: versions, the thread rule's inputs
+    and outcome, and the BLAS pool size read back from OpenBLAS (None when
+    it cannot be read)."""
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "isacsim_threads": os.environ.get("ISACSIM_THREADS"),
+        "thread_count": thread_count(),
+        "blas_threads": blas_pool_size(),
+        "cpu_count": os.cpu_count(),
+        "peak_rss_note": (
+            "peak_rss_mb is the process's lifetime peak (ru_maxrss): after earlier "
+            "runs in the same process it reads the largest of them"
+        ),
+    }
+
+
 def run_comparison(cfg: ScenarioConfig, out_dir: Path | str | None = None) -> RunOutcome:
     """Run every configured waveform, write artifacts, and build the summary.
 
@@ -363,6 +385,7 @@ def run_comparison(cfg: ScenarioConfig, out_dir: Path | str | None = None) -> Ru
     scatterer_total = sum(len(t.scatterers) for t in targets)
     summary = {
         "tool": {"name": TOOL_NAME, "version": __version__},
+        "environment": _environment(),
         "config_echo": render_config(cfg).splitlines(),
         "warnings": runtime_warnings,
         "derived": derived_parameters(cfg.params),
@@ -423,7 +446,7 @@ def _oracle_bench(
     """Time the oracle on the largest guard-compliant prefix of the cube.
 
     The full instance usually violates the Q*P*J work guard, so the oracle is
-    timed on the first P' packets, under the schedule's first P' entries,
+    timed on the cube's first P' packet rows, under the schedule's first P' entries,
     with a matching P'-bin grid. Its work is Q*Q*P multiply-adds of
     correlation plus Q*P*J of steering; the scaled estimate multiplies the
     measured time by the ratio of that work at full size to the work of the
@@ -437,7 +460,7 @@ def _oracle_bench(
     p_used = min(p_len, max(1, max_p))
     sub_params = scaled_profile(params, p_used)
     sub_schedule = FrameSchedule(schedule.kind, schedule.frames, schedule.packet_map[:p_used])
-    sub_cube = DataCube(samples=cube.samples[:, :p_used].copy(), params=sub_params)
+    sub_cube = DataCube(samples=cube.samples[:p_used].copy(), params=sub_params)
     sub_grid = default_grid(sub_params)
     median = _median_seconds(
         lambda: time_domain_oracle(sub_cube, sub_schedule, sub_grid), repeats

@@ -6,9 +6,10 @@ Doppler hypothesis, sum over packets, and IFFT back to range. Steering uses
 the conjugate of the echo's Doppler rotation, exp(+j 2 pi f_j p T_pri). When
 the Doppler grid coincides with the slow-time FFT bins the steering collapses
 to an IFFT across packets; otherwise the steering matrix is applied directly.
-The FFT passes and products run in contiguous blocks on ISACSIM_THREADS
-threads (every CPU the process may use when it is unset); the map does not
-depend on the thread count. `fxp` runs the same chain with quantizing hooks.
+The cube is P x Q, one packet per row. The FFT passes and products run in
+contiguous blocks on ISACSIM_THREADS threads (every CPU the process may use
+when it is unset); the map does not depend on the thread count. `fxp` runs
+the same chain with quantizing hooks.
 
 The oracle computes the same map by rolling time-domain references under each
 packet, which is deliberately slow and shares no FFT code with the fast path.
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._threads import for_blocks
-from .errors import NoDetectionError, OracleGuardError, ParameterError, ProcessingError
+from .errors import DataError, NoDetectionError, OracleGuardError, ParameterError, ProcessingError
 from .params import WaveformParams
 from .scene import DataCube
 from .waveform import FrameSchedule
@@ -111,7 +112,7 @@ def _axes(params: WaveformParams, grid: DopplerGrid) -> tuple[np.ndarray, np.nda
 
 def _check_schedule(cube: DataCube, schedule: FrameSchedule):
     """Raise ProcessingError unless the schedule's frames and packets match the cube."""
-    q_len, p_len = cube.samples.shape
+    p_len, q_len = cube.samples.shape
     if schedule.frames.shape[1] != q_len or len(schedule) != p_len:
         raise ProcessingError(
             f"schedule of {len(schedule.frames)} x {schedule.frames.shape[1]} frames over "
@@ -123,56 +124,65 @@ def _chain(cube: DataCube, schedule: FrameSchedule, grid: DopplerGrid, dense: bo
     """The range-Doppler chain of both matched filters; returns the J x Q map.
 
     At each stage boundary the chain goes on with stage(name, x): x itself or
-    a copy it may overwrite. In order: "input", "reference" (conjugate frame
-    spectra), "post_fft", "twiddle" (dense only), "post_steering", "post_ifft".
-    Dense steering applies the P x J matrix; otherwise the grid must be
-    FFT-aligned and steering is a slow-time IFFT. Each pass runs in contiguous
-    blocks on the ISACSIM_THREADS cores (`_threads.for_blocks`), and each block
-    does the arithmetic of one whole pass, so no bit depends on the thread count.
+    a copy it may overwrite. In order: "input" (the P x Q cube), "reference"
+    (conjugate frame spectra), "post_fft" (P x Q), "twiddle" (dense only),
+    "post_steering" and "post_ifft" (one Doppler hypothesis per row; in
+    slow-time FFT order when not dense). Dense steering applies the P x J
+    matrix; otherwise the grid must be FFT-aligned and steering is a
+    slow-time IFFT. Each pass runs in contiguous blocks on the
+    ISACSIM_THREADS cores (`_threads.for_blocks`), and each block does the
+    arithmetic of one whole pass, so no bit depends on the thread count.
     """
     params = cube.params
-    q_len, p_len = cube.samples.shape
+    p_len, q_len = cube.samples.shape
     j_len = len(grid)
     _check_schedule(cube, schedule)
     samples, packet_map = stage("input", cube.samples), schedule.packet_map
     ref = stage("reference", np.conj(np.fft.fft(schedule.frames, axis=1)))  # U x Q
-    spectra = np.empty((q_len, p_len), dtype=np.complex128)
+    spectra = np.empty((p_len, q_len), dtype=np.complex128)
 
     def fast_time(b):  # packets b
-        np.fft.fft(samples[:, b], axis=0, out=spectra[:, b])
+        np.fft.fft(samples[b], axis=1, out=spectra[b])
 
     for_blocks(fast_time, p_len)
     spectra = stage("post_fft", spectra)
 
     def match(b):  # packets b: times the carried frames' reference
-        spectra[:, b] *= ref[packet_map[b]].T
+        spectra[b] *= ref[packet_map[b]]
 
     for_blocks(match, p_len)
     if dense:
         p_idx = np.arange(p_len) * params.pri_s
         w = np.exp(2j * np.pi * np.outer(p_idx, grid.frequencies_hz))  # P x J
-        steered = spectra @ stage("twiddle", w)  # one product: OpenBLAS threads it itself
-        cols = np.arange(j_len)
+        w = stage("twiddle", w)
+        steered = np.empty((q_len, j_len), dtype=np.complex128)
+
+        def steer(r):  # range bins r; a one-row product would take GEMV's path
+            np.matmul(spectra[:, r].T, w, out=steered[r])
+
+        for_blocks(steer, q_len, min_block=2)
+        del spectra  # the steered sums replace it
+        steered, rows = steered.T, np.arange(j_len)  # J x Q view, no copy
     else:
-        # sum_p M[q,p] exp(+2 pi i p (j - J//2) / P) == P * ifft_p(M) reordered
+        # sum_p M[p,q] exp(+2 pi i p (j - J//2) / P) == P * ifft_p(M) reordered
         def steer(r):  # range bins r, in place
-            np.fft.ifft(spectra[r], axis=1, out=spectra[r])
-            spectra[r] *= p_len
+            np.fft.ifft(spectra[:, r], axis=0, out=spectra[:, r])
+            spectra[:, r] *= p_len
 
         for_blocks(steer, q_len)
-        steered = spectra
-        cols = (np.arange(j_len) - j_len // 2) % p_len
+        steered, rows = spectra, (np.arange(j_len) - j_len // 2) % p_len
     steered = stage("post_steering", steered)
 
-    def range_ifft(b):  # columns b, in place
-        np.fft.ifft(steered[:, b], axis=0, out=steered[:, b])
+    def range_ifft(b):  # Doppler rows b, in place
+        np.fft.ifft(steered[b], axis=1, out=steered[b])
 
-    for_blocks(range_ifft, steered.shape[1])
+    for_blocks(range_ifft, len(steered))
     profiles = stage("post_ifft", steered)
     values = np.empty((j_len, q_len))
 
-    def magnitude(b):  # Doppler bins b
-        values[b] = np.abs(profiles[:, cols[b]]).T
+    def magnitude(b):  # Doppler bins b, each from its row of the profiles
+        for j in range(b.start, b.stop):
+            np.abs(profiles[rows[j]], out=values[j])
 
     for_blocks(magnitude, j_len)
     return values
@@ -209,7 +219,7 @@ def time_domain_oracle(
     corr = np.empty((q_len, p_len), dtype=np.complex128)
     for u, ref in enumerate(schedule.frames):
         cols = np.nonzero(schedule.packet_map == u)[0]
-        sub = cube.samples[:, cols]
+        sub = cube.samples[cols].T.copy()  # Q x packets, fast time down the columns
         for k in range(q_len):
             rolled = np.conj(np.roll(ref, k))
             corr[k, cols] = rolled @ sub
@@ -226,9 +236,11 @@ def time_domain_oracle(
 
 def detect_peak(rd_map: RangeDopplerMap) -> Detection:
     """Global maximum of the map; ties break toward the smallest range bin,
-    then the smallest Doppler bin."""
+    then the smallest Doppler bin. Raises DataError on a non-finite peak."""
     values = rd_map.values
     peak = values.max()
+    if not np.isfinite(peak):
+        raise DataError(f"range-Doppler map holds non-finite values (its maximum is {peak})")
     if peak == 0.0:
         raise NoDetectionError("range-Doppler map is identically zero")
     js, qs = np.nonzero(values == peak)

@@ -9,14 +9,16 @@ over a CPI here is centimeters, below one range bin).
 
 Because the delay only moves a frame in fast time and the Doppler phase only
 rotates it in slow time, the echo of S scatterers under a schedule of U
-distinct frames is one matrix product, cube = Shifts (Q x U*S) @ Phases
-(U*S x P): column u*S + s of Shifts is frame u delayed and weighted for
-scatterer s, and row u*S + s of Phases is s's slow-time rotation on the
-packets that carry frame u and zero on the others.
+distinct frames is one matrix product, Shifts (Q x U*S) @ Phases (U*S x P):
+column u*S + s of Shifts is frame u delayed and weighted for scatterer s,
+and row u*S + s of Phases is s's slow-time rotation on the packets that
+carry frame u and zero on the others. The cube stores that product's
+transpose: it is P x Q, row p holding packet p's fast time, so every
+per-packet pass of the matched filter reads contiguous memory.
 
 Receiver noise belongs to the scene, not to the waveform: its seed, its
 per-packet streams and its scale (set by the strongest scatterer) are the
-same for every schedule. `noise_block` draws it once as a Q x P block, the
+same for every schedule. `noise_block` draws it once as a P x Q block, the
 cube's shape, and `synthesize_echo` adds a block it is handed to each echo,
 so a comparison run draws the noise once for all its waveforms.
 """
@@ -24,6 +26,7 @@ so a comparison run draws the noise once for all its waveforms.
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass
 from enum import Enum
 
@@ -74,13 +77,13 @@ class TargetModel:
 
 @dataclass(frozen=True)
 class DataCube:
-    samples: np.ndarray  # Q x P complex
+    samples: np.ndarray  # P x Q complex: row p is packet p's fast time
     params: WaveformParams
 
     def __post_init__(self):
-        q, p = self.params.samples_per_pri, self.params.packets_per_cpi
-        if self.samples.shape != (q, p):
-            raise ParameterError(f"cube must be {q} x {p}, got {self.samples.shape}")
+        p, q = self.params.packets_per_cpi, self.params.samples_per_pri
+        if self.samples.shape != (p, q):
+            raise ParameterError(f"cube must be {p} x {q}, got {self.samples.shape}")
 
 
 def point_target(position_m, velocity_mps, rcs_dbsm: float = 0.0) -> TargetModel:
@@ -200,26 +203,61 @@ def strongest_amplitude(targets, path_loss: PathLoss = PathLoss.INVERSE_SQUARE) 
 
 def _noise_power(params: WaveformParams, snr_db: float, strongest: float) -> float:
     """Complex noise power per sample that puts an echo of amplitude
-    `strongest` at snr_db (reference power amplitude^2 when it is 0)."""
-    ref_power = params.amplitude**2 * (strongest**2 if strongest > 0 else 1.0)
+    `strongest` at snr_db (reference power amplitude^2 when it is 0);
+    math.inf when a square passes the float range."""
+    try:
+        ref_power = params.amplitude**2 * (strongest**2 if strongest > 0 else 1.0)
+    except OverflowError:
+        return math.inf
     return ref_power / 10.0 ** (snr_db / 10.0)
+
+
+def _check_overflow(params: WaveformParams, reach: float, noise_std: float) -> None:
+    """ScenarioError unless B = Q^2 N P A (A * reach + 10 noise_std), the
+    bound `check_scene` derives, stays below 1e150."""
+    amp = params.amplitude
+    q_len, p_len = params.samples_per_pri, params.packets_per_cpi
+    bound = q_len * q_len * params.code_length * p_len * amp * (amp * reach + 10.0 * noise_std)
+    if not bound < 1e150:
+        raise ScenarioError(
+            f"the echo could overflow: its matched filter may reach {bound:.3g} (limit 1e150)"
+        )
+
+
+def _zeroed_cube(p_len: int, q_len: int) -> np.ndarray:
+    """A zeroed P x Q complex array in a private anonymous mapping.
+
+    Its 4 KB pages become resident only where they are written. numpy's own
+    allocator asks for transparent huge pages, so a noise-free echo, which
+    writes a band of every packet row, would make every 2 MB page resident;
+    a shared mapping (mmap's default) would also fault pages in on reads.
+    Faulting 4 KB pages costs time, so only a noise-free echo uses this.
+    """
+    flags = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS
+    buf = mmap.mmap(-1, max(1, 16 * p_len * q_len), flags=flags)
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        buf.madvise(mmap.MADV_NOHUGEPAGE)
+    return np.frombuffer(buf, dtype=np.complex128, count=p_len * q_len).reshape(p_len, q_len)
 
 
 def noise_block(
     params: WaveformParams, snr_db: float, seed: int, strongest: float
 ) -> np.ndarray:
-    """Scaled receiver noise as a Q x P complex block, the cube's shape.
+    """Scaled receiver noise as a P x Q complex block, the cube's shape.
 
     Circular complex white Gaussian noise, calibrated so the per-sample SNR
     of an echo of amplitude `strongest` equals snr_db (reference power
-    amplitude^2 when `strongest` is 0). Packet p's column is drawn from its
-    own stream, SeedSequence(seed).spawn(P)[p], so the block does not depend
-    on how its packets are split across the ISACSIM_THREADS workers. Each
-    draw fills one row of a packet-major buffer, returned transposed.
+    amplitude^2 when `strongest` is 0). Packet p's row is drawn from its own
+    stream, SeedSequence(seed).spawn(P)[p], so the block does not depend on
+    how its packets are split across the ISACSIM_THREADS workers. Raises
+    `check_scene`'s ScenarioError, with `strongest` for the scene's summed
+    reflectivity, when the noise could overflow.
     """
     q_len = params.samples_per_pri
     p_len = params.packets_per_cpi
-    scale = np.sqrt(_noise_power(params, snr_db, strongest) / 2.0)
+    power = _noise_power(params, snr_db, strongest)
+    _check_overflow(params, strongest, math.sqrt(power))
+    scale = np.sqrt(power / 2.0)
     child_seeds = np.random.SeedSequence(seed).spawn(p_len)
     block = np.empty((p_len, q_len), dtype=np.complex128)
 
@@ -229,7 +267,7 @@ def noise_block(
             block[p] = scale * (rng.standard_normal(q_len) + 1j * rng.standard_normal(q_len))
 
     for_blocks(draw, p_len)
-    return block.T
+    return block
 
 
 def delay_bin(range_m: float, params: WaveformParams) -> int:
@@ -281,19 +319,10 @@ def check_scene(
             _checked_delay_bin(sc, params)
             reach += abs(_weighted_reflectivity(sc, path_loss))
     noise_std = 0.0
-    if snr_db is not None:
+    if snr_db is not None:  # the noise power exactly as `noise_block` computes it
         strongest = strongest_amplitude(targets, path_loss)
-        try:  # the noise power exactly as `noise_block` computes it
-            noise_std = math.sqrt(_noise_power(params, snr_db, strongest))
-        except OverflowError:  # a float ** 2 past the float range
-            noise_std = math.inf
-    amp = params.amplitude
-    q_len, p_len = params.samples_per_pri, params.packets_per_cpi
-    bound = q_len * q_len * params.code_length * p_len * amp * (amp * reach + 10.0 * noise_std)
-    if not bound < 1e150:
-        raise ScenarioError(
-            f"the echo could overflow: its matched filter may reach {bound:.3g} (limit 1e150)"
-        )
+        noise_std = math.sqrt(_noise_power(params, snr_db, strongest))
+    _check_overflow(params, reach, noise_std)
 
 
 def synthesize_echo(
@@ -303,7 +332,7 @@ def synthesize_echo(
     path_loss: PathLoss = PathLoss.INVERSE_SQUARE,
     noise: np.ndarray | None = None,
 ) -> DataCube:
-    """Received Q x P cube for the given schedule and targets.
+    """Received P x Q cube for the given schedule and targets.
 
     Each scatterer adds sigma' * s_p[q - q_b] * exp(j phi_p) where sigma' is
     the (optionally path-loss weighted) reflectivity and phi_p =
@@ -311,13 +340,16 @@ def synthesize_echo(
     r_b(p) = ||position + velocity * p * T_pri||. For radial motion this
     equals the textbook -2 pi f_D p T_pri with f_D = 2 v / lambda, exactly.
 
-    The sum over scatterers is the single product Shifts @ Phases described
-    in the module docstring, one code path for one (FMCW, PMCW) or two
-    (Golay) distinct frames. It runs only over the rows [min q_b, max q_b +
+    The sum over scatterers is the product Shifts @ Phases described in the
+    module docstring, one code path for one (FMCW, PMCW) or two (Golay)
+    distinct frames. It runs only over the fast-time band [min q_b, max q_b +
     support), where support ends at the last nonzero sample of any frame;
-    every other row of the echo is exactly zero.
+    every other sample of the echo is exactly zero. The band's rows of
+    Shifts are split into `for_blocks` blocks of at least two, and each
+    block's product is written transposed into its columns of the cube; a
+    row of the product does not depend on the block it is computed in.
 
-    `noise`, a Q x P block from `noise_block`, is added as it is; without
+    `noise`, a P x Q block from `noise_block`, is added as it is; without
     one the echo is noise-free.
     """
     q_len = params.samples_per_pri
@@ -345,9 +377,15 @@ def synthesize_echo(
             sigmas.append(sigma)
             rotations.append(np.exp(-1j * (4.0 * np.pi / lam) * (r_p - r0)))
 
-    cube = np.zeros((q_len, p_len), dtype=np.complex128)
-    # Every frame is zero past its last active sample, so only rows
-    # [min q_b, max q_b + support) can hold echo; the product fills that band.
+    # A noisy echo writes every sample, so numpy's allocator (huge pages,
+    # reused heap) serves it; a noise-free one writes only the band below.
+    if noise is None:
+        cube = _zeroed_cube(p_len, q_len)
+    else:
+        cube = np.zeros((p_len, q_len), dtype=np.complex128)
+    # Every frame is zero past its last active sample, so only fast-time
+    # samples [min q_b, max q_b + support) can hold echo; the product fills
+    # that band of every packet row.
     active = np.flatnonzero(schedule.frames.any(axis=0))
     if delays and active.size:
         frames = schedule.frames
@@ -362,15 +400,19 @@ def synthesize_echo(
         # phases[u, s, p] = rotation_s[p] where packet p carries frame u, else 0
         carries = schedule.packet_map == np.arange(u_len)[:, None, None]
         phases = np.where(carries, np.array(rotations), 0.0)
-        np.matmul(
-            shifts.reshape(hi - lo, u_len * s_len),
-            phases.reshape(u_len * s_len, p_len),
-            out=cube[lo:hi],
-        )
+        shifts = shifts.reshape(hi - lo, u_len * s_len)
+        phases = phases.reshape(u_len * s_len, p_len)
+
+        def fill(r):  # band rows r, as columns lo + r of every packet row
+            cube[:, lo + r.start : lo + r.stop] = (shifts[r] @ phases).T
+
+        # Two or more rows keep every block on the GEMM path: a one-row
+        # product goes through GEMV, whose bits can differ.
+        for_blocks(fill, hi - lo, min_block=2)
 
     if noise is not None:
-        if noise.shape != (q_len, p_len):
-            raise ParameterError(f"noise block must be {q_len} x {p_len}, got {noise.shape}")
+        if noise.shape != (p_len, q_len):
+            raise ParameterError(f"noise block must be {p_len} x {q_len}, got {noise.shape}")
         cube += noise
 
     return DataCube(samples=cube, params=params)

@@ -2,9 +2,9 @@
 
 import isacsim.cli
 
-# Cap the thread pools from ISACSIM_THREADS before numpy loads, as the CLI
-# does, so the suite runs the BLAS pool a CLI run would get. A malformed
-# value leaves the pools alone here and fails the CLI tests instead.
+# Set the pool variables to one thread before numpy loads, as the CLI does,
+# so the suite runs the BLAS pool a CLI run would get. A malformed
+# ISACSIM_THREADS leaves the pools alone here and fails the CLI tests instead.
 isacsim.cli._apply_thread_env()
 
 import numpy as np  # noqa: E402

@@ -564,10 +564,11 @@ class TestCli:
     def test_thread_env_applied_before_numeric_imports(self, monkeypatch):
         for var in cli._THREAD_VARS:
             monkeypatch.delenv(var, raising=False)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
         monkeypatch.setenv("ISACSIM_THREADS", "2")
         cli._apply_thread_env()
-        for var in cli._THREAD_VARS:
-            assert os.environ[var] == "2"
+        for var in cli._THREAD_VARS:  # ISACSIM_THREADS is the one source of concurrency
+            assert os.environ[var] == "1"
 
     @pytest.mark.parametrize("threads", ["abc", "0", "-3"])
     def test_malformed_thread_cap_exits_2(self, tmp_path, capsys, monkeypatch, threads):

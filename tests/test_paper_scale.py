@@ -1,0 +1,97 @@
+"""The paper's results at paper scale (P = 2000), pinned against a golden file.
+
+A point target at [12, 9, 0] m recedes at 0, 2, 10 and 30 m/s under the
+table1 profile. All four waveforms run the library chain (schedule, echo,
+matched filter, detection, peak-cut PSLR) on the FFT grid, and once more at
+2 m/s on the 1999-bin dense grid. Detection bins and the paper's PSLR order
+are asserted under any numpy. The map bytes and the exact PSLR depend on the
+FFT and BLAS builds, so they are compared only under the numpy version the
+golden file was captured with.
+
+Regenerate the golden file (only for a change that moves maps on purpose):
+
+    PYTHONPATH=src python tests/test_paper_scale.py
+"""
+
+import hashlib
+import json
+import math
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import isacsim as iz
+
+GOLDEN = Path(__file__).with_name("paper_scale_golden.json")
+KINDS = ("fmcw", "pmcw", "golay_standard", "golay_doppler_resilient")
+SPEEDS_MPS = (0.0, 2.0, 10.0, 30.0)
+DENSE_BINS = 1999
+DENSE_SPEED_MPS = 2.0
+SEED_CODE = 7  # configs/point_target.ini
+
+
+def _runs():
+    """(label, speed, bins) of every pinned run; bins None is the FFT grid."""
+    runs = [(f"fft-{speed:g}mps", speed, None) for speed in SPEEDS_MPS]
+    runs.append((f"dense{DENSE_BINS}-{DENSE_SPEED_MPS:g}mps", DENSE_SPEED_MPS, DENSE_BINS))
+    return runs
+
+
+def compute_run(speed_mps: float, bins: int | None) -> dict:
+    """Detection, PSLR and map sha1 of each waveform for one run."""
+    params = iz.scaled_profile(iz.WaveformParams(), 2000)
+    position = np.array([12.0, 9.0, 0.0])
+    targets = [iz.point_target(position, speed_mps * position / np.linalg.norm(position))]
+    grid = iz.default_grid(params) if bins is None else iz.symmetric_grid(params, bins)
+    out = {}
+    for kind in KINDS:
+        schedule = iz.build_schedule(iz.ScheduleKind(kind), params, seed=SEED_CODE)
+        cube = iz.synthesize_echo(schedule, targets, params)
+        rd_map = iz.matched_filter_rd(cube, schedule, grid)
+        del cube
+        det = iz.detect_peak(rd_map)
+        out[kind] = {
+            "range_bin": det.range_bin,
+            "doppler_bin": det.doppler_bin,
+            "pslr_db": iz.pslr_db(rd_map.range_cut(det.doppler_bin)),
+            "map_sha1": hashlib.sha1(rd_map.values.tobytes()).hexdigest(),
+        }
+    return out
+
+
+def _golden() -> dict:
+    return json.loads(GOLDEN.read_text())
+
+
+@pytest.mark.parametrize("label, speed, bins", _runs(), ids=[r[0] for r in _runs()])
+def test_paper_scale_run_matches_the_golden_file(label, speed, bins):
+    golden = _golden()
+    expected = golden["runs"][label]
+    got = compute_run(speed, bins)
+    same_numpy = np.__version__ == golden["numpy"]
+    for kind in KINDS:
+        want, have = expected[kind], got[kind]
+        assert (have["range_bin"], have["doppler_bin"]) == (
+            want["range_bin"],
+            want["doppler_bin"],
+        ), kind
+        if same_numpy:
+            assert have["map_sha1"] == want["map_sha1"], kind
+            assert have["pslr_db"] == want["pslr_db"], kind
+    pslr = [got[kind]["pslr_db"] for kind in KINDS]
+    assert all(math.isfinite(x) for x in pslr), pslr
+    # the paper's order: fmcw < pmcw < golay_standard <= golay_doppler_resilient
+    assert pslr[0] < pslr[1] < pslr[2] <= pslr[3], pslr
+
+
+def main() -> int:
+    runs = {label: compute_run(speed, bins) for label, speed, bins in _runs()}
+    GOLDEN.write_text(json.dumps({"numpy": np.__version__, "runs": runs}, indent=2) + "\n")
+    print(f"wrote {GOLDEN}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

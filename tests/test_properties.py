@@ -91,7 +91,7 @@ def test_synthesis_matches_per_scatterer_reference(kind, p_count, ranges, speed)
     # ranges round to about 1e-15 m, and 4 pi / lambda turns that into a
     # phase error near 1e-11 rad
     tolerance = 1e-10 * np.abs(expected).max()
-    np.testing.assert_allclose(cube.samples, expected, rtol=0, atol=tolerance)
+    np.testing.assert_allclose(cube.samples.T, expected, rtol=0, atol=tolerance)
 
 
 @deterministic
@@ -116,7 +116,7 @@ def test_cluster_synthesis_matches_per_scatterer_reference(
         target = iz.make_car(center, seed=seed, speed_mps=speed, count=count)
     else:
         target = iz.make_pedestrian(center, seed=seed, speed_mps=speed)
-    cube = iz.synthesize_echo(sched, [target], params, path_loss=path_loss).samples
+    cube = iz.synthesize_echo(sched, [target], params, path_loss=path_loss).samples.T
     expected = reference_echo(sched, [target], params, path_loss)
     tolerance = 1e-10 * np.abs(expected).max()
     np.testing.assert_allclose(cube, expected, rtol=0, atol=tolerance)
@@ -135,7 +135,7 @@ def test_empty_scene_synthesizes_an_exactly_zero_cube(kind, p_count):
 def serial_noisy_cube(schedule, targets, params, snr_db, seed, path_loss):
     """The reference: the clean echo plus noise drawn one packet column at a
     time, as synthesis did before the noise became one shared block."""
-    cube = iz.synthesize_echo(schedule, targets, params, path_loss=path_loss).samples.copy()
+    cube = iz.synthesize_echo(schedule, targets, params, path_loss=path_loss).samples.T.copy()
     sigmas = []
     for target in targets:
         for sc in target.scatterers:
@@ -178,11 +178,11 @@ def test_shared_noise_block_equals_the_per_packet_draw(threads, scene, path_loss
                 noise=iz.noise_block(params, 7.5, 19, strongest),
             )
             shared = iz.synthesize_echo(sched, targets, params, path_loss=path_loss, noise=block)
-        assert block.shape == (params.samples_per_pri, p_count)
-        assert np.array_equal(own.samples, expected)
-        assert np.array_equal(shared.samples, expected)
+        assert block.T.shape == (params.samples_per_pri, p_count)
+        assert np.array_equal(own.samples.T, expected)
+        assert np.array_equal(shared.samples.T, expected)
         if not targets:
-            assert np.array_equal(block, expected)
+            assert np.array_equal(block.T, expected)
     assert threading.active_count() == before
 
 
@@ -223,7 +223,7 @@ def serial_matched_filter(cube, schedule, grid):
     """The reference: the matched filter as one pass per stage on one thread."""
     params = cube.params
     p_len = params.packets_per_cpi
-    spectra = np.fft.fft(cube.samples, axis=0)
+    spectra = np.fft.fft(cube.samples.T, axis=0)
     ref = np.conj(np.fft.fft(schedule.frames, axis=1))
     matched = spectra
     matched *= ref[schedule.packet_map].T
@@ -278,6 +278,61 @@ def test_block_parallel_filter_equals_the_serial_filter(
     assert threading.active_count() == before
     assert values.shape == expected.shape and values.dtype == expected.dtype
     assert np.array_equal(values, expected)
+
+
+@deterministic
+@given(
+    kind=kinds,
+    p_count=st.integers(min_value=1, max_value=40),
+    code_length=st.sampled_from([2, 4, 8, 128]),
+    distance=st.floats(min_value=2.0, max_value=20.0),
+    speed=st.floats(min_value=-30.0, max_value=30.0),
+    seed=st.integers(min_value=0, max_value=2**16),
+    bins=st.integers(min_value=1, max_value=40).map(lambda k: 2 * k + 1),
+)
+def test_row_blocked_products_do_not_depend_on_the_thread_count(
+    kind, p_count, code_length, distance, speed, seed, bins
+):
+    # a pedestrian's 27 scatterers span about 25 delay bins, so with short
+    # codes the synthesis band is a few dozen rows and 5 workers cut it into
+    # blocks of one or two: every block must still take the GEMM's path
+    params = iz.WaveformParams(pri_s=PRI_S, cpi_s=p_count * PRI_S, code_length=code_length)
+    sched = iz.build_schedule(kind, params, seed=3)
+    targets = [iz.make_pedestrian([distance, 1.0, 0.0], seed=seed, speed_mps=speed)]
+    grid = iz.symmetric_grid(params, bins)
+    cubes, maps = [], []
+    for threads in ("1", "2", "5"):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("ISACSIM_THREADS", threads)
+            cube = iz.synthesize_echo(sched, targets, params)
+            cubes.append(cube.samples)
+            maps.append(iz.matched_filter_rd(cube, sched, grid).values)
+    assert all(np.array_equal(cubes[0], cube) for cube in cubes[1:])
+    assert all(np.array_equal(maps[0], values) for values in maps[1:])
+
+
+@pytest.mark.parametrize("cluster", ["pedestrian", "car"])
+def test_ci_scale_cluster_cube_and_dense_map_do_not_depend_on_the_thread_count(
+    cluster, ci_params
+):
+    center = np.array([18.0, 6.0, 0.0])
+    if cluster == "car":
+        target = iz.make_car(center, seed=301, speed_mps=10.0, count=64)
+    else:
+        target = iz.make_pedestrian(center, seed=3, speed_mps=2.0)
+    noise = iz.noise_block(ci_params, 20.0, 11, iz.strongest_amplitude([target]))
+    grid = iz.symmetric_grid(ci_params, 63)
+    for kind in KINDS:
+        sched = iz.build_schedule(kind, ci_params, seed=7)
+        cubes, maps = [], []
+        for threads in ("1", "2", "5"):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setenv("ISACSIM_THREADS", threads)
+                cube = iz.synthesize_echo(sched, [target], ci_params, noise=noise)
+                cubes.append(cube.samples)
+                maps.append(iz.matched_filter_rd(cube, sched, grid).values)
+        assert all(np.array_equal(cubes[0], cube) for cube in cubes[1:]), kind
+        assert all(np.array_equal(maps[0], values) for values in maps[1:]), kind
 
 
 def reference_quantize(signal, fmt):
@@ -397,7 +452,7 @@ def serial_quantized_matched_filter(cube, schedule, grid, fmt, mode):
         sizes[name] = 2 * x.size
         return values
 
-    x = cube.samples
+    x = cube.samples.T
     if mode is iz.FxpMode.FULL_CHAIN:
         x = quantized(x, "input")
     ref = quantized(np.conj(np.fft.fft(schedule.frames, axis=1)), "reference")

@@ -172,6 +172,14 @@ class TestDetectPeak:
         with pytest.raises(iz.NoDetectionError):
             iz.detect_peak(_map_from(np.zeros((3, 5))))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_map_raises_a_one_line_data_error(self, bad):
+        values = np.ones((3, 5))
+        values[1, 2] = bad
+        with pytest.raises(iz.DataError) as info:
+            iz.detect_peak(_map_from(values))
+        assert "non-finite" in str(info.value) and "\n" not in str(info.value)
+
     def test_detection_reports_axis_values(self):
         values = np.zeros((3, 5))
         values[2, 4] = 2.5

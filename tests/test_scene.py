@@ -1,10 +1,13 @@
 """Scene synthesis: delay placement, slow-time phase, noise, clusters."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import isacsim as iz
 from isacsim.params import SPEED_OF_LIGHT_MPS
+from isacsim.scene import check_scene
 
 
 class TestDelayBin:
@@ -32,11 +35,11 @@ class TestEchoPlacement:
         )
         qb = iz.delay_bin(15.0, ci_params)
         assert qb == 176
-        assert np.all(cube.samples[:qb, :] == 0)
+        assert np.all(cube.samples.T[:qb, :] == 0)
         # echo is the frame shifted down by qb (reflectivity 1, no loss)
         frame = sched.frames[0]
         keep = ci_params.samples_per_pri - qb
-        np.testing.assert_allclose(cube.samples[qb:, 0], frame[:keep], atol=1e-12)
+        np.testing.assert_allclose(cube.samples.T[qb:, 0], frame[:keep], atol=1e-12)
 
     def test_path_loss_scales_by_inverse_range_squared(self, ci_params):
         pos = np.array([12.0, 9.0, 0.0])
@@ -65,8 +68,8 @@ class TestEchoPlacement:
         f_d = 2.0 * 2.0 / ci_params.wavelength_m
         assert f_d == pytest.approx(800.55, abs=0.01)
         p = np.arange(ci_params.packets_per_cpi)
-        expected = cube.samples[qb, 0] * np.exp(-2j * np.pi * f_d * p * ci_params.pri_s)
-        np.testing.assert_allclose(cube.samples[qb, :], expected, atol=1e-9)
+        expected = cube.samples.T[qb, 0] * np.exp(-2j * np.pi * f_d * p * ci_params.pri_s)
+        np.testing.assert_allclose(cube.samples.T[qb, :], expected, atol=1e-9)
 
     def test_superposition_of_two_scatterers(self, small_params):
         sched = iz.build_schedule(iz.ScheduleKind.PMCW, small_params, seed=7)
@@ -109,7 +112,7 @@ class TestNoise:
 
     def test_car_cube_is_bit_identical_across_calls(self, ci_params, all_kinds):
         # a 64-scatterer car is large enough for the synthesis product to run
-        # on several BLAS threads; re-runs must still agree to the bit
+        # in several blocks; re-runs must still agree to the bit
         car = iz.make_car(np.array([20.0, 5.0, 0.0]), seed=301, speed_mps=10.0, count=64)
         strongest = iz.strongest_amplitude([car])
         for kind in all_kinds:
@@ -133,16 +136,25 @@ class TestNoise:
         assert np.array_equal(a.samples, b.samples)
         assert not np.array_equal(a.samples, c.samples)
 
-    def test_rejects_a_packet_major_block(self, small_params):
+    def test_overflowing_noise_raises_the_scene_check_error(self, small_params):
+        params = dataclasses.replace(small_params, amplitude=1e200)  # amplitude**2 overflows
+        with pytest.raises(iz.ScenarioError) as drawn:
+            iz.noise_block(params, 10.0, 11, 0.0)
+        with pytest.raises(iz.ScenarioError) as checked:
+            check_scene([], params, iz.PathLoss.INVERSE_SQUARE, 10.0)
+        assert str(drawn.value) == str(checked.value)
+        assert "could overflow" in str(drawn.value) and "\n" not in str(drawn.value)
+
+    def test_rejects_a_fast_time_major_block(self, small_params):
         sched = iz.build_schedule(iz.ScheduleKind.FMCW, small_params)
         q_len, p_len = small_params.samples_per_pri, small_params.packets_per_cpi
         assert q_len != p_len
-        block = np.zeros((p_len, q_len), dtype=np.complex128)
+        block = np.zeros((q_len, p_len), dtype=np.complex128)
         with pytest.raises(iz.ParameterError) as exc:
             iz.synthesize_echo(sched, [], small_params, noise=block)
         message = str(exc.value)
-        assert f"{q_len} x {p_len}" in message
-        assert str((p_len, q_len)) in message
+        assert f"{p_len} x {q_len}" in message
+        assert str((q_len, p_len)) in message
 
 
 class TestClusters:

@@ -1,9 +1,12 @@
 """The block splitter behind the matched filter: coverage, errors, thread
-lifetime and the ISACSIM_THREADS rule it shares with the CLI."""
+lifetime, the ISACSIM_THREADS rule it shares with the CLI, and the one-thread
+BLAS pool it leaves behind."""
 
 import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -105,3 +108,72 @@ def test_malformed_thread_count_raises_the_cli_message(threads, value):
     assert str(info.value) == message
     with pytest.raises(ParameterError):
         for_blocks(lambda block: None, 10)
+
+
+def test_min_block_keeps_every_slice_at_least_that_long(threads):
+    threads("5")
+
+    def blocks_of(n):
+        blocks = []
+        for_blocks(blocks.append, n, min_block=2)
+        return sorted(blocks, key=lambda block: block.start)
+
+    for n in (2, 3, 5, 9, 40, 41):
+        blocks = blocks_of(n)
+        assert sorted(i for block in blocks for i in range(n)[block]) == list(range(n))
+        assert all(block.stop - block.start >= 2 for block in blocks)
+    assert blocks_of(1) == [slice(0, 1)]
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+CAR_INI = """\
+[radar]
+pri_s = 2.909090909090909e-07
+packets = 16
+code_length = 256
+[scene]
+target = car
+position_m = 20, 5, 0
+radial_speed_mps = 5
+snr_db = 10
+[doppler]
+bins = 15
+"""
+# numpy (and with it OpenBLAS) loads before isacsim, as in a library caller
+# or a benchmark that forks its runs from one warm process
+LOADED_FIRST = """\
+import sys
+import numpy
+from isacsim import _threads, cli
+before = _threads.blas_pool_size()
+code = cli.main(["run", sys.argv[1], "--out", sys.argv[2]])
+print(before, _threads.blas_pool_size(), code)
+"""
+
+
+def test_a_run_caps_a_blas_pool_that_loaded_first(tmp_path):
+    if (os.cpu_count() or 1) < 2:
+        pytest.skip("OpenBLAS sizes its pool to at most the CPU count")
+    config = tmp_path / "car.ini"
+    config.write_text(CAR_INI)
+
+    def run(blas_threads, out):
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads, ISACSIM_THREADS="2")
+        env["PYTHONPATH"] = path
+        proc = subprocess.run(
+            [sys.executable, "-c", LOADED_FIRST, str(config), str(tmp_path / out)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()[-1].split()
+
+    before, after, code = run("2", "two")
+    if before == "None":
+        pytest.skip("numpy's BLAS exports no OpenBLAS pool size")
+    assert (before, after, code) == ("2", "1", "0")
+    assert run("1", "one") == ["1", "1", "0"]
+    csvs = sorted(p.name for p in (tmp_path / "one").glob("*.csv"))
+    assert len(csvs) == 8
+    for name in csvs:
+        assert (tmp_path / "two" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
