@@ -53,7 +53,6 @@ _EXPORTS = {
     "delay_bin": ".scene",
     "synthesize_echo": ".scene",
     "noise_block": ".scene",
-    "strongest_amplitude": ".scene",
     # rsp
     "ORACLE_GUARD": ".rsp",
     "DopplerGrid": ".rsp",

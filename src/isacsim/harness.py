@@ -9,8 +9,7 @@ accuracy rows. CSV artifacts are deterministic for a fixed configuration
 `'%.9g' % x`, produced a block of rows at a time by the vectorized formatter
 in `_csvformat`.
 
-The run streams: it checks the scene (`check_scene`, which also rejects an
-echo that could overflow), draws the scene's receiver noise once
+The run streams: it draws the scene's receiver noise once
 (`noise_block`), then `run_waveform` takes one waveform at a time from its
 schedule through synthesis, the matched filter, detection and PSLR, the
 optional oracle and fixed-point sweep (scored against the run's own double
@@ -22,6 +21,10 @@ synthesis (without the shared noise draw, which the run-level
 `timings_s.noise` times), processing and artifact writing. The summary's
 `tool.version` is `isacsim.__version__`, the one place the version is
 written, and its `environment` block records what produced the numbers.
+
+`noise_block` and `synthesize_echo` both run `scene.check_scene` first, so a
+scene that cannot run fails at the noise draw, or with noise off at the
+first echo, before any CSV is written.
 """
 
 from __future__ import annotations
@@ -62,13 +65,11 @@ from .rsp import (
 from .scene import (
     DataCube,
     TargetModel,
-    check_scene,
     make_car,
     make_pedestrian,
     noise_block,
     point_target,
     radial_unit,
-    strongest_amplitude,
     synthesize_echo,
 )
 from .waveform import FrameSchedule, ScheduleKind, build_schedule
@@ -361,12 +362,10 @@ def run_comparison(cfg: ScenarioConfig, out_dir: Path | str | None = None) -> Ru
     partial = []
     runtime_warnings: list[str] = list(cfg.warnings)
 
-    check_scene(targets, cfg.params, cfg.path_loss, cfg.snr_db)  # fail before any work
     noise, noise_s = None, 0.0
     if cfg.snr_db is not None:  # one draw for every waveform
         t0 = time.perf_counter()
-        strongest = strongest_amplitude(targets, cfg.path_loss)
-        noise = noise_block(cfg.params, cfg.snr_db, cfg.seed_noise, strongest)
+        noise = noise_block(targets, cfg.params, cfg.snr_db, cfg.seed_noise, cfg.path_loss)
         noise_s = time.perf_counter() - t0
 
     for kind in cfg.waveforms:

@@ -36,7 +36,7 @@ ORACLE_GUARD = 4_194_304
 class DopplerGrid:
     frequencies_hz: np.ndarray  # J hypotheses, uniform, monotone increasing
     spacing_hz: float
-    fft_aligned: bool  # True when J == P and spacing == 1/(P*T_pri)
+    fft_aligned: bool  # default_grid's J = P bins: steered by a slow-time IFFT
 
     def __post_init__(self):
         f = self.frequencies_hz
@@ -116,7 +116,7 @@ def _check_schedule(cube: DataCube, schedule: FrameSchedule):
     if schedule.frames.shape[1] != q_len or len(schedule) != p_len:
         raise ProcessingError(
             f"schedule of {len(schedule.frames)} x {schedule.frames.shape[1]} frames over "
-            f"{len(schedule)} packets does not match a {q_len} x {p_len} cube"
+            f"{len(schedule)} packets does not match a {p_len} x {q_len} cube"
         )
 
 
@@ -128,7 +128,7 @@ def _chain(cube: DataCube, schedule: FrameSchedule, grid: DopplerGrid, dense: bo
     (conjugate frame spectra), "post_fft" (P x Q), "twiddle" (dense only),
     "post_steering" and "post_ifft" (one Doppler hypothesis per row; in
     slow-time FFT order when not dense). Dense steering applies the P x J
-    matrix; otherwise the grid must be FFT-aligned and steering is a
+    matrix; otherwise the grid must be `default_grid`'s and steering is a
     slow-time IFFT. Each pass runs in contiguous blocks on the
     ISACSIM_THREADS cores (`_threads.for_blocks`), and each block does the
     arithmetic of one whole pass, so no bit depends on the thread count.
@@ -137,6 +137,11 @@ def _chain(cube: DataCube, schedule: FrameSchedule, grid: DopplerGrid, dense: bo
     p_len, q_len = cube.samples.shape
     j_len = len(grid)
     _check_schedule(cube, schedule)
+    if not dense and not np.array_equal(grid.frequencies_hz, default_grid(params).frequencies_hz):
+        raise ParameterError(
+            f"a Doppler grid marked fft_aligned must be default_grid's {p_len} bins; "
+            "build any other grid with fft_aligned=False"
+        )
     samples, packet_map = stage("input", cube.samples), schedule.packet_map
     ref = stage("reference", np.conj(np.fft.fft(schedule.frames, axis=1)))  # U x Q
     spectra = np.empty((p_len, q_len), dtype=np.complex128)

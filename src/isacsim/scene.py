@@ -19,8 +19,13 @@ per-packet pass of the matched filter reads contiguous memory.
 Receiver noise belongs to the scene, not to the waveform: its seed, its
 per-packet streams and its scale (set by the strongest scatterer) are the
 same for every schedule. `noise_block` draws it once as a P x Q block, the
-cube's shape, and `synthesize_echo` adds a block it is handed to each echo,
-so a comparison run draws the noise once for all its waveforms.
+cube's shape, and a noisy echo from `synthesize_echo` starts as a copy of the
+block it is handed, so a comparison run draws the noise once for all its
+waveforms.
+
+`check_scene` walks the scene once for both: it gives each scatterer's delay
+bin and weighted reflectivity and rejects a scene that cannot run, before
+`noise_block` draws or `synthesize_echo` multiplies anything.
 """
 
 from __future__ import annotations
@@ -186,42 +191,16 @@ def make_car(
     return TargetModel(scatterers=scatterers)
 
 
-def _weighted_reflectivity(sc: PointScatterer, path_loss: PathLoss):
-    """sigma': the reflectivity, over r0^2 under inverse-square path loss."""
-    if path_loss is PathLoss.INVERSE_SQUARE:
-        return sc.reflectivity / sc.range_m**2
-    return sc.reflectivity
-
-
-def strongest_amplitude(targets, path_loss: PathLoss = PathLoss.INVERSE_SQUARE) -> float:
-    """Largest |sigma'| over the scene's scatterers, 0.0 for an empty scene."""
-    return max(
-        (abs(_weighted_reflectivity(sc, path_loss)) for t in targets for sc in t.scatterers),
-        default=0.0,
-    )
-
-
-def _noise_power(params: WaveformParams, snr_db: float, strongest: float) -> float:
-    """Complex noise power per sample that puts an echo of amplitude
-    `strongest` at snr_db (reference power amplitude^2 when it is 0);
-    math.inf when a square passes the float range."""
+def _noise_power(params: WaveformParams, snr_db: float, sigmas) -> float:
+    """Complex noise power per sample that puts an echo of the strongest
+    amplitude max |sigma'| at snr_db (reference power amplitude^2 for an
+    empty scene); math.inf when a square passes the float range."""
+    strongest = max(map(abs, sigmas), default=0.0)
     try:
         ref_power = params.amplitude**2 * (strongest**2 if strongest > 0 else 1.0)
     except OverflowError:
         return math.inf
     return ref_power / 10.0 ** (snr_db / 10.0)
-
-
-def _check_overflow(params: WaveformParams, reach: float, noise_std: float) -> None:
-    """ScenarioError unless B = Q^2 N P A (A * reach + 10 noise_std), the
-    bound `check_scene` derives, stays below 1e150."""
-    amp = params.amplitude
-    q_len, p_len = params.samples_per_pri, params.packets_per_cpi
-    bound = q_len * q_len * params.code_length * p_len * amp * (amp * reach + 10.0 * noise_std)
-    if not bound < 1e150:
-        raise ScenarioError(
-            f"the echo could overflow: its matched filter may reach {bound:.3g} (limit 1e150)"
-        )
 
 
 def _zeroed_cube(p_len: int, q_len: int) -> np.ndarray:
@@ -241,23 +220,25 @@ def _zeroed_cube(p_len: int, q_len: int) -> np.ndarray:
 
 
 def noise_block(
-    params: WaveformParams, snr_db: float, seed: int, strongest: float
+    targets,
+    params: WaveformParams,
+    snr_db: float,
+    seed: int,
+    path_loss: PathLoss = PathLoss.INVERSE_SQUARE,
 ) -> np.ndarray:
-    """Scaled receiver noise as a P x Q complex block, the cube's shape.
+    """The scene's receiver noise as a P x Q complex block, the cube's shape.
 
     Circular complex white Gaussian noise, calibrated so the per-sample SNR
-    of an echo of amplitude `strongest` equals snr_db (reference power
-    amplitude^2 when `strongest` is 0). Packet p's row is drawn from its own
-    stream, SeedSequence(seed).spawn(P)[p], so the block does not depend on
-    how its packets are split across the ISACSIM_THREADS workers. Raises
-    `check_scene`'s ScenarioError, with `strongest` for the scene's summed
-    reflectivity, when the noise could overflow.
+    of the scene's strongest echo, amplitude A * max |sigma'|, equals snr_db
+    (reference power A^2 for an empty scene). Packet p's row is drawn from
+    its own stream, SeedSequence(seed).spawn(P)[p], so the block does not
+    depend on how its packets are split across the ISACSIM_THREADS workers.
+    Raises `check_scene`'s ScenarioError before anything is drawn.
     """
     q_len = params.samples_per_pri
     p_len = params.packets_per_cpi
-    power = _noise_power(params, snr_db, strongest)
-    _check_overflow(params, strongest, math.sqrt(power))
-    scale = np.sqrt(power / 2.0)
+    sigmas = [sigma for _, _, sigma in check_scene(targets, params, path_loss, snr_db)]
+    scale = np.sqrt(_noise_power(params, snr_db, sigmas) / 2.0)
     child_seeds = np.random.SeedSequence(seed).spawn(p_len)
     block = np.empty((p_len, q_len), dtype=np.complex128)
 
@@ -275,33 +256,17 @@ def delay_bin(range_m: float, params: WaveformParams) -> int:
     return round(2.0 * range_m / (SPEED_OF_LIGHT_MPS * params.sample_period_s))
 
 
-def _checked_delay_bin(sc: PointScatterer, params: WaveformParams) -> int:
-    """The scatterer's delay bin; ScenarioError when its echo does not fit
-    the PRI or its radial speed exceeds the Doppler ambiguity limit."""
-    q_len = params.samples_per_pri
-    max_range = SPEED_OF_LIGHT_MPS * q_len * params.sample_period_s / 2.0
-    r0 = sc.range_m
-    if r0 >= max_range:
-        raise ScenarioError(
-            f"scatterer at {r0:.2f} m is beyond the unambiguous range {max_range:.2f} m"
-        )
-    v_max = params.max_unambiguous_velocity_mps
-    if abs(sc.radial_velocity_mps) > v_max:
-        raise ScenarioError(
-            f"radial speed {sc.radial_velocity_mps:.2f} m/s exceeds the "
-            f"ambiguity limit {v_max:.2f} m/s"
-        )
-    qb = delay_bin(r0, params)
-    if qb >= q_len:
-        raise ScenarioError(f"delay bin {qb} falls outside the PRI ({q_len} samples)")
-    return qb
-
-
 def check_scene(
     targets, params: WaveformParams, path_loss: PathLoss, snr_db: float | None
-) -> None:
-    """Raise the ScenarioError `synthesize_echo` would raise for this scene,
-    or one for a scene whose numbers could overflow.
+) -> list[tuple[PointScatterer, int, complex]]:
+    """The scene as (scatterer, q_b, sigma') per scatterer, in order: its
+    delay bin and its reflectivity, over r0^2 under inverse-square path loss.
+
+    The one walk over the scene, run by `noise_block` and `synthesize_echo`.
+    It raises ScenarioError for a scatterer whose echo does not fit the PRI
+    or whose radial speed exceeds the Doppler ambiguity limit, and for a
+    scene whose numbers, with noise at snr_db (None: noise-free), could
+    overflow.
 
     The overflow bound holds before anything is drawn. No echo sample exceeds
     X = A * sum |sigma'| + 10 noise std, with A the chip amplitude (complex
@@ -313,16 +278,37 @@ def check_scene(
     fixed-point sweep's signal power, a sum of J * Q such squares, stays
     finite for any grid of fewer than 1e8 * Q bins.
     """
-    reach = 0.0
+    q_len, p_len = params.samples_per_pri, params.packets_per_cpi
+    max_range = SPEED_OF_LIGHT_MPS * q_len * params.sample_period_s / 2.0
+    v_max = params.max_unambiguous_velocity_mps
+    inverse_square = path_loss is PathLoss.INVERSE_SQUARE
+    scene = []
     for target in targets:
         for sc in target.scatterers:
-            _checked_delay_bin(sc, params)
-            reach += abs(_weighted_reflectivity(sc, path_loss))
-    noise_std = 0.0
-    if snr_db is not None:  # the noise power exactly as `noise_block` computes it
-        strongest = strongest_amplitude(targets, path_loss)
-        noise_std = math.sqrt(_noise_power(params, snr_db, strongest))
-    _check_overflow(params, reach, noise_std)
+            r0 = sc.range_m
+            if r0 >= max_range:
+                raise ScenarioError(
+                    f"scatterer at {r0:.2f} m is beyond the unambiguous range {max_range:.2f} m"
+                )
+            if abs(sc.radial_velocity_mps) > v_max:
+                raise ScenarioError(
+                    f"radial speed {sc.radial_velocity_mps:.2f} m/s exceeds the "
+                    f"ambiguity limit {v_max:.2f} m/s"
+                )
+            qb = delay_bin(r0, params)
+            if qb >= q_len:
+                raise ScenarioError(f"delay bin {qb} falls outside the PRI ({q_len} samples)")
+            scene.append((sc, qb, sc.reflectivity / r0**2 if inverse_square else sc.reflectivity))
+    sigmas = [sigma for _, _, sigma in scene]
+    noise_std = 0.0 if snr_db is None else math.sqrt(_noise_power(params, snr_db, sigmas))
+    amp = params.amplitude
+    reach = sum(abs(sigma) for sigma in sigmas)
+    bound = q_len * q_len * params.code_length * p_len * amp * (amp * reach + 10.0 * noise_std)
+    if not bound < 1e150:
+        raise ScenarioError(
+            f"the echo could overflow: its matched filter may reach {bound:.3g} (limit 1e150)"
+        )
+    return scene
 
 
 def synthesize_echo(
@@ -339,6 +325,7 @@ def synthesize_echo(
     -(4 pi / lambda) * (r_b(p) - r_b(0)) is the phase of the advancing range
     r_b(p) = ||position + velocity * p * T_pri||. For radial motion this
     equals the textbook -2 pi f_D p T_pri with f_D = 2 v / lambda, exactly.
+    The scene passes `check_scene` without noise first.
 
     The sum over scatterers is the product Shifts @ Phases described in the
     module docstring, one code path for one (FMCW, PMCW) or two (Golay)
@@ -349,8 +336,9 @@ def synthesize_echo(
     block's product is written transposed into its columns of the cube; a
     row of the product does not depend on the block it is computed in.
 
-    `noise`, a P x Q block from `noise_block`, is added as it is; without
-    one the echo is noise-free.
+    `noise`, a P x Q block from `noise_block`, is where a noisy echo starts:
+    the cube is a copy of it and the band is added in. Without one the echo
+    is noise-free.
     """
     q_len = params.samples_per_pri
     p_len = params.packets_per_cpi
@@ -358,45 +346,36 @@ def synthesize_echo(
         raise ScenarioError(
             f"schedule carries {len(schedule)} packets but the CPI holds {p_len}"
         )
-    pri = params.pri_s
-    lam = params.wavelength_m
-    packet_idx = np.arange(p_len)
-
-    delays, sigmas, rotations = [], [], []
-    for target in targets:
-        for sc in target.scatterers:
-            qb = _checked_delay_bin(sc, params)
-            r0 = sc.range_m
-            sigma = _weighted_reflectivity(sc, path_loss)
-            # advancing range drives the slow-time phase; delay stays put
-            r_p = np.linalg.norm(
-                sc.position_m[None, :] + sc.velocity_mps[None, :] * (packet_idx[:, None] * pri),
-                axis=1,
-            )
-            delays.append(qb)
-            sigmas.append(sigma)
-            rotations.append(np.exp(-1j * (4.0 * np.pi / lam) * (r_p - r0)))
-
-    # A noisy echo writes every sample, so numpy's allocator (huge pages,
-    # reused heap) serves it; a noise-free one writes only the band below.
+    scene = check_scene(targets, params, path_loss, None)
+    if noise is not None and noise.shape != (p_len, q_len):
+        raise ParameterError(f"noise block must be {p_len} x {q_len}, got {noise.shape}")
+    # A noisy echo is a copy of its noise, served by numpy's allocator (huge
+    # pages, reused heap); a noise-free one writes only the band below.
     if noise is None:
         cube = _zeroed_cube(p_len, q_len)
     else:
-        cube = np.zeros((p_len, q_len), dtype=np.complex128)
+        cube = noise.astype(np.complex128, order="C")
     # Every frame is zero past its last active sample, so only fast-time
     # samples [min q_b, max q_b + support) can hold echo; the product fills
     # that band of every packet row.
     active = np.flatnonzero(schedule.frames.any(axis=0))
-    if delays and active.size:
+    if scene and active.size:
         frames = schedule.frames
-        u_len, s_len = len(frames), len(delays)
+        u_len, s_len = len(frames), len(scene)
+        delays = [qb for _, qb, _ in scene]
         lo = min(delays)
         hi = min(q_len, max(delays) + int(active[-1]) + 1)
         # shifts[q, u, s] = sigma_s * frames[u, q - q_s]: column u*S + s of Shifts
         shifts = np.zeros((hi - lo, u_len, s_len), dtype=np.complex128)
-        for s, (qb, sigma) in enumerate(zip(delays, sigmas)):
-            keep = hi - qb
-            shifts[qb - lo :, :, s] = sigma * frames[:, :keep].T
+        # rotation_s[p] = exp(-j (4 pi / lambda) (r_s(p) - r_s(0))): the
+        # advancing range drives the slow-time phase; the delay stays put
+        t_p = np.arange(p_len)[:, None] * params.pri_s
+        k = 4.0 * np.pi / params.wavelength_m
+        rotations = []
+        for s, (sc, qb, sigma) in enumerate(scene):
+            shifts[qb - lo :, :, s] = sigma * frames[:, : hi - qb].T
+            r_p = np.linalg.norm(sc.position_m + sc.velocity_mps * t_p, axis=1)
+            rotations.append(np.exp(-1j * k * (r_p - sc.range_m)))
         # phases[u, s, p] = rotation_s[p] where packet p carries frame u, else 0
         carries = schedule.packet_map == np.arange(u_len)[:, None, None]
         phases = np.where(carries, np.array(rotations), 0.0)
@@ -404,15 +383,13 @@ def synthesize_echo(
         phases = phases.reshape(u_len * s_len, p_len)
 
         def fill(r):  # band rows r, as columns lo + r of every packet row
-            cube[:, lo + r.start : lo + r.stop] = (shifts[r] @ phases).T
+            if noise is None:
+                cube[:, lo + r.start : lo + r.stop] = (shifts[r] @ phases).T
+            else:
+                cube[:, lo + r.start : lo + r.stop] += (shifts[r] @ phases).T
 
         # Two or more rows keep every block on the GEMM path: a one-row
         # product goes through GEMV, whose bits can differ.
         for_blocks(fill, hi - lo, min_block=2)
-
-    if noise is not None:
-        if noise.shape != (p_len, q_len):
-            raise ParameterError(f"noise block must be {p_len} x {q_len}, got {noise.shape}")
-        cube += noise
 
     return DataCube(samples=cube, params=params)

@@ -49,6 +49,6 @@ def random_case(rng: np.random.Generator):
     noise_seed = int(rng.integers(0, 10_000))
     noise = None
     if snr is not None:
-        noise = iz.noise_block(params, snr, noise_seed, iz.strongest_amplitude(targets))
+        noise = iz.noise_block(targets, params, snr, noise_seed)
     cube = iz.synthesize_echo(schedule, targets, params, noise=noise)
     return cube, schedule, grid

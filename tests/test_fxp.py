@@ -15,7 +15,7 @@ def small_pipeline(params, kind=iz.ScheduleKind.PMCW, snr_db=None):
     sched = iz.build_schedule(kind, params, seed=7)
     noise = None
     if snr_db is not None:
-        noise = iz.noise_block(params, snr_db, 0, iz.strongest_amplitude(targets))
+        noise = iz.noise_block(targets, params, snr_db, 0)
     cube = iz.synthesize_echo(sched, targets, params, noise=noise)
     grid = iz.default_grid(params)
     return cube, sched, grid, iz.matched_filter_rd(cube, sched, grid)

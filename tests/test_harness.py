@@ -12,6 +12,7 @@ import pytest
 import isacsim as iz
 import isacsim.cli as cli
 import isacsim.harness as harness
+import isacsim.scene as scene
 from isacsim.harness import grid_for
 
 
@@ -30,8 +31,7 @@ def rebuild_map(cfg, kind):
     targets = iz.build_targets(cfg)
     noise = None
     if cfg.snr_db is not None:
-        strongest = iz.strongest_amplitude(targets, cfg.path_loss)
-        noise = iz.noise_block(cfg.params, cfg.snr_db, cfg.seed_noise, strongest)
+        noise = iz.noise_block(targets, cfg.params, cfg.snr_db, cfg.seed_noise, cfg.path_loss)
     cube = iz.synthesize_echo(
         schedule, targets, cfg.params, path_loss=cfg.path_loss, noise=noise
     )
@@ -164,17 +164,15 @@ class TestRunComparison:
                 targets,
                 cfg.params,
                 path_loss=path_loss,
-                noise=iz.noise_block(
-                    cfg.params, 3.0, 23, iz.strongest_amplitude(targets, path_loss)
-                ),
+                noise=iz.noise_block(targets, cfg.params, 3.0, 23, path_loss),
             )
             assert np.array_equal(samples, own.samples)
 
     def test_impossible_noisy_scene_fails_before_the_noise_draw(self, tmp_path, monkeypatch):
-        def no_draw(*args):
+        def no_draw(*args, **kwargs):
             raise AssertionError("noise drawn for a scene that cannot run")
 
-        monkeypatch.setattr(harness, "noise_block", no_draw)
+        monkeypatch.setattr(scene, "for_blocks", no_draw)  # the draw's only way in
         cfg = small_cfg(snr_db=10.0, position_m=(900.0, 0.0, 0.0))
         with pytest.raises(iz.ScenarioError, match="beyond the unambiguous range"):
             iz.run_comparison(cfg, tmp_path)
@@ -511,8 +509,10 @@ class TestCli:
     )
     def test_scene_that_cannot_run_exits_3(self, tmp_path, capsys, extra):
         path = self.write_ini(tmp_path, SMALL_INI + extra)
-        argv = ["run", path, "--out", str(tmp_path / "out")]
+        out_dir = tmp_path / "out"
+        argv = ["run", path, "--out", str(out_dir)]
         self.expect_one_line_error(capsys, 3, argv, "scenario error")
+        assert not list(out_dir.glob("*.csv")) and not (out_dir / "summary.json").exists()
 
     def test_run_out_of_memory_exits_3(self, tmp_path, capsys, monkeypatch):
         def no_memory(cfg):

@@ -171,11 +171,10 @@ def test_shared_noise_block_equals_the_per_packet_draw(threads, scene, path_loss
         expected = serial_noisy_cube(sched, targets, params, 7.5, 19, path_loss)
         with pytest.MonkeyPatch.context() as mp:
             mp.setenv("ISACSIM_THREADS", threads)
-            strongest = iz.strongest_amplitude(targets, path_loss)
-            block = iz.noise_block(params, 7.5, 19, strongest)
+            block = iz.noise_block(targets, params, 7.5, 19, path_loss)
             own = iz.synthesize_echo(
                 sched, targets, params, path_loss=path_loss,
-                noise=iz.noise_block(params, 7.5, 19, strongest),
+                noise=iz.noise_block(targets, params, 7.5, 19, path_loss),
             )
             shared = iz.synthesize_echo(sched, targets, params, path_loss=path_loss, noise=block)
         assert block.T.shape == (params.samples_per_pri, p_count)
@@ -248,7 +247,7 @@ def noise_or_none(params, snr_db, targets):
     """The scene's noise block under seed 11, None with the noise off."""
     if snr_db is None:
         return None
-    return iz.noise_block(params, snr_db, 11, iz.strongest_amplitude(targets))
+    return iz.noise_block(targets, params, snr_db, 11)
 
 
 @deterministic
@@ -320,7 +319,7 @@ def test_ci_scale_cluster_cube_and_dense_map_do_not_depend_on_the_thread_count(
         target = iz.make_car(center, seed=301, speed_mps=10.0, count=64)
     else:
         target = iz.make_pedestrian(center, seed=3, speed_mps=2.0)
-    noise = iz.noise_block(ci_params, 20.0, 11, iz.strongest_amplitude([target]))
+    noise = iz.noise_block([target], ci_params, 20.0, 11)
     grid = iz.symmetric_grid(ci_params, 63)
     for kind in KINDS:
         sched = iz.build_schedule(kind, ci_params, seed=7)

@@ -77,7 +77,7 @@ class TestMatchedFilter:
         target = [
             iz.point_target(np.array([6.0, 8.0, 0.0]), np.array([30.0, 40.0, 0.0]))
         ]
-        noise = iz.noise_block(small_params, 10.0, 0, iz.strongest_amplitude(target))
+        noise = iz.noise_block(target, small_params, 10.0, 0)
         for kind in all_kinds:
             sched = iz.build_schedule(kind, small_params, seed=7)
             cube = iz.synthesize_echo(sched, target, small_params, noise=noise)
@@ -89,8 +89,27 @@ class TestMatchedFilter:
         sched_small = iz.build_schedule(iz.ScheduleKind.FMCW, small_params)
         sched_big = iz.build_schedule(iz.ScheduleKind.FMCW, ci_params)
         cube = iz.synthesize_echo(sched_small, [], small_params)
-        with pytest.raises(iz.ProcessingError):
+        with pytest.raises(iz.ProcessingError, match="does not match a 16 x 512 cube"):
             iz.matched_filter_rd(cube, sched_big, iz.default_grid(small_params))
+
+    @pytest.mark.parametrize("bins,shift_hz", [(31, 0.0), (None, 1.0)])
+    def test_rejects_a_grid_mislabeled_fft_aligned(self, small_params, bins, shift_hz):
+        # the slow-time IFFT yields only default_grid's P bins: a 31-bin grid
+        # would be read modulo P, and P bins shifted by 1 Hz would be mislabeled
+        if bins is None:
+            other = iz.default_grid(small_params)
+        else:
+            other = iz.symmetric_grid(small_params, bins)
+        mislabeled = iz.DopplerGrid(
+            frequencies_hz=other.frequencies_hz + shift_hz,
+            spacing_hz=other.spacing_hz,
+            fft_aligned=True,
+        )
+        sched = iz.build_schedule(iz.ScheduleKind.FMCW, small_params)
+        cube = iz.synthesize_echo(sched, [], small_params)
+        with pytest.raises(iz.ParameterError, match="fft_aligned") as exc:
+            iz.matched_filter_rd(cube, sched, mislabeled)
+        assert "\n" not in str(exc.value)
 
     def test_range_axis_spacing_is_the_range_resolution(self, small_params):
         axis = small_params.range_axis_m()
@@ -119,7 +138,7 @@ class TestOracleEquivalence:
         sched = iz.build_schedule(iz.ScheduleKind.FMCW, small_params)
         cube = iz.synthesize_echo(sched, [], small_params)
         shorter = iz.FrameSchedule(sched.kind, sched.frames, sched.packet_map[:-1])
-        with pytest.raises(iz.ProcessingError):
+        with pytest.raises(iz.ProcessingError, match="over 15 packets does not match a 16 x 512"):
             iz.time_domain_oracle(cube, shorter, iz.default_grid(small_params))
 
 

@@ -92,7 +92,7 @@ class TestNoise:
         # complex noise power equals 10**(-snr/10)
         sched = iz.build_schedule(iz.ScheduleKind.FMCW, ci_params)
         snr = 7.0
-        noise = iz.noise_block(ci_params, snr, 11, iz.strongest_amplitude([]))
+        noise = iz.noise_block([], ci_params, snr, 11)
         cube = iz.synthesize_echo(sched, [], ci_params, noise=noise)
         n = cube.samples.size
         assert n >= 100_000
@@ -104,7 +104,7 @@ class TestNoise:
         sched = iz.build_schedule(iz.ScheduleKind.FMCW, ci_params)
         target = iz.point_target(pos, np.zeros(3))
         clean = iz.synthesize_echo(sched, [target], ci_params)
-        block = iz.noise_block(ci_params, 0.0, 11, iz.strongest_amplitude([target]))
+        block = iz.noise_block([target], ci_params, 0.0, 11)
         noisy = iz.synthesize_echo(sched, [target], ci_params, noise=block)
         noise = noisy.samples - clean.samples
         sigma_prime = 1.0 / 15.0**2  # unit reflectivity, inverse-square loss
@@ -114,14 +114,13 @@ class TestNoise:
         # a 64-scatterer car is large enough for the synthesis product to run
         # in several blocks; re-runs must still agree to the bit
         car = iz.make_car(np.array([20.0, 5.0, 0.0]), seed=301, speed_mps=10.0, count=64)
-        strongest = iz.strongest_amplitude([car])
         for kind in all_kinds:
             sched = iz.build_schedule(kind, ci_params, seed=7)
             a = iz.synthesize_echo(
-                sched, [car], ci_params, noise=iz.noise_block(ci_params, 10.0, 5, strongest)
+                sched, [car], ci_params, noise=iz.noise_block([car], ci_params, 10.0, 5)
             )
             b = iz.synthesize_echo(
-                sched, [car], ci_params, noise=iz.noise_block(ci_params, 10.0, 5, strongest)
+                sched, [car], ci_params, noise=iz.noise_block([car], ci_params, 10.0, 5)
             )
             assert np.array_equal(a.samples, b.samples)
 
@@ -129,7 +128,7 @@ class TestNoise:
         sched = iz.build_schedule(iz.ScheduleKind.FMCW, small_params)
         a, b, c = (
             iz.synthesize_echo(
-                sched, [], small_params, noise=iz.noise_block(small_params, 10.0, seed, 0.0)
+                sched, [], small_params, noise=iz.noise_block([], small_params, 10.0, seed)
             )
             for seed in (11, 11, 12)
         )
@@ -139,11 +138,23 @@ class TestNoise:
     def test_overflowing_noise_raises_the_scene_check_error(self, small_params):
         params = dataclasses.replace(small_params, amplitude=1e200)  # amplitude**2 overflows
         with pytest.raises(iz.ScenarioError) as drawn:
-            iz.noise_block(params, 10.0, 11, 0.0)
+            iz.noise_block([], params, 10.0, 11)
         with pytest.raises(iz.ScenarioError) as checked:
             check_scene([], params, iz.PathLoss.INVERSE_SQUARE, 10.0)
         assert str(drawn.value) == str(checked.value)
         assert "could overflow" in str(drawn.value) and "\n" not in str(drawn.value)
+
+    def test_noise_check_bounds_the_summed_reflectivity(self, small_params):
+        # the strongest of 400 scatterers stays under the bound, their sum does not
+        params = dataclasses.replace(small_params, amplitude=1e70)
+        car = iz.make_car(np.array([6.0, 0.0, 0.0]), rcs_dbsm=10.0, count=400)
+        off = iz.PathLoss.OFF
+        with pytest.raises(iz.ScenarioError) as drawn:
+            iz.noise_block([car], params, 10.0, 11, off)
+        with pytest.raises(iz.ScenarioError) as checked:
+            check_scene([car], params, off, 10.0)
+        assert str(drawn.value) == str(checked.value)
+        assert "could overflow" in str(drawn.value)
 
     def test_rejects_a_fast_time_major_block(self, small_params):
         sched = iz.build_schedule(iz.ScheduleKind.FMCW, small_params)
@@ -220,6 +231,13 @@ class TestScenarioLimits:
         target = iz.point_target(np.array([10.0, 0.0, 0.0]), np.array([v, 0.0, 0.0]))
         with pytest.raises(iz.ScenarioError):
             iz.synthesize_echo(sched, [target], ci_params)
+
+    def test_rejects_an_echo_that_could_overflow(self, small_params):
+        params = dataclasses.replace(small_params, amplitude=1e140)
+        sched = iz.build_schedule(iz.ScheduleKind.FMCW, params)
+        target = iz.point_target(np.array([3.0, 0.0, 0.0]), np.zeros(3))
+        with pytest.raises(iz.ScenarioError, match="could overflow"):
+            iz.synthesize_echo(sched, [target], params, path_loss=iz.PathLoss.OFF)
 
     def test_rejects_schedule_cpi_mismatch(self, ci_params, small_params):
         sched = iz.build_schedule(iz.ScheduleKind.FMCW, small_params)
