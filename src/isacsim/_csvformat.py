@@ -3,7 +3,9 @@
 `format_rows(values)` returns, for a 2-D float64 array, exactly the bytes of
 `",".join("%.9g" % x for x in row) + "\\n"` for every row, which is also what
 `np.savetxt(fh, values, fmt="%.9g", delimiter=",")` writes. `write_rows`
-streams a large array through it in chunks of rows.
+streams a large array to a file in chunks of rows: `_threads.ordered` formats
+the chunks on the ISACSIM_THREADS workers and writes each as soon as it and
+every chunk before it are ready, so one worker writes while another formats.
 
 Each value is laid out in a 32-byte field of four little-endian words:
 
@@ -15,7 +17,10 @@ Each value is laid out in a 32-byte field of four little-endian words:
     byte  29      separator: "," or, after the last column, "\\n"
 
 A mask row chosen by (notation, decimal exponent, significant digits) keeps
-the bytes `%g` prints and zeroes the rest; the zero bytes are then deleted.
+the bytes `%g` prints and zeroes the rest; `np.compress` then deletes the
+zero bytes from the fields' uint8 view. The numpy calls that do a chunk's
+work release the interpreter lock, so chunks format in parallel, and the file
+takes the resulting uint8 array as it is, without a copy to `bytes`.
 
 Digits come from scaling: with e = floor(log10|x|), m = |x| * 10**(8 - e)
 lies in [1e8, 1e9) and rint(m) is the 9-digit mantissa. The power comes from
@@ -30,12 +35,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._threads import ordered
+
 DIGITS = 9
 _LOW, _HIGH = 1e-280, 1e280  # |x| whose scaling power 10**(8 - e) is a normal float
 _E_MIN, _E_MAX = -290, 290   # decimal exponents the tables cover
 _TIE_WINDOW = 1e-6           # > the 2.3e-7 scaling error at m < 1e9
 _FIELD = 32                  # bytes per value, four uint64 words
 CHUNK_VALUES = 1 << 15       # values formatted per block by write_rows
+_SPAN = _FIELD << 11         # bytes whose zeros one compress call deletes
 
 _DOT, _ZERO, _MINUS = ord("."), ord("0"), ord("-")
 
@@ -49,12 +57,12 @@ def _digit_pairs() -> tuple[np.ndarray, np.ndarray]:
     the number of trailing zeros of those digits (4 for n = 0)."""
     n = np.arange(10_000, dtype=np.uint64)
     words = np.zeros(10_000, dtype=np.uint64)
-    trailing = np.zeros(10_000, dtype=np.int64)
+    trailing = np.zeros(10_000, dtype=np.intp)
     for i, place in enumerate((1000, 100, 10, 1)):
         digit = (n // np.uint64(place)) % np.uint64(10)
         words |= np.uint64(_DOT) << np.uint64(16 * i)
         words |= (digit + np.uint64(_ZERO)) << np.uint64(16 * i + 8)
-        trailing += (n % np.uint64(10 * place) == 0).astype(np.int64)
+        trailing += n % np.uint64(10 * place) == 0
     return words, trailing
 
 
@@ -112,71 +120,112 @@ def _masks() -> np.ndarray:
 _PAIRS, _TRAILING = _digit_pairs()
 _EXPONENTS = _exponent_words()
 _MASKS = _masks()
-# 10**k for the scaling, each correctly rounded (decimal literals are)
-_POW10_MIN = 8 - _E_MAX
-_POW10 = np.array([float(f"1e{k}") for k in range(_POW10_MIN, 9 - _E_MIN)])
+# per decimal exponent e, at index e - _E_MIN: the scaling power 10**(8 - e),
+# correctly rounded (decimal literals are), and the mask row of a 9-digit
+# value, from which each trailing zero digit steps back one row
+_SCALE = np.array([float(f"1e{8 - e}") for e in range(_E_MIN, _E_MAX + 1)])
+_ROWS = np.array(
+    [
+        (e - _FIXED_EXPONENTS.start if e in _FIXED_EXPONENTS else _SCIENTIFIC) * DIGITS
+        + DIGITS - 1
+        for e in range(_E_MIN, _E_MAX + 1)
+    ],
+    dtype=np.intp,
+)
 _PREFIX = _word(b"\x000.000")
 _COMMA, _NEWLINE = np.uint64(ord(",") << 40), np.uint64(ord("\n") << 40)
 
 
 def _fields(x: np.ndarray) -> np.ndarray:
-    """(n,) float64 -> (n, 4) uint64 fields without separators."""
+    """(n,) float64 -> (n, 4) uint64 fields without separators.
+
+    Several chunks are formatted at a time, so each per-value temporary is
+    deleted, or reused in place, once it has been read.
+    """
     mag = np.abs(x)
     zero = mag == 0.0
-    ok = (mag >= _LOW) & (mag <= _HIGH)
-    safe = np.where(ok, mag, 1.0)
-    e = np.floor(np.log10(safe)).astype(np.int64)
-    m = safe * _POW10[8 - e - _POW10_MIN]
+    slow = mag >= _LOW
+    slow &= mag <= _HIGH
+    np.logical_not(slow, out=slow)  # outside the range, NaN or zero
+    np.copyto(mag, 1.0, where=slow)  # so e = 0 for these
+    slow ^= zero  # a zero goes the fast way
+    e = np.log10(mag)
+    np.floor(e, out=e)
+    e = e.astype(np.intp)
+    e -= _E_MIN  # the index into the per-exponent tables
+    m = np.take(_SCALE, e)
+    m *= mag
+    del mag
     mant = np.rint(m)
-    slow = (
-        ~(ok | zero)
-        | (np.abs(m - mant) > 0.5 - _TIE_WINDOW)
-        # 9.999999995 and up rounds to 10 digits; log10 may also misjudge
-        # a power of ten by one
-        | (mant < 1e8)
-        | (mant >= 1e9)
-    )
-    mant[zero] = 0.0  # printed as "0" (e is already 0: safe is 1.0)
-    mi = mant.astype(np.int32)
+    m -= mant
+    np.abs(m, out=m)
+    slow |= m > 0.5 - _TIE_WINDOW
+    del m
+    # 9.999999995 and up rounds to 10 digits; log10 may also misjudge a
+    # power of ten by one
+    slow |= mant < 1e8
+    slow |= mant >= 1e9
+    mant[zero] = 0.0  # printed as "0" (its exponent is already 0)
+    del zero
+    low = mant.astype(np.intp)
+    del mant
 
-    high = mi // 10_000
-    low = mi - high * 10_000
-    d0 = high // 10_000
-    mid = high - d0 * 10_000
-    digits = DIGITS - _TRAILING[low] - (low == 0) * _TRAILING[mid]
-    fixed = (e >= _FIXED_EXPONENTS.start) & (e < _FIXED_EXPONENTS.stop)
-    cls = np.where(fixed, e - _FIXED_EXPONENTS.start, _SCIENTIFIC)
+    mid = low // 10_000
+    low -= mid * 10_000
+    d0 = mid // 10_000
+    mid -= d0 * 10_000
+    row = np.take(_ROWS, e)
+    row -= np.take(_TRAILING, low)
+    short = np.flatnonzero(low == 0)  # the last four digits are all zeros
+    row[short] -= _TRAILING[mid[short]]
+    out = np.take(_MASKS, row, axis=0)
+    del row, short
 
-    out = np.take(_MASKS, cls * DIGITS + digits - 1, axis=0)
-    out[:, 0] &= (
-        np.uint64(_PREFIX)
-        | (d0.astype(np.uint64) + np.uint64(_ZERO)) << np.uint64(48)
-        | np.signbit(x).astype(np.uint64) * np.uint64(_MINUS)
-    )
-    out[:, 1] &= _PAIRS[mid]
-    out[:, 2] &= _PAIRS[low]
-    out[:, 3] &= _EXPONENTS[e - _E_MIN]
+    word = d0.astype(np.uint64)
+    del d0
+    word += np.uint64(_ZERO)
+    word <<= np.uint64(48)
+    word |= np.uint64(_PREFIX)
+    np.bitwise_or(word, np.uint64(_MINUS), out=word, where=np.signbit(x))
+    out[:, 0] &= word
+    np.take(_PAIRS, mid, out=word)
+    out[:, 1] &= word
+    np.take(_PAIRS, low, out=word)
+    out[:, 2] &= word
+    np.take(_EXPONENTS, e, out=word)
+    out[:, 3] &= word
 
     for i in np.flatnonzero(slow):
         out[i] = np.frombuffer(("%.9g" % x[i]).encode().ljust(_FIELD, b"\0"), dtype="<u8")
     return out
 
 
-def format_rows(values) -> bytes:
-    """CSV text of a 2-D array: per row, "%.9g" of each value joined by
-    commas, then a newline."""
-    x = np.asarray(values, dtype=np.float64)
+def _text(x: np.ndarray) -> np.ndarray:
+    """The CSV text of a 2-D float64 array, as a uint8 array."""
     rows, cols = x.shape
     fields = _fields(x.reshape(-1)).reshape(rows, cols, 4)
     fields[:, :-1, 3] |= _COMMA
     fields[:, -1, 3] |= _NEWLINE
-    return fields.astype("<u8", copy=False).tobytes().translate(None, b"\0")
+    raw = fields.astype("<u8", copy=False).reshape(-1).view(np.uint8)
+    # a span at a time, so compress's int64 indices stay small
+    spans = np.split(raw, range(_SPAN, raw.size, _SPAN))
+    return np.concatenate([np.compress(span != 0, span) for span in spans])
+
+
+def format_rows(values) -> bytes:
+    """CSV text of a 2-D array: per row, "%.9g" of each value joined by
+    commas, then a newline."""
+    return _text(np.asarray(values, dtype=np.float64)).tobytes()
 
 
 def write_rows(fh, values):
     """Write `format_rows(values)` to the binary file `fh`, a block of
-    about CHUNK_VALUES values (whole rows) at a time."""
+    about CHUNK_VALUES values (whole rows) at a time.
+
+    The blocks are formatted on the ISACSIM_THREADS workers and written in
+    row order, each as soon as it and every block before it are ready.
+    """
     x = np.asarray(values, dtype=np.float64)
     step = max(1, CHUNK_VALUES // x.shape[1])
-    for start in range(0, x.shape[0], step):
-        fh.write(format_rows(x[start : start + step]))
+    starts = range(0, x.shape[0], step)
+    ordered(lambda k: _text(x[starts[k] : starts[k] + step]), fh.write, len(starts))

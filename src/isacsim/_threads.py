@@ -1,9 +1,14 @@
-"""Contiguous blocks of one numeric pass, run on the ISACSIM_THREADS cores.
+"""The ISACSIM_THREADS workers: contiguous blocks of one numeric pass, and an
+ordered pipeline of produce and consume steps.
 
 numpy's FFTs, elementwise products and BLAS products release the interpreter
-lock, so the blocks of a pass run in parallel on plain threads. Each call
-starts its own threads and joins them before it returns: no pool outlives a
-call, which keeps a process that forks between calls safe.
+lock, so the blocks of a pass (`for_blocks`) run in parallel on plain
+threads. `ordered` runs a sequence of produce steps the same way and hands
+their results to one consume step in index order; the CSV writer formats
+blocks of rows with it, one worker writing to the file while another
+formats. Each call starts its own threads and joins them before it returns:
+no pool outlives a call, which keeps a process that forks between calls
+safe.
 
 These threads are the only concurrency of a run. Before it starts a block,
 `for_blocks` caps numpy's OpenBLAS pool at one thread through OpenBLAS's own
@@ -128,6 +133,60 @@ def for_blocks(fn, n: int, min_block: int = 1) -> None:
                 fn(block)
             except BaseException as exc:  # re-raised in the calling thread
                 errors.append(exc)
+
+    threads = [threading.Thread(target=work) for _ in range(workers - 1)]
+    for thread in threads:
+        thread.start()
+    work()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+
+
+def ordered(produce, consume, n: int) -> None:
+    """Call consume(produce(i)) for each i in range(n), consuming in index order.
+
+    w = min(thread_count(), n) workers, w - 1 new threads and the calling
+    thread, each take the next index, produce its result, wait until every
+    earlier result has been consumed, and then consume their own. So a
+    result is consumed as soon as it and all results before it are ready,
+    consume calls never overlap, and at most w results exist at a time.
+    After the first exception that produce or consume raised, no index is
+    started and no result is consumed; the exception is re-raised once all
+    threads are joined. With one worker the calling thread does everything
+    and no thread starts.
+    """
+    workers = max(1, min(thread_count(), n))
+    pending = iter(range(n))
+    turn = 0  # the index whose result is consumed next
+    changed = threading.Condition()
+    errors: list[BaseException] = []
+
+    def work():
+        nonlocal turn
+        while not errors:
+            with changed:
+                i = next(pending, None)
+            if i is None:
+                return
+            try:
+                result = produce(i)
+                with changed:
+                    while turn != i and not errors:
+                        changed.wait()
+                if errors:
+                    return
+                consume(result)
+                del result  # before the next produce, so a worker holds one
+                with changed:
+                    turn += 1
+                    changed.notify_all()
+            except BaseException as exc:  # re-raised in the calling thread
+                with changed:
+                    errors.append(exc)
+                    changed.notify_all()
+                return
 
     threads = [threading.Thread(target=work) for _ in range(workers - 1)]
     for thread in threads:

@@ -4,10 +4,12 @@
 scene, writes one range-Doppler map CSV and one peak-cut range profile CSV
 per waveform plus a machine-readable `summary.json`, and reports per-waveform
 detections, PSLR, optional oracle deviations, and optional fixed-point
-accuracy rows. CSV artifacts are deterministic for a fixed configuration
-(timings live only in the summary): every number is the text of
-`'%.9g' % x`, produced a block of rows at a time by the vectorized formatter
-in `_csvformat`.
+accuracy rows with each quantized stage's clip count. CSV artifacts are
+deterministic for a fixed configuration (timings live only in the summary):
+every number is the text of `'%.9g' % x`, produced a block of rows at a time
+by the vectorized formatter in `_csvformat`, which formats the blocks on the
+ISACSIM_THREADS workers and writes them in row order, so the bytes do not
+depend on the thread count.
 
 The run streams: it draws the scene's receiver noise once
 (`noise_block`), then `run_waveform` takes one waveform at a time from its
@@ -303,6 +305,7 @@ def _waveform_summary(result: WaveformResult) -> dict:
                     "pslr_delta_db": _json_float(rep.pslr_delta_db),
                     "pslr_agree": rep.pslr_agree,
                     "saturation_fraction": rep.saturation_fraction,
+                    "saturation_counts": dict(rep.saturation_counts),
                     "warning": rep.warning,
                     "runtime_s": row.runtime_s,
                 }

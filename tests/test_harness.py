@@ -24,9 +24,8 @@ def small_cfg(**overrides):
     return dataclasses.replace(cfg, params=params, **overrides)
 
 
-def rebuild_map(cfg, kind):
-    """The map a run of `cfg` wrote for `kind`, rebuilt through the library:
-    run results keep no maps."""
+def rebuild_echo(cfg, kind):
+    """The schedule and cube a run of `cfg` synthesized for `kind`."""
     schedule = iz.build_schedule(kind, cfg.params, seed=cfg.seed_code)
     targets = iz.build_targets(cfg)
     noise = None
@@ -35,6 +34,13 @@ def rebuild_map(cfg, kind):
     cube = iz.synthesize_echo(
         schedule, targets, cfg.params, path_loss=cfg.path_loss, noise=noise
     )
+    return schedule, cube
+
+
+def rebuild_map(cfg, kind):
+    """The map a run of `cfg` wrote for `kind`, rebuilt through the library:
+    run results keep no maps."""
+    schedule, cube = rebuild_echo(cfg, kind)
     return iz.matched_filter_rd(cube, schedule, grid_for(cfg))
 
 
@@ -293,6 +299,26 @@ class TestRunComparison:
         assert [r["format"] for r in block["rows"]] == ["<16,1>", "<24,1>"]
         assert block["rows"][1]["sqnr_db"] > block["rows"][0]["sqnr_db"]
         assert block["sqnr_non_decreasing"] is True
+
+    def test_fixed_point_rows_carry_the_clip_count_of_each_stage(self, tmp_path):
+        # 56 bits are finer than a double's mantissa: the max-abs sample
+        # rounds past the top of the range and clips
+        fmt = iz.FixedPointFormat(56, 1)
+        cfg = small_cfg(waveforms=(iz.ScheduleKind.PMCW,), fxp_formats=(fmt,))
+        iz.run_comparison(cfg, tmp_path)
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        row = summary["waveforms"][0]["fixed_point"]["rows"][0]
+        schedule, cube = rebuild_echo(cfg, iz.ScheduleKind.PMCW)
+        grid = grid_for(cfg)
+        double_map = iz.matched_filter_rd(cube, schedule, grid)
+        sweep = iz.precision_sweep(cube, schedule, grid, [fmt], cfg.fxp_mode, double_map=double_map)
+        counts = sweep.rows[0].report.saturation_counts
+        assert list(row["saturation_counts"].items()) == list(counts.items())
+        assert list(counts) == [  # chain order; fxp steers through its quantized twiddle
+            "input", "reference", "post_fft", "twiddle", "post_steering", "post_ifft"
+        ]
+        assert sum(counts.values()) > 0
+        assert row["saturation_fraction"] == sweep.rows[0].report.saturation_fraction
 
 
 class TestBuildTargets:

@@ -4,8 +4,9 @@ shared noise block against the per-packet draw, oracle equivalence,
 localization of on-grid point targets within one bin, the
 quantizer against its mantissa round trip, and the block-parallel double and
 fixed-point matched filters against their serial forms; the CSV formatter
-against np.savetxt; and the config text, which renders and parses back to the
-same config and rejects any other input with a ConfigError only."""
+and its threaded writer against np.savetxt; and the config text, which
+renders and parses back to the same config and rejects any other input with a
+ConfigError only."""
 
 import dataclasses
 import io
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 import isacsim as iz
+import isacsim._csvformat as csvformat
 from isacsim._csvformat import CHUNK_VALUES, format_rows, write_rows
 from isacsim.config import _SECTIONS
 from oracle_cases import KINDS, random_case
@@ -602,13 +604,108 @@ def test_write_rows_streams_partial_chunks():
 
     class Recorder(io.BytesIO):
         def write(self, data):
-            blocks.append(data.count(b"\n"))
+            blocks.append(bytes(data).count(b"\n"))
             return super().write(data)
 
     buf = Recorder()
     write_rows(buf, values)
     assert buf.getvalue() == savetxt_bytes(values)
     assert blocks == [step] * (rows // step) + [rows % step]
+
+
+MAP_COLS = 3520
+MAP_STEP = CHUNK_VALUES // MAP_COLS  # map rows per chunk
+
+
+def chunked_map(chunks):
+    """A map of `chunks` chunks, the last one partial, whose row r starts
+    with the value r; the rest spans 24 decades, with zeros, ties and
+    non-finite values for the slow path."""
+    rows = MAP_STEP * (chunks - 1) + MAP_STEP // 2
+    rng = np.random.default_rng(chunks)
+    shape = (rows, MAP_COLS)
+    values = rng.standard_normal(shape) * 10.0 ** rng.integers(-12, 12, shape)
+    special = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 9.9999999995, 123456789.5, 1e-5]
+    hits = rng.integers(0, values.size, 8 * chunks)
+    values.flat[hits] = rng.choice(special, hits.size)
+    values[:, 0] = np.arange(rows)
+    return values
+
+
+@pytest.fixture(scope="module")
+def chunked_maps():
+    """chunks -> (map, its np.savetxt bytes), each built once."""
+    cache = {}
+
+    def get(chunks):
+        if chunks not in cache:
+            values = chunked_map(chunks)
+            cache[chunks] = values, savetxt_bytes(values)
+        return cache[chunks]
+
+    return get
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "5"])
+@pytest.mark.parametrize("chunks", [1, 2, 3, 40])
+def test_write_rows_on_any_thread_count_equals_savetxt(monkeypatch, chunked_maps, threads, chunks):
+    monkeypatch.setenv("ISACSIM_THREADS", threads)
+    values, expected = chunked_maps(chunks)
+    before = threading.active_count()
+    buf = io.BytesIO()
+    write_rows(buf, values)
+    assert threading.active_count() == before
+    assert buf.getvalue() == expected
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "5"])
+@pytest.mark.parametrize("k", [1, 4])
+def test_a_failing_chunk_stops_write_rows_before_it(monkeypatch, chunked_maps, threads, k):
+    """_fields raising on its k-th call re-raises in the caller, and the file
+    holds whole chunks in order, none from the failing chunk on."""
+    monkeypatch.setenv("ISACSIM_THREADS", threads)
+    values, expected = chunked_maps(12)
+    fields, calls, failed, lock = csvformat._fields, [], [], threading.Lock()
+    later = threading.Event()  # a call after the k-th has formatted its chunk
+
+    def failing_fields(x):
+        with lock:
+            calls.append(None)
+            call = len(calls)
+        if call == k:
+            failed.append(int(x[0]) // MAP_STEP)  # row r starts with r
+            if threads != "1":  # so a later chunk is ready and waits its turn
+                later.wait(timeout=10)
+            raise RuntimeError("chunk failed")
+        out = fields(x)
+        if call > k:
+            later.set()
+        return out
+
+    monkeypatch.setattr(csvformat, "_fields", failing_fields)
+    buf, raised = io.BytesIO(), []
+
+    def write():
+        try:
+            write_rows(buf, values)
+        except RuntimeError as exc:
+            raised.append(exc)
+
+    before = threading.active_count()
+    # daemon, and so are the workers it starts: a hang cannot outlive the run
+    caller = threading.Thread(target=write, daemon=True)
+    caller.start()
+    caller.join(timeout=30)
+    assert not caller.is_alive(), "write_rows hung after a failing chunk"
+    assert threading.active_count() == before
+    assert [str(exc) for exc in raised] == ["chunk failed"]
+    lines = expected.splitlines(keepends=True)
+    chunk_ends = [len(b"".join(lines[: MAP_STEP * c])) for c in range(failed[0] + 1)]
+    assert len(buf.getvalue()) in chunk_ends
+    assert expected.startswith(buf.getvalue())
+    if threads == "1":  # the k-th call is chunk k - 1, after chunks 0 .. k - 2
+        assert failed == [k - 1]
+        assert len(buf.getvalue()) == chunk_ends[-1]
 
 
 # --- the config text: render/parse round trip, and errors on any input ---

@@ -1,16 +1,19 @@
 """The block splitter behind the matched filter: coverage, errors, thread
 lifetime, the ISACSIM_THREADS rule it shares with the CLI, and the one-thread
-BLAS pool it leaves behind."""
+BLAS pool it leaves behind; and the ordered pipeline behind the CSV writer:
+consume order, errors, thread lifetime and the results it keeps at a time."""
 
 import os
+import random
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
 
-from isacsim._threads import BLOCKS_PER_WORKER, for_blocks, thread_count
+from isacsim._threads import BLOCKS_PER_WORKER, for_blocks, ordered, thread_count
 from isacsim.errors import ParameterError
 
 
@@ -123,6 +126,164 @@ def test_min_block_keeps_every_slice_at_least_that_long(threads):
         assert sorted(i for block in blocks for i in range(n)[block]) == list(range(n))
         assert all(block.stop - block.start >= 2 for block in blocks)
     assert blocks_of(1) == [slice(0, 1)]
+
+
+def run_ordered(n, produce=lambda i: i):
+    """ordered(produce, consumed.append, n) -> consumed, checking that every
+    thread it started is gone."""
+    consumed = []
+    before = threading.active_count()
+    ordered(produce, consumed.append, n)
+    assert threading.active_count() == before
+    return consumed
+
+
+def test_ordered_consumes_in_index_order_under_fast_switching(threads):
+    threads("8")
+    rng = random.Random(3)
+    spins = [rng.randrange(2000) for _ in range(300)]
+
+    def produce(i):  # uneven work, so results complete out of order
+        for _ in range(spins[i]):
+            pass
+        return i
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for n in (1, 7, 8, 9, 300):
+            assert run_ordered(n, produce) == list(range(n))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("workers", ["1", "5"])
+def test_ordered_with_no_index_calls_nothing(threads, workers):
+    threads(workers)
+    calls = []
+    before = threading.active_count()
+    ordered(calls.append, calls.append, 0)
+    assert calls == []
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize(
+    "workers, n, started", [("5", 2, 1), ("5", 1, 0), ("3", 3, 2), ("3", 40, 2), ("1", 3, 0)]
+)
+def test_ordered_starts_min_workers_n_less_one_threads(threads, monkeypatch, workers, n, started):
+    threads(workers)
+    new = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            new.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Counted)
+    assert run_ordered(n) == list(range(n))
+    assert len(new) == started
+
+
+def test_ordered_keeps_at_most_one_result_per_worker(threads):
+    """While the result of index 0 is held up, the other two workers produce
+    one result each and then wait: three results exist, never four."""
+    threads("3")
+    lock = threading.Lock()
+    two_more = threading.Event()
+    produced = consumed = most = 0
+    held_up_with = []
+
+    def produce(i):
+        nonlocal produced, most
+        if i == 0:
+            assert two_more.wait(timeout=10)
+            time.sleep(0.2)  # time for a fourth result, if one could start
+            held_up_with.append(produced)
+        with lock:
+            produced += 1
+            most = max(most, produced - consumed)
+            if produced == 2 and i != 0:
+                two_more.set()
+        return i
+
+    def consume(i):
+        nonlocal consumed
+        with lock:
+            consumed += 1
+
+    before = threading.active_count()
+    ordered(produce, consume, 30)
+    assert threading.active_count() == before
+    assert held_up_with == [2]
+    assert most == 3
+    assert consumed == 30
+
+
+@pytest.mark.parametrize("workers", ["1", "2", "5"])
+@pytest.mark.parametrize("failing", ["produce", "consume"])
+def test_ordered_reraises_the_first_error_and_consumes_nothing_after(threads, workers, failing):
+    threads(workers)
+    consumed = []
+    later = threading.Event()  # index 18 is produced and waits its turn
+
+    def fail_at_17(i):
+        if i == 17:
+            if workers != "1":
+                later.wait(timeout=10)
+            raise ValueError("index 17 failed")
+
+    def produce(i):
+        if i == 18:
+            later.set()
+        if failing == "produce":
+            fail_at_17(i)
+        return i
+
+    def consume(i):
+        if failing == "consume":
+            fail_at_17(i)
+        consumed.append(i)
+
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="index 17 failed"):
+        ordered(produce, consume, 100)
+    assert threading.active_count() == before
+    assert consumed == list(range(len(consumed)))
+    assert len(consumed) <= 17
+    if workers == "1":
+        assert len(consumed) == 17
+
+
+def test_ordered_releases_the_workers_waiting_their_turn(threads):
+    """Index 0 fails after every other worker holds a result and waits for
+    its turn: each must give up, and the call must return."""
+    threads("4")
+    ready = threading.Semaphore(0)
+
+    def produce(i):
+        if i == 0:
+            for _ in range(3):
+                assert ready.acquire(timeout=10)
+            raise ValueError("index 0 failed")
+        ready.release()
+        return i
+
+    raised = []
+
+    def call():
+        try:
+            ordered(produce, lambda i: None, 50)
+        except ValueError as exc:
+            raised.append(exc)
+
+    before = threading.active_count()
+    # daemon, and so are the workers it starts: a hang cannot outlive the run
+    caller = threading.Thread(target=call, daemon=True)
+    caller.start()
+    caller.join(timeout=30)
+    assert not caller.is_alive(), "a worker was left waiting for its turn"
+    assert threading.active_count() == before
+    assert [str(exc) for exc in raised] == ["index 0 failed"]
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
