@@ -17,6 +17,13 @@ The steering stage always applies the dense quantized twiddle matrix, even on
 FFT-aligned grids, because the point is to model quantized multipliers. The
 chain splits its passes across ISACSIM_THREADS threads as the double filter
 does; every map and report is the same to the bit for any thread count.
+
+The buffers the chain allocates itself ("post_fft", "twiddle",
+"post_steering", "post_ifft") are quantized in place; the input cube and the
+reference spectra are quantized into new arrays, and the public `quantize`
+always returns a new array and never writes its input. `precision_sweep`
+detects and scores the double-precision map once and shares that score
+across its formats, so a row's runtime_s covers only its own quantized run.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DataError, ParameterError
-from .rsp import DopplerGrid, RangeDopplerMap, _chain, detect_peak, pslr_db
+from .rsp import Detection, DopplerGrid, RangeDopplerMap, _chain, detect_peak, pslr_db
 from .scene import DataCube
 from .waveform import FrameSchedule
 
@@ -75,11 +82,55 @@ class FixedPointFormat:
         return f"<{self.word_bits},{self.integer_bits}>"
 
 
+# Components per chunk of the quantizer's elementwise passes: 512 KB of
+# float64, which stays in a core's L2 cache between passes.
+_CHUNK = 1 << 16
+
+
 def _mantissa_limits(fmt: FixedPointFormat) -> tuple[float, float]:
     top = 2.0 ** (fmt.word_bits - 1) - 1.0
     if top >= 2.0 ** (fmt.word_bits - 1):  # rounded up past int64 territory (W > 53)
         top = np.nextafter(2.0 ** (fmt.word_bits - 1), 0.0)
     return -(2.0 ** (fmt.word_bits - 1)), top
+
+
+def _components(x: np.ndarray) -> np.ndarray:
+    """The re/im components of a C- or F-contiguous complex128 array, as one
+    flat float64 view of its buffer in memory order."""
+    return (x.T if x.flags.f_contiguous else x).reshape(-1).view(np.float64)
+
+
+def _quantize_into(comps: np.ndarray, out: np.ndarray, fmt: FixedPointFormat) -> int:
+    """Quantize the components `comps` into `out` (which may be `comps`
+    itself) and return the number of clipped components.
+
+    NaN and inf show in the max-abs, so no separate finiteness pass runs.
+    Division and rint are monotone, so a component can clip only when the
+    max-abs mantissa rint(m / unit) does; that scalar test decides whether
+    the count and clip passes run at all (in practice only from W = 53 on).
+    The elementwise passes run chunk by chunk, so each chunk stays in cache
+    from the division to the final multiply.
+    """
+    m = max(comps.max(initial=0.0), -comps.min(initial=0.0))
+    if not math.isfinite(m):
+        raise DataError("quantizer input contains non-finite values")
+    scale = m / fmt.max_value if m > 0.0 else 1.0
+    bot, top = _mantissa_limits(fmt)
+    unit = fmt.step * scale
+    # -m's mantissa is the negation of +m's, and bot < -top, so only +m's
+    # can pass a limit
+    clips = np.rint(m / unit) > top
+    saturated = 0
+    for lo in range(0, comps.size, _CHUNK):
+        o = out[lo : lo + _CHUNK]
+        np.divide(comps[lo : lo + _CHUNK], unit, out=o)
+        np.rint(o, out=o)
+        if clips:
+            saturated += int(np.count_nonzero(o > top)) + int(np.count_nonzero(o < bot))
+            np.clip(o, bot, top, out=o)
+        o += 0.0  # -0.0 -> +0.0, as an integer mantissa would read
+        o *= unit
+    return saturated
 
 
 def quantize(signal: np.ndarray, fmt: FixedPointFormat) -> tuple[np.ndarray, int]:
@@ -90,25 +141,13 @@ def quantize(signal: np.ndarray, fmt: FixedPointFormat) -> tuple[np.ndarray, int
     complex128 array of the input's shape and units, each component an
     integer mantissa (never -0.0) times step * scale, and the number of
     clipped re/im components; only float rounding can push a component past
-    the top mantissa (W >= 53).
+    the top mantissa (W >= 53). The input is never written.
     """
     x = np.asarray(signal, dtype=np.complex128)
-    # interleaved re/im components; a copy only for strided views
-    comps = np.ascontiguousarray(x).reshape(-1).view(np.float64)
-    if not np.isfinite(comps).all():
-        raise DataError("quantizer input contains non-finite values")
-    values = np.empty_like(comps)  # the one output, worked in place below
-    m = np.abs(comps, out=values).max(initial=0.0)
-    scale = m / fmt.max_value if m > 0.0 else 1.0
-    bot, top = _mantissa_limits(fmt)
-    unit = fmt.step * scale
-    np.divide(comps, unit, out=values)
-    np.rint(values, out=values)
-    saturated = int(np.count_nonzero(values > top)) + int(np.count_nonzero(values < bot))
-    np.clip(values, bot, top, out=values)
-    values += 0.0  # -0.0 -> +0.0, as an integer mantissa would read
-    values *= unit
-    return values.view(np.complex128).reshape(x.shape), saturated
+    if not (x.flags.c_contiguous or x.flags.f_contiguous):
+        x = np.ascontiguousarray(x)
+    values = np.empty_like(x)  # x's memory order, so both flatten alike
+    return values, _quantize_into(_components(x), _components(values), fmt)
 
 
 @dataclass(frozen=True)
@@ -124,6 +163,32 @@ class FxpReport:
     saturation_counts: dict[str, int]
     saturation_fraction: float
     warning: str | None
+
+
+# The large buffers `_chain` allocates for itself, quantized in place. The
+# caller's cube ("input") and the U x Q reference go through `quantize`,
+# which returns a new array.
+_IN_PLACE = frozenset({"post_fft", "twiddle", "post_steering", "post_ifft"})
+
+
+@dataclass(frozen=True)
+class _DoubleScore:
+    """What every format's report takes from the double-precision map."""
+
+    rd_map: RangeDopplerMap
+    detection: Detection
+    pslr_db: float
+    power: float  # sum of squared magnitudes
+
+
+def _score(double_map: RangeDopplerMap) -> _DoubleScore:
+    detection = detect_peak(double_map)
+    return _DoubleScore(
+        rd_map=double_map,
+        detection=detection,
+        pslr_db=pslr_db(double_map.range_cut(detection.doppler_bin)),
+        power=float(np.sum(double_map.values**2)),
+    )
 
 
 def quantized_matched_filter(
@@ -143,6 +208,18 @@ def quantized_matched_filter(
     sentinel, which occurs when roundoff-level sidelobes fall below half an
     output LSB) counts as agreement; degradation beyond 0.5 dB does not.
     """
+    return _quantized_run(cube, schedule, grid, fmt, mode, _score(double_map))
+
+
+def _quantized_run(
+    cube: DataCube,
+    schedule: FrameSchedule,
+    grid: DopplerGrid,
+    fmt: FixedPointFormat,
+    mode: FxpMode,
+    double: _DoubleScore,
+) -> tuple[RangeDopplerMap, FxpReport]:
+    """`quantized_matched_filter` against an already scored double map."""
     counts: dict[str, int] = {}
     sizes: dict[str, int] = {}
     skipped = ("input", "post_ifft") if mode is FxpMode.CORE_ONLY else ()
@@ -150,10 +227,15 @@ def quantized_matched_filter(
     def stage(name: str, x: np.ndarray) -> np.ndarray:
         if name in skipped:
             return x
-        values, counts[name] = quantize(x, fmt)
         sizes[name] = 2 * x.size  # re and im components
+        if name in _IN_PLACE:
+            comps = _components(x)
+            counts[name] = _quantize_into(comps, comps, fmt)
+            return x
+        values, counts[name] = quantize(x, fmt)
         return values
 
+    double_map = double.rd_map
     fxp_map = RangeDopplerMap(
         values=_chain(cube, schedule, grid, True, stage),
         range_axis_m=double_map.range_axis_m,
@@ -161,13 +243,14 @@ def quantized_matched_filter(
     )
 
     err = double_map.values - fxp_map.values
-    err_power = float(np.sum(err**2))
-    sig_power = float(np.sum(double_map.values**2))
-    sqnr = math.inf if err_power == 0.0 else 10.0 * math.log10(sig_power / err_power)
-    det_d = detect_peak(double_map)
+    err *= err
+    err_power = float(np.sum(err))
+    del err
+    sqnr = math.inf if err_power == 0.0 else 10.0 * math.log10(double.power / err_power)
+    det_d = double.detection
     det_f = detect_peak(fxp_map)
     agree = det_d.range_bin == det_f.range_bin and det_d.doppler_bin == det_f.doppler_bin
-    pslr_d = pslr_db(double_map.range_cut(det_d.doppler_bin))
+    pslr_d = double.pslr_db
     pslr_f = pslr_db(fxp_map.range_cut(det_f.doppler_bin))
     delta = pslr_f - pslr_d
     pslr_ok = (math.isfinite(delta) and abs(delta) <= 0.5) or pslr_f >= pslr_d
@@ -219,16 +302,17 @@ def precision_sweep(
 ) -> SweepResult:
     """One quantized run per format, with timing, plus an SQNR monotonicity
     summary across word lengths. Every row is scored against `double_map`,
-    the double-precision map of the cube."""
+    the double-precision map of the cube, whose detection, PSLR and power
+    the sweep computes once for all formats; a row's runtime_s is its own
+    quantized run and scoring only."""
     formats = list(formats)
     if not formats:
         raise ParameterError("precision_sweep needs at least one format")
+    double = _score(double_map)
     rows = []
     for fmt in formats:
         start = time.perf_counter()
-        _, report = quantized_matched_filter(
-            cube, schedule, grid, fmt, mode, double_map=double_map
-        )
+        _, report = _quantized_run(cube, schedule, grid, fmt, mode, double)
         elapsed = time.perf_counter() - start
         rows.append(SweepRow(report=report, runtime_s=elapsed))
     monotone = True

@@ -127,11 +127,14 @@ def _chain(cube: DataCube, schedule: FrameSchedule, grid: DopplerGrid, dense: bo
     a copy it may overwrite. In order: "input" (the P x Q cube), "reference"
     (conjugate frame spectra), "post_fft" (P x Q), "twiddle" (dense only),
     "post_steering" and "post_ifft" (one Doppler hypothesis per row; in
-    slow-time FFT order when not dense). Dense steering applies the P x J
-    matrix; otherwise the grid must be `default_grid`'s and steering is a
-    slow-time IFFT. Each pass runs in contiguous blocks on the
-    ISACSIM_THREADS cores (`_threads.for_blocks`), and each block does the
-    arithmetic of one whole pass, so no bit depends on the thread count.
+    slow-time FFT order when not dense). Every x but "input", the caller's
+    cube, is a C- or F-contiguous buffer the chain allocated, which a hook
+    may overwrite in place and return (`fxp` does so from "post_fft" on).
+    Dense steering applies the P x J matrix; otherwise the grid must be
+    `default_grid`'s and steering is a slow-time IFFT. Each pass runs in
+    contiguous blocks on the ISACSIM_THREADS cores (`_threads.for_blocks`),
+    and each block does the arithmetic of one whole pass, so no bit depends
+    on the thread count.
     """
     params = cube.params
     p_len, q_len = cube.samples.shape
@@ -241,16 +244,22 @@ def time_domain_oracle(
 
 def detect_peak(rd_map: RangeDopplerMap) -> Detection:
     """Global maximum of the map; ties break toward the smallest range bin,
-    then the smallest Doppler bin. Raises DataError on a non-finite peak."""
+    then the smallest Doppler bin. Raises DataError on a non-finite peak.
+
+    One pass over the map takes the row maxima; only the Doppler rows that
+    hold the peak are searched again, each for its first peak column.
+    """
     values = rd_map.values
-    peak = values.max()
+    row_peaks = values.max(axis=1)
+    peak = row_peaks.max()
     if not np.isfinite(peak):
         raise DataError(f"range-Doppler map holds non-finite values (its maximum is {peak})")
     if peak == 0.0:
         raise NoDetectionError("range-Doppler map is identically zero")
-    js, qs = np.nonzero(values == peak)
-    order = np.lexsort((js, qs))  # sort by range bin, then Doppler bin
-    j, q = int(js[order[0]]), int(qs[order[0]])
+    js = np.flatnonzero(row_peaks == peak)
+    qs = (values[js] == peak).argmax(axis=1)  # first peak column of each row
+    k = int(qs.argmin())  # smallest range bin, and of its rows the first
+    j, q = int(js[k]), int(qs[k])
     return Detection(
         range_m=float(rd_map.range_axis_m[q]),
         velocity_mps=float(rd_map.doppler_axis_mps[j]),

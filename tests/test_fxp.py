@@ -200,3 +200,33 @@ class TestQuantizedChain:
                 cube, sched, grid, row.report.format, double_map=double_map
             )[1]
             assert single == row.report
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_sweep_scores_the_double_map_once(self, small_params, monkeypatch, count):
+        """F formats take F + 1 detections: one of the double map, shared by
+        every row, and one of each quantized map."""
+        from isacsim import fxp
+
+        cube, sched, grid, double_map = small_pipeline(small_params)
+        seen = []
+
+        def counting(rd_map):
+            seen.append(rd_map)
+            return iz.detect_peak(rd_map)
+
+        monkeypatch.setattr(fxp, "detect_peak", counting)
+        formats = [iz.FixedPointFormat(w, 1) for w in (12, 16, 24)[:count]]
+        iz.precision_sweep(cube, sched, grid, formats, double_map=double_map)
+        assert len(seen) == count + 1
+        assert sum(rd_map is double_map for rd_map in seen) == 1
+
+    def test_chain_stages_keep_the_caller_inputs(self, small_params):
+        """Chain-owned stages are quantized in place; the cube, the schedule
+        and the double map the caller passes are never written."""
+        cube, sched, grid, double_map = small_pipeline(small_params, snr_db=15.0)
+        before = [a.tobytes() for a in (cube.samples, sched.frames, double_map.values)]
+        iz.precision_sweep(
+            cube, sched, grid, [iz.FixedPointFormat(12, 1)], double_map=double_map
+        )
+        after = [a.tobytes() for a in (cube.samples, sched.frames, double_map.values)]
+        assert after == before

@@ -1,8 +1,9 @@
 """Property tests over random packet counts, all four schedules and random
 scenes: the packet map, echo synthesis of point and cluster targets, the
 shared noise block against the per-packet draw, oracle equivalence,
-localization of on-grid point targets within one bin, the
-quantizer against its mantissa round trip, and the block-parallel double and
+localization of on-grid point targets within one bin, the one-pass peak
+detector against a sorted search over every peak cell, the quantizer
+against its mantissa round trip, and the block-parallel double and
 fixed-point matched filters against their serial forms; the CSV formatter
 and its threaded writer against np.savetxt; and the config text, which
 renders and parses back to the same config and rejects any other input with a
@@ -218,6 +219,58 @@ def test_on_grid_point_targets_are_located_within_one_bin(delay, doppler, azimut
         det = iz.detect_peak(iz.matched_filter_rd(cube, sched, grid))
         assert abs(det.range_bin - delay) <= 1, kind
         assert abs(det.doppler_bin - (grid.zero_bin + doppler)) <= 1, kind
+
+
+def reference_detect_peak(rd_map):
+    """The reference: every cell equal to the maximum from np.nonzero, sorted
+    by range bin and then Doppler bin with np.lexsort."""
+    values = rd_map.values
+    peak = values.max()
+    if not np.isfinite(peak):
+        raise iz.DataError(f"range-Doppler map holds non-finite values (its maximum is {peak})")
+    if peak == 0.0:
+        raise iz.NoDetectionError("range-Doppler map is identically zero")
+    js, qs = np.nonzero(values == peak)
+    order = np.lexsort((js, qs))
+    j, q = int(js[order[0]]), int(qs[order[0]])
+    return iz.Detection(
+        range_m=float(rd_map.range_axis_m[q]),
+        velocity_mps=float(rd_map.doppler_axis_mps[j]),
+        peak_magnitude=float(peak),
+        range_bin=q,
+        doppler_bin=j,
+    )
+
+
+@st.composite
+def peak_maps(draw):
+    """A J x Q map of at most three levels, so the peak ties across rows and
+    columns (one level: an all-equal map, zero among them), with up to two
+    planted NaN or +-inf cells; C or Fortran order."""
+    j, q = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    levels = draw(
+        st.lists(st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, -1.0]), min_size=1, max_size=3)
+    )
+    values = np.array(draw(st.lists(st.sampled_from(levels), min_size=j * q, max_size=j * q)))
+    values = values.reshape(j, q)
+    for bad in draw(st.lists(st.sampled_from([np.nan, np.inf, -np.inf]), max_size=2)):
+        values[draw(st.integers(0, j - 1)), draw(st.integers(0, q - 1))] = bad
+    if draw(st.booleans()):
+        values = np.asfortranarray(values)
+    return iz.RangeDopplerMap(values, np.arange(q) * 0.25, np.arange(j) - j / 2.0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(peak_maps())
+def test_one_pass_detect_peak_equals_the_sorted_search(rd_map):
+    try:
+        expected = reference_detect_peak(rd_map)
+    except (iz.DataError, iz.NoDetectionError) as exc:
+        with pytest.raises(type(exc)) as info:
+            iz.detect_peak(rd_map)
+        assert str(info.value) == str(exc)
+        return
+    assert iz.detect_peak(rd_map) == expected
 
 
 def serial_matched_filter(cube, schedule, grid):
@@ -439,6 +492,59 @@ def test_max_abs_scaling_clips_only_past_float_precision(word_bits):
         assert saturated == expected_saturated
         total += saturated
     assert (total > 0) == (word_bits >= 53)
+
+
+@pytest.mark.parametrize(
+    "max_abs, word_bits, integer_bits",
+    [
+        (1e-310, 8, 1),  # a subnormal max-abs and unit
+        (1e-310, 24, 3),
+        (1e-310, 40, 1),  # a unit of a few smallest subnormals
+        (5e-324, 2, 1),  # the smallest subnormal: unit 5e-324, mantissas -2..1
+        (5e-324, 2, 2),
+        (1.0, 64, 1),  # a normal max-abs over a unit of 1e-19
+    ],
+)
+def test_quantize_at_subnormal_scales_equals_the_mantissa_round_trip(
+    max_abs, word_bits, integer_bits
+):
+    """Products of a mantissa and a subnormal unit: small negatives, -0.0
+    and ties must come out as the reference's, never as -0.0."""
+    fmt = iz.FixedPointFormat(word_bits, integer_bits)
+    rng = np.random.default_rng(word_bits)
+    comps = max_abs * rng.uniform(-1.0, 1.0, 200)
+    comps[:8] = [max_abs, -max_abs, 0.0, -0.0, -max_abs / 3, max_abs / 2, -5e-324, 5e-324]
+    x = comps[:100] + 1j * comps[100:]
+    values, saturated = iz.quantize(x, fmt)
+    expected, expected_saturated = reference_quantize(x, fmt)
+    assert fmt.step * (max_abs / fmt.max_value) > 0.0  # a unit of zero is out of range
+    assert values.tobytes() == expected.tobytes()
+    assert saturated == expected_saturated
+    assert not np.signbit(values.real[values.real == 0.0]).any()
+    assert not np.signbit(values.imag[values.imag == 0.0]).any()
+
+
+@pytest.mark.parametrize("word_bits", [16, 53, 60, 64])
+@pytest.mark.parametrize("layout", ["contiguous", "transposed"])
+def test_quantize_across_chunks_equals_the_mantissa_round_trip(word_bits, layout):
+    """An array of several of the quantizer's chunks. At <64,1> the max-abs
+    8.0 lands on mantissa 2**63, one past the top, so each planted +8.0
+    clips, in every chunk; its -8.0 lands on the bottom mantissa."""
+    fmt = iz.FixedPointFormat(word_bits, 1)
+    rng = np.random.default_rng(word_bits)
+    base = rng.standard_normal((3, 50_000)) + 1j * rng.standard_normal((3, 50_000))
+    base[:, ::997] = 8.0 - 8.0j
+    x = base.T if layout == "transposed" else base
+    before = base.tobytes()
+    values, saturated = iz.quantize(x, fmt)
+    expected, expected_saturated = reference_quantize(x, fmt)
+    assert base.tobytes() == before
+    assert values.tobytes() == expected.tobytes()
+    assert saturated == expected_saturated
+    if word_bits == 16:
+        assert saturated == 0
+    if word_bits == 64:
+        assert saturated == base[:, ::997].size
 
 
 def serial_quantized_matched_filter(cube, schedule, grid, fmt, mode):
