@@ -5,10 +5,14 @@ numpy's FFTs, elementwise products and BLAS products release the interpreter
 lock, so the blocks of a pass (`for_blocks`) run in parallel on plain
 threads. `ordered` runs a sequence of produce steps the same way and hands
 their results to one consume step in index order; the CSV writer formats
-blocks of rows with it, one worker writing to the file while another
-formats. Each call starts its own threads and joins them before it returns:
-no pool outlives a call, which keeps a process that forks between calls
-safe.
+chunks of rows with it, one worker writing to the file while another
+formats. Each worker of `ordered` carries its own scratch buffers, which
+the calling thread allocates before any thread starts: a worker then
+reuses memory of the caller's malloc arena chunk after chunk, instead of
+allocating in its own arena, where glibc would keep the freed pages after
+the call. Each call starts its own threads and joins them before it
+returns: no pool outlives a call, which keeps a process that forks between
+calls safe.
 
 These threads are the only concurrency of a run. Before it starts a block,
 `for_blocks` caps numpy's OpenBLAS pool at one thread through OpenBLAS's own
@@ -144,8 +148,9 @@ def for_blocks(fn, n: int, min_block: int = 1) -> None:
         raise errors[0]
 
 
-def ordered(produce, consume, n: int) -> None:
-    """Call consume(produce(i)) for each i in range(n), consuming in index order.
+def ordered(produce, consume, n: int, scratch) -> None:
+    """Call consume(produce(i, s)) for each i in range(n), consuming in index
+    order, with s the scratch of the worker that takes index i.
 
     w = min(thread_count(), n) workers, w - 1 new threads and the calling
     thread, each take the next index, produce its result, wait until every
@@ -156,14 +161,21 @@ def ordered(produce, consume, n: int) -> None:
     started and no result is consumed; the exception is re-raised once all
     threads are joined. With one worker the calling thread does everything
     and no thread starts.
+
+    The calling thread makes each worker's s = scratch() before any thread
+    starts. A worker's result may live in its s, since the worker consumes
+    each result before it produces the next, and the workers' buffers are
+    the caller's allocations, freed to the caller's malloc arena when the
+    call returns.
     """
     workers = max(1, min(thread_count(), n))
+    scratches = [scratch() for _ in range(workers)]
     pending = iter(range(n))
     turn = 0  # the index whose result is consumed next
     changed = threading.Condition()
     errors: list[BaseException] = []
 
-    def work():
+    def work(s):
         nonlocal turn
         while not errors:
             with changed:
@@ -171,7 +183,7 @@ def ordered(produce, consume, n: int) -> None:
             if i is None:
                 return
             try:
-                result = produce(i)
+                result = produce(i, s)
                 with changed:
                     while turn != i and not errors:
                         changed.wait()
@@ -188,10 +200,10 @@ def ordered(produce, consume, n: int) -> None:
                     changed.notify_all()
                 return
 
-    threads = [threading.Thread(target=work) for _ in range(workers - 1)]
+    threads = [threading.Thread(target=work, args=(s,)) for s in scratches[1:]]
     for thread in threads:
         thread.start()
-    work()
+    work(scratches[0])
     for thread in threads:
         thread.join()
     if errors:

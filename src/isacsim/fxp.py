@@ -104,7 +104,9 @@ def _quantize_into(comps: np.ndarray, out: np.ndarray, fmt: FixedPointFormat) ->
     """Quantize the components `comps` into `out` (which may be `comps`
     itself) and return the number of clipped components.
 
-    NaN and inf show in the max-abs, so no separate finiteness pass runs.
+    NaN and inf show in the max-abs, so no separate finiteness pass runs. A
+    max-abs so small that the step `unit` underflows to zero raises
+    DataError too, since no float can hold that grid.
     Division and rint are monotone, so a component can clip only when the
     max-abs mantissa rint(m / unit) does; that scalar test decides whether
     the count and clip passes run at all (in practice only from W = 53 on).
@@ -117,6 +119,10 @@ def _quantize_into(comps: np.ndarray, out: np.ndarray, fmt: FixedPointFormat) ->
     scale = m / fmt.max_value if m > 0.0 else 1.0
     bot, top = _mantissa_limits(fmt)
     unit = fmt.step * scale
+    if unit == 0.0:  # the grid's step lies below the smallest float
+        raise DataError(
+            f"quantizer input max-abs {m:.3g} is too small for {fmt}: its step underflows"
+        )
     # -m's mantissa is the negation of +m's, and bot < -top, so only +m's
     # can pass a limit
     clips = np.rint(m / unit) > top

@@ -170,7 +170,7 @@ def _chain(cube: DataCube, schedule: FrameSchedule, grid: DopplerGrid, dense: bo
 
         for_blocks(steer, q_len, min_block=2)
         del spectra  # the steered sums replace it
-        steered, rows = steered.T, np.arange(j_len)  # J x Q view, no copy
+        steered, shift = steered.T, 0  # J x Q view, no copy; bin j is row j
     else:
         # sum_p M[p,q] exp(+2 pi i p (j - J//2) / P) == P * ifft_p(M) reordered
         def steer(r):  # range bins r, in place
@@ -178,7 +178,7 @@ def _chain(cube: DataCube, schedule: FrameSchedule, grid: DopplerGrid, dense: bo
             spectra[:, r] *= p_len
 
         for_blocks(steer, q_len)
-        steered, rows = spectra, (np.arange(j_len) - j_len // 2) % p_len
+        steered, shift = spectra, j_len // 2  # bin j is row (j - J//2) % P
     steered = stage("post_steering", steered)
 
     def range_ifft(b):  # Doppler rows b, in place
@@ -188,9 +188,12 @@ def _chain(cube: DataCube, schedule: FrameSchedule, grid: DopplerGrid, dense: bo
     profiles = stage("post_ifft", steered)
     values = np.empty((j_len, q_len))
 
-    def magnitude(b):  # Doppler bins b, each from its row of the profiles
-        for j in range(b.start, b.stop):
-            np.abs(profiles[rows[j]], out=values[j])
+    def magnitude(b):  # Doppler bins b: one run of rows, or two where the rotation wraps
+        start = (b.start - shift) % len(profiles)
+        split = min(b.stop, b.start + len(profiles) - start)
+        np.abs(profiles[start : start + split - b.start], out=values[b.start : split])
+        if split < b.stop:
+            np.abs(profiles[: b.stop - split], out=values[split : b.stop])
 
     for_blocks(magnitude, j_len)
     return values

@@ -121,6 +121,19 @@ class TestQuantize:
         with pytest.raises(iz.DataError):
             iz.quantize(np.array([1j * np.inf]), fmt)
 
+    @pytest.mark.parametrize(
+        "max_abs, word_bits", [(5e-324, 16), (1e-320, 24), (1e-310, 64)]
+    )
+    def test_a_step_below_the_smallest_float_raises_instead_of_nan(self, max_abs, word_bits):
+        """Once step * scale underflows to zero no float holds the grid: the
+        quantizer raises DataError before it divides, so neither a NaN nor
+        a divide-by-zero warning (an error under the suite's filter) comes
+        out."""
+        fmt = iz.FixedPointFormat(word_bits, 1)
+        assert fmt.step * (max_abs / fmt.max_value) == 0.0
+        with pytest.raises(iz.DataError, match="underflows"):
+            iz.quantize(np.array([max_abs, -max_abs, 0j]), fmt)
+
     def test_wide_word_mantissa_limits_stay_in_int64(self):
         fmt = iz.FixedPointFormat(64, 2)
         # max_value rounds to 2.0 = |min_value| in float64: the max-abs scale is 1.0

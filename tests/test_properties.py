@@ -13,6 +13,7 @@ import dataclasses
 import io
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 import isacsim as iz
 import isacsim._csvformat as csvformat
-from isacsim._csvformat import CHUNK_VALUES, format_rows, write_rows
+from isacsim._csvformat import CHUNK_VALUES, LARGE_ARRAY, chunk_rows, format_rows, write_rows
 from isacsim.config import _SECTIONS
 from oracle_cases import KINDS, random_case
 
@@ -701,10 +702,11 @@ def test_format_rows_edge_shapes(shape):
 
 
 def test_write_rows_streams_partial_chunks():
-    # 20 map rows of Q = 3520 go out in blocks of 9, 9 and 2 rows
-    rows, cols = 20, 3520
-    step = CHUNK_VALUES // cols
-    assert rows % step != 0
+    # 22 map rows of Q = 3520 (a small array) go out in blocks of 4, 4, 4,
+    # 4, 4 and 2 rows
+    rows, cols = 22, 3520
+    step = chunk_rows(rows, cols)
+    assert step == CHUNK_VALUES // 2 // cols == 4
     values = np.random.default_rng(6).random((rows, cols)) * 1e3
     blocks = []
 
@@ -720,7 +722,21 @@ def test_write_rows_streams_partial_chunks():
 
 
 MAP_COLS = 3520
-MAP_STEP = CHUNK_VALUES // MAP_COLS  # map rows per chunk
+MAP_STEP = chunk_rows(1, MAP_COLS)  # map rows per chunk of the small maps below
+
+
+@pytest.mark.parametrize(
+    "rows, cols, step",
+    [(2000, 3520, 9), (298, 3520, 9), (297, 3520, 4), (63, 3520, 4), (1, 3520, 4),
+     (3, 70_000, 1), (16, 1, 16_384), (1 << 20, 1, 1 << 15)],
+)
+def test_chunks_hold_about_chunk_values_or_half_of_it(rows, cols, step):
+    """Arrays of LARGE_ARRAY values or more take chunks of about
+    CHUNK_VALUES values, smaller ones half that; a chunk holds at least
+    one row."""
+    per_chunk = CHUNK_VALUES if rows * cols >= LARGE_ARRAY else CHUNK_VALUES // 2
+    assert step == max(1, per_chunk // cols)
+    assert chunk_rows(rows, cols) == step
 
 
 def chunked_map(chunks):
@@ -765,6 +781,46 @@ def test_write_rows_on_any_thread_count_equals_savetxt(monkeypatch, chunked_maps
 
 
 @pytest.mark.parametrize("threads", ["1", "2", "5"])
+@pytest.mark.parametrize("step", [1, 9, None, "whole"])
+def test_write_rows_equals_savetxt_for_any_chunk_size(monkeypatch, chunked_maps, threads, step):
+    """Chunks of one row, of nine, of the default CHUNK_VALUES and of the
+    whole map: the same bytes, on any thread count."""
+    monkeypatch.setenv("ISACSIM_THREADS", threads)
+    values, expected = chunked_maps(3)
+    rows = {1: 1, 9: 9, None: MAP_STEP, "whole": len(values)}[step]
+    monkeypatch.setattr(csvformat, "chunk_rows", lambda r, c: rows)
+    buf = io.BytesIO()
+    write_rows(buf, values)
+    assert buf.getvalue() == expected
+
+
+# Bytes per value that formatting one default chunk may take: the scratch
+# (24 bytes of field, 40 of planes and 3 of flags a value) and what the
+# chunk allocates, chiefly the int64 index of the kept bytes (8 per text
+# byte, at most 17 text bytes a value).
+SCRATCH_BYTES_PER_VALUE = 24 + 40 + 3
+CHUNK_BYTES_PER_VALUE = SCRATCH_BYTES_PER_VALUE + 8 * 17
+
+
+def test_one_chunk_formats_within_its_memory_budget():
+    # a chunk of a table1 map: 9 rows of 3520 values, from 24 decades
+    rng = np.random.default_rng(7)
+    shape = (chunk_rows(2000, MAP_COLS), MAP_COLS)
+    chunk = rng.standard_normal(shape) * 10.0 ** rng.integers(-12, 12, shape)
+    scratch = csvformat._Scratch(chunk.size)
+    scratch_bytes = scratch.fields.nbytes + scratch.planes.nbytes + scratch.flags.nbytes
+    tracemalloc.start()
+    try:
+        text = csvformat._text(chunk, scratch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text.tobytes() == savetxt_bytes(chunk)
+    assert scratch_bytes == SCRATCH_BYTES_PER_VALUE * chunk.size
+    assert scratch_bytes + peak <= CHUNK_BYTES_PER_VALUE * chunk.size
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "5"])
 @pytest.mark.parametrize("k", [1, 4])
 def test_a_failing_chunk_stops_write_rows_before_it(monkeypatch, chunked_maps, threads, k):
     """_fields raising on its k-th call re-raises in the caller, and the file
@@ -774,7 +830,7 @@ def test_a_failing_chunk_stops_write_rows_before_it(monkeypatch, chunked_maps, t
     fields, calls, failed, lock = csvformat._fields, [], [], threading.Lock()
     later = threading.Event()  # a call after the k-th has formatted its chunk
 
-    def failing_fields(x):
+    def failing_fields(x, scratch):
         with lock:
             calls.append(None)
             call = len(calls)
@@ -783,7 +839,7 @@ def test_a_failing_chunk_stops_write_rows_before_it(monkeypatch, chunked_maps, t
             if threads != "1":  # so a later chunk is ready and waits its turn
                 later.wait(timeout=10)
             raise RuntimeError("chunk failed")
-        out = fields(x)
+        out = fields(x, scratch)
         if call > k:
             later.set()
         return out

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import isacsim as iz
+from isacsim import rsp
 from oracle_cases import random_case
 
 
@@ -110,6 +111,52 @@ class TestMatchedFilter:
         with pytest.raises(iz.ParameterError, match="fft_aligned") as exc:
             iz.matched_filter_rd(cube, sched, mislabeled)
         assert "\n" not in str(exc.value)
+
+    @pytest.mark.parametrize("packets", [15, 16])
+    @pytest.mark.parametrize("dense", [False, True])
+    @pytest.mark.parametrize("cuts", ["whole", "single", "uneven"])
+    def test_magnitude_runs_equal_the_per_row_loop(
+        self, monkeypatch, small_params, packets, dense, cuts
+    ):
+        """The magnitude pass takes each block of Doppler bins as one or two
+        runs of profile rows; a block across the FFT order's wrap from row
+        P - 1 to row 0 takes two. Its map equals the per-row loop over the
+        same profiles for any cut of the bins into blocks."""
+        params = iz.scaled_profile(small_params, packets)
+        if dense:
+            grid = iz.symmetric_grid(params, 2 * (packets // 2) + 1)
+        else:
+            grid = iz.default_grid(params)
+        target = [iz.point_target(np.array([6.0, 8.0, 0.0]), np.array([30.0, 40.0, 0.0]))]
+        noise = iz.noise_block(target, params, 10.0, 0)
+        sched = iz.build_schedule(iz.ScheduleKind.PMCW, params, seed=7)
+        cube = iz.synthesize_echo(sched, target, params, noise=noise)
+
+        def cut_blocks(fn, n, min_block=1):  # every pass, cut into `cuts` blocks
+            if cuts == "whole" or min_block > 1:
+                edges = [0, n]
+            elif cuts == "single":
+                edges = list(range(n + 1))
+            else:
+                edges = [0, 1, n // 2 - 1, n // 2 + 2, n]
+            for lo, hi in zip(edges, edges[1:]):
+                fn(slice(lo, hi))
+
+        profiles = []
+
+        def keep_profiles(name, x):
+            if name == "post_ifft":
+                profiles.append(x.copy())
+            return x
+
+        monkeypatch.setattr(rsp, "for_blocks", cut_blocks)
+        values = rsp._chain(cube, sched, grid, dense, keep_profiles)
+        j_len, p_len = len(grid), len(profiles[0])
+        rows = np.arange(j_len) if dense else (np.arange(j_len) - j_len // 2) % p_len
+        expected = np.empty_like(values)
+        for j in range(j_len):
+            expected[j] = np.abs(profiles[0][rows[j]])
+        assert np.array_equal(values, expected)
 
     def test_range_axis_spacing_is_the_range_resolution(self, small_params):
         axis = small_params.range_axis_m()

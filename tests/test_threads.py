@@ -129,11 +129,11 @@ def test_min_block_keeps_every_slice_at_least_that_long(threads):
 
 
 def run_ordered(n, produce=lambda i: i):
-    """ordered(produce, consumed.append, n) -> consumed, checking that every
-    thread it started is gone."""
+    """ordered with produce(i) and consumed.append -> consumed, checking that
+    every thread it started is gone."""
     consumed = []
     before = threading.active_count()
-    ordered(produce, consumed.append, n)
+    ordered(lambda i, s: produce(i), consumed.append, n, scratch=lambda: None)
     assert threading.active_count() == before
     return consumed
 
@@ -162,7 +162,7 @@ def test_ordered_with_no_index_calls_nothing(threads, workers):
     threads(workers)
     calls = []
     before = threading.active_count()
-    ordered(calls.append, calls.append, 0)
+    ordered(lambda i, s: calls.append(i), calls.append, 0, scratch=lambda: None)
     assert calls == []
     assert threading.active_count() == before
 
@@ -212,7 +212,7 @@ def test_ordered_keeps_at_most_one_result_per_worker(threads):
             consumed += 1
 
     before = threading.active_count()
-    ordered(produce, consume, 30)
+    ordered(lambda i, s: produce(i), consume, 30, scratch=lambda: None)
     assert threading.active_count() == before
     assert held_up_with == [2]
     assert most == 3
@@ -246,7 +246,7 @@ def test_ordered_reraises_the_first_error_and_consumes_nothing_after(threads, wo
 
     before = threading.active_count()
     with pytest.raises(ValueError, match="index 17 failed"):
-        ordered(produce, consume, 100)
+        ordered(lambda i, s: produce(i), consume, 100, scratch=lambda: None)
     assert threading.active_count() == before
     assert consumed == list(range(len(consumed)))
     assert len(consumed) <= 17
@@ -272,7 +272,7 @@ def test_ordered_releases_the_workers_waiting_their_turn(threads):
 
     def call():
         try:
-            ordered(produce, lambda i: None, 50)
+            ordered(lambda i, s: produce(i), lambda i: None, 50, scratch=lambda: None)
         except ValueError as exc:
             raised.append(exc)
 
@@ -284,6 +284,42 @@ def test_ordered_releases_the_workers_waiting_their_turn(threads):
     assert not caller.is_alive(), "a worker was left waiting for its turn"
     assert threading.active_count() == before
     assert [str(exc) for exc in raised] == ["index 0 failed"]
+
+
+@pytest.mark.parametrize("workers, n, made", [("1", 5, 1), ("3", 40, 3), ("5", 2, 2)])
+def test_ordered_gives_each_worker_its_own_scratch_made_by_the_caller(threads, workers, n, made):
+    """scratch() runs on the calling thread, once per worker, before any
+    thread starts; each worker passes its own s to produce, so a result may
+    live in s until it is consumed."""
+    threads(workers)
+    caller = threading.current_thread()
+    scratches, users = [], {}
+    lock = threading.Lock()
+
+    def scratch():
+        assert threading.current_thread() is caller
+        assert threading.active_count() == before
+        scratches.append([])
+        return scratches[-1]
+
+    def produce(i, s):
+        with lock:
+            users.setdefault(id(s), set()).add(threading.current_thread())
+        assert s == []  # the previous result in s was consumed and cleared
+        s.append(i)
+        return s
+
+    def consume(s):
+        consumed.append(s.pop())
+
+    consumed = []
+    before = threading.active_count()
+    ordered(produce, consume, n, scratch=scratch)
+    assert threading.active_count() == before
+    assert consumed == list(range(n))
+    assert len(scratches) == made
+    assert all(len(user) == 1 for user in users.values())
+    assert len({next(iter(user)) for user in users.values()}) == len(users)
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
