@@ -154,7 +154,10 @@ def _to_formats(raw: str) -> tuple[FixedPointFormat, ...]:
         fields = item.strip("<>").split(":")
         if len(fields) != 2:
             raise ValueError(f"expected word:integer bits, got {item!r}")
-        out.append(FixedPointFormat(word_bits=int(fields[0]), integer_bits=int(fields[1])))
+        fmt = FixedPointFormat(word_bits=int(fields[0]), integer_bits=int(fields[1]))
+        if fmt in out:
+            raise ValueError(f"format {fmt.word_bits}:{fmt.integer_bits} is listed twice")
+        out.append(fmt)
     return tuple(out)
 
 
@@ -166,17 +169,21 @@ def _to_target(raw: str) -> str:
 
 
 def parse_waveform_list(raw: str) -> tuple[ScheduleKind, ...]:
-    """Comma-separated waveform names as schedule kinds (CLI and config)."""
+    """Comma-separated waveform names as schedule kinds (CLI and config);
+    each name at most once."""
     names = [p.strip().lower() for p in raw.split(",") if p.strip()]
     if not names:
         raise ValueError("waveform list is empty")
     kinds = []
     for name in names:
         try:
-            kinds.append(ScheduleKind(name))
+            kind = ScheduleKind(name)
         except ValueError:
             valid = ", ".join(k.value for k in ScheduleKind)
             raise ValueError(f"unknown waveform {name!r}; valid: {valid}") from None
+        if kind in kinds:
+            raise ValueError(f"waveform {name!r} is listed twice")
+        kinds.append(kind)
     return tuple(kinds)
 
 

@@ -18,10 +18,13 @@ FFT-aligned grids, because the point is to model quantized multipliers. The
 chain splits its passes across ISACSIM_THREADS threads as the double filter
 does; every map and report is the same to the bit for any thread count.
 
-The buffers the chain allocates itself ("post_fft", "twiddle",
-"post_steering", "post_ifft") are quantized in place; the input cube and the
-reference spectra are quantized into new arrays, and the public `quantize`
-always returns a new array and never writes its input. `precision_sweep`
+The buffers the chain owns ("post_fft", "twiddle", "post_steering",
+"post_ifft") are quantized in place; the input cube and the reference
+spectra are quantized into new arrays, and the public `quantize` always
+returns a new array and never writes its input. The quantized cube is the
+chain's own, so its fast-time FFT runs in place on it; under CORE_ONLY the
+chain reads the caller's cube and writes the FFT into a buffer of its own.
+`precision_sweep`
 detects and scores the double-precision map once and shares that score
 across its formats, so a row's runtime_s covers only its own quantized run.
 """
@@ -171,9 +174,9 @@ class FxpReport:
     warning: str | None
 
 
-# The large buffers `_chain` allocates for itself, quantized in place. The
-# caller's cube ("input") and the U x Q reference go through `quantize`,
-# which returns a new array.
+# The large buffers `_chain` owns, quantized in place. The caller's cube
+# ("input") and the U x Q reference go through `quantize`, which returns a
+# new array.
 _IN_PLACE = frozenset({"post_fft", "twiddle", "post_steering", "post_ifft"})
 
 

@@ -17,8 +17,11 @@ schedule through synthesis, the matched filter, detection and PSLR, the
 optional oracle and fixed-point sweep (scored against the run's own double
 map), the CSVs and the optional `run_benchmarks` timings. Only then is the
 next waveform started, and its cube and map are gone: a `WaveformResult`
-holds no array, so one P x Q cube and one J x Q map are in memory at a time,
-besides the shared P x Q noise block. Each waveform's summary times its
+holds no array. When no later step reads the cube (no oracle, no formats,
+no `--bench`), the matched filter transforms it in place
+(`overwrite_cube=True`), so one P x Q buffer and one J x Q map are in memory
+at a time, besides the shared P x Q noise block; otherwise the filter writes
+a P x Q buffer of its own next to the cube. Each waveform's summary times its
 synthesis (without the shared noise draw, which the run-level
 `timings_s.noise` times), processing and artifact writing. The summary's
 `tool.version` is `isacsim.__version__`, the one place the version is
@@ -205,13 +208,16 @@ def run_waveform(
     """Full pipeline for one waveform: schedule, echo (plus the run's shared
     `noise` block), matched filter, peak detection and PSLR, the optional
     oracle and fixed-point passes, the two CSVs in `out_path` and the
-    optional benchmark timings. The cube and map die with this call."""
+    optional benchmark timings. The cube and map die with this call; the
+    filter overwrites the cube unless the oracle, the sweep or the benchmark
+    reads it afterwards."""
     params = cfg.params
     t0 = time.perf_counter()
     schedule = build_schedule(kind, params, seed=cfg.seed_code)
     cube = synthesize_echo(schedule, targets, params, path_loss=cfg.path_loss, noise=noise)
     t1 = time.perf_counter()
-    rd_map = matched_filter_rd(cube, schedule, grid)
+    cube_read_later = cfg.run_oracle or bool(cfg.fxp_formats) or cfg.bench_enabled
+    rd_map = matched_filter_rd(cube, schedule, grid, overwrite_cube=not cube_read_later)
     t2 = time.perf_counter()
 
     detection = None
@@ -329,10 +335,26 @@ def _peak_rss_mb() -> float:
     return peak / (1 << 20) if sys.platform == "darwin" else peak / 1024.0
 
 
+_THP_MODE = "/sys/kernel/mm/transparent_hugepage/enabled"
+
+
+def _transparent_hugepage() -> str | None:
+    """The kernel's transparent huge page mode: the bracketed word of
+    `_THP_MODE` ("always", "madvise" or "never"), None where it cannot be
+    read. Under "always" or "madvise" the large arrays numpy allocates fault
+    in 2 MB at a time."""
+    try:
+        with open(_THP_MODE) as fh:
+            words = fh.read().split()
+    except OSError:
+        return None
+    return next((w[1:-1] for w in words if w.startswith("[") and w.endswith("]")), None)
+
+
 def _environment() -> dict:
     """What produced the run's numbers: versions, the thread rule's inputs
-    and outcome, and the BLAS pool size read back from OpenBLAS (None when
-    it cannot be read)."""
+    and outcome, the BLAS pool size read back from OpenBLAS and the
+    transparent huge page mode (each None when it cannot be read)."""
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
@@ -340,6 +362,7 @@ def _environment() -> dict:
         "thread_count": thread_count(),
         "blas_threads": blas_pool_size(),
         "cpu_count": os.cpu_count(),
+        "transparent_hugepage": _transparent_hugepage(),
         "peak_rss_note": (
             "peak_rss_mb is the process's lifetime peak (ru_maxrss): after earlier "
             "runs in the same process it reads the largest of them"

@@ -120,7 +120,14 @@ def _check_schedule(cube: DataCube, schedule: FrameSchedule):
         )
 
 
-def _chain(cube: DataCube, schedule: FrameSchedule, grid: DopplerGrid, dense: bool, stage):
+def _chain(
+    cube: DataCube,
+    schedule: FrameSchedule,
+    grid: DopplerGrid,
+    dense: bool,
+    stage,
+    overwrite: bool = False,
+):
     """The range-Doppler chain of both matched filters; returns the J x Q map.
 
     At each stage boundary the chain goes on with stage(name, x): x itself or
@@ -128,8 +135,18 @@ def _chain(cube: DataCube, schedule: FrameSchedule, grid: DopplerGrid, dense: bo
     (conjugate frame spectra), "post_fft" (P x Q), "twiddle" (dense only),
     "post_steering" and "post_ifft" (one Doppler hypothesis per row; in
     slow-time FFT order when not dense). Every x but "input", the caller's
-    cube, is a C- or F-contiguous buffer the chain allocated, which a hook
-    may overwrite in place and return (`fxp` does so from "post_fft" on).
+    cube, is a C- or F-contiguous buffer the chain owns, which a hook may
+    overwrite in place and return (`fxp` does so from "post_fft" on).
+
+    The chain owns the P x Q input, and its fast-time FFT overwrites it in
+    place, when the "input" hook returns a new array (`fxp`'s quantized
+    cube) or when `overwrite` lets it write the caller's cube; otherwise the
+    FFT writes a P x Q buffer of its own and the cube is only read. That one
+    buffer carries the matched spectra and, on the FFT grid, the steered
+    profiles. Dense steering writes Q x J sums instead, and the chain drops
+    its names for the P x Q buffer and the P x J twiddles once steering is
+    done, before the map is allocated.
+
     Dense steering applies the P x J matrix; otherwise the grid must be
     `default_grid`'s and steering is a slow-time IFFT. Each pass runs in
     contiguous blocks on the ISACSIM_THREADS cores (`_threads.for_blocks`),
@@ -147,12 +164,16 @@ def _chain(cube: DataCube, schedule: FrameSchedule, grid: DopplerGrid, dense: bo
         )
     samples, packet_map = stage("input", cube.samples), schedule.packet_map
     ref = stage("reference", np.conj(np.fft.fft(schedule.frames, axis=1)))  # U x Q
-    spectra = np.empty((p_len, q_len), dtype=np.complex128)
+    if overwrite or samples is not cube.samples:
+        spectra = samples  # the FFT runs in place
+    else:
+        spectra = np.empty((p_len, q_len), dtype=np.complex128)
 
     def fast_time(b):  # packets b
         np.fft.fft(samples[b], axis=1, out=spectra[b])
 
     for_blocks(fast_time, p_len)
+    del samples
     spectra = stage("post_fft", spectra)
 
     def match(b):  # packets b: times the carried frames' reference
@@ -169,7 +190,7 @@ def _chain(cube: DataCube, schedule: FrameSchedule, grid: DopplerGrid, dense: bo
             np.matmul(spectra[:, r].T, w, out=steered[r])
 
         for_blocks(steer, q_len, min_block=2)
-        del spectra  # the steered sums replace it
+        del spectra, w  # the steered sums replace them
         steered, shift = steered.T, 0  # J x Q view, no copy; bin j is row j
     else:
         # sum_p M[p,q] exp(+2 pi i p (j - J//2) / P) == P * ifft_p(M) reordered
@@ -200,7 +221,7 @@ def _chain(cube: DataCube, schedule: FrameSchedule, grid: DopplerGrid, dense: bo
 
 
 def matched_filter_rd(
-    cube: DataCube, schedule: FrameSchedule, grid: DopplerGrid
+    cube: DataCube, schedule: FrameSchedule, grid: DopplerGrid, *, overwrite_cube: bool = False
 ) -> RangeDopplerMap:
     """Frequency-domain matched filter with Doppler steering.
 
@@ -208,8 +229,14 @@ def matched_filter_rd(
     frame it carried. For each hypothesis f_j the matched spectra are weighted
     by exp(+j 2 pi f_j p T_pri), summed over packets, and IFFT'd to a range
     profile; the map stores magnitudes as J x Q.
+
+    `cube.samples` is never written unless `overwrite_cube` is set: then the
+    filter transforms the cube in place instead of a P x Q copy, and the cube
+    holds intermediate spectra afterwards. The map is the same either way.
     """
-    values = _chain(cube, schedule, grid, not grid.fft_aligned, lambda name, x: x)
+    values = _chain(
+        cube, schedule, grid, not grid.fft_aligned, lambda name, x: x, overwrite_cube
+    )
     return RangeDopplerMap(values, *_axes(cube.params, grid))
 
 

@@ -31,7 +31,6 @@ bin and weighted reflectivity and rejects a scene that cannot run, before
 from __future__ import annotations
 
 import math
-import mmap
 from dataclasses import dataclass
 from enum import Enum
 
@@ -203,22 +202,6 @@ def _noise_power(params: WaveformParams, snr_db: float, sigmas) -> float:
     return ref_power / 10.0 ** (snr_db / 10.0)
 
 
-def _zeroed_cube(p_len: int, q_len: int) -> np.ndarray:
-    """A zeroed P x Q complex array in a private anonymous mapping.
-
-    Its 4 KB pages become resident only where they are written. numpy's own
-    allocator asks for transparent huge pages, so a noise-free echo, which
-    writes a band of every packet row, would make every 2 MB page resident;
-    a shared mapping (mmap's default) would also fault pages in on reads.
-    Faulting 4 KB pages costs time, so only a noise-free echo uses this.
-    """
-    flags = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS
-    buf = mmap.mmap(-1, max(1, 16 * p_len * q_len), flags=flags)
-    if hasattr(mmap, "MADV_NOHUGEPAGE"):
-        buf.madvise(mmap.MADV_NOHUGEPAGE)
-    return np.frombuffer(buf, dtype=np.complex128, count=p_len * q_len).reshape(p_len, q_len)
-
-
 def noise_block(
     targets,
     params: WaveformParams,
@@ -338,7 +321,9 @@ def synthesize_echo(
 
     `noise`, a P x Q block from `noise_block`, is where a noisy echo starts:
     the cube is a copy of it and the band is added in. Without one the echo
-    is noise-free.
+    is noise-free and starts from `np.zeros`. Either way the cube is an
+    ordinary numpy array of its own, which `rsp.matched_filter_rd(...,
+    overwrite_cube=True)` may transform in place.
     """
     q_len = params.samples_per_pri
     p_len = params.packets_per_cpi
@@ -349,10 +334,8 @@ def synthesize_echo(
     scene = check_scene(targets, params, path_loss, None)
     if noise is not None and noise.shape != (p_len, q_len):
         raise ParameterError(f"noise block must be {p_len} x {q_len}, got {noise.shape}")
-    # A noisy echo is a copy of its noise, served by numpy's allocator (huge
-    # pages, reused heap); a noise-free one writes only the band below.
     if noise is None:
-        cube = _zeroed_cube(p_len, q_len)
+        cube = np.zeros((p_len, q_len), dtype=np.complex128)
     else:
         cube = noise.astype(np.complex128, order="C")
     # Every frame is zero past its last active sample, so only fast-time

@@ -166,6 +166,16 @@ class TestDiagnostics:
     def test_unknown_waveform_lists_the_valid_names(self):
         self.expect_error("[run]\nwaveforms = chirpy\n", "unknown waveform 'chirpy'", line=2)
 
+    def test_duplicate_waveform_names_the_duplicate(self):
+        self.expect_error(
+            "[run]\nwaveforms = pmcw, fmcw, PMCW\n", "waveform 'pmcw' is listed twice", line=2
+        )
+
+    def test_duplicate_format_names_the_duplicate(self):
+        self.expect_error(
+            "[fixedpoint]\nformats = 16:1, 24:1, <16:1>\n", "format 16:1 is listed twice", line=2
+        )
+
     def test_cpi_and_packets_conflict(self):
         self.expect_error(
             "[radar]\ncpi_s = 4e-3\npackets = 64\n", "mutually exclusive", line=3

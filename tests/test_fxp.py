@@ -233,13 +233,15 @@ class TestQuantizedChain:
         assert len(seen) == count + 1
         assert sum(rd_map is double_map for rd_map in seen) == 1
 
-    def test_chain_stages_keep_the_caller_inputs(self, small_params):
+    @pytest.mark.parametrize("mode", list(iz.FxpMode))
+    def test_chain_stages_keep_the_caller_inputs(self, small_params, mode):
         """Chain-owned stages are quantized in place; the cube, the schedule
-        and the double map the caller passes are never written."""
+        and the double map the caller passes are never written, also under
+        CORE_ONLY, whose chain takes the caller's cube unquantized."""
         cube, sched, grid, double_map = small_pipeline(small_params, snr_db=15.0)
         before = [a.tobytes() for a in (cube.samples, sched.frames, double_map.values)]
         iz.precision_sweep(
-            cube, sched, grid, [iz.FixedPointFormat(12, 1)], double_map=double_map
+            cube, sched, grid, [iz.FixedPointFormat(12, 1)], mode, double_map=double_map
         )
         after = [a.tobytes() for a in (cube.samples, sched.frames, double_map.values)]
         assert after == before

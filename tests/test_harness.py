@@ -155,9 +155,9 @@ class TestRunComparison:
         cubes = {}
         match = harness.matched_filter_rd
 
-        def recorded_match(cube, schedule, grid):
+        def recorded_match(cube, schedule, grid, **kwargs):
             cubes[schedule.kind] = cube.samples.copy()
-            return match(cube, schedule, grid)
+            return match(cube, schedule, grid, **kwargs)
 
         monkeypatch.setattr(harness, "matched_filter_rd", recorded_match)
         cfg = small_cfg(snr_db=3.0, seed_noise=23, path_loss=path_loss, target_kind="pedestrian")
@@ -191,6 +191,51 @@ class TestRunComparison:
         assert list(noisy)[-2:] == ["timings_s", "peak_rss_mb"]
         assert noisy["peak_rss_mb"] > 1.0
 
+    @pytest.mark.parametrize("snr_db", [None, 10.0])
+    @pytest.mark.parametrize("bins", [None, 15])
+    def test_a_kept_cube_and_an_overwritten_one_write_the_same_csvs(
+        self, tmp_path, monkeypatch, snr_db, bins
+    ):
+        """The oracle, the formats and the benchmark read the cube after the
+        filter, so it keeps it; with all three off the filter overwrites it.
+        Both runs write the same bytes."""
+        overwrites = []
+        match = harness.matched_filter_rd
+
+        def recorded_match(cube, schedule, grid, **kwargs):
+            overwrites.append(kwargs.get("overwrite_cube", False))
+            return match(cube, schedule, grid, **kwargs)
+
+        monkeypatch.setattr(harness, "matched_filter_rd", recorded_match)
+        base = small_cfg(snr_db=snr_db, doppler_bins=bins)
+        keeping = dataclasses.replace(
+            base,
+            run_oracle=True,
+            fxp_formats=(iz.FixedPointFormat(16, 1),),
+            bench_enabled=True,
+            bench_repeats=1,
+        )
+        iz.run_comparison(base, tmp_path / "overwritten")
+        assert overwrites == [True] * len(base.waveforms)
+        overwrites.clear()
+        iz.run_comparison(keeping, tmp_path / "kept")
+        assert overwrites and not any(overwrites)
+        names = sorted(p.name for p in (tmp_path / "kept").glob("*.csv"))
+        assert len(names) == 2 * len(base.waveforms)
+        for name in names:
+            kept = (tmp_path / "kept" / name).read_bytes()
+            assert kept == (tmp_path / "overwritten" / name).read_bytes()
+
+    def test_summary_reports_the_transparent_hugepage_mode(self, tmp_path, monkeypatch):
+        env = iz.run_comparison(small_cfg(), tmp_path).summary["environment"]
+        assert env["transparent_hugepage"] in (None, "always", "madvise", "never")
+        mode = tmp_path / "enabled"
+        mode.write_text("always [madvise] never\n")
+        monkeypatch.setattr(harness, "_THP_MODE", str(mode))
+        assert harness._transparent_hugepage() == "madvise"
+        monkeypatch.setattr(harness, "_THP_MODE", str(tmp_path / "missing"))
+        assert harness._transparent_hugepage() is None
+
     @pytest.mark.parametrize("bench", [False, True])
     def test_each_waveform_drops_its_cube_and_map(self, tmp_path, monkeypatch, bench):
         # when a waveform's range profile is written, the cube and map of
@@ -205,8 +250,8 @@ class TestRunComparison:
             cubes.append(weakref.ref(cube))
             return cube
 
-        def recorded_match(cube, schedule, grid):
-            rd_map = match(cube, schedule, grid)
+        def recorded_match(cube, schedule, grid, **kwargs):
+            rd_map = match(cube, schedule, grid, **kwargs)
             if len(maps) < len(cubes):  # the waveform's map, not a benchmark repeat
                 maps.append(weakref.ref(rd_map))
             return rd_map
@@ -476,6 +521,13 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert fragment in err
+
+    def test_duplicate_waveform_on_the_command_line_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["run", self.write_ini(tmp_path), "--waveforms", "pmcw,fmcw,pmcw", "--out", str(out)]
+        fragment = "config error: invalid --waveforms: waveform 'pmcw' is listed twice"
+        self.expect_one_line_error(capsys, 2, argv, fragment)
+        assert not out.exists()
 
     def test_golay_with_odd_code_length_exits_2(self, tmp_path, capsys):
         path = self.write_ini(tmp_path, SMALL_INI.replace("256", "500"))

@@ -820,6 +820,28 @@ def test_one_chunk_formats_within_its_memory_budget():
     assert scratch_bytes + peak <= CHUNK_BYTES_PER_VALUE * chunk.size
 
 
+@pytest.mark.parametrize("bins", [None, 63])
+def test_the_filter_overwriting_its_cube_within_its_memory_budget(ci_params, bins):
+    """At P = 64, a filter free to transform the cube in place allocates the
+    J x Q map, on a dense grid the Q x J steered sums, and less than a
+    quarter of one P x Q complex buffer besides."""
+    grid = iz.default_grid(ci_params) if bins is None else iz.symmetric_grid(ci_params, bins)
+    target = [iz.point_target(np.array([12.0, 9.0, 0.0]), np.array([1.6, 1.2, 0.0]))]
+    sched = iz.build_schedule(iz.ScheduleKind.PMCW, ci_params, seed=7)
+    cube = iz.synthesize_echo(sched, target, ci_params)
+    p_len, q_len = cube.samples.shape
+    budget = len(grid) * q_len * 8 + p_len * q_len * 16 // 4
+    if bins is not None:
+        budget += q_len * len(grid) * 16
+    tracemalloc.start()
+    try:
+        iz.matched_filter_rd(cube, sched, grid, overwrite_cube=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= budget
+
+
 @pytest.mark.parametrize("threads", ["1", "2", "5"])
 @pytest.mark.parametrize("k", [1, 4])
 def test_a_failing_chunk_stops_write_rows_before_it(monkeypatch, chunked_maps, threads, k):
@@ -910,7 +932,8 @@ def radar_params(draw, power_of_two_code):
 
 @st.composite
 def scenario_configs(draw):
-    waveforms = tuple(draw(st.lists(st.sampled_from(KINDS), min_size=1, max_size=5)))
+    # a waveform or format listed twice is a config error: draw each once
+    waveforms = tuple(draw(st.lists(st.sampled_from(KINDS), min_size=1, max_size=4, unique=True)))
     target = draw(st.sampled_from(["single_point", "pedestrian", "car", "none"]))
     # "vector and radial": a library caller may set both; the vector wins
     motion = draw(st.sampled_from(["vector", "vector and radial", "radial", "static"]))
@@ -938,6 +961,7 @@ def scenario_configs(draw):
                         )
                     ),
                     max_size=4,
+                    unique=True,
                 )
             )
         ),

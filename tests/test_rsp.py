@@ -158,6 +158,36 @@ class TestMatchedFilter:
             expected[j] = np.abs(profiles[0][rows[j]])
         assert np.array_equal(values, expected)
 
+    @staticmethod
+    def noisy_echo(params, kind):
+        target = [iz.point_target(np.array([6.0, 8.0, 0.0]), np.array([3.0, 4.0, 0.0]))]
+        sched = iz.build_schedule(kind, params, seed=7)
+        noise = iz.noise_block(target, params, 10.0, 5)
+        return sched, iz.synthesize_echo(sched, target, params, noise=noise)
+
+    @pytest.mark.parametrize("bins", [None, 15])
+    def test_the_filter_only_reads_the_cube_by_default(self, small_params, bins):
+        grid = iz.default_grid(small_params) if bins is None else iz.symmetric_grid(small_params, bins)
+        sched, cube = self.noisy_echo(small_params, iz.ScheduleKind.PMCW)
+        before = cube.samples.tobytes()
+        iz.matched_filter_rd(cube, sched, grid)
+        assert cube.samples.tobytes() == before
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("bins", [None, 15])
+    def test_overwriting_the_cube_gives_the_same_map(
+        self, monkeypatch, small_params, all_kinds, threads, bins
+    ):
+        monkeypatch.setenv("ISACSIM_THREADS", threads)
+        grid = iz.default_grid(small_params) if bins is None else iz.symmetric_grid(small_params, bins)
+        for kind in all_kinds:
+            sched, cube = self.noisy_echo(small_params, kind)
+            kept = iz.matched_filter_rd(cube, sched, grid)
+            own = iz.DataCube(samples=cube.samples.copy(), params=small_params)
+            overwritten = iz.matched_filter_rd(own, sched, grid, overwrite_cube=True)
+            assert np.array_equal(overwritten.values, kept.values)
+            assert not np.array_equal(own.samples, cube.samples)  # it was written
+
     def test_range_axis_spacing_is_the_range_resolution(self, small_params):
         axis = small_params.range_axis_m()
         steps = np.diff(axis)
