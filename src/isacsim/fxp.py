@@ -18,15 +18,14 @@ FFT-aligned grids, because the point is to model quantized multipliers. The
 chain splits its passes across ISACSIM_THREADS threads as the double filter
 does; every map and report is the same to the bit for any thread count.
 
-The buffers the chain owns ("post_fft", "twiddle", "post_steering",
-"post_ifft") are quantized in place; the input cube and the reference
-spectra are quantized into new arrays, and the public `quantize` always
-returns a new array and never writes its input. The quantized cube is the
-chain's own, so its fast-time FFT runs in place on it; under CORE_ONLY the
-chain reads the caller's cube and writes the FFT into a buffer of its own.
-`precision_sweep`
-detects and scores the double-precision map once and shares that score
-across its formats, so a row's runtime_s covers only its own quantized run.
+The chain hands its hook only buffers it owns, so every stage is quantized
+in place. The input cube is not a stage: FULL_CHAIN quantizes it with
+`quantize`, which returns a new array and never writes its input, and runs
+the chain on that cube with `overwrite`, so the fast-time FFT runs in place
+on it. CORE_ONLY runs the chain on the caller's cube without `overwrite`,
+so the chain only reads it. `precision_sweep` detects and scores the
+double-precision map once and shares that score across its formats, so a
+row's runtime_s covers only its own quantized run.
 """
 
 from __future__ import annotations
@@ -174,12 +173,6 @@ class FxpReport:
     warning: str | None
 
 
-# The large buffers `_chain` owns, quantized in place. The caller's cube
-# ("input") and the U x Q reference go through `quantize`, which returns a
-# new array.
-_IN_PLACE = frozenset({"post_fft", "twiddle", "post_steering", "post_ifft"})
-
-
 @dataclass(frozen=True)
 class _DoubleScore:
     """What every format's report takes from the double-precision map."""
@@ -230,23 +223,22 @@ def _quantized_run(
 ) -> tuple[RangeDopplerMap, FxpReport]:
     """`quantized_matched_filter` against an already scored double map."""
     counts: dict[str, int] = {}
-    sizes: dict[str, int] = {}
-    skipped = ("input", "post_ifft") if mode is FxpMode.CORE_ONLY else ()
+    sizes: dict[str, int] = {}  # re and im components
+    full = mode is FxpMode.FULL_CHAIN
+    if full:  # the quantized cube is the chain's own to overwrite
+        samples, counts["input"] = quantize(cube.samples, fmt)
+        sizes["input"] = 2 * samples.size
+        cube = DataCube(samples, cube.params)
 
-    def stage(name: str, x: np.ndarray) -> np.ndarray:
-        if name in skipped:
-            return x
-        sizes[name] = 2 * x.size  # re and im components
-        if name in _IN_PLACE:
+    def stage(name: str, x: np.ndarray) -> None:
+        if full or name != "post_ifft":
             comps = _components(x)
+            sizes[name] = comps.size
             counts[name] = _quantize_into(comps, comps, fmt)
-            return x
-        values, counts[name] = quantize(x, fmt)
-        return values
 
     double_map = double.rd_map
     fxp_map = RangeDopplerMap(
-        values=_chain(cube, schedule, grid, True, stage),
+        values=_chain(cube, schedule, grid, True, stage, overwrite=full),
         range_axis_m=double_map.range_axis_m,
         doppler_axis_mps=double_map.doppler_axis_mps,
     )

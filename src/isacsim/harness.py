@@ -475,14 +475,22 @@ def _oracle_bench(
     with a matching P'-bin grid. Its work is Q*Q*P multiply-adds of
     correlation plus Q*P*J of steering; the scaled estimate multiplies the
     measured time by the ratio of that work at full size to the work of the
-    timed instance.
+    timed instance. When Q alone exceeds the guard not even one packet can
+    be timed: the entry then reports 0 packets and bins, no times, and a
+    note that names the guard.
     """
     params = cube.params
     q_len = params.samples_per_pri
     p_len = params.packets_per_cpi
     # J tracks P' on the default grid, so solve Q * P' * P' <= guard.
     max_p = int(math.floor(math.sqrt(ORACLE_GUARD / q_len)))
-    p_used = min(p_len, max(1, max_p))
+    if max_p < 1:
+        note = (
+            f"oracle not timed: Q = {q_len} fast-time samples alone exceed "
+            f"the work guard ORACLE_GUARD = {ORACLE_GUARD} on Q*P*J"
+        )
+        return dict(packets_used=0, bins_used=0, median_s=None, scaled_estimate_s=None, note=note)
+    p_used = min(p_len, max_p)
     sub_params = scaled_profile(params, p_used)
     sub_schedule = FrameSchedule(schedule.kind, schedule.frames, schedule.packet_map[:p_used])
     sub_cube = DataCube(samples=cube.samples[:p_used].copy(), params=sub_params)
@@ -518,8 +526,9 @@ def run_benchmarks(
     sweep: SweepResult | None = None,
 ) -> dict:
     """Median-of-`cfg.bench_repeats` wall times (one warmup excluded) for one
-    waveform's FFT processor and time-domain oracle, plus the runtimes of its
-    fixed-point `sweep`: the waveform's entry of the summary's benchmark."""
+    waveform's FFT processor and time-domain oracle, plus each row's
+    single-run `runtime_s` from its fixed-point `sweep` (not re-timed): the
+    waveform's entry of the summary's benchmark."""
     fft_median = _median_seconds(
         lambda: matched_filter_rd(cube, schedule, grid), cfg.bench_repeats
     )
@@ -529,7 +538,9 @@ def run_benchmarks(
         "fft_median_s": fft_median,
         "oracle": oracle,
         "speedup_vs_oracle": (
-            oracle["scaled_estimate_s"] / fft_median if fft_median > 0 else None
+            oracle["scaled_estimate_s"] / fft_median
+            if fft_median > 0 and oracle["scaled_estimate_s"] is not None
+            else None
         ),
     }
     if sweep is not None:

@@ -9,7 +9,7 @@ Defaults reproduce the simulated 60 GHz / 1.76 GHz profile: 2 us PRI
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 
 import numpy as np
@@ -42,6 +42,10 @@ class WaveformParams:
     chirp_duration_s: float | None = None
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type.startswith("float") and value is not None and not math.isfinite(value):
+                raise ParameterError(f"{f.name} must be finite, got {value}")
         if self.carrier_freq_hz <= 0:
             raise ParameterError("carrier_freq_hz must be positive")
         if self.bandwidth_hz <= 0:

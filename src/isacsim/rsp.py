@@ -42,10 +42,14 @@ class DopplerGrid:
         f = self.frequencies_hz
         if f.ndim != 1 or f.size < 1:
             raise ParameterError("Doppler grid must be a non-empty vector")
-        if f.size > 1:
-            steps = np.diff(f)
-            if not np.allclose(steps, self.spacing_hz, rtol=1e-12, atol=0.0) or self.spacing_hz <= 0:
-                raise ParameterError("Doppler grid must be uniform and increasing")
+        if not np.isfinite(f).all():
+            raise ParameterError("Doppler grid frequencies must be finite")
+        if not (math.isfinite(self.spacing_hz) and self.spacing_hz > 0):
+            raise ParameterError(
+                f"Doppler grid spacing must be finite and positive, got {self.spacing_hz}"
+            )
+        if not np.allclose(np.diff(f), self.spacing_hz, rtol=1e-12, atol=0.0):
+            raise ParameterError("Doppler grid must be uniform and increasing")
 
     def __len__(self) -> int:
         return self.frequencies_hz.size
@@ -130,22 +134,21 @@ def _chain(
 ):
     """The range-Doppler chain of both matched filters; returns the J x Q map.
 
-    At each stage boundary the chain goes on with stage(name, x): x itself or
-    a copy it may overwrite. In order: "input" (the P x Q cube), "reference"
+    `overwrite` alone decides who owns the P x Q cube. When it is set, the
+    fast-time FFT runs in place on `cube.samples`, which holds intermediate
+    spectra afterwards; otherwise the FFT writes a P x Q buffer of the
+    chain's own and the cube is only read. That one buffer carries the
+    matched spectra and, on the FFT grid, the steered profiles. Dense
+    steering writes Q x J sums instead, and the chain drops its names for the
+    P x Q buffer and the P x J twiddles once steering is done, before the map
+    is allocated.
+
+    At each stage boundary the chain calls stage(name, x) on a C- or
+    F-contiguous buffer it owns, which the hook may edit in place (`fxp`
+    quantizes there); its return value is ignored. In order: "reference"
     (conjugate frame spectra), "post_fft" (P x Q), "twiddle" (dense only),
     "post_steering" and "post_ifft" (one Doppler hypothesis per row; in
-    slow-time FFT order when not dense). Every x but "input", the caller's
-    cube, is a C- or F-contiguous buffer the chain owns, which a hook may
-    overwrite in place and return (`fxp` does so from "post_fft" on).
-
-    The chain owns the P x Q input, and its fast-time FFT overwrites it in
-    place, when the "input" hook returns a new array (`fxp`'s quantized
-    cube) or when `overwrite` lets it write the caller's cube; otherwise the
-    FFT writes a P x Q buffer of its own and the cube is only read. That one
-    buffer carries the matched spectra and, on the FFT grid, the steered
-    profiles. Dense steering writes Q x J sums instead, and the chain drops
-    its names for the P x Q buffer and the P x J twiddles once steering is
-    done, before the map is allocated.
+    slow-time FFT order when not dense).
 
     Dense steering applies the P x J matrix; otherwise the grid must be
     `default_grid`'s and steering is a slow-time IFFT. Each pass runs in
@@ -162,28 +165,24 @@ def _chain(
             f"a Doppler grid marked fft_aligned must be default_grid's {p_len} bins; "
             "build any other grid with fft_aligned=False"
         )
-    samples, packet_map = stage("input", cube.samples), schedule.packet_map
-    ref = stage("reference", np.conj(np.fft.fft(schedule.frames, axis=1)))  # U x Q
-    if overwrite or samples is not cube.samples:
-        spectra = samples  # the FFT runs in place
-    else:
-        spectra = np.empty((p_len, q_len), dtype=np.complex128)
+    ref = np.conj(np.fft.fft(schedule.frames, axis=1))  # U x Q
+    stage("reference", ref)
+    spectra = cube.samples if overwrite else np.empty((p_len, q_len), dtype=np.complex128)
 
     def fast_time(b):  # packets b
-        np.fft.fft(samples[b], axis=1, out=spectra[b])
+        np.fft.fft(cube.samples[b], axis=1, out=spectra[b])
 
     for_blocks(fast_time, p_len)
-    del samples
-    spectra = stage("post_fft", spectra)
+    stage("post_fft", spectra)
 
     def match(b):  # packets b: times the carried frames' reference
-        spectra[b] *= ref[packet_map[b]]
+        spectra[b] *= ref[schedule.packet_map[b]]
 
     for_blocks(match, p_len)
     if dense:
         p_idx = np.arange(p_len) * params.pri_s
         w = np.exp(2j * np.pi * np.outer(p_idx, grid.frequencies_hz))  # P x J
-        w = stage("twiddle", w)
+        stage("twiddle", w)
         steered = np.empty((q_len, j_len), dtype=np.complex128)
 
         def steer(r):  # range bins r; a one-row product would take GEMV's path
@@ -200,21 +199,21 @@ def _chain(
 
         for_blocks(steer, q_len)
         steered, shift = spectra, j_len // 2  # bin j is row (j - J//2) % P
-    steered = stage("post_steering", steered)
+    stage("post_steering", steered)
 
     def range_ifft(b):  # Doppler rows b, in place
         np.fft.ifft(steered[b], axis=1, out=steered[b])
 
     for_blocks(range_ifft, len(steered))
-    profiles = stage("post_ifft", steered)
+    stage("post_ifft", steered)
     values = np.empty((j_len, q_len))
 
     def magnitude(b):  # Doppler bins b: one run of rows, or two where the rotation wraps
-        start = (b.start - shift) % len(profiles)
-        split = min(b.stop, b.start + len(profiles) - start)
-        np.abs(profiles[start : start + split - b.start], out=values[b.start : split])
+        start = (b.start - shift) % len(steered)
+        split = min(b.stop, b.start + len(steered) - start)
+        np.abs(steered[start : start + split - b.start], out=values[b.start : split])
         if split < b.stop:
-            np.abs(profiles[: b.stop - split], out=values[split : b.stop])
+            np.abs(steered[: b.stop - split], out=values[split : b.stop])
 
     for_blocks(magnitude, j_len)
     return values
@@ -235,7 +234,7 @@ def matched_filter_rd(
     holds intermediate spectra afterwards. The map is the same either way.
     """
     values = _chain(
-        cube, schedule, grid, not grid.fft_aligned, lambda name, x: x, overwrite_cube
+        cube, schedule, grid, not grid.fft_aligned, lambda name, x: None, overwrite_cube
     )
     return RangeDopplerMap(values, *_axes(cube.params, grid))
 

@@ -457,6 +457,26 @@ class TestBenchmark:
         assert oracle["scaled_estimate_s"] == pytest.approx(oracle["median_s"] * ratio)
         assert f"{ratio:.4g}" in oracle["note"]
 
+    def test_a_fast_time_length_past_the_guard_leaves_the_oracle_untimed(
+        self, tmp_path, monkeypatch
+    ):
+        # Q = 512 alone exceeds a guard of 511, so not even one packet fits
+        monkeypatch.setattr("isacsim.rsp.ORACLE_GUARD", 511)
+        monkeypatch.setattr(harness, "ORACLE_GUARD", 511)
+        cfg = small_cfg(waveforms=(iz.ScheduleKind.PMCW,), bench_enabled=True, bench_repeats=1)
+        outcome = iz.run_comparison(cfg, tmp_path)
+        assert outcome.exit_code == 0
+        row = json.loads((tmp_path / "summary.json").read_text())["benchmark"]["waveforms"][0]
+        assert row["fft_median_s"] > 0
+        assert row["speedup_vs_oracle"] is None
+        oracle = row["oracle"]
+        assert list(oracle) == [
+            "packets_used", "bins_used", "median_s", "scaled_estimate_s", "note"
+        ]
+        assert (oracle["packets_used"], oracle["bins_used"]) == (0, 0)
+        assert (oracle["median_s"], oracle["scaled_estimate_s"]) == (None, None)
+        assert "ORACLE_GUARD = 511" in oracle["note"]
+
     def test_benchmark_table_keeps_its_shape(self, tmp_path):
         cfg = small_cfg(
             waveforms=(iz.ScheduleKind.GOLAY_STANDARD, iz.ScheduleKind.PMCW),

@@ -42,6 +42,25 @@ class TestGrids:
                 frequencies_hz=np.array([0.0, 1.0, 3.0]), spacing_hz=1.0, fft_aligned=False
             )
 
+    @pytest.mark.parametrize("bins", [1, 3])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_grid_frequencies_must_be_finite(self, bins, bad):
+        freqs = np.arange(bins, dtype=np.float64)
+        freqs[-1] = bad
+        with pytest.raises(iz.ParameterError, match="finite"):
+            iz.DopplerGrid(frequencies_hz=freqs, spacing_hz=1.0, fft_aligned=False)
+
+    @pytest.mark.parametrize("bins", [1, 3])
+    @pytest.mark.parametrize("spacing", [0.0, -1.0, math.nan, math.inf])
+    def test_grid_spacing_must_be_finite_and_positive(self, bins, spacing):
+        freqs = np.arange(bins) * (spacing if math.isfinite(spacing) else 1.0)
+        with pytest.raises(iz.ParameterError, match="spacing"):
+            iz.DopplerGrid(frequencies_hz=freqs, spacing_hz=spacing, fft_aligned=False)
+
+    def test_a_one_bin_grid_takes_any_finite_positive_spacing(self):
+        grid = iz.DopplerGrid(frequencies_hz=np.array([0.0]), spacing_hz=5.0, fft_aligned=False)
+        assert len(grid) == 1
+
 
 class TestMatchedFilter:
     def test_static_point_peaks_at_its_bins(self, ci_params, point_scene, all_kinds):
@@ -147,7 +166,6 @@ class TestMatchedFilter:
         def keep_profiles(name, x):
             if name == "post_ifft":
                 profiles.append(x.copy())
-            return x
 
         monkeypatch.setattr(rsp, "for_blocks", cut_blocks)
         values = rsp._chain(cube, sched, grid, dense, keep_profiles)
@@ -187,6 +205,34 @@ class TestMatchedFilter:
             overwritten = iz.matched_filter_rd(own, sched, grid, overwrite_cube=True)
             assert np.array_equal(overwritten.values, kept.values)
             assert not np.array_equal(own.samples, cube.samples)  # it was written
+
+    @pytest.mark.parametrize("bins", [None, 15])
+    def test_the_hook_sees_only_buffers_the_chain_owns(self, small_params, bins):
+        """`overwrite` alone decides ownership: without it no stage buffer
+        shares memory with the cube; with it the fast-time FFT writes the
+        cube's own memory. The cube itself is never a stage."""
+        dense = bins is not None
+        grid = iz.symmetric_grid(small_params, bins) if dense else iz.default_grid(small_params)
+        sched, cube = self.noisy_echo(small_params, iz.ScheduleKind.PMCW)
+        names = ["reference", "post_fft", "twiddle", "post_steering", "post_ifft"]
+        if not dense:
+            names.remove("twiddle")
+        for overwrite in (False, True):
+            own = iz.DataCube(samples=cube.samples.copy(), params=small_params)
+            seen = {}
+
+            def record(name, x):
+                seen[name] = x
+
+            rsp._chain(own, sched, grid, dense, record, overwrite)
+            assert list(seen) == names
+            shared = {name for name, x in seen.items() if np.shares_memory(x, own.samples)}
+            if not overwrite:
+                assert shared == set()
+            elif dense:  # the steered sums are a Q x J buffer of their own
+                assert shared == {"post_fft"}
+            else:  # the FFT grid steers and transforms the cube in place
+                assert shared == {"post_fft", "post_steering", "post_ifft"}
 
     def test_range_axis_spacing_is_the_range_resolution(self, small_params):
         axis = small_params.range_axis_m()
