@@ -1,11 +1,13 @@
 """Vectorized `%.9g` text for the CSV artifacts.
 
-`format_rows(values)` returns, for a 2-D float64 array, exactly the bytes of
-`",".join("%.9g" % x for x in row) + "\\n"` for every row, which is also what
-`np.savetxt(fh, values, fmt="%.9g", delimiter=",")` writes. `write_rows`
-streams a large array to a file in chunks of rows: `_threads.ordered` formats
-the chunks on the ISACSIM_THREADS workers and writes each as soon as it and
-every chunk before it are ready, so one worker writes while another formats.
+`write_rows(fh, values)` writes, for a 2-D float64 array, exactly the bytes
+of `",".join("%.9g" % x for x in row) + "\\n"` for every row, which is also
+what `np.savetxt(fh, values, fmt="%.9g", delimiter=",")` writes. It streams
+the flat array in spans of values, cut by the array's size alone and blind
+to its rows: `_threads.ordered` formats the spans on the ISACSIM_THREADS
+workers and writes each as soon as it and every span before it are ready,
+so one worker writes while another formats. A span puts the newline after
+every value of the last column, wherever the span starts and ends.
 
 Each value is laid out in a 24-byte field of three little-endian words:
 
@@ -21,21 +23,22 @@ Fixed notation from 10 up (exponents 1..8) prints the dot after de, not
 after d0: for those values byte 7 holds d1 and bytes 8..15 hold d2..de, the
 dot and d(e+1)..d8, shifted in place. A mask row chosen by (notation,
 decimal exponent, significant digits) keeps the bytes `%g` prints and the
-separator, and zeroes the rest; the chunk's text is then its fields'
-nonzero bytes, which one `nonzero` and one `take` over the whole chunk's
-uint8 view gather. A chunk takes about fifty numpy calls, each over the
-whole chunk and each releasing the interpreter lock.
+separator, and zeroes the rest; the span's text is then its fields'
+nonzero bytes, which one `nonzero` and one `take` over the whole span's
+uint8 view gather. A span takes about fifty numpy calls, each over the
+whole span and each releasing the interpreter lock.
 
 Memory: each worker formats in one `_Scratch` of 67 bytes a value (the
 fields, five 8-byte planes of temporaries that later hold the keep mask and
 the text, and three flag rows), made by the calling thread before any
-worker starts and reused for every chunk the worker formats, so no chunk
-allocates or faults in per-value arrays of its own. The only per-chunk
+worker starts and reused for every span the worker formats, so no span
+allocates or faults in per-value arrays of its own. The only per-span
 allocation is `nonzero`'s int64 index, 8 bytes per text byte (at most 17
-text bytes a value). A table1 map's chunks of about 32 K values give a
-worker about 2.1 MB of scratch and at most 4.5 MB of index, a CI map's
-chunks of about 16 K values half that (`chunk_rows`). The file takes each
-chunk's text as the uint8 view it is, without a copy to `bytes`.
+text bytes a value). Spans hold CHUNK_VALUES (32 K) values of an array of
+LARGE_ARRAY values or more and half that of a smaller one, on every shape:
+a worker needs about 2.1 MB of scratch and at most 4.5 MB of index for a
+table1 map or a single row of millions of values alike. The file takes
+each span's text as the uint8 view it is, without a copy to `bytes`.
 
 Digits come from scaling: with e = floor(log10|x|), m = |x| * 10**(8 - e)
 lies in [1e8, 1e9) and rint(m) is the 9-digit mantissa. The power comes from
@@ -60,8 +63,8 @@ _E_MIN, _E_MAX = -290, 290   # decimal exponents the tables cover
 _TABLE_EXPONENTS = [*range(_E_MAX + 1), *range(_E_MIN, 0)]
 _TIE_WINDOW = 1e-6           # > the 2.3e-7 scaling error at m < 1e9
 _FIELD = 24                  # bytes per value, three uint64 words
-CHUNK_VALUES = 1 << 15       # values per chunk of an array of LARGE_ARRAY values or more
-LARGE_ARRAY = 1 << 20        # smaller arrays take chunks of CHUNK_VALUES // 2
+CHUNK_VALUES = 1 << 15       # values per span of an array of LARGE_ARRAY values or more
+LARGE_ARRAY = 1 << 20        # smaller arrays take spans of CHUNK_VALUES // 2
 _SEPARATOR = 21              # the separator's byte in the field
 
 _DOT, _ZERO, _MINUS = ord("."), ord("0"), ord("-")
@@ -172,14 +175,14 @@ _COMMA, _NEWLINE = np.uint64(ord(",") << 40), np.uint64(ord("\n") << 40)  # in w
 
 
 class _Scratch:
-    """The buffers one worker formats its chunks of up to n values in, kept
-    from chunk to chunk so that no chunk allocates (or faults in) a
-    per-value array of its own.
+    """The buffers one worker formats its spans of up to n values in, kept
+    from span to span so that no span allocates (or faults in) a per-value
+    array of its own.
 
     `fields` holds the (n, 3) fields. `planes` holds five rows of n float64:
-    the temporaries of `_fields`, then the chunk's keep mask (one byte per
+    the temporaries of `_fields`, then the span's keep mask (one byte per
     field byte, 24 per value) and, over the part of the mask already read,
-    the chunk's text (at most 17 bytes a value). `flags` holds three rows
+    the span's text (at most 17 bytes a value). `flags` holds three rows
     of n booleans.
     """
 
@@ -272,17 +275,17 @@ def _fields(x: np.ndarray, s: _Scratch) -> np.ndarray:
     return out
 
 
-def _text(x: np.ndarray, s: _Scratch) -> np.ndarray:
-    """The CSV text of a 2-D float64 array of at most s's n values, as a
-    uint8 view of s.planes.
+def _text(x: np.ndarray, first_col: int, cols: int, s: _Scratch) -> np.ndarray:
+    """The CSV text of a flat span of at most s's n values from an array of
+    `cols` columns, whose first value lies in column `first_col`, as a uint8
+    view of s.planes: every value of the last column ends in a newline.
 
     One pass marks the fields' nonzero bytes, `nonzero` lists them and
     `take` copies them into the mask's own memory, which `nonzero` has read
-    by then: three calls for the whole chunk.
+    by then: three calls for the whole span.
     """
-    rows, cols = x.shape
-    fields = _fields(np.ravel(x), s)
-    fields.reshape(rows, cols, 3)[:, -1, 2] ^= _COMMA ^ _NEWLINE
+    fields = _fields(x, s)
+    fields[(cols - 1 - first_col) % cols :: cols, 2] ^= _COMMA ^ _NEWLINE
     raw = fields.reshape(-1).view(np.uint8)
     keep = s.planes.reshape(-1).view(bool)[: raw.size]
     np.not_equal(raw, 0, out=keep)
@@ -290,43 +293,28 @@ def _text(x: np.ndarray, s: _Scratch) -> np.ndarray:
     return np.take(raw, kept, out=keep.view(np.uint8)[: kept.size], mode="clip")
 
 
-def format_rows(values) -> bytes:
-    """CSV text of a 2-D array: per row, "%.9g" of each value joined by
-    commas, then a newline."""
-    x = np.asarray(values, dtype=np.float64)
-    return _text(x, _Scratch(x.size)).tobytes()
-
-
-def chunk_rows(rows: int, cols: int) -> int:
-    """Rows per chunk of a rows x cols array in write_rows: about
-    CHUNK_VALUES values when the array holds LARGE_ARRAY values or more,
-    half that otherwise, and at least one row.
-
-    Every chunk costs about fifty numpy calls whatever its size, so a large
-    map (table1's 7 M values) takes the larger chunks. After the call, a
-    worker thread's malloc arena keeps the largest `nonzero` index it
-    allocated resident, 8 bytes per text byte of a chunk, so a small map (a
-    CI run's) takes the smaller ones.
-    """
-    per_chunk = CHUNK_VALUES if rows * cols >= LARGE_ARRAY else CHUNK_VALUES // 2
-    return max(1, per_chunk // cols)
-
-
 def write_rows(fh, values):
-    """Write `format_rows(values)` to the binary file `fh`, `chunk_rows`
-    rows at a time.
+    """Write the CSV text of the 2-D array `values` to the binary file `fh`:
+    per row, "%.9g" of each value joined by commas, then a newline.
 
-    The chunks are formatted on the ISACSIM_THREADS workers and written in
-    row order, each as soon as it and every chunk before it are ready. Each
+    The flat array goes out in spans of CHUNK_VALUES values when it holds
+    LARGE_ARRAY values or more, half that otherwise. Every span costs about
+    fifty numpy calls whatever its size, so a large map (table1's 7 M
+    values) takes the larger spans; after the call, a worker thread's malloc
+    arena keeps the largest `nonzero` index it allocated resident, 8 bytes
+    per text byte of a span, so a small map (a CI run's) takes the smaller
+    ones. The spans are formatted on the ISACSIM_THREADS workers and written
+    in order, each as soon as it and every span before it are ready. Each
     worker formats in its own `_Scratch`, made on the calling thread.
     """
     x = np.asarray(values, dtype=np.float64)
-    rows, cols = x.shape
-    step = chunk_rows(rows, cols)
-    starts = range(0, rows, step)
+    cols = x.shape[1]
+    flat = x.reshape(-1)
+    span = CHUNK_VALUES if flat.size >= LARGE_ARRAY else CHUNK_VALUES // 2
+    starts = range(0, flat.size, span)
     ordered(
-        lambda k, s: _text(x[starts[k] : starts[k] + step], s),
+        lambda k, s: _text(flat[starts[k] : starts[k] + span], starts[k] % cols, cols, s),
         fh.write,
         len(starts),
-        scratch=lambda: _Scratch(min(step, rows) * cols),
+        scratch=lambda: _Scratch(min(span, flat.size)),
     )

@@ -1,22 +1,26 @@
-"""The ISACSIM_THREADS workers: contiguous blocks of one numeric pass, and an
+"""The ISACSIM_THREADS workers: contiguous slices of one numeric pass, and an
 ordered pipeline of produce and consume steps.
 
 numpy's FFTs, elementwise products and BLAS products release the interpreter
-lock, so the blocks of a pass (`for_blocks`) run in parallel on plain
-threads. `ordered` runs a sequence of produce steps the same way and hands
-their results to one consume step in index order; the CSV writer formats
-chunks of rows with it, one worker writing to the file while another
-formats. Each worker of `ordered` carries its own scratch buffers, which
-the calling thread allocates before any thread starts: a worker then
-reuses memory of the caller's malloc arena chunk after chunk, instead of
-allocating in its own arena, where glibc would keep the freed pages after
-the call. Each call starts its own threads and joins them before it
-returns: no pool outlives a call, which keeps a process that forks between
-calls safe.
+lock, so the slices of a pass (`for_blocks`) run in parallel on plain
+threads. Where a pass is cut depends on its length alone (`slices`): the
+thread count decides only which worker runs a slice, never where one starts
+or ends. So a blocked BLAS product, whose bits may depend on the rows it is
+given, gives the same bits on any thread count. `ordered` runs a sequence of
+produce steps the same way and hands their results to one consume step in
+index order; the CSV writer formats spans of values with it, one worker
+writing to the file while another formats. Each worker of `ordered` carries
+its own scratch buffers, which the calling thread allocates before any
+thread starts: a worker then reuses memory of the caller's malloc arena span
+after span, instead of allocating in its own arena, where glibc would keep
+the freed pages after the call. Both start w - 1 threads, run a share of the
+work on the calling thread, and join every thread before they return
+(`_on_workers`): no pool outlives a call, which keeps a process that forks
+between calls safe.
 
-These threads are the only concurrency of a run. Before it starts a block,
+These threads are the only concurrency of a run. Before it starts a slice,
 `for_blocks` caps numpy's OpenBLAS pool at one thread through OpenBLAS's own
-`set_num_threads` entry point, so a BLAS worker never spins on a core a block
+`set_num_threads` entry point, so a BLAS worker never spins on a core a slice
 needs, even in a process that loaded numpy with a larger pool. The cap is
 applied on the first call, never at import, and a BLAS without that entry
 point is left as it is (the bytes are the same, only slower). This module
@@ -33,9 +37,9 @@ import threading
 
 from .errors import ParameterError
 
-# Blocks per worker. More, smaller blocks balance the load when one core is
-# busy with other work.
-BLOCKS_PER_WORKER = 4
+# The most slices a pass is cut into, whatever the thread count; so a pass
+# runs on at most this many threads.
+MAX_SLICES = 16
 
 # OpenBLAS's pool size entry points, as numpy's wheels (scipy-openblas64,
 # which prefixes and suffixes the names) and plain builds export them.
@@ -46,6 +50,7 @@ _BLAS_SETTERS = (
     "openblas_set_num_threads",
 )
 _BLAS_GETTERS = tuple(name.replace("_set_", "_get_") for name in _BLAS_SETTERS)
+_BLAS_CORENAMES = tuple(name.replace("_set_num_threads", "_get_corename") for name in _BLAS_SETTERS)
 _blas_capped = False
 
 
@@ -94,6 +99,15 @@ def blas_pool_size() -> int | None:
     return None if getter is None else getter()
 
 
+def blas_core() -> str | None:
+    """The CPU kernel numpy's OpenBLAS dispatched to ("SkylakeX", "Haswell",
+    ...), or None when it cannot be read. The bits of a BLAS product depend
+    on it."""
+    getter = _blas_entry(_BLAS_CORENAMES, [], ctypes.c_char_p)
+    name = None if getter is None else getter()
+    return None if name is None else name.decode("ascii", "replace")
+
+
 def _cap_blas_pool() -> None:
     """Cap numpy's OpenBLAS pool at one thread, once per process: the pool is
     the process's, and so is the flag that records the cap."""
@@ -106,28 +120,46 @@ def _cap_blas_pool() -> None:
         _blas_capped = True
 
 
-def for_blocks(fn, n: int, min_block: int = 1) -> None:
-    """Call fn(block) once for each of the contiguous slices covering range(n).
+def slices(n: int, min_block: int = 1) -> list[slice]:
+    """The cut of range(n) into max(1, min(n // min_block, MAX_SLICES))
+    contiguous slices, their lengths differing by at most one: each holds at
+    least `min_block` indices unless n is smaller, and then the one slice
+    holds all of them."""
+    count = max(1, min(n // min_block, MAX_SLICES))
+    edges = [n * k // count for k in range(count + 1)]
+    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
-    range(n) is cut into up to BLOCKS_PER_WORKER * min(thread_count(), n)
-    slices of at least `min_block` indices each (one slice when n is
-    smaller), and w = min(thread_count(), slices) workers run them: w - 1
-    new threads and the calling thread take slices in order until none is
-    left; all threads are joined before the call returns, and the first
-    exception a block raised is re-raised. With one worker the calling
-    thread runs every slice and no thread starts; the blocks still bound the
-    size of fn's temporaries.
+
+def _on_workers(work, args, errors: list) -> None:
+    """Call work(a) for each a of args, the first on the calling thread and
+    each other on a new thread; join every thread, then re-raise the first
+    exception in `errors`, where the work records what it raised."""
+    threads = [threading.Thread(target=work, args=(a,)) for a in args[1:]]
+    for thread in threads:
+        thread.start()
+    work(args[0])
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+
+
+def for_blocks(fn, n: int, min_block: int = 1) -> None:
+    """Call fn(block) once for each slice of `slices(n, min_block)`.
+
+    w = min(thread_count(), slices) workers run them: w - 1 new threads and
+    the calling thread take slices in order until none is left, and the
+    first exception a block raised is re-raised once all are joined. With
+    one worker the calling thread runs every slice and no thread starts;
+    the slices still bound the size of fn's temporaries.
     """
     _cap_blas_pool()
-    workers = max(1, min(thread_count(), n))
-    count = max(1, min(n // min_block, BLOCKS_PER_WORKER * workers))
-    workers = min(workers, count)
-    edges = [n * k // count for k in range(count + 1)]
-    pending = iter([slice(lo, hi) for lo, hi in zip(edges, edges[1:])])
+    blocks = slices(n, min_block)
+    pending = iter(blocks)
     lock = threading.Lock()
     errors: list[BaseException] = []
 
-    def work():
+    def work(_):
         while not errors:
             with lock:
                 block = next(pending, None)
@@ -138,14 +170,7 @@ def for_blocks(fn, n: int, min_block: int = 1) -> None:
             except BaseException as exc:  # re-raised in the calling thread
                 errors.append(exc)
 
-    threads = [threading.Thread(target=work) for _ in range(workers - 1)]
-    for thread in threads:
-        thread.start()
-    work()
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
+    _on_workers(work, [None] * min(thread_count(), len(blocks)), errors)
 
 
 def ordered(produce, consume, n: int, scratch) -> None:
@@ -200,11 +225,4 @@ def ordered(produce, consume, n: int, scratch) -> None:
                     changed.notify_all()
                 return
 
-    threads = [threading.Thread(target=work, args=(s,)) for s in scratches[1:]]
-    for thread in threads:
-        thread.start()
-    work(scratches[0])
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
+    _on_workers(work, scratches, errors)

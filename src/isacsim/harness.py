@@ -6,9 +6,9 @@ per waveform plus a machine-readable `summary.json`, and reports per-waveform
 detections, PSLR, optional oracle deviations, and optional fixed-point
 accuracy rows with each quantized stage's clip count. CSV artifacts are
 deterministic for a fixed configuration (timings live only in the summary):
-every number is the text of `'%.9g' % x`, produced a block of rows at a time
-by the vectorized formatter in `_csvformat`, which formats the blocks on the
-ISACSIM_THREADS workers and writes them in row order, so the bytes do not
+every number is the text of `'%.9g' % x`, produced a span of values at a
+time by the vectorized formatter in `_csvformat`, which formats the spans on
+the ISACSIM_THREADS workers and writes them in order, so the bytes do not
 depend on the thread count.
 
 The run streams: it draws the scene's receiver noise once
@@ -49,7 +49,7 @@ import numpy as np
 
 from . import __version__
 from ._csvformat import write_rows
-from ._threads import blas_pool_size, thread_count
+from ._threads import blas_core, blas_pool_size, thread_count
 from .config import ScenarioConfig, render_config
 from .errors import NoDetectionError, OracleGuardError
 from .fxp import SweepResult, precision_sweep
@@ -353,14 +353,15 @@ def _transparent_hugepage() -> str | None:
 
 def _environment() -> dict:
     """What produced the run's numbers: versions, the thread rule's inputs
-    and outcome, the BLAS pool size read back from OpenBLAS and the
-    transparent huge page mode (each None when it cannot be read)."""
+    and outcome, the BLAS pool size and CPU kernel read back from OpenBLAS
+    and the transparent huge page mode (each None when it cannot be read)."""
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "isacsim_threads": os.environ.get("ISACSIM_THREADS"),
         "thread_count": thread_count(),
         "blas_threads": blas_pool_size(),
+        "blas_core": blas_core(),
         "cpu_count": os.cpu_count(),
         "transparent_hugepage": _transparent_hugepage(),
         "peak_rss_note": (

@@ -153,8 +153,9 @@ def _chain(
     Dense steering applies the P x J matrix; otherwise the grid must be
     `default_grid`'s and steering is a slow-time IFFT. Each pass runs in
     contiguous blocks on the ISACSIM_THREADS cores (`_threads.for_blocks`),
-    and each block does the arithmetic of one whole pass, so no bit depends
-    on the thread count.
+    cut by the pass's length alone. So no bit depends on the thread count,
+    even where a blocked product's bits depend on its block, as dense
+    steering's do on some BLAS kernels; they may differ between kernels.
     """
     params = cube.params
     p_len, q_len = cube.samples.shape

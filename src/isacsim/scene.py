@@ -316,8 +316,9 @@ def synthesize_echo(
     support), where support ends at the last nonzero sample of any frame;
     every other sample of the echo is exactly zero. The band's rows of
     Shifts are split into `for_blocks` blocks of at least two, and each
-    block's product is written transposed into its columns of the cube; a
-    row of the product does not depend on the block it is computed in.
+    block's product is written transposed into its columns of the cube. The
+    cut depends on the band's length alone, so the cube's bits do not depend
+    on the thread count (on some BLAS kernels they depend on the cut).
 
     `noise`, a P x Q block from `noise_block`, is where a noisy echo starts:
     the cube is a copy of it and the band is added in. Without one the echo

@@ -3,10 +3,19 @@
 A point target at [12, 9, 0] m recedes at 0, 2, 10 and 30 m/s under the
 table1 profile. All four waveforms run the library chain (schedule, echo,
 matched filter, detection, peak-cut PSLR) on the FFT grid, and once more at
-2 m/s on the 1999-bin dense grid. Detection bins and the paper's PSLR order
-are asserted under any numpy. The map bytes and the exact PSLR depend on the
-FFT and BLAS builds, so they are compared only under the numpy version the
-golden file was captured with.
+2 m/s on the 1999-bin dense grid. The extended targets of the sample config
+(`seed_scene = 3`) stand at the same place: a car of 64 scatterers and a
+pedestrian, each at 2 and 10 m/s on the FFT grid; their echo is one
+synthesis GEMM with an inner dimension of U x 64 or U x 27.
+
+Detection bins are asserted under any numpy and BLAS, and so is the paper's
+PSLR order: fmcw < pmcw < golay_standard <= golay_doppler_resilient for the
+point target, and fmcw < pmcw < either Golay schedule for the car, whose two
+Golay values are compared through the golden file only. The pedestrian's
+order does not hold (its extent lies inside the mainlobe), so only its
+detections are pinned. The map bytes and the exact PSLR depend on the FFT
+build and on the CPU kernel OpenBLAS runs, so they are compared only under
+the numpy version and the BLAS core the golden file was captured with.
 
 Regenerate the golden file (only for a change that moves maps on purpose):
 
@@ -23,6 +32,7 @@ import numpy as np
 import pytest
 
 import isacsim as iz
+from isacsim._threads import blas_core
 
 GOLDEN = Path(__file__).with_name("paper_scale_golden.json")
 KINDS = ("fmcw", "pmcw", "golay_standard", "golay_doppler_resilient")
@@ -30,20 +40,34 @@ SPEEDS_MPS = (0.0, 2.0, 10.0, 30.0)
 DENSE_BINS = 1999
 DENSE_SPEED_MPS = 2.0
 SEED_CODE = 7  # configs/point_target.ini
+SEED_SCENE = 3  # configs/point_target.ini
+EXTENDED = ("car", "pedestrian")
+EXTENDED_SPEEDS_MPS = (2.0, 10.0)
 
 
 def _runs():
-    """(label, speed, bins) of every pinned run; bins None is the FFT grid."""
-    runs = [(f"fft-{speed:g}mps", speed, None) for speed in SPEEDS_MPS]
-    runs.append((f"dense{DENSE_BINS}-{DENSE_SPEED_MPS:g}mps", DENSE_SPEED_MPS, DENSE_BINS))
+    """(label, target, speed, bins) of every pinned run; bins None is the FFT
+    grid."""
+    runs = [(f"fft-{speed:g}mps", "point", speed, None) for speed in SPEEDS_MPS]
+    runs.append((f"dense{DENSE_BINS}-{DENSE_SPEED_MPS:g}mps", "point", DENSE_SPEED_MPS, DENSE_BINS))
+    for target in EXTENDED:
+        runs += [(f"{target}-fft-{speed:g}mps", target, speed, None) for speed in EXTENDED_SPEEDS_MPS]
     return runs
 
 
-def compute_run(speed_mps: float, bins: int | None) -> dict:
+def make_target(target: str, speed_mps: float):
+    position = np.array([12.0, 9.0, 0.0])
+    if target == "car":
+        return iz.make_car(position, seed=SEED_SCENE, speed_mps=speed_mps, rcs_dbsm=0.0, count=64)
+    if target == "pedestrian":
+        return iz.make_pedestrian(position, seed=SEED_SCENE, speed_mps=speed_mps, rcs_dbsm=0.0)
+    return iz.point_target(position, speed_mps * position / np.linalg.norm(position))
+
+
+def compute_run(target: str, speed_mps: float, bins: int | None) -> dict:
     """Detection, PSLR and map sha1 of each waveform for one run."""
     params = iz.scaled_profile(iz.WaveformParams(), 2000)
-    position = np.array([12.0, 9.0, 0.0])
-    targets = [iz.point_target(position, speed_mps * position / np.linalg.norm(position))]
+    targets = [make_target(target, speed_mps)]
     grid = iz.default_grid(params) if bins is None else iz.symmetric_grid(params, bins)
     out = {}
     for kind in KINDS:
@@ -65,30 +89,34 @@ def _golden() -> dict:
     return json.loads(GOLDEN.read_text())
 
 
-@pytest.mark.parametrize("label, speed, bins", _runs(), ids=[r[0] for r in _runs()])
-def test_paper_scale_run_matches_the_golden_file(label, speed, bins):
+@pytest.mark.parametrize("label, target, speed, bins", _runs(), ids=[r[0] for r in _runs()])
+def test_paper_scale_run_matches_the_golden_file(label, target, speed, bins):
     golden = _golden()
     expected = golden["runs"][label]
-    got = compute_run(speed, bins)
-    same_numpy = np.__version__ == golden["numpy"]
+    got = compute_run(target, speed, bins)
+    same_build = (np.__version__, blas_core()) == (golden["numpy"], golden["blas_core"])
     for kind in KINDS:
         want, have = expected[kind], got[kind]
         assert (have["range_bin"], have["doppler_bin"]) == (
             want["range_bin"],
             want["doppler_bin"],
         ), kind
-        if same_numpy:
+        if same_build:
             assert have["map_sha1"] == want["map_sha1"], kind
             assert have["pslr_db"] == want["pslr_db"], kind
     pslr = [got[kind]["pslr_db"] for kind in KINDS]
     assert all(math.isfinite(x) for x in pslr), pslr
-    # the paper's order: fmcw < pmcw < golay_standard <= golay_doppler_resilient
-    assert pslr[0] < pslr[1] < pslr[2] <= pslr[3], pslr
+    if target == "point":
+        # the paper's order: fmcw < pmcw < golay_standard <= golay_doppler_resilient
+        assert pslr[0] < pslr[1] < pslr[2] <= pslr[3], pslr
+    elif target == "car":
+        assert pslr[0] < pslr[1] < min(pslr[2], pslr[3]), pslr
 
 
 def main() -> int:
-    runs = {label: compute_run(speed, bins) for label, speed, bins in _runs()}
-    GOLDEN.write_text(json.dumps({"numpy": np.__version__, "runs": runs}, indent=2) + "\n")
+    runs = {label: compute_run(*run) for label, *run in _runs()}
+    golden = {"numpy": np.__version__, "blas_core": blas_core(), "runs": runs}
+    GOLDEN.write_text(json.dumps(golden, indent=2) + "\n")
     print(f"wrote {GOLDEN}")
     return 0
 

@@ -23,7 +23,8 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 import isacsim as iz
 import isacsim._csvformat as csvformat
-from isacsim._csvformat import CHUNK_VALUES, LARGE_ARRAY, chunk_rows, format_rows, write_rows
+from isacsim._csvformat import CHUNK_VALUES, LARGE_ARRAY, write_rows
+from isacsim._threads import slices
 from isacsim.config import _SECTIONS
 from oracle_cases import KINDS, random_case
 
@@ -274,8 +275,16 @@ def test_one_pass_detect_peak_equals_the_sorted_search(rd_map):
     assert iz.detect_peak(rd_map) == expected
 
 
+def blocked_product(a, b):
+    """a @ b, its rows cut as the filter cuts its range bins: the bits of a
+    BLAS product may depend on the rows it is given, but not on the thread
+    count that runs the blocks."""
+    return np.concatenate([a[r] @ b for r in slices(len(a), 2)])
+
+
 def serial_matched_filter(cube, schedule, grid):
-    """The reference: the matched filter as one pass per stage on one thread."""
+    """The reference: the matched filter as one pass per stage on one
+    thread, the dense steering product cut into the filter's row blocks."""
     params = cube.params
     p_len = params.packets_per_cpi
     spectra = np.fft.fft(cube.samples.T, axis=0)
@@ -291,7 +300,7 @@ def serial_matched_filter(cube, schedule, grid):
     else:
         p_idx = np.arange(p_len) * params.pri_s
         w = np.exp(2j * np.pi * np.outer(p_idx, grid.frequencies_hz))
-        steered = matched @ w
+        steered = blocked_product(matched, w)
     profiles = np.fft.ifft(steered, axis=0)
     return np.abs(profiles).T.copy()
 
@@ -550,7 +559,8 @@ def test_quantize_across_chunks_equals_the_mantissa_round_trip(word_bits, layout
 
 def serial_quantized_matched_filter(cube, schedule, grid, fmt, mode):
     """The reference: the fixed-point chain as one pass per stage on one
-    thread, with its own FFTs, gather, twiddle and magnitude pass."""
+    thread, with its own FFTs, gather, twiddle and magnitude pass; the
+    steering product is cut into the filter's row blocks."""
     params = cube.params
     double_map = iz.matched_filter_rd(cube, schedule, grid)
     counts, sizes = {}, {}
@@ -569,7 +579,7 @@ def serial_quantized_matched_filter(cube, schedule, grid, fmt, mode):
     p_idx = np.arange(params.packets_per_cpi) * params.pri_s
     twiddle = np.exp(2j * np.pi * np.outer(p_idx, grid.frequencies_hz))
     twiddle = quantized(twiddle, "twiddle")
-    steered = quantized(matched @ twiddle, "post_steering")
+    steered = quantized(blocked_product(matched, twiddle), "post_steering")
     profiles = np.fft.ifft(steered, axis=0)
     if mode is iz.FxpMode.FULL_CHAIN:
         profiles = quantized(profiles, "post_ifft")
@@ -656,6 +666,20 @@ def savetxt_bytes(values) -> bytes:
     return buf.getvalue().encode()
 
 
+def csv_bytes(values) -> bytes:
+    """What write_rows writes for `values`."""
+    buf = io.BytesIO()
+    write_rows(buf, values)
+    return buf.getvalue()
+
+
+def value_ends(text: bytes) -> np.ndarray:
+    """Offset of the end of each value's text, its separator included: the
+    text of the first k values is text[: value_ends(text)[k - 1]]."""
+    raw = np.frombuffer(text, dtype=np.uint8)
+    return np.flatnonzero((raw == ord(",")) | (raw == ord("\n"))) + 1
+
+
 def _near_power_of_ten(k, step):
     p = float(f"1e{k}")
     return float(np.nextafter(p, np.inf * step)) if step else p
@@ -690,67 +714,74 @@ adversarial = st.one_of(
         elements=adversarial,
     )
 )
-def test_format_rows_matches_savetxt(values):
-    assert format_rows(values) == savetxt_bytes(values)
+def test_csv_text_matches_savetxt(values):
+    assert csv_bytes(values) == savetxt_bytes(values)
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (1, 37), (37, 1)])
-def test_format_rows_edge_shapes(shape):
+def test_csv_text_edge_shapes(shape):
     rng = np.random.default_rng(5)
     values = rng.standard_normal(shape) * 10.0 ** rng.integers(-12, 12, shape)
-    assert format_rows(values) == savetxt_bytes(values)
+    assert csv_bytes(values) == savetxt_bytes(values)
 
 
-def test_write_rows_streams_partial_chunks():
-    # 22 map rows of Q = 3520 (a small array) go out in blocks of 4, 4, 4,
-    # 4, 4 and 2 rows
-    rows, cols = 22, 3520
-    step = chunk_rows(rows, cols)
-    assert step == CHUNK_VALUES // 2 // cols == 4
+MAP_COLS = 3520
+SPAN = CHUNK_VALUES // 2  # values per span of the small maps below
+
+
+def test_write_rows_streams_spans_of_values_across_rows():
+    # 22 map rows of Q = 3520 (a small array): four spans of SPAN values,
+    # each ending mid-row, then the rest
+    rows, cols = 22, MAP_COLS
     values = np.random.default_rng(6).random((rows, cols)) * 1e3
-    blocks = []
+    spans = []
 
     class Recorder(io.BytesIO):
         def write(self, data):
-            blocks.append(bytes(data).count(b"\n"))
+            text = bytes(data)
+            spans.append((text.count(b",") + text.count(b"\n"), text.count(b"\n")))
             return super().write(data)
 
     buf = Recorder()
     write_rows(buf, values)
     assert buf.getvalue() == savetxt_bytes(values)
-    assert blocks == [step] * (rows // step) + [rows % step]
-
-
-MAP_COLS = 3520
-MAP_STEP = chunk_rows(1, MAP_COLS)  # map rows per chunk of the small maps below
+    full = rows * cols // SPAN
+    assert [size for size, _ in spans] == [SPAN] * full + [rows * cols - full * SPAN]
+    assert SPAN % cols  # so spans end mid-row
+    assert sum(lines for _, lines in spans) == rows
 
 
 @pytest.mark.parametrize(
-    "rows, cols, step",
-    [(2000, 3520, 9), (298, 3520, 9), (297, 3520, 4), (63, 3520, 4), (1, 3520, 4),
-     (3, 70_000, 1), (16, 1, 16_384), (1 << 20, 1, 1 << 15)],
+    "shape", [(1 << 20, 1), (1, 1 << 20), (298, 3520), (297, 3520), (2000, 3520), (1, 37), (0, 5)]
 )
-def test_chunks_hold_about_chunk_values_or_half_of_it(rows, cols, step):
-    """Arrays of LARGE_ARRAY values or more take chunks of about
-    CHUNK_VALUES values, smaller ones half that; a chunk holds at least
-    one row."""
-    per_chunk = CHUNK_VALUES if rows * cols >= LARGE_ARRAY else CHUNK_VALUES // 2
-    assert step == max(1, per_chunk // cols)
-    assert chunk_rows(rows, cols) == step
+def test_spans_hold_chunk_values_or_half_of_it_on_any_shape(monkeypatch, shape):
+    """Arrays of LARGE_ARRAY values or more go out in spans of CHUNK_VALUES
+    values, smaller ones in spans of half that, whatever their row length;
+    each worker's scratch holds one span."""
+    size = shape[0] * shape[1]
+    span = CHUNK_VALUES if size >= LARGE_ARRAY else CHUNK_VALUES // 2
+    calls = []
+
+    def record(produce, consume, n, scratch):
+        calls.append((n, scratch().fields.shape[0]))
+
+    monkeypatch.setattr(csvformat, "ordered", record)
+    write_rows(io.BytesIO(), np.zeros(shape))
+    assert calls == [(-(-size // span), min(span, size))]
 
 
 def chunked_map(chunks):
-    """A map of `chunks` chunks, the last one partial, whose row r starts
-    with the value r; the rest spans 24 decades, with zeros, ties and
-    non-finite values for the slow path."""
-    rows = MAP_STEP * (chunks - 1) + MAP_STEP // 2
+    """A map of `chunks` spans, the last one partial, whose spans end
+    mid-row; its values span 24 decades, with zeros, ties and non-finite
+    values for the slow path."""
+    rows = -(-(SPAN * (chunks - 1) + SPAN // 2) // MAP_COLS)
     rng = np.random.default_rng(chunks)
     shape = (rows, MAP_COLS)
     values = rng.standard_normal(shape) * 10.0 ** rng.integers(-12, 12, shape)
     special = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 9.9999999995, 123456789.5, 1e-5]
     hits = rng.integers(0, values.size, 8 * chunks)
     values.flat[hits] = rng.choice(special, hits.size)
-    values[:, 0] = np.arange(rows)
+    assert -(-values.size // SPAN) == chunks
     return values
 
 
@@ -774,50 +805,93 @@ def test_write_rows_on_any_thread_count_equals_savetxt(monkeypatch, chunked_maps
     monkeypatch.setenv("ISACSIM_THREADS", threads)
     values, expected = chunked_maps(chunks)
     before = threading.active_count()
-    buf = io.BytesIO()
-    write_rows(buf, values)
+    assert csv_bytes(values) == expected
     assert threading.active_count() == before
-    assert buf.getvalue() == expected
 
 
 @pytest.mark.parametrize("threads", ["1", "2", "5"])
-@pytest.mark.parametrize("step", [1, 9, None, "whole"])
-def test_write_rows_equals_savetxt_for_any_chunk_size(monkeypatch, chunked_maps, threads, step):
-    """Chunks of one row, of nine, of the default CHUNK_VALUES and of the
-    whole map: the same bytes, on any thread count."""
+@pytest.mark.parametrize("span", [13, MAP_COLS - 1, MAP_COLS, MAP_COLS + 1, None, "whole"])
+def test_write_rows_equals_savetxt_for_any_span(monkeypatch, chunked_maps, threads, span):
+    """Spans of 13 values, of a row and one value either side, of
+    the default SPAN and of the whole map: the same bytes, on any thread
+    count."""
     monkeypatch.setenv("ISACSIM_THREADS", threads)
     values, expected = chunked_maps(3)
-    rows = {1: 1, 9: 9, None: MAP_STEP, "whole": len(values)}[step]
-    monkeypatch.setattr(csvformat, "chunk_rows", lambda r, c: rows)
-    buf = io.BytesIO()
-    write_rows(buf, values)
-    assert buf.getvalue() == expected
+    span = {None: SPAN, "whole": values.size}.get(span, span)
+    monkeypatch.setattr(csvformat, "CHUNK_VALUES", 2 * span)  # a small map takes half
+    assert csv_bytes(values) == expected
 
 
-# Bytes per value that formatting one default chunk may take: the scratch
+@pytest.mark.parametrize("shape", [(1, 5000), (3, 1700), (7, 1)])
+@pytest.mark.parametrize("span", [1, 3, 999, 1700])
+def test_rows_longer_than_a_span_equal_savetxt(monkeypatch, shape, span):
+    """A row split across several spans, down to a single row of 5000
+    values, keeps its commas and its one newline."""
+    rng = np.random.default_rng(span)
+    values = rng.standard_normal(shape) * 10.0 ** rng.integers(-12, 12, shape)
+    monkeypatch.setattr(csvformat, "CHUNK_VALUES", 2 * span)
+    assert csv_bytes(values) == savetxt_bytes(values)
+
+
+# Bytes per value that formatting one default span may take: the scratch
 # (24 bytes of field, 40 of planes and 3 of flags a value) and what the
-# chunk allocates, chiefly the int64 index of the kept bytes (8 per text
+# span allocates, chiefly the int64 index of the kept bytes (8 per text
 # byte, at most 17 text bytes a value).
 SCRATCH_BYTES_PER_VALUE = 24 + 40 + 3
 CHUNK_BYTES_PER_VALUE = SCRATCH_BYTES_PER_VALUE + 8 * 17
 
 
-def test_one_chunk_formats_within_its_memory_budget():
-    # a chunk of a table1 map: 9 rows of 3520 values, from 24 decades
+def test_one_span_formats_within_its_memory_budget():
+    # a span of a table1 map that starts and ends mid-row, from 24 decades
     rng = np.random.default_rng(7)
-    shape = (chunk_rows(2000, MAP_COLS), MAP_COLS)
-    chunk = rng.standard_normal(shape) * 10.0 ** rng.integers(-12, 12, shape)
-    scratch = csvformat._Scratch(chunk.size)
+    shape = (12, MAP_COLS)
+    values = rng.standard_normal(shape) * 10.0 ** rng.integers(-12, 12, shape)
+    start = MAP_COLS + 1000
+    span = values.reshape(-1)[start : start + CHUNK_VALUES]
+    scratch = csvformat._Scratch(span.size)
     scratch_bytes = scratch.fields.nbytes + scratch.planes.nbytes + scratch.flags.nbytes
     tracemalloc.start()
     try:
-        text = csvformat._text(chunk, scratch)
+        text = csvformat._text(span, start % MAP_COLS, MAP_COLS, scratch)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert text.tobytes() == savetxt_bytes(chunk)
-    assert scratch_bytes == SCRATCH_BYTES_PER_VALUE * chunk.size
-    assert scratch_bytes + peak <= CHUNK_BYTES_PER_VALUE * chunk.size
+    expected = savetxt_bytes(values)
+    ends = value_ends(expected)
+    assert text.tobytes() == expected[ends[start - 1] : ends[start + span.size - 1]]
+    assert scratch_bytes == SCRATCH_BYTES_PER_VALUE * span.size
+    assert scratch_bytes + peak <= CHUNK_BYTES_PER_VALUE * span.size
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_a_long_row_formats_in_scratch_of_one_span(monkeypatch, threads):
+    """A 1 x 4 CHUNK_VALUES row goes out in spans like any other array:
+    each worker formats in scratch of one span, and the whole write stays
+    within a span's budget per worker."""
+    monkeypatch.setenv("ISACSIM_THREADS", threads)
+    rng = np.random.default_rng(8)
+    values = rng.standard_normal((1, 4 * CHUNK_VALUES)) * 10.0 ** rng.integers(-12, 12)
+    expected = savetxt_bytes(values)
+    span = CHUNK_VALUES // 2  # the row is a small array
+    sizes = []
+
+    class Recorded(csvformat._Scratch):
+        def __init__(self, n):
+            sizes.append(n)
+            super().__init__(n)
+
+    monkeypatch.setattr(csvformat, "_Scratch", Recorded)
+    tracemalloc.start()
+    try:
+        text = csv_bytes(values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == expected
+    assert sizes == [span] * int(threads)
+    # the text itself (BytesIO's buffer) is the one allocation that grows
+    # with the row
+    assert peak <= int(threads) * CHUNK_BYTES_PER_VALUE * span + 2 * len(expected)
 
 
 @pytest.mark.parametrize("bins", [None, 63])
@@ -844,23 +918,24 @@ def test_the_filter_overwriting_its_cube_within_its_memory_budget(ci_params, bin
 
 @pytest.mark.parametrize("threads", ["1", "2", "5"])
 @pytest.mark.parametrize("k", [1, 4])
-def test_a_failing_chunk_stops_write_rows_before_it(monkeypatch, chunked_maps, threads, k):
+def test_a_failing_span_stops_write_rows_before_it(monkeypatch, chunked_maps, threads, k):
     """_fields raising on its k-th call re-raises in the caller, and the file
-    holds whole chunks in order, none from the failing chunk on."""
+    holds whole spans in order, none from the failing span on."""
     monkeypatch.setenv("ISACSIM_THREADS", threads)
     values, expected = chunked_maps(12)
     fields, calls, failed, lock = csvformat._fields, [], [], threading.Lock()
-    later = threading.Event()  # a call after the k-th has formatted its chunk
+    later = threading.Event()  # a call after the k-th has formatted its span
+    base = values.ctypes.data
 
     def failing_fields(x, scratch):
         with lock:
             calls.append(None)
             call = len(calls)
         if call == k:
-            failed.append(int(x[0]) // MAP_STEP)  # row r starts with r
-            if threads != "1":  # so a later chunk is ready and waits its turn
+            failed.append((x.ctypes.data - base) // x.itemsize // SPAN)
+            if threads != "1":  # so a later span is ready and waits its turn
                 later.wait(timeout=10)
-            raise RuntimeError("chunk failed")
+            raise RuntimeError("span failed")
         out = fields(x, scratch)
         if call > k:
             later.set()
@@ -880,16 +955,16 @@ def test_a_failing_chunk_stops_write_rows_before_it(monkeypatch, chunked_maps, t
     caller = threading.Thread(target=write, daemon=True)
     caller.start()
     caller.join(timeout=30)
-    assert not caller.is_alive(), "write_rows hung after a failing chunk"
+    assert not caller.is_alive(), "write_rows hung after a failing span"
     assert threading.active_count() == before
-    assert [str(exc) for exc in raised] == ["chunk failed"]
-    lines = expected.splitlines(keepends=True)
-    chunk_ends = [len(b"".join(lines[: MAP_STEP * c])) for c in range(failed[0] + 1)]
-    assert len(buf.getvalue()) in chunk_ends
+    assert [str(exc) for exc in raised] == ["span failed"]
+    ends = value_ends(expected)
+    span_ends = [0] + [int(ends[SPAN * c - 1]) for c in range(1, failed[0] + 1)]
+    assert len(buf.getvalue()) in span_ends
     assert expected.startswith(buf.getvalue())
-    if threads == "1":  # the k-th call is chunk k - 1, after chunks 0 .. k - 2
+    if threads == "1":  # the k-th call is span k - 1, after spans 0 .. k - 2
         assert failed == [k - 1]
-        assert len(buf.getvalue()) == chunk_ends[-1]
+        assert len(buf.getvalue()) == span_ends[-1]
 
 
 # --- the config text: render/parse round trip, and errors on any input ---

@@ -1,9 +1,12 @@
-"""The block splitter behind the matched filter: coverage, errors, thread
-lifetime, the ISACSIM_THREADS rule it shares with the CLI, and the one-thread
-BLAS pool it leaves behind; and the ordered pipeline behind the CSV writer:
-consume order, errors, thread lifetime and the results it keeps at a time."""
+"""The block splitter behind the matched filter: coverage, a cut that does
+not depend on the thread count, errors, thread lifetime, the ISACSIM_THREADS
+rule it shares with the CLI, and the one-thread BLAS pool it leaves behind;
+the BLAS kernel read back from OpenBLAS; and the ordered pipeline behind the
+CSV writer: consume order, errors, thread lifetime and the results it keeps
+at a time."""
 
 import os
+import platform
 import random
 import subprocess
 import sys
@@ -13,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from isacsim._threads import BLOCKS_PER_WORKER, for_blocks, ordered, thread_count
+from isacsim._threads import MAX_SLICES, blas_core, for_blocks, ordered, slices, thread_count
 from isacsim.errors import ParameterError
 
 
@@ -43,15 +46,28 @@ def test_blocks_cover_every_index_exactly_once(threads, workers, n):
     covered = sorted(i for block in blocks for i in range(n)[block])
     assert covered == list(range(n))
     assert all(block.step is None and block.start < block.stop for block in blocks if n)
-    used = min(workers, n)
-    assert len(blocks) <= max(1, BLOCKS_PER_WORKER * used)
+    assert len(blocks) <= MAX_SLICES
 
 
-def test_blocks_split_into_about_four_per_worker(threads):
-    threads("2")
-    sizes = sorted(block.stop - block.start for block in record_blocks(37))
-    assert len(sizes) == 2 * BLOCKS_PER_WORKER
-    assert sizes[-1] - sizes[0] <= 1
+@pytest.mark.parametrize("n, min_block", [(0, 1), (1, 1), (7, 1), (37, 1), (37, 2), (1000, 2), (5, 2)])
+def test_the_cut_is_the_same_on_any_thread_count(threads, n, min_block):
+    """ISACSIM_THREADS decides who runs a slice, never where one starts or
+    ends: every thread count hands out the slices of `slices`."""
+    expected = slices(n, min_block)
+    for workers in ("1", "2", "3", "5"):
+        threads(workers)
+        blocks = []
+        for_blocks(blocks.append, n, min_block)
+        assert sorted(blocks, key=lambda block: block.start) == expected, workers
+
+
+def test_slices_are_as_many_as_the_length_allows_up_to_max_slices():
+    sizes = [block.stop - block.start for block in slices(1000, 2)]
+    assert len(sizes) == MAX_SLICES
+    assert max(sizes) - min(sizes) <= 1
+    assert sorted(block.stop - block.start for block in slices(21, 2)) == [2] * 9 + [3]
+    assert slices(3, 2) == [slice(0, 3)]
+    assert slices(0) == [slice(0, 0)]
 
 
 def test_one_worker_runs_inline_and_starts_no_thread(threads):
@@ -63,9 +79,7 @@ def test_one_worker_runs_inline_and_starts_no_thread(threads):
         calls.append((block, threading.get_ident(), threading.active_count()))
 
     for_blocks(fn, 50)
-    assert [block for block, _, _ in calls] == [
-        slice(0, 12), slice(12, 25), slice(25, 37), slice(37, 50)
-    ]
+    assert [block for block, _, _ in calls] == slices(50)
     assert {(ident, count) for _, ident, count in calls} == {(threading.get_ident(), before)}
 
 
@@ -374,3 +388,21 @@ def test_a_run_caps_a_blas_pool_that_loaded_first(tmp_path):
     assert len(csvs) == 8
     for name in csvs:
         assert (tmp_path / "two" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+
+
+def test_blas_core_reads_the_kernel_openblas_dispatched_to():
+    """OpenBLAS picks its kernel at load time; OPENBLAS_CORETYPE overrides
+    the pick, and blas_core reads back the one in use."""
+    if blas_core() is None:
+        pytest.skip("numpy's BLAS exports no OpenBLAS core name")
+    assert blas_core().isprintable() and blas_core()
+    if platform.machine() not in ("x86_64", "AMD64"):
+        pytest.skip("the Haswell kernel is an x86-64 kernel")
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell", PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import numpy\nfrom isacsim import _threads\nprint(_threads.blas_core())"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["Haswell"]
