@@ -64,7 +64,6 @@ _EXPORTS = {
     "time_domain_oracle": ".rsp",
     "detect_peak": ".rsp",
     "pslr_db": ".rsp",
-    "peak_cut_pslr_db": ".rsp",
     "map_relative_deviation": ".rsp",
     # fxp
     "FxpMode": ".fxp",

@@ -13,10 +13,11 @@ writing to the file while another formats. Each worker of `ordered` carries
 its own scratch buffers, which the calling thread allocates before any
 thread starts: a worker then reuses memory of the caller's malloc arena span
 after span, instead of allocating in its own arena, where glibc would keep
-the freed pages after the call. Both start w - 1 threads, run a share of the
-work on the calling thread, and join every thread before they return
-(`_on_workers`): no pool outlives a call, which keeps a process that forks
-between calls safe.
+the freed pages after the call. Both run on one worker loop (`_on_workers`):
+it starts w - 1 threads, runs a share of the work on the calling thread,
+stops every worker at the first error, and joins every thread before it
+returns. No pool outlives a call, which keeps a process that forks between
+calls safe.
 
 These threads are the only concurrency of a run. Before it starts a slice,
 `for_blocks` caps numpy's OpenBLAS pool at one thread through OpenBLAS's own
@@ -130,14 +131,50 @@ def slices(n: int, min_block: int = 1) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
-def _on_workers(work, args, errors: list) -> None:
-    """Call work(a) for each a of args, the first on the calling thread and
-    each other on a new thread; join every thread, then re-raise the first
-    exception in `errors`, where the work records what it raised."""
-    threads = [threading.Thread(target=work, args=(a,)) for a in args[1:]]
+def _on_workers(items, run, scratch) -> None:
+    """Call run(item, s, wait) once for each item of `items`, with s the
+    scratch of the worker that takes the item: the one worker loop of this
+    module.
+
+    w = max(1, min(thread_count(), len(items))) workers, w - 1 new threads
+    and the calling thread, take the items in order under one condition.
+    The calling thread makes each worker's s = scratch() before any thread
+    starts. wait(ready) blocks under that condition until ready() holds and
+    then returns True, or returns False once a worker has failed; a worker
+    wakes every waiter each time it finishes an item. After the first
+    exception that run raised, no worker takes another item and every
+    waiter gives up; the exception is re-raised once all threads are
+    joined. With one worker the calling thread runs every item and no
+    thread starts.
+    """
+    scratches = [scratch() for _ in range(max(1, min(thread_count(), len(items))))]
+    pending = iter(items)
+    changed = threading.Condition(threading.Lock())
+    errors: list[BaseException] = []
+
+    def wait(ready) -> bool:
+        with changed:
+            changed.wait_for(lambda: errors or ready())
+        return not errors
+
+    def work(s):
+        try:
+            while True:
+                with changed:
+                    changed.notify_all()  # the item just finished may be what a waiter needs
+                    item = None if errors else next(pending, None)
+                if item is None:
+                    return
+                run(item, s, wait)
+        except BaseException as exc:  # re-raised in the calling thread
+            with changed:
+                errors.append(exc)
+                changed.notify_all()
+
+    threads = [threading.Thread(target=work, args=(s,)) for s in scratches[1:]]
     for thread in threads:
         thread.start()
-    work(args[0])
+    work(scratches[0])
     for thread in threads:
         thread.join()
     if errors:
@@ -148,29 +185,14 @@ def for_blocks(fn, n: int, min_block: int = 1) -> None:
     """Call fn(block) once for each slice of `slices(n, min_block)`.
 
     w = min(thread_count(), slices) workers run them: w - 1 new threads and
-    the calling thread take slices in order until none is left, and the
-    first exception a block raised is re-raised once all are joined. With
-    one worker the calling thread runs every slice and no thread starts;
-    the slices still bound the size of fn's temporaries.
+    the calling thread take slices in order until none is left, no slice
+    starts after one has raised, and the first exception a block raised is
+    re-raised once all are joined. With one worker the calling thread runs
+    every slice and no thread starts; the slices still bound the size of
+    fn's temporaries.
     """
     _cap_blas_pool()
-    blocks = slices(n, min_block)
-    pending = iter(blocks)
-    lock = threading.Lock()
-    errors: list[BaseException] = []
-
-    def work(_):
-        while not errors:
-            with lock:
-                block = next(pending, None)
-            if block is None:
-                return
-            try:
-                fn(block)
-            except BaseException as exc:  # re-raised in the calling thread
-                errors.append(exc)
-
-    _on_workers(work, [None] * min(thread_count(), len(blocks)), errors)
+    _on_workers(slices(n, min_block), lambda block, s, wait: fn(block), lambda: None)
 
 
 def ordered(produce, consume, n: int, scratch) -> None:
@@ -193,36 +215,13 @@ def ordered(produce, consume, n: int, scratch) -> None:
     the caller's allocations, freed to the caller's malloc arena when the
     call returns.
     """
-    workers = max(1, min(thread_count(), n))
-    scratches = [scratch() for _ in range(workers)]
-    pending = iter(range(n))
     turn = 0  # the index whose result is consumed next
-    changed = threading.Condition()
-    errors: list[BaseException] = []
 
-    def work(s):
+    def step(i, s, wait):
         nonlocal turn
-        while not errors:
-            with changed:
-                i = next(pending, None)
-            if i is None:
-                return
-            try:
-                result = produce(i, s)
-                with changed:
-                    while turn != i and not errors:
-                        changed.wait()
-                if errors:
-                    return
-                consume(result)
-                del result  # before the next produce, so a worker holds one
-                with changed:
-                    turn += 1
-                    changed.notify_all()
-            except BaseException as exc:  # re-raised in the calling thread
-                with changed:
-                    errors.append(exc)
-                    changed.notify_all()
-                return
+        result = produce(i, s)
+        if wait(lambda: turn == i):
+            consume(result)
+            turn = i + 1  # only index i's worker writes it; waiters read it under the condition
 
-    _on_workers(work, scratches, errors)
+    _on_workers(range(n), step, scratch)

@@ -5,7 +5,8 @@
 2 for configuration problems (including an output directory that cannot be
 written), 3 for scenario problems (impossible geometry, an echo that could
 overflow, a run that does not fit in memory), 4 when the run completed but
-at least one waveform failed.
+at least one waveform failed. The config file is read as UTF-8 whatever the
+locale; one that is not UTF-8 exits 2.
 
 The environment variable ISACSIM_THREADS is the run's one source of
 concurrency: the synthesis, the matched filter and the fixed-point sweep split
@@ -91,19 +92,21 @@ def main(argv=None) -> int:
 
     try:
         try:
-            with open(args.config) as fh:
+            with open(args.config, encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config file {args.config!r}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {args.config!r} is not UTF-8: {exc}") from None
         cfg = parse_config(text)
         if args.preset:
             cfg = replace(cfg, params=scaled_profile(cfg.params, _PRESET_PACKETS[args.preset]))
-        if args.waveforms:
+        if args.waveforms is not None:
             try:
                 cfg = replace(cfg, waveforms=parse_waveform_list(args.waveforms))
             except ValueError as exc:
                 raise ConfigError(f"invalid --waveforms: {exc}") from None
-        if args.out:
+        if args.out is not None:
             cfg = replace(cfg, output_dir=args.out)
         if args.bench:
             cfg = replace(cfg, bench_enabled=True)

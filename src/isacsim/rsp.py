@@ -325,12 +325,6 @@ def pslr_db(profile: np.ndarray, mainlobe_halfwidth_bins: int = 2) -> float:
     return float(20.0 * np.log10(peak / side))
 
 
-def peak_cut_pslr_db(rd_map: RangeDopplerMap, mainlobe_halfwidth_bins: int = 2) -> float:
-    """PSLR of the range cut through the map's detected peak."""
-    det = detect_peak(rd_map)
-    return pslr_db(rd_map.range_cut(det.doppler_bin), mainlobe_halfwidth_bins)
-
-
 def map_relative_deviation(a: RangeDopplerMap, b: RangeDopplerMap) -> float:
     """max |a - b| / max |b|; the oracle-equivalence metric."""
     denom = b.values.max()

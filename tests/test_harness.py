@@ -511,20 +511,33 @@ class TestCli:
         path.write_text(text)
         return str(path)
 
-    def test_run_succeeds_and_prints_detections(self, tmp_path, capsys):
-        code = cli.main(
-            ["run", self.write_ini(tmp_path), "--out", str(tmp_path / "out")]
-        )
+    # --out "" names the working directory, as an empty output_dir key does
+    @pytest.mark.parametrize("out_dir", ["out", ""], ids=["named", "empty"])
+    def test_run_succeeds_and_prints_detections(self, tmp_path, capsys, monkeypatch, out_dir):
+        monkeypatch.chdir(tmp_path)
+        path = self.write_ini(tmp_path, SMALL_INI + "[run]\noutput_dir = from_config\n")
+        code = cli.main(["run", path, "--out", out_dir])
         assert code == 0
         out = capsys.readouterr().out
         for kind in iz.ScheduleKind:
             assert kind.value in out
         assert "artifacts written" in out
+        assert (tmp_path / out_dir / "summary.json").exists()
+        assert not (tmp_path / "from_config").exists()
 
     def test_missing_config_file_is_a_config_error(self, tmp_path, capsys):
         code = cli.main(["run", str(tmp_path / "nope.ini")])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_config_file_that_is_not_utf8_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.ini"
+        path.write_bytes("# caf\u00e9\n".encode("latin-1") + SMALL_INI.encode())
+        out_dir = tmp_path / "out"
+        argv = ["run", str(path), "--out", str(out_dir)]
+        fragment = f"config error: config file {str(path)!r} is not UTF-8: "
+        self.expect_one_line_error(capsys, 2, argv, fragment)
+        assert not out_dir.exists()
 
     def test_bad_value_exits_2_with_line_number(self, tmp_path, capsys):
         path = self.write_ini(tmp_path, "[radar]\nbandwidth_hz = -1\n")
@@ -542,11 +555,15 @@ class TestCli:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert fragment in err
 
-    def test_duplicate_waveform_on_the_command_line_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "waveforms, reason",
+        [("pmcw,fmcw,pmcw", "waveform 'pmcw' is listed twice"), ("", "waveform list is empty")],
+        ids=["duplicate", "empty"],
+    )
+    def test_bad_waveform_list_on_the_command_line_exits_2(self, tmp_path, capsys, waveforms, reason):
         out = tmp_path / "out"
-        argv = ["run", self.write_ini(tmp_path), "--waveforms", "pmcw,fmcw,pmcw", "--out", str(out)]
-        fragment = "config error: invalid --waveforms: waveform 'pmcw' is listed twice"
-        self.expect_one_line_error(capsys, 2, argv, fragment)
+        argv = ["run", self.write_ini(tmp_path), "--waveforms", waveforms, "--out", str(out)]
+        self.expect_one_line_error(capsys, 2, argv, f"config error: invalid --waveforms: {reason}")
         assert not out.exists()
 
     def test_golay_with_odd_code_length_exits_2(self, tmp_path, capsys):

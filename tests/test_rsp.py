@@ -283,7 +283,7 @@ class TestCanonicalPslr:
             sched = iz.build_schedule(kind, ci_params, seed=7)
             cube = iz.synthesize_echo(sched, targets, ci_params)
             rd_map = iz.matched_filter_rd(cube, sched, grid)
-            value = iz.peak_cut_pslr_db(rd_map)
+            value = iz.pslr_db(rd_map.range_cut(iz.detect_peak(rd_map).doppler_bin))
             if kind in expected:
                 assert value == pytest.approx(expected[kind], abs=0.05), kind.value
             else:
@@ -353,11 +353,3 @@ class TestPslr:
     def test_profile_too_short_raises(self):
         with pytest.raises(iz.ParameterError):
             iz.pslr_db(np.array([1.0, 0.5]))
-
-    def test_peak_cut_helper_matches_manual_cut(self, small_params):
-        target = [iz.point_target(np.array([8.0, 0.0, 0.0]), np.zeros(3))]
-        sched = iz.build_schedule(iz.ScheduleKind.PMCW, small_params, seed=7)
-        cube = iz.synthesize_echo(sched, target, small_params)
-        rd_map = iz.matched_filter_rd(cube, sched, iz.default_grid(small_params))
-        det = iz.detect_peak(rd_map)
-        assert iz.peak_cut_pslr_db(rd_map) == iz.pslr_db(rd_map.range_cut(det.doppler_bin))

@@ -97,6 +97,45 @@ def test_a_raising_block_propagates_its_exception(threads, workers):
     assert threading.active_count() == before
 
 
+def test_no_slice_starts_after_a_block_raised_on_one_worker(threads):
+    threads("1")
+    called = []
+
+    def fn(block):
+        called.append(block)
+        if 17 in range(100)[block]:
+            raise ValueError("block 17 failed")
+
+    with pytest.raises(ValueError, match="block 17 failed"):
+        for_blocks(fn, 100)
+    raising = next(k for k, block in enumerate(slices(100)) if 17 in range(100)[block])
+    assert called == slices(100)[: raising + 1]
+
+
+def test_no_slice_starts_after_a_block_raised_on_two_workers(threads):
+    """The first slice raises while the other worker runs the second: that
+    worker finishes its slice and takes no third."""
+    threads("2")
+    first, second = slices(100)[:2]
+    second_started, raising = threading.Event(), threading.Event()
+    called = []
+
+    def fn(block):
+        called.append(block)
+        if block == first:
+            assert second_started.wait(timeout=10)
+            raising.set()
+            raise ValueError("first block failed")
+        if block == second:
+            second_started.set()
+            assert raising.wait(timeout=10)
+            time.sleep(0.5)  # time for the failure to be recorded
+
+    with pytest.raises(ValueError, match="first block failed"):
+        for_blocks(fn, 100)
+    assert sorted(called, key=lambda block: block.start) == [first, second]
+
+
 def test_many_workers_with_fast_switching_lose_no_block(threads):
     threads("8")
     interval = sys.getswitchinterval()
