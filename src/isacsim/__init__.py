@@ -70,7 +70,6 @@ _EXPORTS = {
     "FixedPointFormat": ".fxp",
     "quantize": ".fxp",
     "FxpReport": ".fxp",
-    "quantized_matched_filter": ".fxp",
     "precision_sweep": ".fxp",
     # config
     "ScenarioConfig": ".config",

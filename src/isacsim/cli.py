@@ -6,7 +6,7 @@
 written), 3 for scenario problems (impossible geometry, an echo that could
 overflow, a run that does not fit in memory), 4 when the run completed but
 at least one waveform failed. The config file is read as UTF-8 whatever the
-locale; one that is not UTF-8 exits 2.
+locale, after an optional byte-order mark; one that is not UTF-8 exits 2.
 
 The environment variable ISACSIM_THREADS is the run's one source of
 concurrency: the synthesis, the matched filter and the fixed-point sweep split
@@ -92,7 +92,7 @@ def main(argv=None) -> int:
 
     try:
         try:
-            with open(args.config, encoding="utf-8") as fh:
+            with open(args.config, encoding="utf-8-sig") as fh:
                 text = fh.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config file {args.config!r}: {exc}") from None

@@ -1,5 +1,9 @@
 """Fixed-point emulation of the matched-filter chain.
 
+`precision_sweep` is the one entry: it runs the quantized chain once per
+format and scores each map against the double-precision map of the same
+cube. Every stage applies `quantize`'s arithmetic in place.
+
 Signals are quantized to a two's-complement <word,integer> grid with
 round-to-nearest-even and saturation. `quantize` returns the values already
 on that grid, in the input's units, with the count of clipped components; no
@@ -19,13 +23,14 @@ chain splits its passes across ISACSIM_THREADS threads as the double filter
 does; every map and report is the same to the bit for any thread count.
 
 The chain hands its hook only buffers it owns, so every stage is quantized
-in place. The input cube is not a stage: FULL_CHAIN quantizes it with
-`quantize`, which returns a new array and never writes its input, and runs
-the chain on that cube with `overwrite`, so the fast-time FFT runs in place
-on it. CORE_ONLY runs the chain on the caller's cube without `overwrite`,
-so the chain only reads it. `precision_sweep` detects and scores the
-double-precision map once and shares that score across its formats, so a
-row's runtime_s covers only its own quantized run.
+in place. The sweep copies the caller's cube, which it only reads, into one
+P x Q buffer of its own for each format; FULL_CHAIN quantizes that copy as
+its "input" stage, and the chain runs on it with `overwrite`, so the
+fast-time FFT runs in place. Reusing one buffer across formats keeps a
+small sweep from handing its pages back to the system and faulting them in
+again for every format. The sweep detects and scores the double-precision
+map once and shares that score across its formats, so a row's runtime_s
+covers only its own quantized run.
 """
 
 from __future__ import annotations
@@ -37,8 +42,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DataError, ParameterError
-from .rsp import Detection, DopplerGrid, RangeDopplerMap, _chain, detect_peak, pslr_db
+from .errors import DataError, ParameterError, ProcessingError
+from .rsp import DopplerGrid, RangeDopplerMap, _chain, detect_peak, pslr_db
 from .scene import DataCube
 from .waveform import FrameSchedule
 
@@ -174,112 +179,6 @@ class FxpReport:
 
 
 @dataclass(frozen=True)
-class _DoubleScore:
-    """What every format's report takes from the double-precision map."""
-
-    rd_map: RangeDopplerMap
-    detection: Detection
-    pslr_db: float
-    power: float  # sum of squared magnitudes
-
-
-def _score(double_map: RangeDopplerMap) -> _DoubleScore:
-    detection = detect_peak(double_map)
-    return _DoubleScore(
-        rd_map=double_map,
-        detection=detection,
-        pslr_db=pslr_db(double_map.range_cut(detection.doppler_bin)),
-        power=float(np.sum(double_map.values**2)),
-    )
-
-
-def quantized_matched_filter(
-    cube: DataCube,
-    schedule: FrameSchedule,
-    grid: DopplerGrid,
-    fmt: FixedPointFormat,
-    mode: FxpMode = FxpMode.FULL_CHAIN,
-    *,
-    double_map: RangeDopplerMap,
-) -> tuple[RangeDopplerMap, FxpReport]:
-    """Range-Doppler map computed on the fixed-point grid plus an accuracy
-    report against `double_map`, the double-precision map of the same inputs.
-
-    PSLR agreement is one-sided around the 0.5 dB budget: a quantized PSLR
-    that is *better* than double precision (including the no-sidelobe
-    sentinel, which occurs when roundoff-level sidelobes fall below half an
-    output LSB) counts as agreement; degradation beyond 0.5 dB does not.
-    """
-    return _quantized_run(cube, schedule, grid, fmt, mode, _score(double_map))
-
-
-def _quantized_run(
-    cube: DataCube,
-    schedule: FrameSchedule,
-    grid: DopplerGrid,
-    fmt: FixedPointFormat,
-    mode: FxpMode,
-    double: _DoubleScore,
-) -> tuple[RangeDopplerMap, FxpReport]:
-    """`quantized_matched_filter` against an already scored double map."""
-    counts: dict[str, int] = {}
-    sizes: dict[str, int] = {}  # re and im components
-    full = mode is FxpMode.FULL_CHAIN
-    if full:  # the quantized cube is the chain's own to overwrite
-        samples, counts["input"] = quantize(cube.samples, fmt)
-        sizes["input"] = 2 * samples.size
-        cube = DataCube(samples, cube.params)
-
-    def stage(name: str, x: np.ndarray) -> None:
-        if full or name != "post_ifft":
-            comps = _components(x)
-            sizes[name] = comps.size
-            counts[name] = _quantize_into(comps, comps, fmt)
-
-    double_map = double.rd_map
-    fxp_map = RangeDopplerMap(
-        values=_chain(cube, schedule, grid, True, stage, overwrite=full),
-        range_axis_m=double_map.range_axis_m,
-        doppler_axis_mps=double_map.doppler_axis_mps,
-    )
-
-    err = double_map.values - fxp_map.values
-    err *= err
-    err_power = float(np.sum(err))
-    del err
-    sqnr = math.inf if err_power == 0.0 else 10.0 * math.log10(double.power / err_power)
-    det_d = double.detection
-    det_f = detect_peak(fxp_map)
-    agree = det_d.range_bin == det_f.range_bin and det_d.doppler_bin == det_f.doppler_bin
-    pslr_d = double.pslr_db
-    pslr_f = pslr_db(fxp_map.range_cut(det_f.doppler_bin))
-    delta = pslr_f - pslr_d
-    pslr_ok = (math.isfinite(delta) and abs(delta) <= 0.5) or pslr_f >= pslr_d
-    total = sum(counts.values())
-    components = sum(sizes.values())
-    frac = total / components if components else 0.0
-    warning = (
-        f"pervasive saturation: {frac:.2%} of quantized components clipped"
-        if frac > 0.01
-        else None
-    )
-    report = FxpReport(
-        format=fmt,
-        mode=mode,
-        sqnr_db=sqnr,
-        peak_bin_agree=agree,
-        pslr_double_db=pslr_d,
-        pslr_fxp_db=pslr_f,
-        pslr_delta_db=delta,
-        pslr_agree=pslr_ok,
-        saturation_counts=counts,
-        saturation_fraction=frac,
-        warning=warning,
-    )
-    return fxp_map, report
-
-
-@dataclass(frozen=True)
 class SweepRow:
     report: FxpReport
     runtime_s: float
@@ -305,17 +204,81 @@ def precision_sweep(
     summary across word lengths. Every row is scored against `double_map`,
     the double-precision map of the cube, whose detection, PSLR and power
     the sweep computes once for all formats; a row's runtime_s is its own
-    quantized run and scoring only."""
+    quantized run and scoring only. Every format copies the cube into one
+    P x Q buffer of the sweep's own, which its chain then overwrites; the
+    cube is only read. A format's map is dropped before the next format
+    runs, so the sweep holds one format's buffers at a time. A `double_map`
+    whose shape is not the grid's bins by the cube's range bins raises
+    ProcessingError before any format runs.
+
+    PSLR agreement is one-sided around the 0.5 dB budget: a quantized PSLR
+    that is *better* than double precision (including the no-sidelobe
+    sentinel, which occurs when roundoff-level sidelobes fall below half an
+    output LSB) counts as agreement; degradation beyond 0.5 dB does not.
+    """
     formats = list(formats)
     if not formats:
         raise ParameterError("precision_sweep needs at least one format")
-    double = _score(double_map)
+    shape = (len(grid), cube.samples.shape[1])
+    if double_map.values.shape != shape:
+        raise ProcessingError(
+            f"double_map is {double_map.values.shape}, but the grid and cube make {shape}"
+        )
+    det_d = detect_peak(double_map)
+    pslr_d = pslr_db(double_map.range_cut(det_d.doppler_bin))
+    power = float(np.sum(double_map.values**2))
+    full = mode is FxpMode.FULL_CHAIN
+    work = DataCube(np.empty(cube.samples.shape, dtype=np.complex128), cube.params)
+
+    def run(fmt: FixedPointFormat) -> FxpReport:
+        counts: dict[str, int] = {}
+        sizes: dict[str, int] = {}  # re and im components
+
+        def stage(name: str, x: np.ndarray) -> None:
+            if full or name not in ("input", "post_ifft"):
+                comps = _components(x)
+                sizes[name] = comps.size
+                counts[name] = _quantize_into(comps, comps, fmt)
+
+        np.copyto(work.samples, cube.samples)
+        stage("input", work.samples)
+        fxp_map = RangeDopplerMap(
+            values=_chain(work, schedule, grid, True, stage, overwrite=True),
+            range_axis_m=double_map.range_axis_m,
+            doppler_axis_mps=double_map.doppler_axis_mps,
+        )
+        err = double_map.values - fxp_map.values
+        err *= err
+        err_power = float(np.sum(err))
+        del err
+        det_f = detect_peak(fxp_map)
+        pslr_f = pslr_db(fxp_map.range_cut(det_f.doppler_bin))
+        delta = pslr_f - pslr_d
+        frac = sum(counts.values()) / sum(sizes.values())
+        return FxpReport(
+            format=fmt,
+            mode=mode,
+            sqnr_db=math.inf if err_power == 0.0 else 10.0 * math.log10(power / err_power),
+            peak_bin_agree=(det_d.range_bin, det_d.doppler_bin)
+            == (det_f.range_bin, det_f.doppler_bin),
+            pslr_double_db=pslr_d,
+            pslr_fxp_db=pslr_f,
+            pslr_delta_db=delta,
+            pslr_agree=(math.isfinite(delta) and abs(delta) <= 0.5) or pslr_f >= pslr_d,
+            saturation_counts=counts,
+            saturation_fraction=frac,
+            warning=(
+                f"pervasive saturation: {frac:.2%} of quantized components clipped"
+                if frac > 0.01
+                else None
+            ),
+        )
+
     rows = []
     for fmt in formats:
         start = time.perf_counter()
-        _, report = _quantized_run(cube, schedule, grid, fmt, mode, double)
-        elapsed = time.perf_counter() - start
-        rows.append(SweepRow(report=report, runtime_s=elapsed))
+        report = run(fmt)
+        rows.append(SweepRow(report=report, runtime_s=time.perf_counter() - start))
     monotone = True
     by_int: dict[int, list[SweepRow]] = {}
     for row in rows:

@@ -171,9 +171,9 @@ def test_criterion_7_fixed_point(canonical):
     for kind in KINDS:
         cube, schedule = canonical.cubes[kind], canonical.schedules[kind]
         rd_map = canonical.maps[kind]
-        _, report = iz.quantized_matched_filter(
-            cube, schedule, canonical.grid, fmt24, iz.FxpMode.FULL_CHAIN, double_map=rd_map
-        )
+        report = iz.precision_sweep(
+            cube, schedule, canonical.grid, [fmt24], iz.FxpMode.FULL_CHAIN, double_map=rd_map
+        ).rows[0].report
         assert report.peak_bin_agree, f"{kind.value}: quantized peak moved"
         assert report.pslr_agree, (
             f"{kind.value}: PSLR {report.pslr_fxp_db:.2f} vs "

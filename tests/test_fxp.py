@@ -21,6 +21,12 @@ def small_pipeline(params, kind=iz.ScheduleKind.PMCW, snr_db=None):
     return cube, sched, grid, iz.matched_filter_rd(cube, sched, grid)
 
 
+def sweep_report(cube, sched, grid, fmt, mode=iz.FxpMode.FULL_CHAIN, *, double_map):
+    """The report of a one-format sweep."""
+    sweep = iz.precision_sweep(cube, sched, grid, [fmt], mode, double_map=double_map)
+    return sweep.rows[0].report
+
+
 class TestFormat:
     def test_field_derivations(self):
         fmt = iz.FixedPointFormat(24, 1)
@@ -150,40 +156,41 @@ class TestQuantize:
 class TestQuantizedChain:
     def test_double_like_format_is_transparent(self, small_params):
         cube, sched, grid, double_map = small_pipeline(small_params)
-        _, report = iz.quantized_matched_filter(
-            cube, sched, grid, iz.FixedPointFormat(53, 2), double_map=double_map
-        )
+        report = sweep_report(cube, sched, grid, iz.FixedPointFormat(53, 2), double_map=double_map)
         assert report.sqnr_db > 200.0
         assert report.peak_bin_agree
         assert report.pslr_agree
 
     def test_24_bit_full_chain_matches_peak(self, small_params):
         cube, sched, grid, double_map = small_pipeline(small_params, snr_db=15.0)
-        _, report = iz.quantized_matched_filter(
-            cube, sched, grid, iz.FixedPointFormat(24, 1), double_map=double_map
-        )
+        report = sweep_report(cube, sched, grid, iz.FixedPointFormat(24, 1), double_map=double_map)
         assert report.peak_bin_agree
         assert report.pslr_agree
         assert report.sqnr_db > 60.0
         assert report.saturation_fraction == 0.0  # max-abs stages cannot clip
 
-    def test_8_bit_survives_and_reports_degradation(self, small_params):
+    def test_8_bit_survives_and_reports_degradation(self, small_params, monkeypatch):
+        """The sweep's second detection is the one of the quantized map."""
+        from isacsim import fxp
+
         cube, sched, grid, double_map = small_pipeline(small_params)
-        fxp_map, report = iz.quantized_matched_filter(
-            cube, sched, grid, iz.FixedPointFormat(8, 1), double_map=double_map
-        )
-        assert np.all(np.isfinite(fxp_map.values))
+        seen = []
+
+        def keeping(rd_map):
+            seen.append(rd_map)
+            return iz.detect_peak(rd_map)
+
+        monkeypatch.setattr(fxp, "detect_peak", keeping)
+        report = sweep_report(cube, sched, grid, iz.FixedPointFormat(8, 1), double_map=double_map)
+        assert seen[0] is double_map and len(seen) == 2
+        assert np.all(np.isfinite(seen[1].values))
         assert report.sqnr_db < 40.0
 
     def test_core_only_skips_io_stages(self, small_params):
         cube, sched, grid, double_map = small_pipeline(small_params)
         fmt = iz.FixedPointFormat(16, 1)
-        _, full = iz.quantized_matched_filter(
-            cube, sched, grid, fmt, iz.FxpMode.FULL_CHAIN, double_map=double_map
-        )
-        _, core = iz.quantized_matched_filter(
-            cube, sched, grid, fmt, iz.FxpMode.CORE_ONLY, double_map=double_map
-        )
+        full = sweep_report(cube, sched, grid, fmt, iz.FxpMode.FULL_CHAIN, double_map=double_map)
+        core = sweep_report(cube, sched, grid, fmt, iz.FxpMode.CORE_ONLY, double_map=double_map)
         assert "input" in full.saturation_counts
         assert "post_ifft" in full.saturation_counts
         assert "input" not in core.saturation_counts
@@ -204,14 +211,28 @@ class TestQuantizedChain:
         with pytest.raises(iz.ParameterError):
             iz.precision_sweep(cube, sched, grid, [], double_map=double_map)
 
-    def test_sweep_reuses_the_given_double_map(self, small_params):
+    def test_sweep_rejects_a_double_map_of_another_shape(self, small_params, monkeypatch):
+        """A 15-bin double map against the 16-bin grid fails with both shapes
+        named, before any quantized chain runs."""
+        from isacsim import fxp
+
+        cube, sched, grid, _ = small_pipeline(small_params)
+        other = iz.matched_filter_rd(cube, sched, iz.symmetric_grid(small_params, 15))
+        chains = []
+        monkeypatch.setattr(fxp, "_chain", lambda *args, **kwargs: chains.append(args))
+        with pytest.raises(iz.ProcessingError, match=r"\(15, 512\).*\(16, 512\)"):
+            iz.precision_sweep(cube, sched, grid, [iz.FixedPointFormat(16, 1)], double_map=other)
+        assert chains == []
+
+    @pytest.mark.parametrize("mode", list(iz.FxpMode))
+    def test_sweep_reuses_the_given_double_map(self, small_params, mode):
+        """Each row equals the report of a one-format sweep of its format:
+        a report does not depend on the formats run before it."""
         cube, sched, grid, double_map = small_pipeline(small_params, snr_db=20.0)
         formats = [iz.FixedPointFormat(w, 1) for w in (12, 24)]
-        given = iz.precision_sweep(cube, sched, grid, formats, double_map=double_map)
-        for row in given.rows:
-            single = iz.quantized_matched_filter(
-                cube, sched, grid, row.report.format, double_map=double_map
-            )[1]
+        sweep = iz.precision_sweep(cube, sched, grid, formats, mode, double_map=double_map)
+        for row in sweep.rows:
+            single = sweep_report(cube, sched, grid, row.report.format, mode, double_map=double_map)
             assert single == row.report
 
     @pytest.mark.parametrize("count", [1, 3])

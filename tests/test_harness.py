@@ -365,6 +365,19 @@ class TestRunComparison:
         assert sum(counts.values()) > 0
         assert row["saturation_fraction"] == sweep.rows[0].report.saturation_fraction
 
+    def test_fixed_point_row_keys_and_their_order(self, tmp_path):
+        cfg = small_cfg(
+            waveforms=(iz.ScheduleKind.PMCW,), fxp_formats=(iz.FixedPointFormat(16, 1),)
+        )
+        iz.run_comparison(cfg, tmp_path)
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        (row,) = summary["waveforms"][0]["fixed_point"]["rows"]
+        assert list(row) == [
+            "format", "mode", "sqnr_db", "peak_bin_agree", "pslr_double_db", "pslr_fxp_db",
+            "pslr_delta_db", "pslr_agree", "saturation_fraction", "saturation_counts",
+            "warning", "runtime_s",
+        ]
+
 
 class TestBuildTargets:
     def test_none_yields_empty_scene(self):
@@ -538,6 +551,20 @@ class TestCli:
         fragment = f"config error: config file {str(path)!r} is not UTF-8: "
         self.expect_one_line_error(capsys, 2, argv, fragment)
         assert not out_dir.exists()
+
+    def test_config_file_with_a_byte_order_mark_runs_as_without_it(self, tmp_path, capsys):
+        text = SMALL_INI + "[run]\nwaveforms = pmcw\n"
+        plain, marked = tmp_path / "plain.ini", tmp_path / "marked.ini"
+        plain.write_bytes(text.encode())
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        for path in (plain, marked):
+            assert cli.main(["run", str(path), "--out", str(tmp_path / path.stem)]) == 0
+        assert "config error" not in capsys.readouterr().err
+        names = ["pmcw_rd_map.csv", "pmcw_range_profile.csv"]
+        match, mismatch, errors = filecmp.cmpfiles(
+            tmp_path / "plain", tmp_path / "marked", names, shallow=False
+        )
+        assert (match, mismatch, errors) == (names, [], [])
 
     def test_bad_value_exits_2_with_line_number(self, tmp_path, capsys):
         path = self.write_ini(tmp_path, "[radar]\nbandwidth_hz = -1\n")

@@ -23,6 +23,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 import isacsim as iz
 import isacsim._csvformat as csvformat
+from isacsim import fxp
 from isacsim._csvformat import CHUNK_VALUES, LARGE_ARRAY, write_rows
 from isacsim._threads import slices
 from isacsim.config import _SECTIONS
@@ -557,7 +558,7 @@ def test_quantize_across_chunks_equals_the_mantissa_round_trip(word_bits, layout
         assert saturated == base[:, ::997].size
 
 
-def serial_quantized_matched_filter(cube, schedule, grid, fmt, mode):
+def serial_quantized_chain(cube, schedule, grid, fmt, mode):
     """The reference: the fixed-point chain as one pass per stage on one
     thread, with its own FFTs, gather, twiddle and magnitude pass; the
     steering product is cut into the filter's row blocks."""
@@ -643,20 +644,30 @@ def test_quantized_chain_equals_the_serial_quantized_filter(
         target = iz.point_target(pos, speed * pos / np.linalg.norm(pos))
     cube = iz.synthesize_echo(sched, [target], params, noise=noise_or_none(params, snr_db, [target]))
     fmt = iz.FixedPointFormat(word_bits, integer_bits)
-    expected_values, expected_report = serial_quantized_matched_filter(
+    expected_values, expected_report = serial_quantized_chain(
         cube, sched, grid, fmt, mode
     )
+    double_map = iz.matched_filter_rd(cube, sched, grid)
+    seen = []  # the sweep detects on the double map, then on the quantized one
+
+    def keeping(rd_map):
+        seen.append(rd_map)
+        return iz.detect_peak(rd_map)
+
     before = threading.active_count()
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("ISACSIM_THREADS", threads)
-        fxp_map, report = iz.quantized_matched_filter(
-            cube, sched, grid, fmt, mode, double_map=iz.matched_filter_rd(cube, sched, grid)
-        )
+        mp.setattr(fxp, "detect_peak", keeping)
+        sweep = iz.precision_sweep(cube, sched, grid, [fmt], mode, double_map=double_map)
     assert threading.active_count() == before
+    report = sweep.rows[0].report
     assert report == expected_report
     assert list(report.saturation_counts) == list(expected_report.saturation_counts)
-    assert fxp_map.values.dtype == expected_values.dtype
-    assert np.array_equal(fxp_map.values, expected_values)
+    assert len(seen) == 2 and seen[0] is double_map
+    fxp_values = seen[1].values
+    assert fxp_values.dtype == expected_values.dtype
+    assert fxp_values.shape == expected_values.shape
+    assert fxp_values.tobytes() == expected_values.tobytes()
 
 
 def savetxt_bytes(values) -> bytes:
