@@ -19,9 +19,10 @@ map), the CSVs and the optional `run_benchmarks` timings. Only then is the
 next waveform started, and its cube and map are gone: a `WaveformResult`
 holds no array. When no later step reads the cube (no oracle, no formats,
 no `--bench`), the matched filter transforms it in place
-(`overwrite_cube=True`), so one P x Q buffer and one J x Q map are in memory
-at a time, besides the shared P x Q noise block; otherwise the filter writes
-a P x Q buffer of its own next to the cube. Each waveform's summary times its
+(`overwrite_cube=True`) and on the FFT grid writes the map over it, so one
+P x Q buffer is in memory at a time, besides the shared P x Q noise block;
+otherwise the filter writes a P x Q buffer of its own next to the cube and
+allocates the map. Each waveform's summary times its
 synthesis (without the shared noise draw, which the run-level
 `timings_s.noise` times), processing and artifact writing. The summary's
 `tool.version` is `isacsim.__version__`, the one place the version is
@@ -209,9 +210,10 @@ def run_waveform(
     `noise` block), matched filter, peak detection and PSLR, the optional
     oracle and fixed-point passes, the two CSVs in `out_path` and the
     optional benchmark timings. The map dies once its CSVs are written,
-    before the benchmark re-times the filter, and the cube with this call;
-    the filter overwrites the cube unless the oracle, the sweep or the
-    benchmark reads it afterwards."""
+    before the benchmark re-times the filter, and the cube with this call.
+    The filter overwrites the cube unless the oracle, the sweep or the
+    benchmark reads it afterwards, and then on the FFT grid the map is a
+    view of the cube's memory, which nothing else here touches."""
     params = cfg.params
     t0 = time.perf_counter()
     schedule = build_schedule(kind, params, seed=cfg.seed_code)

@@ -8,8 +8,10 @@ the Doppler grid coincides with the slow-time FFT bins the steering collapses
 to an IFFT across packets; otherwise the steering matrix is applied directly.
 The cube is P x Q, one packet per row. The FFT passes and products run in
 contiguous blocks on ISACSIM_THREADS threads (every CPU the process may use
-when it is unset); the map does not depend on the thread count. `fxp` runs
-the same chain with quantizing hooks.
+when it is unset); the map does not depend on the thread count. A filter
+free to overwrite its cube works in the cube's own memory; on the FFT grid
+it writes the map there too, and allocates no P x Q or J x Q array.
+`fxp` runs the same chain with quantizing hooks.
 
 The oracle computes the same map by rolling time-domain references under each
 packet, which is deliberately slow and shares no FFT code with the fast path.
@@ -135,13 +137,16 @@ def _chain(
     """The range-Doppler chain of both matched filters; returns the J x Q map.
 
     `overwrite` alone decides who owns the P x Q cube. When it is set, the
-    fast-time FFT runs in place on `cube.samples`, which holds intermediate
-    spectra afterwards; otherwise the FFT writes a P x Q buffer of the
-    chain's own and the cube is only read. That one buffer carries the
-    matched spectra and, on the FFT grid, the steered profiles. Dense
-    steering writes Q x J sums instead, and the chain drops its names for the
-    P x Q buffer and the P x J twiddles once steering is done, before the map
-    is allocated.
+    fast-time FFT runs in place on `cube.samples`; otherwise the FFT writes a
+    P x Q buffer of the chain's own and the cube is only read. That one
+    buffer carries the matched spectra and, on the FFT grid, the steered
+    profiles. With `overwrite` on the FFT grid the map is written over it
+    too (`_magnitude_over`), so the map is a view of a C-contiguous complex128
+    `cube.samples` (any other cube gets a map of its own). Otherwise the map
+    is allocated: written over a buffer of the chain's own, it would keep
+    all of that P x Q buffer alive. Dense steering writes Q x J sums
+    instead, and the chain drops its names for the P x Q buffer and the
+    P x J twiddles once steering is done, before the map is allocated.
 
     At each stage boundary the chain calls stage(name, x) on a C- or
     F-contiguous buffer it owns, which the hook may edit in place (`fxp`
@@ -207,6 +212,8 @@ def _chain(
 
     for_blocks(range_ifft, len(steered))
     stage("post_ifft", steered)
+    if overwrite and not dense and spectra.dtype == np.complex128 and spectra.flags.c_contiguous:
+        return _magnitude_over(spectra, shift)
     values = np.empty((j_len, q_len))
 
     def magnitude(b):  # Doppler bins b: one run of rows, or two where the rotation wraps
@@ -220,6 +227,35 @@ def _chain(
     return values
 
 
+def _magnitude_over(steered: np.ndarray, shift: int) -> np.ndarray:
+    """The FFT grid's J x Q map (J = P), written over the P x Q complex
+    buffer of its steered profiles: map row j = |steered[(j - shift) % P]|.
+
+    Seen as 2P slots of Q float64s, complex row s fills slots 2s and 2s + 1
+    and map row j slot j, so the map is the first P slots, a C-contiguous
+    view of the buffer.
+    """
+    p_len, q_len = steered.shape
+    slots = steered.view(np.float64).reshape(2 * p_len, q_len)
+    temp = np.empty(q_len)
+    # Sources s < P - shift go to slot s + shift, the highest first. With
+    # shift = P // 2 >= s, 2s <= s + shift < P: a write lands neither below
+    # 2s, in the slots of the sources still unread below s, nor from
+    # 2(P - shift) >= P on, in those of the sources read last. Only a
+    # destination within s's own slots (2s or 2s + 1) needs the temporary.
+    for s in range(p_len - shift - 1, -1, -1):
+        if s + shift <= 2 * s + 1:
+            np.abs(steered[s], out=temp)
+            slots[s + shift] = temp
+        else:
+            np.abs(steered[s], out=slots[s + shift])
+    # Sources s >= P - shift go to slots [0, shift); theirs start at
+    # 2(P - shift) >= P, beyond every destination.
+    for s in range(p_len - shift, p_len):
+        np.abs(steered[s], out=slots[s + shift - p_len])
+    return slots[:p_len]
+
+
 def matched_filter_rd(
     cube: DataCube, schedule: FrameSchedule, grid: DopplerGrid, *, overwrite_cube: bool = False
 ) -> RangeDopplerMap:
@@ -231,8 +267,10 @@ def matched_filter_rd(
     profile; the map stores magnitudes as J x Q.
 
     `cube.samples` is never written unless `overwrite_cube` is set: then the
-    filter transforms the cube in place instead of a P x Q copy, and the cube
-    holds intermediate spectra afterwards. The map is the same either way.
+    filter transforms the cube in place instead of a P x Q copy, and on the
+    FFT grid the map's values are a view of the cube's memory. The caller
+    must then neither read nor write `cube.samples` while the map lives. The
+    map is the same either way.
     """
     values = _chain(
         cube, schedule, grid, not grid.fft_aligned, lambda name, x: None, overwrite_cube

@@ -224,11 +224,17 @@ def noise_block(
     scale = np.sqrt(_noise_power(params, snr_db, sigmas) / 2.0)
     child_seeds = np.random.SeedSequence(seed).spawn(p_len)
     block = np.empty((p_len, q_len), dtype=np.complex128)
+    parts = block.view(np.float64).reshape(p_len, q_len, 2)  # [p, :, 0] real, [p, :, 1] imaginary
 
     def draw(rows: slice):
+        normals = np.empty(q_len)
         for p in range(rows.start, rows.stop):
             rng = np.random.default_rng(child_seeds[p])
-            block[p] = scale * (rng.standard_normal(q_len) + 1j * rng.standard_normal(q_len))
+            for k in (0, 1):
+                rng.standard_normal(out=normals)
+                normals *= scale
+                # + 0.0 turns -0.0 into 0.0: the bytes of scale * (a + 1j * b), to the bit
+                np.add(normals, 0.0, out=parts[p, :, k])
 
     for_blocks(draw, p_len)
     return block

@@ -4,12 +4,15 @@ import dataclasses
 import filecmp
 import json
 import os
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
+from test_properties import CHUNK_BYTES_PER_VALUE
 
 import isacsim as iz
+import isacsim._csvformat as csvformat
 import isacsim.cli as cli
 import isacsim.harness as harness
 import isacsim.scene as scene
@@ -190,6 +193,32 @@ class TestRunComparison:
         assert 0.0 < noisy["timings_s"]["noise"] < noisy["timings_s"]["total"]
         assert list(noisy)[-2:] == ["timings_s", "peak_rss_mb"]
         assert noisy["peak_rss_mb"] > 1.0
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("snr_db", [None, 10.0])
+    def test_a_streaming_run_holds_one_buffer_per_waveform(
+        self, tmp_path, monkeypatch, ci_params, threads, snr_db
+    ):
+        """A CI-scale run with no oracle, formats or benchmark holds one P x Q
+        complex buffer at a time, the cube that its map is written over,
+        besides each writer worker's span and, with noise on, the shared
+        noise block: no second cube or map."""
+        monkeypatch.setenv("ISACSIM_THREADS", threads)
+        cfg = dataclasses.replace(iz.parse_config(""), params=ci_params, snr_db=snr_db)
+        assert not (cfg.run_oracle or cfg.fxp_formats or cfg.bench_enabled)
+        iz.run_comparison(cfg, tmp_path / "warm")  # imports and first-call caches
+        buffer = ci_params.packets_per_cpi * ci_params.samples_per_pri * 16
+        span = csvformat.CHUNK_VALUES // 2  # the map is below LARGE_ARRAY values
+        budget = buffer + int(threads) * CHUNK_BYTES_PER_VALUE * span + buffer // 8
+        if snr_db is not None:
+            budget += buffer
+        tracemalloc.start()
+        try:
+            iz.run_comparison(cfg, tmp_path / "run")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget
 
     @pytest.mark.parametrize("snr_db", [None, 10.0])
     @pytest.mark.parametrize("bins", [None, 15])

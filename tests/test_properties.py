@@ -907,17 +907,18 @@ def test_a_long_row_formats_in_scratch_of_one_span(monkeypatch, threads):
 
 @pytest.mark.parametrize("bins", [None, 63])
 def test_the_filter_overwriting_its_cube_within_its_memory_budget(ci_params, bins):
-    """At P = 64, a filter free to transform the cube in place allocates the
-    J x Q map, on a dense grid the Q x J steered sums, and less than a
-    quarter of one P x Q complex buffer besides."""
+    """At P = 64, a filter free to transform the cube in place allocates less
+    than a quarter of one P x Q complex buffer, and on a dense grid the J x Q
+    map and the Q x J steered sums besides; on the FFT grid the map is
+    written over the cube."""
     grid = iz.default_grid(ci_params) if bins is None else iz.symmetric_grid(ci_params, bins)
     target = [iz.point_target(np.array([12.0, 9.0, 0.0]), np.array([1.6, 1.2, 0.0]))]
     sched = iz.build_schedule(iz.ScheduleKind.PMCW, ci_params, seed=7)
     cube = iz.synthesize_echo(sched, target, ci_params)
     p_len, q_len = cube.samples.shape
-    budget = len(grid) * q_len * 8 + p_len * q_len * 16 // 4
+    budget = p_len * q_len * 16 // 4
     if bins is not None:
-        budget += q_len * len(grid) * 16
+        budget += len(grid) * q_len * 8 + q_len * len(grid) * 16
     tracemalloc.start()
     try:
         iz.matched_filter_rd(cube, sched, grid, overwrite_cube=True)

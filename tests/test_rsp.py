@@ -206,11 +206,58 @@ class TestMatchedFilter:
             assert np.array_equal(overwritten.values, kept.values)
             assert not np.array_equal(own.samples, cube.samples)  # it was written
 
+    @pytest.mark.parametrize("threads", ["1", "2", "5"])
+    def test_the_map_written_over_the_cube_equals_the_allocated_map(
+        self, monkeypatch, all_kinds, threads
+    ):
+        """On the FFT grid the overwriting filter writes its map over the
+        cube's own rows, the ones below P // 2 from the highest down and then
+        the rest; for every P from 1 to 20, odd and even, the map is the one
+        the filter allocates when it may not overwrite."""
+        monkeypatch.setenv("ISACSIM_THREADS", threads)
+        pri = 128 / 1.76e9
+        base = iz.WaveformParams(pri_s=pri, cpi_s=16 * pri, code_length=64)
+        target = [iz.point_target(np.array([6.0, 8.0, 0.0]), np.array([3.0, 4.0, 0.0]))]
+        for packets in range(1, 21):
+            params = iz.scaled_profile(base, packets)
+            grid = iz.default_grid(params)
+            noise = iz.noise_block(target, params, 10.0, packets)
+            for kind in all_kinds:
+                sched = iz.build_schedule(kind, params, seed=7)
+                for block in (None, noise):
+                    cube = iz.synthesize_echo(sched, target, params, noise=block)
+                    kept = iz.matched_filter_rd(cube, sched, grid)
+                    overwritten = iz.matched_filter_rd(cube, sched, grid, overwrite_cube=True)
+                    assert np.shares_memory(overwritten.values, cube.samples)
+                    assert np.array_equal(overwritten.values, kept.values), (packets, kind)
+
+    @pytest.mark.parametrize("layout", ["fortran", "complex64"])
+    def test_a_cube_the_map_cannot_overlay_gets_a_map_of_its_own(self, small_params, layout):
+        """Only a C-contiguous complex128 cube holds the float64 map in its
+        first P x Q floats; any other cube the filter may overwrite still
+        gets an allocated float64 map."""
+        grid = iz.default_grid(small_params)
+        sched, cube = self.noisy_echo(small_params, iz.ScheduleKind.PMCW)
+        if layout == "fortran":
+            samples = np.asfortranarray(cube.samples)
+        else:
+            samples = cube.samples.astype(np.complex64)
+        own = iz.DataCube(samples=samples, params=small_params)
+        rd_map = iz.matched_filter_rd(own, sched, grid, overwrite_cube=True)
+        assert rd_map.values.dtype == np.float64
+        assert not np.shares_memory(rd_map.values, own.samples)
+        kept = iz.matched_filter_rd(cube, sched, grid)
+        if layout == "fortran":
+            assert np.array_equal(rd_map.values, kept.values)
+        else:
+            assert iz.map_relative_deviation(rd_map, kept) < 1e-5
+
     @pytest.mark.parametrize("bins", [None, 15])
     def test_the_hook_sees_only_buffers_the_chain_owns(self, small_params, bins):
         """`overwrite` alone decides ownership: without it no stage buffer
         shares memory with the cube; with it the fast-time FFT writes the
-        cube's own memory. The cube itself is never a stage."""
+        cube's own memory. The cube itself is never a stage. The map is a
+        view of the cube's memory on the FFT grid with `overwrite` alone."""
         dense = bins is not None
         grid = iz.symmetric_grid(small_params, bins) if dense else iz.default_grid(small_params)
         sched, cube = self.noisy_echo(small_params, iz.ScheduleKind.PMCW)
@@ -224,7 +271,9 @@ class TestMatchedFilter:
             def record(name, x):
                 seen[name] = x
 
-            rsp._chain(own, sched, grid, dense, record, overwrite)
+            values = rsp._chain(own, sched, grid, dense, record, overwrite)
+            assert values.flags.c_contiguous
+            assert np.shares_memory(values, own.samples) == (overwrite and not dense)
             assert list(seen) == names
             shared = {name for name, x in seen.items() if np.shares_memory(x, own.samples)}
             if not overwrite:
