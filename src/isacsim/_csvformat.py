@@ -12,33 +12,41 @@ every value of the last column, wherever the span starts and ends.
 Each value is laid out in a 24-byte field of three little-endian words:
 
     byte  0       sign: "-" or nothing
-    bytes 1..5    "0.000": the "0." and leading zeros of 1e-4 <= |x| < 1e-1
     byte  6       first significant digit d0
     byte  7       "." after d0
     bytes 8..15   the digits d1..d8
     bytes 16..20  "e+dd" / "e-ddd": the exponent of scientific notation
-    byte  21      separator: "," or, after the last column, "\\n"
+    byte  21      its separator: "," or, after the last column, "\\n"
 
-Fixed notation from 10 up (exponents 1..8) prints the dot after de, not
-after d0: for those values byte 7 holds d1 and bytes 8..15 hold d2..de, the
-dot and d(e+1)..d8, shifted in place. A mask row chosen by (notation,
-decimal exponent, significant digits) keeps the bytes `%g` prints and the
+Fixed notation puts its separator in byte 16, right after d8. Two fixed
+notations also move digits. From 10 up (exponents 1..8) the dot follows
+de, not d0: byte 7 holds d1 and bytes 8..15 hold d2..de, the dot and
+d(e+1)..d8, shifted in place. Below 1 (exponents -1..-4) no dot follows
+d0: d0 sits in byte 7, after "0." and the -e-1 zeros ahead of it, which
+end at byte 6 (bytes 6+e..6). A mask row chosen by (notation, decimal
+exponent, significant digits) keeps the bytes `%g` prints and the
 separator, and zeroes the rest; the span's text is then its fields'
-nonzero bytes, which one `nonzero` and one `take` over the whole span's
-uint8 view gather. A span takes about fifty numpy calls, each over the
-whole span and each releasing the interpreter lock.
+nonzero bytes, which one boolean-mask subscript (`raw[keep]`) copies out.
+That copy costs a step per run of kept bytes. After its sign, a value of
+nine significant digits in fixed notation, "0." and its zeros included, is
+one run; any other value is at most three, where a shorter mantissa ends
+before byte 16 and a two-digit exponent leaves its hundreds byte empty. A
+span takes about fifty numpy calls, each over the whole span and each
+releasing the interpreter lock.
 
 Memory: each worker formats in one `_Scratch` of 67 bytes a value (the
-fields, five 8-byte planes of temporaries that later hold the keep mask and
-the text, and three flag rows), made by the calling thread before any
-worker starts and reused for every span the worker formats, so no span
-allocates or faults in per-value arrays of its own. The only per-span
-allocation is `nonzero`'s int64 index, 8 bytes per text byte (at most 17
-text bytes a value). Spans hold CHUNK_VALUES (32 K) values of an array of
-LARGE_ARRAY values or more and half that of a smaller one, on every shape:
-a worker needs about 2.1 MB of scratch and at most 4.5 MB of index for a
-table1 map or a single row of millions of values alike. The file takes
-each span's text as the uint8 view it is, without a copy to `bytes`.
+fields, five 8-byte planes of temporaries that later hold the keep mask,
+and three flag rows), made by the calling thread before any worker starts
+and reused for every span the worker formats, so no span allocates or
+faults in per-value arrays of its own. A span allocates its text, a fresh
+array of at most 17 bytes a value (12 to 19 bytes a value of the whole
+span, index and temporaries included, on the maps of a run), which the
+file takes as it is, without a copy to `bytes`; a span of values from 10
+up in fixed notation alone allocates up to 48 bytes a value, for the
+digit shifts of that subset. Every array goes out in spans of
+CHUNK_VALUES (32 K) values, whatever its shape: a worker needs about 2.1
+MB of scratch and at most 0.6 MB of text for a table1 map or a single row
+of millions of values alike.
 
 Digits come from scaling: with e = floor(log10|x|), m = |x| * 10**(8 - e)
 lies in [1e8, 1e9) and rint(m) is the 9-digit mantissa. The power comes from
@@ -63,9 +71,10 @@ _E_MIN, _E_MAX = -290, 290   # decimal exponents the tables cover
 _TABLE_EXPONENTS = [*range(_E_MAX + 1), *range(_E_MIN, 0)]
 _TIE_WINDOW = 1e-6           # > the 2.3e-7 scaling error at m < 1e9
 _FIELD = 24                  # bytes per value, three uint64 words
-CHUNK_VALUES = 1 << 15       # values per span of an array of LARGE_ARRAY values or more
-LARGE_ARRAY = 1 << 20        # smaller arrays take spans of CHUNK_VALUES // 2
-_SEPARATOR = 21              # the separator's byte in the field
+CHUNK_VALUES = 1 << 15       # values per span
+_SEPARATOR = 21              # the separator's byte after an exponent
+_FIXED_SEPARATOR = 16        # in fixed notation: the last word's first byte, after d8
+_FIXED_EXPONENTS = range(-4, DIGITS)  # %g prints these exponents without "e"
 
 _DOT, _ZERO, _MINUS = ord("."), ord("0"), ord("-")
 
@@ -89,11 +98,15 @@ def _digit_words() -> tuple[np.ndarray, np.ndarray]:
 
 
 def _exponent_words() -> np.ndarray:
-    """Word 3 of the field for each exponent of _TABLE_EXPONENTS: "e", its
+    """The field's last word for each exponent of _TABLE_EXPONENTS: "e", its
     sign, two or three digits (a missing hundreds digit is a zero byte) and
-    the comma."""
+    the comma; for an exponent of fixed notation, the comma alone, in its
+    first byte."""
     words = []
     for e in _TABLE_EXPONENTS:
+        if e in _FIXED_EXPONENTS:
+            words.append(ord(","))
+            continue
         hundreds, rest = divmod(abs(e), 100)
         words.append(
             _word(
@@ -108,9 +121,6 @@ def _exponent_words() -> np.ndarray:
             )
         )
     return np.array(words, dtype=np.uint64)
-
-
-_FIXED_EXPONENTS = range(-4, DIGITS)  # %g prints these exponents without "e"
 
 
 def _mask_class(e: int) -> int:
@@ -128,14 +138,15 @@ def _masks() -> np.ndarray:
     for e in [None, *_FIXED_EXPONENTS]:
         for nd in range(1, DIGITS + 1):
             keep = bytearray(_FIELD)
-            # sign (a zero byte when positive), d0 and the separator
-            keep[0] = keep[6] = keep[_SEPARATOR] = 0xFF
+            # sign (a zero byte when positive), byte 6 (d0, or below 1 the
+            # lead's last byte) and the separator
+            keep[0] = keep[6] = keep[_SEPARATOR if e is None else _FIXED_SEPARATOR] = 0xFF
             tail = nd - 1  # bytes kept from byte 8 on: d1..d(nd-1)
             if e is None:  # scientific: d0, any fraction, the exponent
                 keep[7] = 0xFF if nd > 1 else 0
                 keep[16:21] = b"\xff" * 5
-            elif e < 0:  # "0." and -e-1 zeros ahead of d0
-                keep[1 : 2 - e] = b"\xff" * (1 - e)
+            elif e < 0:  # "0." and -e-1 zeros, then d0 in byte 7
+                keep[6 + e : 8] = b"\xff" * (2 - e)
             elif e == 0:
                 keep[7] = 0xFF if nd > 1 else 0
             else:  # d0, d1 in byte 7, d2..de, then "." and any fraction
@@ -148,6 +159,23 @@ def _masks() -> np.ndarray:
     return table.reshape(-1, 3)
 
 
+def _lead_words() -> tuple[np.ndarray, np.ndarray]:
+    """Word 0 of the field at index c * 10 + d0, for lead class c and first
+    digit d0, and for each exponent of _TABLE_EXPONENTS the first index of
+    its class. Class 0 holds d0 and the dot in bytes 6 and 7; class c = 1..4,
+    fixed notation of exponent -c, holds "0." and c - 1 zeros ending at byte
+    6, then d0 in byte 7, so that its text up to d0 is one run of bytes."""
+    words = []
+    for c in range(1 - _FIXED_EXPONENTS.start):
+        for d in range(10):
+            if c == 0:
+                words.append(_word([0] * 6 + [_ZERO + d, _DOT]))
+            else:
+                words.append(_word((b"0." + b"0" * (c - 1)).rjust(7, b"\0") + bytes([_ZERO + d])))
+    base = [-10 * e if e in _FIXED_EXPONENTS and e < 0 else 0 for e in _TABLE_EXPONENTS]
+    return np.array(words, dtype=np.uint64), np.array(base, dtype=np.intp)
+
+
 _DIGIT_WORDS, _TRAILING = _digit_words()
 _EXPONENTS = _exponent_words()
 _MASKS = _masks()
@@ -158,10 +186,9 @@ _SCALE = np.array([float(f"1e{8 - e}") for e in _TABLE_EXPONENTS])
 _ROWS = np.array(
     [_mask_class(e) * DIGITS + DIGITS - 1 for e in _TABLE_EXPONENTS], dtype=np.intp
 )
-# per first digit d0: word 0 of the field, "0.000", d0 and the dot
-_LEAD = np.array(
-    [_word(b"\x000.000" + bytes([_ZERO + d, _DOT])) for d in range(10)], dtype=np.uint64
-)
+# per lead class and first digit d0: word 0 of the field (see _lead_words),
+# and per decimal exponent e the first index of e's lead class
+_LEAD, _LEAD_BASE = _lead_words()
 # per exponent e in 1..8, for the digits word d1..d8: the bytes that take
 # d2..de after a shift by one byte, the dot in the byte after them, and the
 # bytes of d(e+1)..d8, which stay in place
@@ -171,7 +198,6 @@ _INNER_HIGH = np.array(
     [0] + [~((1 << 8 * e) - 1) & (1 << 64) - 1 for e in range(1, 9)], dtype=np.uint64
 )
 _NOT_BYTE_7 = np.uint64((1 << 56) - 1)
-_COMMA, _NEWLINE = np.uint64(ord(",") << 40), np.uint64(ord("\n") << 40)  # in word 2
 
 
 class _Scratch:
@@ -181,9 +207,7 @@ class _Scratch:
 
     `fields` holds the (n, 3) fields. `planes` holds five rows of n float64:
     the temporaries of `_fields`, then the span's keep mask (one byte per
-    field byte, 24 per value) and, over the part of the mask already read,
-    the span's text (at most 17 bytes a value). `flags` holds three rows
-    of n booleans.
+    field byte, 24 per value). `flags` holds three rows of n booleans.
     """
 
     def __init__(self, n: int):
@@ -253,8 +277,10 @@ def _fields(x: np.ndarray, s: _Scratch) -> np.ndarray:
     digits <<= np.uint64(32)
     np.take(_DIGIT_WORDS, mid, out=word, mode="clip")  # d1..d4
     digits |= word
-    lead = mid.view(np.uint64)
-    np.take(_LEAD, d0, out=lead, mode="clip")
+    lead, at = mid.view(np.uint64), low  # low's digits are in `digits` now
+    np.take(_LEAD_BASE, e, out=at, mode="wrap")
+    at += d0
+    np.take(_LEAD, at, out=lead, mode="clip")
     sign = d0.view(np.uint64)
     np.right_shift(x.view(np.uint64), np.uint64(63), out=sign)
     sign *= np.uint64(_MINUS)
@@ -277,40 +303,38 @@ def _fields(x: np.ndarray, s: _Scratch) -> np.ndarray:
 
 def _text(x: np.ndarray, first_col: int, cols: int, s: _Scratch) -> np.ndarray:
     """The CSV text of a flat span of at most s's n values from an array of
-    `cols` columns, whose first value lies in column `first_col`, as a uint8
-    view of s.planes: every value of the last column ends in a newline.
+    `cols` columns, whose first value lies in column `first_col`, as a new
+    uint8 array: every value of the last column ends in a newline.
 
-    One pass marks the fields' nonzero bytes, `nonzero` lists them and
-    `take` copies them into the mask's own memory, which `nonzero` has read
-    by then: three calls for the whole span.
+    One pass marks the fields' nonzero bytes in s.planes and one boolean-mask
+    subscript copies them out, run by run of kept bytes: two calls for the
+    whole span, and no index of the kept bytes.
     """
     fields = _fields(x, s)
-    fields[(cols - 1 - first_col) % cols :: cols, 2] ^= _COMMA ^ _NEWLINE
+    # the last column's last words, whose one comma is the separator
+    last = fields[(cols - 1 - first_col) % cols :: cols, 2:].view(np.uint8)
+    last[last == ord(",")] = ord("\n")
     raw = fields.reshape(-1).view(np.uint8)
     keep = s.planes.reshape(-1).view(bool)[: raw.size]
     np.not_equal(raw, 0, out=keep)
-    kept = keep.nonzero()[0]
-    return np.take(raw, kept, out=keep.view(np.uint8)[: kept.size], mode="clip")
+    return raw[keep]
 
 
 def write_rows(fh, values):
     """Write the CSV text of the 2-D array `values` to the binary file `fh`:
     per row, "%.9g" of each value joined by commas, then a newline.
 
-    The flat array goes out in spans of CHUNK_VALUES values when it holds
-    LARGE_ARRAY values or more, half that otherwise. Every span costs about
-    fifty numpy calls whatever its size, so a large map (table1's 7 M
-    values) takes the larger spans; after the call, a worker thread's malloc
-    arena keeps the largest `nonzero` index it allocated resident, 8 bytes
-    per text byte of a span, so a small map (a CI run's) takes the smaller
-    ones. The spans are formatted on the ISACSIM_THREADS workers and written
-    in order, each as soon as it and every span before it are ready. Each
-    worker formats in its own `_Scratch`, made on the calling thread.
+    The flat array goes out in spans of CHUNK_VALUES values, whatever its
+    size or shape: every span costs about fifty numpy calls whatever its
+    size, and allocates only its own text. The spans are formatted on the
+    ISACSIM_THREADS workers and written in order, each as soon as it and
+    every span before it are ready. Each worker formats in its own
+    `_Scratch`, made on the calling thread.
     """
     x = np.asarray(values, dtype=np.float64)
     cols = x.shape[1]
     flat = x.reshape(-1)
-    span = CHUNK_VALUES if flat.size >= LARGE_ARRAY else CHUNK_VALUES // 2
+    span = CHUNK_VALUES
     starts = range(0, flat.size, span)
     ordered(
         lambda k, s: _text(flat[starts[k] : starts[k] + span], starts[k] % cols, cols, s),

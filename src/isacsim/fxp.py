@@ -23,14 +23,16 @@ chain splits its passes across ISACSIM_THREADS threads as the double filter
 does; every map and report is the same to the bit for any thread count.
 
 The chain hands its hook only buffers it owns, so every stage is quantized
-in place. The sweep copies the caller's cube, which it only reads, into one
-P x Q buffer of its own for each format; FULL_CHAIN quantizes that copy as
-its "input" stage, and the chain runs on it with `overwrite`, so the
-fast-time FFT runs in place. Reusing one buffer across formats keeps a
-small sweep from handing its pages back to the system and faulting them in
-again for every format. The sweep detects and scores the double-precision
-map once and shares that score across its formats, so a row's runtime_s
-covers only its own quantized run.
+in place. The sweep copies the caller's cube into one P x Q buffer of its
+own for each format; FULL_CHAIN quantizes that copy as its "input" stage,
+and the chain runs on it with `overwrite`, so the fast-time FFT runs in
+place. Reusing one buffer across formats keeps a small sweep from handing
+its pages back to the system and faulting them in again for every format.
+A sweep free to overwrite the cube (`overwrite_cube`, as `rsp`'s filter
+has) runs its last format on the cube itself, after dropping the copy, so
+a one-format sweep allocates no P x Q buffer of its own. The sweep detects
+and scores the double-precision map once and shares that score across its
+formats, so a row's runtime_s covers only its own quantized run.
 """
 
 from __future__ import annotations
@@ -199,6 +201,7 @@ def precision_sweep(
     mode: FxpMode = FxpMode.FULL_CHAIN,
     *,
     double_map: RangeDopplerMap,
+    overwrite_cube: bool = False,
 ) -> SweepResult:
     """One quantized run per format, with timing, plus an SQNR monotonicity
     summary across word lengths. Every row is scored against `double_map`,
@@ -206,10 +209,13 @@ def precision_sweep(
     the sweep computes once for all formats; a row's runtime_s is its own
     quantized run and scoring only. Every format copies the cube into one
     P x Q buffer of the sweep's own, which its chain then overwrites; the
-    cube is only read. A format's map is dropped before the next format
-    runs, so the sweep holds one format's buffers at a time. A `double_map`
-    whose shape is not the grid's bins by the cube's range bins raises
-    ProcessingError before any format runs.
+    cube is only read. With `overwrite_cube` the last format quantizes and
+    transforms a C-contiguous complex128 cube in place instead, once the
+    copy is dropped, and the caller must not read the cube afterwards; the
+    rows are the same either way. A format's map is dropped before the next
+    format runs, so the sweep holds one format's buffers at a time. A
+    `double_map` whose shape is not the grid's bins by the cube's range bins
+    raises ProcessingError before any format runs.
 
     PSLR agreement is one-sided around the 0.5 dB budget: a quantized PSLR
     that is *better* than double precision (including the no-sidelobe
@@ -228,9 +234,12 @@ def precision_sweep(
     pslr_d = pslr_db(double_map.range_cut(det_d.doppler_bin))
     power = float(np.sum(double_map.values**2))
     full = mode is FxpMode.FULL_CHAIN
-    work = DataCube(np.empty(cube.samples.shape, dtype=np.complex128), cube.params)
+    samples = cube.samples
+    own_last = overwrite_cube and samples.dtype == np.complex128 and samples.flags.c_contiguous
+    work = None  # the buffer the formats copy the cube into, made on first use
 
-    def run(fmt: FixedPointFormat) -> FxpReport:
+    def run(fmt: FixedPointFormat, last: bool) -> FxpReport:
+        nonlocal work
         counts: dict[str, int] = {}
         sizes: dict[str, int] = {}  # re and im components
 
@@ -240,10 +249,16 @@ def precision_sweep(
                 sizes[name] = comps.size
                 counts[name] = _quantize_into(comps, comps, fmt)
 
-        np.copyto(work.samples, cube.samples)
-        stage("input", work.samples)
+        if last and own_last:
+            data, work = cube, None  # the copy dies before the chain allocates
+        else:
+            if work is None:
+                work = DataCube(np.empty(samples.shape, dtype=np.complex128), cube.params)
+            np.copyto(work.samples, samples)
+            data = work
+        stage("input", data.samples)
         fxp_map = RangeDopplerMap(
-            values=_chain(work, schedule, grid, True, stage, overwrite=True),
+            values=_chain(data, schedule, grid, True, stage, overwrite=True),
             range_axis_m=double_map.range_axis_m,
             doppler_axis_mps=double_map.doppler_axis_mps,
         )
@@ -275,9 +290,9 @@ def precision_sweep(
         )
 
     rows = []
-    for fmt in formats:
+    for k, fmt in enumerate(formats):
         start = time.perf_counter()
-        report = run(fmt)
+        report = run(fmt, k == len(formats) - 1)
         rows.append(SweepRow(report=report, runtime_s=time.perf_counter() - start))
     monotone = True
     by_int: dict[int, list[SweepRow]] = {}

@@ -22,8 +22,9 @@ no `--bench`), the matched filter transforms it in place
 (`overwrite_cube=True`) and on the FFT grid writes the map over it, so one
 P x Q buffer is in memory at a time, besides the shared P x Q noise block;
 otherwise the filter writes a P x Q buffer of its own next to the cube and
-allocates the map. Each waveform's summary times its
-synthesis (without the shared noise draw, which the run-level
+allocates the map. Without `--bench` the fixed-point sweep, the cube's last
+reader, runs its last format on the cube itself. Each waveform's summary
+times its synthesis (without the shared noise draw, which the run-level
 `timings_s.noise` times), processing and artifact writing. The summary's
 `tool.version` is `isacsim.__version__`, the one place the version is
 written, and its `environment` block records what produced the numbers.
@@ -213,7 +214,9 @@ def run_waveform(
     before the benchmark re-times the filter, and the cube with this call.
     The filter overwrites the cube unless the oracle, the sweep or the
     benchmark reads it afterwards, and then on the FFT grid the map is a
-    view of the cube's memory, which nothing else here touches."""
+    view of the cube's memory, which nothing else here touches. The sweep,
+    which runs after the oracle, overwrites the cube unless the benchmark
+    reads it."""
     params = cfg.params
     t0 = time.perf_counter()
     schedule = build_schedule(kind, params, seed=cfg.seed_code)
@@ -243,7 +246,13 @@ def run_waveform(
     sweep = None
     if cfg.fxp_formats and failure is None:
         sweep = precision_sweep(
-            cube, schedule, grid, cfg.fxp_formats, cfg.fxp_mode, double_map=rd_map
+            cube,
+            schedule,
+            grid,
+            cfg.fxp_formats,
+            cfg.fxp_mode,
+            double_map=rd_map,
+            overwrite_cube=not cfg.bench_enabled,
         )
 
     artifacts = {

@@ -146,7 +146,10 @@ def _chain(
     is allocated: written over a buffer of the chain's own, it would keep
     all of that P x Q buffer alive. Dense steering writes Q x J sums
     instead, and the chain drops its names for the P x Q buffer and the
-    P x J twiddles once steering is done, before the map is allocated.
+    P x J twiddles once steering is done, before the map is allocated. The
+    matched multiply scales each packet's row in place by the reference row
+    of the frame it carried: it copies no block of packets or of reference
+    rows, and a row stays in cache from its read to its write.
 
     At each stage boundary the chain calls stage(name, x) on a C- or
     F-contiguous buffer it owns, which the hook may edit in place (`fxp`
@@ -181,8 +184,11 @@ def _chain(
     for_blocks(fast_time, p_len)
     stage("post_fft", spectra)
 
-    def match(b):  # packets b: times the carried frames' reference
-        spectra[b] *= ref[schedule.packet_map[b]]
+    frame_of = schedule.packet_map.tolist()
+
+    def match(b):  # packets b, a row at a time: times its frame's reference row
+        for p in range(b.start, b.stop):
+            spectra[p] *= ref[frame_of[p]]
 
     for_blocks(match, p_len)
     if dense:

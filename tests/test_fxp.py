@@ -1,6 +1,7 @@
 """Fixed-point formats, quantizer semantics, and quantized-chain accuracy."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -253,6 +254,64 @@ class TestQuantizedChain:
         iz.precision_sweep(cube, sched, grid, formats, double_map=double_map)
         assert len(seen) == count + 1
         assert sum(rd_map is double_map for rd_map in seen) == 1
+
+    @pytest.mark.parametrize("mode", list(iz.FxpMode))
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_a_sweep_over_the_cube_reports_what_a_copying_one_does(self, small_params, mode, count):
+        """With overwrite_cube the last format runs on the caller's cube
+        itself: every report is the same, and only that cube is written."""
+        cube, sched, grid, double_map = small_pipeline(small_params, snr_db=20.0)
+        formats = [iz.FixedPointFormat(w, 1) for w in (12, 16, 24)[:count]]
+        kept = iz.precision_sweep(cube, sched, grid, formats, mode, double_map=double_map)
+        samples = cube.samples.copy()
+        over = iz.precision_sweep(
+            cube, sched, grid, formats, mode, double_map=double_map, overwrite_cube=True
+        )
+        assert [r.report for r in over.rows] == [r.report for r in kept.rows]
+        assert over.monotone_sqnr == kept.monotone_sqnr
+        assert not np.array_equal(cube.samples, samples)
+
+    @pytest.mark.parametrize("layout", ["fortran", "complex64"])
+    def test_a_sweep_copies_a_cube_it_cannot_take_over(self, small_params, layout):
+        """overwrite_cube takes only a C-contiguous complex128 cube; any other
+        cube is copied like the sweep's other formats and never written."""
+        cube, sched, grid, double_map = small_pipeline(small_params, snr_db=20.0)
+        if layout == "fortran":
+            samples = np.asfortranarray(cube.samples)
+        else:
+            samples = cube.samples.astype(np.complex64)
+        other = iz.DataCube(samples=samples, params=small_params)
+        before = samples.tobytes()
+        fmt = [iz.FixedPointFormat(16, 1)]
+        kept = iz.precision_sweep(other, sched, grid, fmt, double_map=double_map)
+        over = iz.precision_sweep(
+            other, sched, grid, fmt, double_map=double_map, overwrite_cube=True
+        )
+        assert over.rows[0].report == kept.rows[0].report
+        assert samples.tobytes() == before
+
+    @pytest.mark.parametrize("mode", list(iz.FxpMode))
+    def test_a_one_format_sweep_over_the_cube_allocates_no_second_cube(self, ci_params, mode):
+        """On a 15-bin grid at P = 64 a copying one-format sweep allocates a
+        whole P x Q complex buffer for its work; one with overwrite_cube
+        quantizes the caller's cube in place and allocates less than half of
+        one, its dense steering sums and maps included."""
+        cube, sched, _, _ = small_pipeline(ci_params)
+        grid = iz.symmetric_grid(ci_params, 15)
+        double_map = iz.matched_filter_rd(cube, sched, grid)
+        fmt = [iz.FixedPointFormat(16, 1)]
+        peaks = {}
+        for overwrite in (False, True):  # the copying sweep leaves the cube as it was
+            tracemalloc.start()
+            try:
+                iz.precision_sweep(
+                    cube, sched, grid, fmt, mode, double_map=double_map, overwrite_cube=overwrite
+                )
+                peaks[overwrite] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[False] >= cube.samples.nbytes
+        assert peaks[True] < cube.samples.nbytes // 2
 
     @pytest.mark.parametrize("mode", list(iz.FxpMode))
     def test_chain_stages_keep_the_caller_inputs(self, small_params, mode):

@@ -208,7 +208,7 @@ class TestRunComparison:
         assert not (cfg.run_oracle or cfg.fxp_formats or cfg.bench_enabled)
         iz.run_comparison(cfg, tmp_path / "warm")  # imports and first-call caches
         buffer = ci_params.packets_per_cpi * ci_params.samples_per_pri * 16
-        span = csvformat.CHUNK_VALUES // 2  # the map is below LARGE_ARRAY values
+        span = min(csvformat.CHUNK_VALUES, buffer // 16)  # the map is P x Q values
         budget = buffer + int(threads) * CHUNK_BYTES_PER_VALUE * span + buffer // 8
         if snr_db is not None:
             budget += buffer
@@ -254,6 +254,37 @@ class TestRunComparison:
         for name in names:
             kept = (tmp_path / "kept" / name).read_bytes()
             assert kept == (tmp_path / "overwritten" / name).read_bytes()
+
+    def test_the_sweep_overwrites_the_cube_unless_the_benchmark_reads_it(
+        self, tmp_path, monkeypatch
+    ):
+        """The sweep runs after the oracle, so only the benchmark reads the
+        cube after it: without --bench its last format takes the cube. The
+        CSVs and the fixed-point rows but their timings are the same."""
+        flags = []
+        sweep = harness.precision_sweep
+
+        def recorded_sweep(*args, **kwargs):
+            flags.append(kwargs["overwrite_cube"])
+            return sweep(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "precision_sweep", recorded_sweep)
+        base = small_cfg(snr_db=15.0, run_oracle=True, fxp_formats=(iz.FixedPointFormat(16, 1),))
+        benched = dataclasses.replace(base, bench_enabled=True, bench_repeats=1)
+        rows = {}
+        for name, cfg in (("over", base), ("kept", benched)):
+            flags.clear()
+            summary = iz.run_comparison(cfg, tmp_path / name).summary
+            assert flags == [name == "over"] * len(cfg.waveforms)
+            rows[name] = [
+                {k: v for k, v in row.items() if k != "runtime_s"}
+                for w in summary["waveforms"]
+                for row in w["fixed_point"]["rows"]
+            ]
+        assert len(rows["over"]) == len(base.waveforms)
+        assert rows["over"] == rows["kept"]
+        for path in (tmp_path / "kept").glob("*.csv"):
+            assert path.read_bytes() == (tmp_path / "over" / path.name).read_bytes()
 
     def test_summary_reports_the_transparent_hugepage_mode(self, tmp_path, monkeypatch):
         env = iz.run_comparison(small_cfg(), tmp_path).summary["environment"]

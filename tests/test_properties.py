@@ -23,8 +23,8 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 import isacsim as iz
 import isacsim._csvformat as csvformat
-from isacsim import fxp
-from isacsim._csvformat import CHUNK_VALUES, LARGE_ARRAY, write_rows
+from isacsim import fxp, rsp
+from isacsim._csvformat import CHUNK_VALUES, DIGITS, write_rows
 from isacsim._threads import slices
 from isacsim.config import _SECTIONS
 from oracle_cases import KINDS, random_case
@@ -704,8 +704,22 @@ def _half_way(n, k):
     return float(f"{n}.5e{k}")
 
 
+def _below_one(mantissa, exponent, sign):
+    """sign * 0.<zeros>mantissa with 1e-4 <= |x| < 1: fixed notation with as
+    many significant digits as `mantissa` has."""
+    return sign * float(f"{mantissa}e{exponent - len(str(mantissa)) + 1}")
+
+
+below_one = st.builds(
+    _below_one,
+    st.one_of([st.integers(10 ** (nd - 1), 10**nd - 1) for nd in range(1, DIGITS + 1)]),
+    st.integers(-4, -1),
+    st.sampled_from([-1, 1]),
+)
+
 adversarial = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    below_one,
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308]),
     st.builds(
         _near_power_of_ten, st.integers(-300, 300), st.sampled_from([-1, 0, 1])
@@ -729,6 +743,31 @@ def test_csv_text_matches_savetxt(values):
     assert csv_bytes(values) == savetxt_bytes(values)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=12), elements=below_one))
+def test_csv_text_below_one_matches_savetxt(values):
+    """Fixed notation below 1 ("0.", the zeros and d0 in one run of the
+    field) in every sign, exponent and digit count."""
+    assert csv_bytes(values) == savetxt_bytes(values)
+
+
+def test_csv_text_below_one_covers_every_layout():
+    # each exponent -4..-1, digit count 1..9 and sign, with a nonzero last
+    # digit, then the notation's edges: 1e-4, the largest float below 1
+    # (prints "1"), and 9.99999999e-5 and 9.999999995e-5 either side of the
+    # rounding up to 0.0001
+    rng = np.random.default_rng(11)
+    values = []
+    for exponent in range(-4, 0):
+        for nd in range(1, DIGITS + 1):
+            for mantissa in rng.integers(10 ** (nd - 1), 10**nd, 4):
+                mantissa = int(mantissa) // 10 * 10 + int(rng.integers(1, 10))
+                values += [_below_one(mantissa, exponent, sign) for sign in (-1, 1)]
+    values += [1e-4, -1e-4, np.nextafter(1.0, 0.0), 9.99999999e-5, 9.999999995e-5, -9.999999995e-5]
+    values = np.array(values).reshape(-1, 6)
+    assert csv_bytes(values) == savetxt_bytes(values)
+
+
 @pytest.mark.parametrize("shape", [(1, 1), (1, 37), (37, 1)])
 def test_csv_text_edge_shapes(shape):
     rng = np.random.default_rng(5)
@@ -737,13 +776,13 @@ def test_csv_text_edge_shapes(shape):
 
 
 MAP_COLS = 3520
-SPAN = CHUNK_VALUES // 2  # values per span of the small maps below
+SPAN = CHUNK_VALUES  # values per span of every map
 
 
 def test_write_rows_streams_spans_of_values_across_rows():
-    # 22 map rows of Q = 3520 (a small array): four spans of SPAN values,
-    # each ending mid-row, then the rest
-    rows, cols = 22, MAP_COLS
+    # 40 map rows of Q = 3520: four spans of SPAN values, each ending
+    # mid-row, then the rest
+    rows, cols = 40, MAP_COLS
     values = np.random.default_rng(6).random((rows, cols)) * 1e3
     spans = []
 
@@ -765,12 +804,12 @@ def test_write_rows_streams_spans_of_values_across_rows():
 @pytest.mark.parametrize(
     "shape", [(1 << 20, 1), (1, 1 << 20), (298, 3520), (297, 3520), (2000, 3520), (1, 37), (0, 5)]
 )
-def test_spans_hold_chunk_values_or_half_of_it_on_any_shape(monkeypatch, shape):
-    """Arrays of LARGE_ARRAY values or more go out in spans of CHUNK_VALUES
-    values, smaller ones in spans of half that, whatever their row length;
-    each worker's scratch holds one span."""
+def test_spans_hold_chunk_values_on_any_shape(monkeypatch, shape):
+    """Every array goes out in spans of CHUNK_VALUES values, whatever its
+    size and row length; each worker's scratch holds one span, or the
+    whole array when it is smaller."""
     size = shape[0] * shape[1]
-    span = CHUNK_VALUES if size >= LARGE_ARRAY else CHUNK_VALUES // 2
+    span = CHUNK_VALUES
     calls = []
 
     def record(produce, consume, n, scratch):
@@ -829,7 +868,7 @@ def test_write_rows_equals_savetxt_for_any_span(monkeypatch, chunked_maps, threa
     monkeypatch.setenv("ISACSIM_THREADS", threads)
     values, expected = chunked_maps(3)
     span = {None: SPAN, "whole": values.size}.get(span, span)
-    monkeypatch.setattr(csvformat, "CHUNK_VALUES", 2 * span)  # a small map takes half
+    monkeypatch.setattr(csvformat, "CHUNK_VALUES", span)
     assert csv_bytes(values) == expected
 
 
@@ -840,16 +879,16 @@ def test_rows_longer_than_a_span_equal_savetxt(monkeypatch, shape, span):
     values, keeps its commas and its one newline."""
     rng = np.random.default_rng(span)
     values = rng.standard_normal(shape) * 10.0 ** rng.integers(-12, 12, shape)
-    monkeypatch.setattr(csvformat, "CHUNK_VALUES", 2 * span)
+    monkeypatch.setattr(csvformat, "CHUNK_VALUES", span)
     assert csv_bytes(values) == savetxt_bytes(values)
 
 
-# Bytes per value that formatting one default span may take: the scratch
+# Bytes per value that formatting one span of a map may take: the scratch
 # (24 bytes of field, 40 of planes and 3 of flags a value) and what the
-# span allocates, chiefly the int64 index of the kept bytes (8 per text
-# byte, at most 17 text bytes a value).
+# span allocates, its text (at most 17 bytes a value) and the temporaries
+# of its values from 10 up in fixed notation.
 SCRATCH_BYTES_PER_VALUE = 24 + 40 + 3
-CHUNK_BYTES_PER_VALUE = SCRATCH_BYTES_PER_VALUE + 8 * 17
+CHUNK_BYTES_PER_VALUE = SCRATCH_BYTES_PER_VALUE + 24
 
 
 def test_one_span_formats_within_its_memory_budget():
@@ -883,7 +922,7 @@ def test_a_long_row_formats_in_scratch_of_one_span(monkeypatch, threads):
     rng = np.random.default_rng(8)
     values = rng.standard_normal((1, 4 * CHUNK_VALUES)) * 10.0 ** rng.integers(-12, 12)
     expected = savetxt_bytes(values)
-    span = CHUNK_VALUES // 2  # the row is a small array
+    span = CHUNK_VALUES
     sizes = []
 
     class Recorded(csvformat._Scratch):
@@ -926,6 +965,36 @@ def test_the_filter_overwriting_its_cube_within_its_memory_budget(ci_params, bin
     finally:
         tracemalloc.stop()
     assert peak <= budget
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("kind", [iz.ScheduleKind.PMCW, iz.ScheduleKind.GOLAY_DOPPLER_RESILIENT])
+def test_the_matched_multiply_and_steering_allocate_no_block_copy(monkeypatch, threads, kind):
+    """At P = 512, the overwriting chain allocates less than 1 MiB between
+    its "post_fft" and "post_steering" hooks: the matched multiply scales
+    each packet's row in place by its frame's reference row, with no copy
+    of a block of packets, also when the frame changes from packet to
+    packet."""
+    monkeypatch.setenv("ISACSIM_THREADS", threads)
+    params = iz.WaveformParams(cpi_s=512 * 2e-6)
+    sched = iz.build_schedule(kind, params, seed=7)
+    target = [iz.point_target(np.array([12.0, 9.0, 0.0]), np.array([1.6, 1.2, 0.0]))]
+    cube = iz.synthesize_echo(sched, target, params)
+    marks = {}
+
+    def stage(name, x):
+        if name == "post_fft":
+            tracemalloc.reset_peak()
+            marks[name] = tracemalloc.get_traced_memory()[0]
+        elif name == "post_steering":
+            marks[name] = tracemalloc.get_traced_memory()[1]
+
+    tracemalloc.start()
+    try:
+        rsp._chain(cube, sched, iz.default_grid(params), False, stage, overwrite=True)
+    finally:
+        tracemalloc.stop()
+    assert marks["post_steering"] - marks["post_fft"] < 1 << 20
 
 
 @pytest.mark.parametrize("threads", ["1", "2", "5"])
