@@ -25,12 +25,14 @@ does; every map and report is the same to the bit for any thread count.
 The chain hands its hook only buffers it owns, so every stage is quantized
 in place. The sweep copies the caller's cube into one P x Q buffer of its
 own for each format; FULL_CHAIN quantizes that copy as its "input" stage,
-and the chain runs on it with `overwrite`, so the fast-time FFT runs in
-place. Reusing one buffer across formats keeps a small sweep from handing
-its pages back to the system and faulting them in again for every format.
-A sweep free to overwrite the cube (`overwrite_cube`, as `rsp`'s filter
-has) runs its last format on the cube itself, after dropping the copy, so
-a one-format sweep allocates no P x Q buffer of its own. The sweep detects
+and the chain runs on it with `overwrite`, so with at most P Doppler bins
+the chain transforms and steers in that buffer and writes the format's map
+over it, and the sweep scores the map's error in the map's own memory.
+Reusing one buffer across formats keeps a small sweep from handing its
+pages back to the system and faulting them in again for every format. A
+sweep free to overwrite the cube (`overwrite_cube`, as `rsp`'s filter has)
+runs its last format on the cube itself, after dropping the copy, so a
+one-format sweep allocates no P x Q buffer of its own. The sweep detects
 and scores the double-precision map once and shares that score across its
 formats, so a row's runtime_s covers only its own quantized run.
 """
@@ -45,7 +47,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DataError, ParameterError, ProcessingError
-from .rsp import DopplerGrid, RangeDopplerMap, _chain, detect_peak, pslr_db
+from .rsp import DopplerGrid, RangeDopplerMap, _chain, _ownable, detect_peak, pslr_db
 from .scene import DataCube
 from .waveform import FrameSchedule
 
@@ -212,8 +214,10 @@ def precision_sweep(
     cube is only read. With `overwrite_cube` the last format quantizes and
     transforms a C-contiguous complex128 cube in place instead, once the
     copy is dropped, and the caller must not read the cube afterwards; the
-    rows are the same either way. A format's map is dropped before the next
-    format runs, so the sweep holds one format's buffers at a time. A
+    rows are the same either way. A format's map is a view of the buffer its
+    chain ran in; the sweep detects on it, takes its PSLR, then overwrites
+    it with its squared error against `double_map`, and drops it before the
+    next format runs, so the sweep holds one format's buffers at a time. A
     `double_map` whose shape is not the grid's bins by the cube's range bins
     raises ProcessingError before any format runs.
 
@@ -235,7 +239,7 @@ def precision_sweep(
     power = float(np.sum(double_map.values**2))
     full = mode is FxpMode.FULL_CHAIN
     samples = cube.samples
-    own_last = overwrite_cube and samples.dtype == np.complex128 and samples.flags.c_contiguous
+    own_last = overwrite_cube and _ownable(samples)
     work = None  # the buffer the formats copy the cube into, made on first use
 
     def run(fmt: FixedPointFormat, last: bool) -> FxpReport:
@@ -262,12 +266,11 @@ def precision_sweep(
             range_axis_m=double_map.range_axis_m,
             doppler_axis_mps=double_map.doppler_axis_mps,
         )
-        err = double_map.values - fxp_map.values
-        err *= err
-        err_power = float(np.sum(err))
-        del err
         det_f = detect_peak(fxp_map)
         pslr_f = pslr_db(fxp_map.range_cut(det_f.doppler_bin))
+        err = np.subtract(double_map.values, fxp_map.values, out=fxp_map.values)
+        err *= err
+        err_power = float(np.sum(err))
         delta = pslr_f - pslr_d
         frac = sum(counts.values()) / sum(sizes.values())
         return FxpReport(

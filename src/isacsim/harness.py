@@ -19,15 +19,17 @@ map), the CSVs and the optional `run_benchmarks` timings. Only then is the
 next waveform started, and its cube and map are gone: a `WaveformResult`
 holds no array. When no later step reads the cube (no oracle, no formats,
 no `--bench`), the matched filter transforms it in place
-(`overwrite_cube=True`) and on the FFT grid writes the map over it, so one
-P x Q buffer is in memory at a time, besides the shared P x Q noise block;
-otherwise the filter writes a P x Q buffer of its own next to the cube and
-allocates the map. Without `--bench` the fixed-point sweep, the cube's last
-reader, runs its last format on the cube itself. Each waveform's summary
-times its synthesis (without the shared noise draw, which the run-level
-`timings_s.noise` times), processing and artifact writing. The summary's
-`tool.version` is `isacsim.__version__`, the one place the version is
-written, and its `environment` block records what produced the numbers.
+(`overwrite_cube=True`) and, with at most P Doppler bins, writes the map
+over it, so one P x Q buffer is in memory at a time, besides the shared
+P x Q noise block; otherwise the filter works in a P x Q buffer of its own
+(max(P, J) x Q for a grid of more bins than packets) next to the cube and
+writes the map over that. Without `--bench` the fixed-point sweep, the
+cube's last reader, runs its last format on the cube itself. Each
+waveform's summary times its synthesis (without the shared noise draw,
+which the run-level `timings_s.noise` times), processing and artifact
+writing. The summary's `tool.version` is `isacsim.__version__`, the one
+place the version is written, and its `environment` block records what
+produced the numbers.
 
 `noise_block` and `synthesize_echo` both run `scene.check_scene` first, so a
 scene that cannot run fails at the noise draw, or with noise off at the
@@ -213,8 +215,9 @@ def run_waveform(
     optional benchmark timings. The map dies once its CSVs are written,
     before the benchmark re-times the filter, and the cube with this call.
     The filter overwrites the cube unless the oracle, the sweep or the
-    benchmark reads it afterwards, and then on the FFT grid the map is a
-    view of the cube's memory, which nothing else here touches. The sweep,
+    benchmark reads it afterwards, and then, with at most P Doppler bins,
+    the map is a view of the cube's memory, which nothing else here
+    touches. The sweep,
     which runs after the oracle, overwrites the cube unless the benchmark
     reads it."""
     params = cfg.params

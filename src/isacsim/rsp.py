@@ -8,10 +8,12 @@ the Doppler grid coincides with the slow-time FFT bins the steering collapses
 to an IFFT across packets; otherwise the steering matrix is applied directly.
 The cube is P x Q, one packet per row. The FFT passes and products run in
 contiguous blocks on ISACSIM_THREADS threads (every CPU the process may use
-when it is unset); the map does not depend on the thread count. A filter
-free to overwrite its cube works in the cube's own memory; on the FFT grid
-it writes the map there too, and allocates no P x Q or J x Q array.
-`fxp` runs the same chain with quantizing hooks.
+when it is unset); the map does not depend on the thread count. Every grid
+steers in one complex buffer and writes the map over it: the cube itself
+when the filter may overwrite it and the grid has at most P bins, so such a
+filter allocates no P x Q or J x Q array; otherwise one P x Q buffer of the
+chain's own (max(P, J) x Q on a grid of more bins than packets). `fxp` runs
+the same chain with quantizing hooks.
 
 The oracle computes the same map by rolling time-domain references under each
 packet, which is deliberately slow and shares no FFT code with the fast path.
@@ -126,6 +128,12 @@ def _check_schedule(cube: DataCube, schedule: FrameSchedule):
         )
 
 
+def _ownable(samples: np.ndarray) -> bool:
+    """Whether the chain may work in `samples` itself: a C-contiguous
+    complex128 array, whose memory holds its map as float64 rows."""
+    return samples.dtype == np.complex128 and samples.flags.c_contiguous
+
+
 def _chain(
     cube: DataCube,
     schedule: FrameSchedule,
@@ -136,34 +144,34 @@ def _chain(
 ):
     """The range-Doppler chain of both matched filters; returns the J x Q map.
 
-    `overwrite` alone decides who owns the P x Q cube. When it is set, the
-    fast-time FFT runs in place on `cube.samples`; otherwise the FFT writes a
-    P x Q buffer of the chain's own and the cube is only read. That one
-    buffer carries the matched spectra and, on the FFT grid, the steered
-    profiles. With `overwrite` on the FFT grid the map is written over it
-    too (`_magnitude_over`), so the map is a view of a C-contiguous complex128
-    `cube.samples` (any other cube gets a map of its own). Otherwise the map
-    is allocated: written over a buffer of the chain's own, it would keep
-    all of that P x Q buffer alive. Dense steering writes Q x J sums
-    instead, and the chain drops its names for the P x Q buffer and the
-    P x J twiddles once steering is done, before the map is allocated. The
-    matched multiply scales each packet's row in place by the reference row
-    of the frame it carried: it copies no block of packets or of reference
-    rows, and a row stays in cache from its read to its write.
+    The chain works in one complex buffer, `buf`. With `overwrite` set, at
+    most P bins and an `_ownable` cube, `buf` is `cube.samples` and the
+    fast-time FFT runs in place; otherwise it is a max(P, J) x Q buffer of
+    the chain's own and the cube is only read. Its first P rows carry the
+    matched spectra and its first J rows the steered profiles, bin j in row
+    (j - J//2) % J on every grid; `_magnitude_over` then writes the map over
+    it, so the map is a C-contiguous float64 view of `buf`. A map of the
+    chain's own buffer keeps that buffer alive, twice the map's bytes or
+    more. The matched multiply scales each packet's row in place by the
+    reference row of the frame it carried: it copies no block of packets or
+    of reference rows, and a row stays in cache from its read to its write.
 
-    At each stage boundary the chain calls stage(name, x) on a C- or
-    F-contiguous buffer it owns, which the hook may edit in place (`fxp`
-    quantizes there); its return value is ignored. In order: "reference"
-    (conjugate frame spectra), "post_fft" (P x Q), "twiddle" (dense only),
-    "post_steering" and "post_ifft" (one Doppler hypothesis per row; in
-    slow-time FFT order when not dense).
+    At each stage boundary the chain calls stage(name, x) on a C-contiguous
+    buffer it owns, which the hook may edit in place (`fxp` quantizes
+    there); its return value is ignored. In order: "reference" (conjugate
+    frame spectra), "post_fft" (P x Q), "twiddle" (P x J, dense only),
+    "post_steering" and "post_ifft" (J x Q, one Doppler hypothesis per row
+    in the rotated order above). All but "reference" and "twiddle" are rows
+    of `buf`.
 
-    Dense steering applies the P x J matrix; otherwise the grid must be
-    `default_grid`'s and steering is a slow-time IFFT. Each pass runs in
-    contiguous blocks on the ISACSIM_THREADS cores (`_threads.for_blocks`),
-    cut by the pass's length alone. So no bit depends on the thread count,
-    even where a blocked product's bits depend on its block, as dense
-    steering's do on some BLAS kernels; they may differ between kernels.
+    Dense steering applies the P x J matrix to each block of range columns
+    and writes the block's sums back into `buf` rotated; otherwise the grid
+    must be `default_grid`'s and steering is a slow-time IFFT, whose bins
+    come out in that order already. Each pass runs in contiguous blocks on
+    the ISACSIM_THREADS cores (`_threads.for_blocks`), cut by the pass's
+    length alone. So no bit depends on the thread count, even where a
+    blocked product's bits depend on its block, as dense steering's do on
+    some BLAS kernels; they may differ between kernels.
     """
     params = cube.params
     p_len, q_len = cube.samples.shape
@@ -176,7 +184,11 @@ def _chain(
         )
     ref = np.conj(np.fft.fft(schedule.frames, axis=1))  # U x Q
     stage("reference", ref)
-    spectra = cube.samples if overwrite else np.empty((p_len, q_len), dtype=np.complex128)
+    if overwrite and j_len <= p_len and _ownable(cube.samples):
+        buf = cube.samples
+    else:
+        buf = np.empty((max(p_len, j_len), q_len), dtype=np.complex128)
+    spectra = buf[:p_len]
 
     def fast_time(b):  # packets b
         np.fft.fft(cube.samples[b], axis=1, out=spectra[b])
@@ -191,18 +203,21 @@ def _chain(
             spectra[p] *= ref[frame_of[p]]
 
     for_blocks(match, p_len)
+    steered = buf[:j_len]
     if dense:
         p_idx = np.arange(p_len) * params.pri_s
-        w = np.exp(2j * np.pi * np.outer(p_idx, grid.frequencies_hz))  # P x J
+        w = np.empty((p_len, j_len), dtype=np.complex128)
+        np.multiply(2j * np.pi, np.outer(p_idx, grid.frequencies_hz), out=w)
+        np.exp(w, out=w)
         stage("twiddle", w)
-        steered = np.empty((q_len, j_len), dtype=np.complex128)
+        h = j_len // 2
 
         def steer(r):  # range bins r; a one-row product would take GEMV's path
-            np.matmul(spectra[:, r].T, w, out=steered[r])
+            sums = np.matmul(spectra[:, r].T, w)  # bins r x J
+            steered[: j_len - h, r] = sums[:, h:].T
+            steered[j_len - h :, r] = sums[:, :h].T
 
         for_blocks(steer, q_len, min_block=2)
-        del spectra, w  # the steered sums replace them
-        steered, shift = steered.T, 0  # J x Q view, no copy; bin j is row j
     else:
         # sum_p M[p,q] exp(+2 pi i p (j - J//2) / P) == P * ifft_p(M) reordered
         def steer(r):  # range bins r, in place
@@ -210,56 +225,46 @@ def _chain(
             spectra[:, r] *= p_len
 
         for_blocks(steer, q_len)
-        steered, shift = spectra, j_len // 2  # bin j is row (j - J//2) % P
     stage("post_steering", steered)
 
     def range_ifft(b):  # Doppler rows b, in place
         np.fft.ifft(steered[b], axis=1, out=steered[b])
 
-    for_blocks(range_ifft, len(steered))
+    for_blocks(range_ifft, j_len)
     stage("post_ifft", steered)
-    if overwrite and not dense and spectra.dtype == np.complex128 and spectra.flags.c_contiguous:
-        return _magnitude_over(spectra, shift)
-    values = np.empty((j_len, q_len))
-
-    def magnitude(b):  # Doppler bins b: one run of rows, or two where the rotation wraps
-        start = (b.start - shift) % len(steered)
-        split = min(b.stop, b.start + len(steered) - start)
-        np.abs(steered[start : start + split - b.start], out=values[b.start : split])
-        if split < b.stop:
-            np.abs(steered[: b.stop - split], out=values[split : b.stop])
-
-    for_blocks(magnitude, j_len)
-    return values
+    return _magnitude_over(buf, j_len)
 
 
-def _magnitude_over(steered: np.ndarray, shift: int) -> np.ndarray:
-    """The FFT grid's J x Q map (J = P), written over the P x Q complex
-    buffer of its steered profiles: map row j = |steered[(j - shift) % P]|.
+def _magnitude_over(buf: np.ndarray, j_len: int) -> np.ndarray:
+    """The J x Q map, written over the C-contiguous complex buffer whose
+    first J rows hold the steered profiles, bin j in row (j - J//2) % J:
+    map row j = |buf[(j - J//2) % J]|.
 
-    Seen as 2P slots of Q float64s, complex row s fills slots 2s and 2s + 1
-    and map row j slot j, so the map is the first P slots, a C-contiguous
+    Seen as slots of Q float64s, complex row s fills slots 2s and 2s + 1
+    and map row j slot j, so the map is the first J slots, a C-contiguous
     view of the buffer.
     """
-    p_len, q_len = steered.shape
-    slots = steered.view(np.float64).reshape(2 * p_len, q_len)
+    q_len = buf.shape[1]
+    shift = j_len // 2
+    slots = buf.view(np.float64).reshape(-1, q_len)
     temp = np.empty(q_len)
-    # Sources s < P - shift go to slot s + shift, the highest first. With
-    # shift = P // 2 >= s, 2s <= s + shift < P: a write lands neither below
+    # Sources s < J - shift go to slot s + shift, the highest first. With
+    # shift = J // 2 >= s, 2s <= s + shift < J: a write lands neither below
     # 2s, in the slots of the sources still unread below s, nor from
-    # 2(P - shift) >= P on, in those of the sources read last. Only a
-    # destination within s's own slots (2s or 2s + 1) needs the temporary.
-    for s in range(p_len - shift - 1, -1, -1):
+    # 2(J - shift) >= J on, in those of the sources read last. Only a
+    # destination within s's own slots (2s or 2s + 1) needs the temporary:
+    # numpy does not buffer a destination that starts inside its source.
+    for s in range(j_len - shift - 1, -1, -1):
         if s + shift <= 2 * s + 1:
-            np.abs(steered[s], out=temp)
+            np.abs(buf[s], out=temp)
             slots[s + shift] = temp
         else:
-            np.abs(steered[s], out=slots[s + shift])
-    # Sources s >= P - shift go to slots [0, shift); theirs start at
-    # 2(P - shift) >= P, beyond every destination.
-    for s in range(p_len - shift, p_len):
-        np.abs(steered[s], out=slots[s + shift - p_len])
-    return slots[:p_len]
+            np.abs(buf[s], out=slots[s + shift])
+    # Sources s >= J - shift go to slots [0, shift); theirs start at
+    # 2(J - shift) >= J, beyond every destination.
+    for s in range(j_len - shift, j_len):
+        np.abs(buf[s], out=slots[s + shift - j_len])
+    return slots[:j_len]
 
 
 def matched_filter_rd(
@@ -272,11 +277,13 @@ def matched_filter_rd(
     by exp(+j 2 pi f_j p T_pri), summed over packets, and IFFT'd to a range
     profile; the map stores magnitudes as J x Q.
 
-    `cube.samples` is never written unless `overwrite_cube` is set: then the
-    filter transforms the cube in place instead of a P x Q copy, and on the
-    FFT grid the map's values are a view of the cube's memory. The caller
-    must then neither read nor write `cube.samples` while the map lives. The
-    map is the same either way.
+    `cube.samples` is never written unless `overwrite_cube` is set: then a
+    filter of at most P bins transforms a C-contiguous complex128 cube in
+    place instead of a P x Q copy, and the map's values are a view of the
+    cube's memory. The caller must then neither read nor write
+    `cube.samples` while the map lives. The map is the same either way; any
+    other run writes it over the P x Q (or J x Q) buffer the filter steered
+    in, which the map keeps alive.
     """
     values = _chain(
         cube, schedule, grid, not grid.fft_aligned, lambda name, x: None, overwrite_cube

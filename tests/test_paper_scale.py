@@ -6,7 +6,9 @@ matched filter, detection, peak-cut PSLR) on the FFT grid, and once more at
 2 m/s on the 1999-bin dense grid. The extended targets of the sample config
 (`seed_scene = 3`) stand at the same place: a car of 64 scatterers and a
 pedestrian, each at 2 and 10 m/s on the FFT grid; their echo is one
-synthesis GEMM with an inner dimension of U x 64 or U x 27.
+synthesis GEMM with an inner dimension of U x 64 or U x 27. One fixed-point
+run is pinned too: a <16,1> full_chain sweep of pmcw at 2 m/s on the FFT
+grid, its quantized chain steering densely over P x P twiddles.
 
 Detection bins are asserted under any numpy and BLAS, and so is the paper's
 PSLR order: fmcw < pmcw < golay_standard <= golay_doppler_resilient for the
@@ -15,7 +17,9 @@ Golay values are compared through the golden file only. The pedestrian's
 order does not hold (its extent lies inside the mainlobe), so only its
 detections are pinned. The map bytes and the exact PSLR depend on the FFT
 build and on the CPU kernel OpenBLAS runs, so they are compared only under
-the numpy version and the BLAS core the golden file was captured with.
+the numpy version and the BLAS core the golden file was captured with, as
+are the fixed-point run's SQNR and clip counts; its peak agreement is
+asserted under any build.
 
 Regenerate the golden file (only for a change that moves maps on purpose):
 
@@ -43,6 +47,8 @@ SEED_CODE = 7  # configs/point_target.ini
 SEED_SCENE = 3  # configs/point_target.ini
 EXTENDED = ("car", "pedestrian")
 EXTENDED_SPEEDS_MPS = (2.0, 10.0)
+FXP_FORMAT = iz.FixedPointFormat(16, 1)
+FXP_LABEL = "pmcw-16:1-full_chain-fft-2mps"
 
 
 def _runs():
@@ -85,6 +91,26 @@ def compute_run(target: str, speed_mps: float, bins: int | None) -> dict:
     return out
 
 
+def compute_fixed_point() -> dict:
+    """SQNR, peak agreement and clip counts of the pinned fixed-point run,
+    scored against the filter's map of the same cube."""
+    params = iz.scaled_profile(iz.WaveformParams(), 2000)
+    schedule = iz.build_schedule(iz.ScheduleKind.PMCW, params, seed=SEED_CODE)
+    cube = iz.synthesize_echo(schedule, [make_target("point", 2.0)], params)
+    grid = iz.default_grid(params)
+    rd_map = iz.matched_filter_rd(cube, schedule, grid)
+    sweep = iz.precision_sweep(
+        cube, schedule, grid, [FXP_FORMAT], iz.FxpMode.FULL_CHAIN,
+        double_map=rd_map, overwrite_cube=True,
+    )
+    report = sweep.rows[0].report
+    return {
+        "sqnr_db": report.sqnr_db,
+        "peak_bin_agree": report.peak_bin_agree,
+        "saturation_counts": report.saturation_counts,
+    }
+
+
 def _golden() -> dict:
     return json.loads(GOLDEN.read_text())
 
@@ -113,9 +139,23 @@ def test_paper_scale_run_matches_the_golden_file(label, target, speed, bins):
         assert pslr[0] < pslr[1] < min(pslr[2], pslr[3]), pslr
 
 
+def test_paper_scale_fixed_point_run_matches_the_golden_file():
+    golden = _golden()
+    want = golden["fixed_point"][FXP_LABEL]
+    have = compute_fixed_point()
+    assert have["peak_bin_agree"]
+    if (np.__version__, blas_core()) == (golden["numpy"], golden["blas_core"]):
+        assert have == want
+
+
 def main() -> int:
     runs = {label: compute_run(*run) for label, *run in _runs()}
-    golden = {"numpy": np.__version__, "blas_core": blas_core(), "runs": runs}
+    golden = {
+        "numpy": np.__version__,
+        "blas_core": blas_core(),
+        "runs": runs,
+        "fixed_point": {FXP_LABEL: compute_fixed_point()},
+    }
     GOLDEN.write_text(json.dumps(golden, indent=2) + "\n")
     print(f"wrote {GOLDEN}")
     return 0

@@ -650,8 +650,8 @@ def test_quantized_chain_equals_the_serial_quantized_filter(
     double_map = iz.matched_filter_rd(cube, sched, grid)
     seen = []  # the sweep detects on the double map, then on the quantized one
 
-    def keeping(rd_map):
-        seen.append(rd_map)
+    def keeping(rd_map):  # the sweep then scores its map's error over its values
+        seen.append((rd_map, rd_map.values.copy()))
         return iz.detect_peak(rd_map)
 
     before = threading.active_count()
@@ -663,8 +663,8 @@ def test_quantized_chain_equals_the_serial_quantized_filter(
     report = sweep.rows[0].report
     assert report == expected_report
     assert list(report.saturation_counts) == list(expected_report.saturation_counts)
-    assert len(seen) == 2 and seen[0] is double_map
-    fxp_values = seen[1].values
+    assert len(seen) == 2 and seen[0][0] is double_map
+    fxp_values = seen[1][1]
     assert fxp_values.dtype == expected_values.dtype
     assert fxp_values.shape == expected_values.shape
     assert fxp_values.tobytes() == expected_values.tobytes()
@@ -944,27 +944,42 @@ def test_a_long_row_formats_in_scratch_of_one_span(monkeypatch, threads):
     assert peak <= int(threads) * CHUNK_BYTES_PER_VALUE * span + 2 * len(expected)
 
 
-@pytest.mark.parametrize("bins", [None, 63])
-def test_the_filter_overwriting_its_cube_within_its_memory_budget(ci_params, bins):
-    """At P = 64, a filter free to transform the cube in place allocates less
-    than a quarter of one P x Q complex buffer, and on a dense grid the J x Q
-    map and the Q x J steered sums besides; on the FFT grid the map is
-    written over the cube."""
-    grid = iz.default_grid(ci_params) if bins is None else iz.symmetric_grid(ci_params, bins)
+def _filter_peak_alloc(params, bins, overwrite):
+    """tracemalloc's peak over one P = 64 matched filter of a PMCW echo, in
+    units of one P x Q complex buffer."""
+    grid = iz.default_grid(params) if bins is None else iz.symmetric_grid(params, bins)
     target = [iz.point_target(np.array([12.0, 9.0, 0.0]), np.array([1.6, 1.2, 0.0]))]
-    sched = iz.build_schedule(iz.ScheduleKind.PMCW, ci_params, seed=7)
-    cube = iz.synthesize_echo(sched, target, ci_params)
-    p_len, q_len = cube.samples.shape
-    budget = p_len * q_len * 16 // 4
-    if bins is not None:
-        budget += len(grid) * q_len * 8 + q_len * len(grid) * 16
+    sched = iz.build_schedule(iz.ScheduleKind.PMCW, params, seed=7)
+    cube = iz.synthesize_echo(sched, target, params)
     tracemalloc.start()
     try:
-        iz.matched_filter_rd(cube, sched, grid, overwrite_cube=True)
+        iz.matched_filter_rd(cube, sched, grid, overwrite_cube=overwrite)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= budget
+    return peak / cube.samples.nbytes
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("bins", [None, 63])
+def test_the_filter_overwriting_its_cube_within_its_memory_budget(
+    monkeypatch, ci_params, threads, bins
+):
+    """At P = 64, a filter free to transform the cube in place allocates less
+    than a quarter of one P x Q complex buffer on either grid: it steers in
+    the cube and writes the map over it."""
+    monkeypatch.setenv("ISACSIM_THREADS", threads)
+    assert _filter_peak_alloc(ci_params, bins, overwrite=True) < 0.25
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("bins", [None, 63])
+def test_the_filter_keeping_its_cube_allocates_one_buffer(monkeypatch, ci_params, threads, bins):
+    """At P = 64, a filter that may not overwrite the cube allocates less than
+    1.25 P x Q complex buffers on either grid: the one buffer it steers in,
+    which then holds the map, and no map or steered sums beside it."""
+    monkeypatch.setenv("ISACSIM_THREADS", threads)
+    assert _filter_peak_alloc(ci_params, bins, overwrite=False) < 1.25
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])

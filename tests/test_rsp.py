@@ -137,10 +137,10 @@ class TestMatchedFilter:
     def test_magnitude_runs_equal_the_per_row_loop(
         self, monkeypatch, small_params, packets, dense, cuts
     ):
-        """The magnitude pass takes each block of Doppler bins as one or two
-        runs of profile rows; a block across the FFT order's wrap from row
-        P - 1 to row 0 takes two. Its map equals the per-row loop over the
-        same profiles for any cut of the bins into blocks."""
+        """Every grid leaves bin j's profile in row (j - J//2) % J, dense
+        steering by writing each block's sums back rotated. The map written
+        over the profiles equals the per-row loop over them for any cut of
+        the chain's passes into blocks."""
         params = iz.scaled_profile(small_params, packets)
         if dense:
             grid = iz.symmetric_grid(params, 2 * (packets // 2) + 1)
@@ -169,8 +169,8 @@ class TestMatchedFilter:
 
         monkeypatch.setattr(rsp, "for_blocks", cut_blocks)
         values = rsp._chain(cube, sched, grid, dense, keep_profiles)
-        j_len, p_len = len(grid), len(profiles[0])
-        rows = np.arange(j_len) if dense else (np.arange(j_len) - j_len // 2) % p_len
+        j_len = len(grid)
+        rows = (np.arange(j_len) - j_len // 2) % j_len
         expected = np.empty_like(values)
         for j in range(j_len):
             expected[j] = np.abs(profiles[0][rows[j]])
@@ -192,10 +192,12 @@ class TestMatchedFilter:
         assert cube.samples.tobytes() == before
 
     @pytest.mark.parametrize("threads", ["1", "2"])
-    @pytest.mark.parametrize("bins", [None, 15])
+    @pytest.mark.parametrize("bins", [None, 15, 33])
     def test_overwriting_the_cube_gives_the_same_map(
         self, monkeypatch, small_params, all_kinds, threads, bins
     ):
+        """On the FFT grid, on a dense grid of P - 1 bins and on one of
+        2P + 1, which steers into a 2P + 1 row buffer of the chain's own."""
         monkeypatch.setenv("ISACSIM_THREADS", threads)
         grid = iz.default_grid(small_params) if bins is None else iz.symmetric_grid(small_params, bins)
         for kind in all_kinds:
@@ -204,7 +206,8 @@ class TestMatchedFilter:
             own = iz.DataCube(samples=cube.samples.copy(), params=small_params)
             overwritten = iz.matched_filter_rd(own, sched, grid, overwrite_cube=True)
             assert np.array_equal(overwritten.values, kept.values)
-            assert not np.array_equal(own.samples, cube.samples)  # it was written
+            # written in place unless the grid's bins outnumber the cube's rows
+            assert np.array_equal(own.samples, cube.samples) == (len(grid) > len(cube.samples))
 
     @pytest.mark.parametrize("threads", ["1", "2", "5"])
     def test_the_map_written_over_the_cube_equals_the_allocated_map(
@@ -255,9 +258,10 @@ class TestMatchedFilter:
     @pytest.mark.parametrize("bins", [None, 15])
     def test_the_hook_sees_only_buffers_the_chain_owns(self, small_params, bins):
         """`overwrite` alone decides ownership: without it no stage buffer
-        shares memory with the cube; with it the fast-time FFT writes the
-        cube's own memory. The cube itself is never a stage. The map is a
-        view of the cube's memory on the FFT grid with `overwrite` alone."""
+        shares memory with the cube; with it every grid of at most P bins
+        transforms and steers in the cube's own memory. The cube itself is
+        never a stage. The map is a view of the cube's memory exactly when
+        `overwrite` is set."""
         dense = bins is not None
         grid = iz.symmetric_grid(small_params, bins) if dense else iz.default_grid(small_params)
         sched, cube = self.noisy_echo(small_params, iz.ScheduleKind.PMCW)
@@ -273,15 +277,13 @@ class TestMatchedFilter:
 
             values = rsp._chain(own, sched, grid, dense, record, overwrite)
             assert values.flags.c_contiguous
-            assert np.shares_memory(values, own.samples) == (overwrite and not dense)
+            assert np.shares_memory(values, own.samples) == overwrite
             assert list(seen) == names
             shared = {name for name, x in seen.items() if np.shares_memory(x, own.samples)}
-            if not overwrite:
-                assert shared == set()
-            elif dense:  # the steered sums are a Q x J buffer of their own
-                assert shared == {"post_fft"}
-            else:  # the FFT grid steers and transforms the cube in place
+            if overwrite:  # every grid steers and transforms the cube in place
                 assert shared == {"post_fft", "post_steering", "post_ifft"}
+            else:
+                assert shared == set()
 
     def test_range_axis_spacing_is_the_range_resolution(self, small_params):
         axis = small_params.range_axis_m()
