@@ -39,6 +39,10 @@ _GOLAY_WAVEFORMS = (ScheduleKind.GOLAY_STANDARD, ScheduleKind.GOLAY_DOPPLER_RESI
 # Largest |snr_db| and |rcs_dbsm| the scene accepts.
 MAX_DB = 300.0
 
+# Fewest fast-time samples a PRI may hold: PSLR's +-2 bin mainlobe, wherever
+# the peak falls, must leave at least one sidelobe bin in the range cut.
+MIN_SAMPLES_PER_PRI = 6
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -77,10 +81,18 @@ class ScenarioConfig:
             _to_output_dir(self.output_dir)
         except ValueError as exc:
             raise ConfigError(f"invalid output directory: {exc}") from None
+        q = self.params.samples_per_pri
+        if q < MIN_SAMPLES_PER_PRI:
+            raise ConfigError(
+                f"'pri_s' * 'bandwidth_hz' gives {q} fast-time samples per PRI; PSLR needs "
+                f"at least {MIN_SAMPLES_PER_PRI}, a +-2 bin mainlobe and a sidelobe bin beside it"
+            )
         n = self.params.code_length
         golay = [k.value for k in self.waveforms if k in _GOLAY_WAVEFORMS]
-        if golay and n & (n - 1):
-            raise ConfigError(f"{golay[0]} needs a power-of-two 'code_length', got {n}")
+        if golay and not (2 <= n <= 1 << 16 and n & (n - 1) == 0):
+            raise ConfigError(
+                f"{golay[0]} needs a power-of-two 'code_length' from 2 to 65536, got {n}"
+            )
         if self.target_kind == "car" and self.scatterer_count < 4:
             raise ConfigError(
                 f"a car target needs 'scatterer_count' >= 4, got {self.scatterer_count}"

@@ -23,18 +23,18 @@ chain splits its passes across ISACSIM_THREADS threads as the double filter
 does; every map and report is the same to the bit for any thread count.
 
 The chain hands its hook only buffers it owns, so every stage is quantized
-in place. The sweep copies the caller's cube into one P x Q buffer of its
-own for each format; FULL_CHAIN quantizes that copy as its "input" stage,
-and the chain runs on it with `overwrite`, so with at most P Doppler bins
-the chain transforms and steers in that buffer and writes the format's map
-over it, and the sweep scores the map's error in the map's own memory.
-Reusing one buffer across formats keeps a small sweep from handing its
-pages back to the system and faulting them in again for every format. A
-sweep free to overwrite the cube (`overwrite_cube`, as `rsp`'s filter has)
-runs its last format on the cube itself, after dropping the copy, so a
-one-format sweep allocates no P x Q buffer of its own. The sweep detects
-and scores the double-precision map once and shares that score across its
-formats, so a row's runtime_s covers only its own quantized run.
+in place. The sweep consumes the caller's cube: its last format runs on the
+cube itself, and every format before it on a copy of the cube in one P x Q
+buffer of the sweep's own, dropped before the last format runs, so a
+one-format sweep allocates no P x Q buffer. FULL_CHAIN quantizes the cube
+or its copy as the "input" stage, and the chain runs on it with
+`overwrite`, so with at most P Doppler bins the chain transforms and steers
+in that buffer and writes the format's map over it, and the sweep scores
+the map's error in the map's own memory. Reusing one buffer across formats
+keeps a small sweep from handing its pages back to the system and faulting
+them in again for every format. The sweep detects and scores the
+double-precision map once and shares that score across its formats, so a
+row's runtime_s covers only its own quantized run.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DataError, ParameterError, ProcessingError
-from .rsp import DopplerGrid, RangeDopplerMap, _chain, _ownable, detect_peak, pslr_db
+from .rsp import DopplerGrid, RangeDopplerMap, _chain, detect_peak, pslr_db
 from .scene import DataCube
 from .waveform import FrameSchedule
 
@@ -203,18 +203,16 @@ def precision_sweep(
     mode: FxpMode = FxpMode.FULL_CHAIN,
     *,
     double_map: RangeDopplerMap,
-    overwrite_cube: bool = False,
 ) -> SweepResult:
     """One quantized run per format, with timing, plus an SQNR monotonicity
     summary across word lengths. Every row is scored against `double_map`,
     the double-precision map of the cube, whose detection, PSLR and power
     the sweep computes once for all formats; a row's runtime_s is its own
-    quantized run and scoring only. Every format copies the cube into one
-    P x Q buffer of the sweep's own, which its chain then overwrites; the
-    cube is only read. With `overwrite_cube` the last format quantizes and
-    transforms a C-contiguous complex128 cube in place instead, once the
-    copy is dropped, and the caller must not read the cube afterwards; the
-    rows are the same either way. A format's map is a view of the buffer its
+    quantized run and scoring only. The sweep consumes `cube`: each format
+    but the last copies it into one P x Q buffer of the sweep's own, which
+    its chain then overwrites, and the last quantizes and transforms the
+    cube in place, once the copy is dropped, so a caller that reads the
+    cube afterwards passes a copy. A format's map is a view of the buffer its
     chain ran in; the sweep detects on it, takes its PSLR, then overwrites
     it with its squared error against `double_map`, and drops it before the
     next format runs, so the sweep holds one format's buffers at a time. A
@@ -239,7 +237,6 @@ def precision_sweep(
     power = float(np.sum(double_map.values**2))
     full = mode is FxpMode.FULL_CHAIN
     samples = cube.samples
-    own_last = overwrite_cube and _ownable(samples)
     work = None  # the buffer the formats copy the cube into, made on first use
 
     def run(fmt: FixedPointFormat, last: bool) -> FxpReport:
@@ -253,7 +250,7 @@ def precision_sweep(
                 sizes[name] = comps.size
                 counts[name] = _quantize_into(comps, comps, fmt)
 
-        if last and own_last:
+        if last:
             data, work = cube, None  # the copy dies before the chain allocates
         else:
             if work is None:

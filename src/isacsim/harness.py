@@ -13,23 +13,23 @@ depend on the thread count.
 
 The run streams: it draws the scene's receiver noise once
 (`noise_block`), then `run_waveform` takes one waveform at a time from its
-schedule through synthesis, the matched filter, detection and PSLR, the
-optional oracle and fixed-point sweep (scored against the run's own double
-map), the CSVs and the optional `run_benchmarks` timings. Only then is the
-next waveform started, and its cube and map are gone: a `WaveformResult`
-holds no array. When no later step reads the cube (no oracle, no formats,
-no `--bench`), the matched filter transforms it in place
+schedule through synthesis, the cube's read-only readers (the optional
+oracle and `run_benchmarks` timings), the matched filter, detection and
+PSLR, the optional fixed-point sweep (scored against the run's own double
+map) and the CSVs. Only then is the next waveform started, and its cube and
+map are gone: a `WaveformResult` holds no array. Each cube has one owner.
+Without formats the matched filter transforms the cube in place
 (`overwrite_cube=True`) and, with at most P Doppler bins, writes the map
 over it, so one P x Q buffer is in memory at a time, besides the shared
-P x Q noise block; otherwise the filter works in a P x Q buffer of its own
-(max(P, J) x Q for a grid of more bins than packets) next to the cube and
-writes the map over that. Without `--bench` the fixed-point sweep, the
-cube's last reader, runs its last format on the cube itself. Each
-waveform's summary times its synthesis (without the shared noise draw,
-which the run-level `timings_s.noise` times), processing and artifact
-writing. The summary's `tool.version` is `isacsim.__version__`, the one
-place the version is written, and its `environment` block records what
-produced the numbers.
+P x Q noise block. With formats the filter works in a P x Q buffer of its
+own (max(P, J) x Q for a grid of more bins than packets) next to the cube
+and writes the map over that, and the fixed-point sweep, the cube's last
+reader, runs its last format on the cube itself. Each waveform's summary
+times its synthesis (without the shared noise draw, which the run-level
+`timings_s.noise` times), the filter alone and artifact writing. The
+summary's `tool.version` is `isacsim.__version__`, the one place the
+version is written, and its `environment` block records what produced the
+numbers.
 
 `noise_block` and `synthesize_echo` both run `scene.check_scene` first, so a
 scene that cannot run fails at the noise draw, or with noise off at the
@@ -212,22 +212,34 @@ def run_waveform(
     """Full pipeline for one waveform: schedule, echo (plus the run's shared
     `noise` block), matched filter, peak detection and PSLR, the optional
     oracle and fixed-point passes, the two CSVs in `out_path` and the
-    optional benchmark timings. The map dies once its CSVs are written,
-    before the benchmark re-times the filter, and the cube with this call.
-    The filter overwrites the cube unless the oracle, the sweep or the
-    benchmark reads it afterwards, and then, with at most P Doppler bins,
-    the map is a view of the cube's memory, which nothing else here
-    touches. The sweep,
-    which runs after the oracle, overwrites the cube unless the benchmark
-    reads it."""
+    optional benchmark timings.
+
+    The cube has one order of readers. The read-only ones run first: the
+    oracle, whose map is scored once the filter's exists, and the benchmark
+    timings. Then the cube goes to its one owner: the filter overwrites it
+    unless formats are set and, with at most P Doppler bins, writes the map
+    over it; with formats the filter only reads it and the sweep consumes
+    it. The map and the cube die with this call."""
     params = cfg.params
     t0 = time.perf_counter()
     schedule = build_schedule(kind, params, seed=cfg.seed_code)
     cube = synthesize_echo(schedule, targets, params, path_loss=cfg.path_loss, noise=noise)
+    synth_s = time.perf_counter() - t0
+
+    oracle_map = oracle_note = None
+    if cfg.run_oracle:
+        try:
+            oracle_map = time_domain_oracle(cube, schedule, grid)
+        except OracleGuardError as exc:
+            oracle_note = f"oracle skipped: {exc}"
+    benchmark = run_benchmarks(cfg, cube, schedule, grid) if cfg.bench_enabled else None
+
     t1 = time.perf_counter()
-    cube_read_later = cfg.run_oracle or bool(cfg.fxp_formats) or cfg.bench_enabled
-    rd_map = matched_filter_rd(cube, schedule, grid, overwrite_cube=not cube_read_later)
-    t2 = time.perf_counter()
+    rd_map = matched_filter_rd(cube, schedule, grid, overwrite_cube=not cfg.fxp_formats)
+    process_s = time.perf_counter() - t1
+    oracle_deviation = None
+    if oracle_map is not None:
+        oracle_deviation = map_relative_deviation(rd_map, oracle_map)
 
     detection = None
     pslr = None
@@ -238,44 +250,33 @@ def run_waveform(
     except NoDetectionError as exc:
         failure = str(exc)
 
-    oracle_deviation = oracle_note = None
-    if cfg.run_oracle:
-        try:
-            oracle_map = time_domain_oracle(cube, schedule, grid)
-            oracle_deviation = map_relative_deviation(rd_map, oracle_map)
-        except OracleGuardError as exc:
-            oracle_note = f"oracle skipped: {exc}"
-
     sweep = None
     if cfg.fxp_formats and failure is None:
         sweep = precision_sweep(
-            cube,
-            schedule,
-            grid,
-            cfg.fxp_formats,
-            cfg.fxp_mode,
-            double_map=rd_map,
-            overwrite_cube=not cfg.bench_enabled,
+            cube, schedule, grid, cfg.fxp_formats, cfg.fxp_mode, double_map=rd_map
         )
+        if benchmark is not None:
+            benchmark["fixed_point"] = [
+                {"format": str(row.report.format), "runtime_s": row.runtime_s}
+                for row in sweep.rows
+            ]
 
     artifacts = {
         "rd_map_csv": f"{kind.value}_rd_map.csv",
         "range_profile_csv": f"{kind.value}_range_profile.csv",
     }
-    t3 = time.perf_counter()
+    t2 = time.perf_counter()
     write_rd_map_csv(out_path / artifacts["rd_map_csv"], rd_map)
     cut_bin = detection.doppler_bin if detection is not None else grid.zero_bin
     write_range_profile_csv(out_path / artifacts["range_profile_csv"], rd_map, cut_bin)
-    write_s = time.perf_counter() - t3
-    del rd_map  # read by nothing below, so the benchmark's repeats get its room
-    benchmark = run_benchmarks(cfg, cube, schedule, grid, sweep) if cfg.bench_enabled else None
+    write_s = time.perf_counter() - t2
 
     return WaveformResult(
         kind=kind,
         detection=detection,
         pslr_db=pslr,
-        synth_s=t1 - t0,
-        process_s=t2 - t1,
+        synth_s=synth_s,
+        process_s=process_s,
         write_s=write_s,
         artifacts=artifacts,
         oracle_deviation=oracle_deviation,
@@ -511,7 +512,7 @@ def _oracle_bench(
     p_used = min(p_len, max_p)
     sub_params = scaled_profile(params, p_used)
     sub_schedule = FrameSchedule(schedule.kind, schedule.frames, schedule.packet_map[:p_used])
-    sub_cube = DataCube(samples=cube.samples[:p_used].copy(), params=sub_params)
+    sub_cube = DataCube(samples=cube.samples[:p_used], params=sub_params)  # a view: read only
     sub_grid = default_grid(sub_params)
     median = _median_seconds(
         lambda: time_domain_oracle(sub_cube, sub_schedule, sub_grid), repeats
@@ -537,21 +538,18 @@ def _oracle_bench(
 
 
 def run_benchmarks(
-    cfg: ScenarioConfig,
-    cube: DataCube,
-    schedule: FrameSchedule,
-    grid: DopplerGrid,
-    sweep: SweepResult | None = None,
+    cfg: ScenarioConfig, cube: DataCube, schedule: FrameSchedule, grid: DopplerGrid
 ) -> dict:
     """Median-of-`cfg.bench_repeats` wall times (one warmup excluded) for one
-    waveform's FFT processor and time-domain oracle, plus each row's
-    single-run `runtime_s` from its fixed-point `sweep` (not re-timed): the
-    waveform's entry of the summary's benchmark."""
+    waveform's FFT processor and time-domain oracle, both of which only read
+    the cube: the waveform's entry of the summary's benchmark, to which
+    `run_waveform` adds each fixed-point row's single-run `runtime_s` (not
+    re-timed) once its sweep has run."""
     fft_median = _median_seconds(
         lambda: matched_filter_rd(cube, schedule, grid), cfg.bench_repeats
     )
     oracle = _oracle_bench(cube, schedule, grid, cfg.bench_repeats)
-    entry = {
+    return {
         "waveform": schedule.kind.value,
         "fft_median_s": fft_median,
         "oracle": oracle,
@@ -561,8 +559,3 @@ def run_benchmarks(
             else None
         ),
     }
-    if sweep is not None:
-        entry["fixed_point"] = [
-            {"format": str(row.report.format), "runtime_s": row.runtime_s} for row in sweep.rows
-        ]
-    return entry

@@ -12,8 +12,9 @@ when it is unset); the map does not depend on the thread count. Every grid
 steers in one complex buffer and writes the map over it: the cube itself
 when the filter may overwrite it and the grid has at most P bins, so such a
 filter allocates no P x Q or J x Q array; otherwise one P x Q buffer of the
-chain's own (max(P, J) x Q on a grid of more bins than packets). `fxp` runs
-the same chain with quantizing hooks.
+chain's own (max(P, J) x Q on a grid of more bins than packets). Every
+`DataCube` is C-contiguous complex128, so the chain may own any cube it is
+handed. `fxp` runs the same chain with quantizing hooks.
 
 The oracle computes the same map by rolling time-domain references under each
 packet, which is deliberately slow and shares no FFT code with the fast path.
@@ -34,6 +35,10 @@ from .waveform import FrameSchedule
 
 # Largest Q*P*J the brute-force oracle will accept.
 ORACLE_GUARD = 4_194_304
+
+# Packet rows per block of the dense twiddle's float64 phases: the phases
+# of one block, not of all P rows, sit beside the P x J complex twiddle.
+_TWIDDLE_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -128,12 +133,6 @@ def _check_schedule(cube: DataCube, schedule: FrameSchedule):
         )
 
 
-def _ownable(samples: np.ndarray) -> bool:
-    """Whether the chain may work in `samples` itself: a C-contiguous
-    complex128 array, whose memory holds its map as float64 rows."""
-    return samples.dtype == np.complex128 and samples.flags.c_contiguous
-
-
 def _chain(
     cube: DataCube,
     schedule: FrameSchedule,
@@ -144,10 +143,11 @@ def _chain(
 ):
     """The range-Doppler chain of both matched filters; returns the J x Q map.
 
-    The chain works in one complex buffer, `buf`. With `overwrite` set, at
-    most P bins and an `_ownable` cube, `buf` is `cube.samples` and the
-    fast-time FFT runs in place; otherwise it is a max(P, J) x Q buffer of
-    the chain's own and the cube is only read. Its first P rows carry the
+    The chain works in one complex buffer, `buf`. With `overwrite` set and
+    at most P bins, `buf` is `cube.samples` (C-contiguous complex128, as
+    `DataCube` makes every cube) and the fast-time FFT runs in place;
+    otherwise it is a max(P, J) x Q buffer of the chain's own and the cube
+    is only read. Its first P rows carry the
     matched spectra and its first J rows the steered profiles, bin j in row
     (j - J//2) % J on every grid; `_magnitude_over` then writes the map over
     it, so the map is a C-contiguous float64 view of `buf`. A map of the
@@ -184,7 +184,7 @@ def _chain(
         )
     ref = np.conj(np.fft.fft(schedule.frames, axis=1))  # U x Q
     stage("reference", ref)
-    if overwrite and j_len <= p_len and _ownable(cube.samples):
+    if overwrite and j_len <= p_len:
         buf = cube.samples
     else:
         buf = np.empty((max(p_len, j_len), q_len), dtype=np.complex128)
@@ -207,7 +207,9 @@ def _chain(
     if dense:
         p_idx = np.arange(p_len) * params.pri_s
         w = np.empty((p_len, j_len), dtype=np.complex128)
-        np.multiply(2j * np.pi, np.outer(p_idx, grid.frequencies_hz), out=w)
+        for lo in range(0, p_len, _TWIDDLE_ROWS):  # phases a block of rows at a time
+            b = slice(lo, lo + _TWIDDLE_ROWS)
+            np.multiply(2j * np.pi, np.outer(p_idx[b], grid.frequencies_hz), out=w[b])
         np.exp(w, out=w)
         stage("twiddle", w)
         h = j_len // 2
@@ -278,12 +280,12 @@ def matched_filter_rd(
     profile; the map stores magnitudes as J x Q.
 
     `cube.samples` is never written unless `overwrite_cube` is set: then a
-    filter of at most P bins transforms a C-contiguous complex128 cube in
-    place instead of a P x Q copy, and the map's values are a view of the
-    cube's memory. The caller must then neither read nor write
-    `cube.samples` while the map lives. The map is the same either way; any
-    other run writes it over the P x Q (or J x Q) buffer the filter steered
-    in, which the map keeps alive.
+    filter of at most P bins transforms the cube in place instead of a
+    P x Q copy, and the map's values are a view of the cube's memory. The
+    caller must then neither read nor write `cube.samples` while the map
+    lives. The map is the same either way; any other run writes it over the
+    P x Q (or J x Q) buffer the filter steered in, which the map keeps
+    alive.
     """
     values = _chain(
         cube, schedule, grid, not grid.fft_aligned, lambda name, x: None, overwrite_cube

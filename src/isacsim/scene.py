@@ -75,16 +75,25 @@ class PointScatterer:
 class TargetModel:
     scatterers: tuple[PointScatterer, ...]
 
-    def total_reflected_power(self) -> float:
-        return float(sum(abs(s.reflectivity) ** 2 for s in self.scatterers))
-
 
 @dataclass(frozen=True)
 class DataCube:
-    samples: np.ndarray  # P x Q complex: row p is packet p's fast time
+    """The received P x Q echo, row p packet p's fast time.
+
+    `samples` is always a C-contiguous complex128 array: `np.ascontiguousarray`
+    takes such an array, as every cube `synthesize_echo` makes is, as it is
+    and copies any other into one. So any cube can hold its own map: an
+    overwriting matched filter and the fixed-point sweep transform it in
+    place and write their maps over its memory, and a caller that reads the
+    cube after either passes it a copy."""
+
+    samples: np.ndarray
     params: WaveformParams
 
     def __post_init__(self):
+        object.__setattr__(
+            self, "samples", np.ascontiguousarray(self.samples, dtype=np.complex128)
+        )
         p, q = self.params.packets_per_cpi, self.params.samples_per_pri
         if self.samples.shape != (p, q):
             raise ParameterError(f"cube must be {p} x {q}, got {self.samples.shape}")
@@ -328,8 +337,8 @@ def synthesize_echo(
 
     `noise`, a P x Q block from `noise_block`, is where a noisy echo starts:
     the cube is a copy of it and the band is added in. Without one the echo
-    is noise-free and starts from `np.zeros`. Either way the cube is an
-    ordinary numpy array of its own, which `rsp.matched_filter_rd(...,
+    is noise-free and starts from `np.zeros`. Either way the cube is a
+    C-contiguous array of its own, which `rsp.matched_filter_rd(...,
     overwrite_cube=True)` may transform in place.
     """
     q_len = params.samples_per_pri

@@ -22,9 +22,14 @@ def small_pipeline(params, kind=iz.ScheduleKind.PMCW, snr_db=None):
     return cube, sched, grid, iz.matched_filter_rd(cube, sched, grid)
 
 
+def copied(cube):
+    """A cube of the same samples for a sweep to consume."""
+    return iz.DataCube(samples=cube.samples.copy(), params=cube.params)
+
+
 def sweep_report(cube, sched, grid, fmt, mode=iz.FxpMode.FULL_CHAIN, *, double_map):
-    """The report of a one-format sweep."""
-    sweep = iz.precision_sweep(cube, sched, grid, [fmt], mode, double_map=double_map)
+    """The report of a one-format sweep of a copy of `cube`."""
+    sweep = iz.precision_sweep(copied(cube), sched, grid, [fmt], mode, double_map=double_map)
     return sweep.rows[0].report
 
 
@@ -231,7 +236,9 @@ class TestQuantizedChain:
         a report does not depend on the formats run before it."""
         cube, sched, grid, double_map = small_pipeline(small_params, snr_db=20.0)
         formats = [iz.FixedPointFormat(w, 1) for w in (12, 24)]
-        sweep = iz.precision_sweep(cube, sched, grid, formats, mode, double_map=double_map)
+        sweep = iz.precision_sweep(
+            copied(cube), sched, grid, formats, mode, double_map=double_map
+        )
         for row in sweep.rows:
             single = sweep_report(cube, sched, grid, row.report.format, mode, double_map=double_map)
             assert single == row.report
@@ -257,71 +264,51 @@ class TestQuantizedChain:
 
     @pytest.mark.parametrize("mode", list(iz.FxpMode))
     @pytest.mark.parametrize("count", [1, 3])
-    def test_a_sweep_over_the_cube_reports_what_a_copying_one_does(self, small_params, mode, count):
-        """With overwrite_cube the last format runs on the caller's cube
-        itself: every report is the same, and only that cube is written."""
+    def test_the_sweep_consumes_its_cube(self, small_params, mode, count):
+        """The last format runs on the caller's cube itself, so the cube is
+        written; every report is the one a sweep of a copy gives."""
         cube, sched, grid, double_map = small_pipeline(small_params, snr_db=20.0)
         formats = [iz.FixedPointFormat(w, 1) for w in (12, 16, 24)[:count]]
-        kept = iz.precision_sweep(cube, sched, grid, formats, mode, double_map=double_map)
+        kept = iz.precision_sweep(copied(cube), sched, grid, formats, mode, double_map=double_map)
         samples = cube.samples.copy()
-        over = iz.precision_sweep(
-            cube, sched, grid, formats, mode, double_map=double_map, overwrite_cube=True
-        )
+        over = iz.precision_sweep(cube, sched, grid, formats, mode, double_map=double_map)
         assert [r.report for r in over.rows] == [r.report for r in kept.rows]
         assert over.monotone_sqnr == kept.monotone_sqnr
         assert not np.array_equal(cube.samples, samples)
 
-    @pytest.mark.parametrize("layout", ["fortran", "complex64"])
-    def test_a_sweep_copies_a_cube_it_cannot_take_over(self, small_params, layout):
-        """overwrite_cube takes only a C-contiguous complex128 cube; any other
-        cube is copied like the sweep's other formats and never written."""
-        cube, sched, grid, double_map = small_pipeline(small_params, snr_db=20.0)
-        if layout == "fortran":
-            samples = np.asfortranarray(cube.samples)
-        else:
-            samples = cube.samples.astype(np.complex64)
-        other = iz.DataCube(samples=samples, params=small_params)
-        before = samples.tobytes()
-        fmt = [iz.FixedPointFormat(16, 1)]
-        kept = iz.precision_sweep(other, sched, grid, fmt, double_map=double_map)
-        over = iz.precision_sweep(
-            other, sched, grid, fmt, double_map=double_map, overwrite_cube=True
-        )
-        assert over.rows[0].report == kept.rows[0].report
-        assert samples.tobytes() == before
-
     @pytest.mark.parametrize("mode", list(iz.FxpMode))
-    def test_a_one_format_sweep_over_the_cube_allocates_no_second_cube(self, ci_params, mode):
-        """On a 15-bin grid at P = 64 a copying one-format sweep allocates a
-        whole P x Q complex buffer for its work; one with overwrite_cube
-        quantizes the caller's cube in place and allocates less than half of
-        one, its dense steering sums and maps included."""
+    def test_only_the_formats_before_the_last_allocate_a_cube(self, ci_params, mode):
+        """On a 15-bin grid at P = 64 a one-format sweep quantizes the
+        caller's cube in place and allocates less than half of one P x Q
+        complex buffer, its dense steering sums and maps included; a
+        two-format sweep copies the cube into a buffer of its own for its
+        first format."""
         cube, sched, _, _ = small_pipeline(ci_params)
         grid = iz.symmetric_grid(ci_params, 15)
         double_map = iz.matched_filter_rd(cube, sched, grid)
-        fmt = [iz.FixedPointFormat(16, 1)]
         peaks = {}
-        for overwrite in (False, True):  # the copying sweep leaves the cube as it was
+        for count in (1, 2):
+            formats = [iz.FixedPointFormat(w, 1) for w in (16, 24)[:count]]
+            own = copied(cube)
             tracemalloc.start()
             try:
-                iz.precision_sweep(
-                    cube, sched, grid, fmt, mode, double_map=double_map, overwrite_cube=overwrite
-                )
-                peaks[overwrite] = tracemalloc.get_traced_memory()[1]
+                iz.precision_sweep(own, sched, grid, formats, mode, double_map=double_map)
+                peaks[count] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peaks[False] >= cube.samples.nbytes
-        assert peaks[True] < cube.samples.nbytes // 2
+        assert peaks[1] < cube.samples.nbytes // 2
+        assert peaks[2] >= cube.samples.nbytes
 
     @pytest.mark.parametrize("mode", list(iz.FxpMode))
-    def test_chain_stages_keep_the_caller_inputs(self, small_params, mode):
-        """Chain-owned stages are quantized in place; the cube, the schedule
-        and the double map the caller passes are never written, also under
-        CORE_ONLY, whose chain takes the caller's cube unquantized."""
+    def test_chain_stages_keep_the_schedule_and_the_double_map(self, small_params, mode):
+        """Chain-owned stages, the consumed cube's among them, are quantized
+        in place; the schedule and the double map the caller passes are
+        never written, also under CORE_ONLY, whose chain takes the cube
+        unquantized."""
         cube, sched, grid, double_map = small_pipeline(small_params, snr_db=15.0)
-        before = [a.tobytes() for a in (cube.samples, sched.frames, double_map.values)]
+        before = [a.tobytes() for a in (sched.frames, double_map.values)]
         iz.precision_sweep(
             cube, sched, grid, [iz.FixedPointFormat(12, 1)], mode, double_map=double_map
         )
-        after = [a.tobytes() for a in (cube.samples, sched.frames, double_map.values)]
+        after = [a.tobytes() for a in (sched.frames, double_map.values)]
         assert after == before

@@ -222,69 +222,72 @@ class TestRunComparison:
 
     @pytest.mark.parametrize("snr_db", [None, 10.0])
     @pytest.mark.parametrize("bins", [None, 15])
-    def test_a_kept_cube_and_an_overwritten_one_write_the_same_csvs(
-        self, tmp_path, monkeypatch, snr_db, bins
+    @pytest.mark.parametrize("reader", ["oracle", "bench", "formats"])
+    def test_only_the_sweep_keeps_the_filter_off_the_cube(
+        self, tmp_path, monkeypatch, snr_db, bins, reader
     ):
-        """The oracle, the formats and the benchmark read the cube after the
-        filter, so it keeps it; with all three off the filter overwrites it.
-        Both runs write the same bytes."""
-        overwrites = []
+        """The oracle and the benchmark read the cube before the filter, so
+        the filter still overwrites it; with formats the sweep reads it
+        after the filter, which keeps it. The waveform's own filter call is
+        the one that passes `overwrite_cube`, the benchmark's repeats pass
+        none. Every run writes a plain run's bytes."""
+        calls = []
         match = harness.matched_filter_rd
 
         def recorded_match(cube, schedule, grid, **kwargs):
-            overwrites.append(kwargs.get("overwrite_cube", False))
+            calls.append(kwargs)
             return match(cube, schedule, grid, **kwargs)
 
         monkeypatch.setattr(harness, "matched_filter_rd", recorded_match)
         base = small_cfg(snr_db=snr_db, doppler_bins=bins)
-        keeping = dataclasses.replace(
-            base,
-            run_oracle=True,
-            fxp_formats=(iz.FixedPointFormat(16, 1),),
-            bench_enabled=True,
-            bench_repeats=1,
-        )
-        iz.run_comparison(base, tmp_path / "overwritten")
-        assert overwrites == [True] * len(base.waveforms)
-        overwrites.clear()
-        iz.run_comparison(keeping, tmp_path / "kept")
-        assert overwrites and not any(overwrites)
-        names = sorted(p.name for p in (tmp_path / "kept").glob("*.csv"))
+        read = {
+            "oracle": dict(run_oracle=True),
+            "bench": dict(bench_enabled=True, bench_repeats=1),
+            "formats": dict(fxp_formats=(iz.FixedPointFormat(16, 1),)),
+        }[reader]
+        iz.run_comparison(base, tmp_path / "plain")
+        assert calls == [{"overwrite_cube": True}] * len(base.waveforms)
+        calls.clear()
+        iz.run_comparison(dataclasses.replace(base, **read), tmp_path / "read")
+        own = [kwargs for kwargs in calls if kwargs]
+        assert own == [{"overwrite_cube": reader != "formats"}] * len(base.waveforms)
+        repeats = 2 * len(base.waveforms) if reader == "bench" else 0  # warmup and one timed
+        assert len(calls) - len(own) == repeats
+        names = sorted(p.name for p in (tmp_path / "read").glob("*.csv"))
         assert len(names) == 2 * len(base.waveforms)
         for name in names:
-            kept = (tmp_path / "kept" / name).read_bytes()
-            assert kept == (tmp_path / "overwritten" / name).read_bytes()
+            read_bytes = (tmp_path / "read" / name).read_bytes()
+            assert read_bytes == (tmp_path / "plain" / name).read_bytes()
 
-    def test_the_sweep_overwrites_the_cube_unless_the_benchmark_reads_it(
-        self, tmp_path, monkeypatch
-    ):
-        """The sweep runs after the oracle, so only the benchmark reads the
-        cube after it: without --bench its last format takes the cube. The
-        CSVs and the fixed-point rows but their timings are the same."""
-        flags = []
-        sweep = harness.precision_sweep
-
-        def recorded_sweep(*args, **kwargs):
-            flags.append(kwargs["overwrite_cube"])
-            return sweep(*args, **kwargs)
-
-        monkeypatch.setattr(harness, "precision_sweep", recorded_sweep)
-        base = small_cfg(snr_db=15.0, run_oracle=True, fxp_formats=(iz.FixedPointFormat(16, 1),))
+    def test_a_benchmarked_sweep_reports_what_a_plain_one_does(self, tmp_path):
+        """The benchmark times the filter and the oracle before the sweep
+        consumes the cube: the CSVs and the fixed-point rows but their
+        timings are the same with and without it, and the benchmark entry
+        lists each row's runtime_s under its format."""
+        formats = (iz.FixedPointFormat(16, 1), iz.FixedPointFormat(24, 1))
+        base = small_cfg(snr_db=15.0, run_oracle=True, fxp_formats=formats)
         benched = dataclasses.replace(base, bench_enabled=True, bench_repeats=1)
-        rows = {}
-        for name, cfg in (("over", base), ("kept", benched)):
-            flags.clear()
-            summary = iz.run_comparison(cfg, tmp_path / name).summary
-            assert flags == [name == "over"] * len(cfg.waveforms)
+        rows, summaries = {}, {}
+        for name, cfg in (("plain", base), ("benched", benched)):
+            summary = summaries[name] = iz.run_comparison(cfg, tmp_path / name).summary
             rows[name] = [
                 {k: v for k, v in row.items() if k != "runtime_s"}
                 for w in summary["waveforms"]
                 for row in w["fixed_point"]["rows"]
             ]
-        assert len(rows["over"]) == len(base.waveforms)
-        assert rows["over"] == rows["kept"]
-        for path in (tmp_path / "kept").glob("*.csv"):
-            assert path.read_bytes() == (tmp_path / "over" / path.name).read_bytes()
+        assert len(rows["plain"]) == len(formats) * len(base.waveforms)
+        assert rows["plain"] == rows["benched"]
+        for path in (tmp_path / "benched").glob("*.csv"):
+            assert path.read_bytes() == (tmp_path / "plain" / path.name).read_bytes()
+        summary = summaries["benched"]
+        for w, entry in zip(summary["waveforms"], summary["benchmark"]["waveforms"]):
+            assert list(entry) == [
+                "waveform", "fft_median_s", "oracle", "speedup_vs_oracle", "fixed_point"
+            ]
+            assert entry["fixed_point"] == [
+                {"format": row["format"], "runtime_s": row["runtime_s"]}
+                for row in w["fixed_point"]["rows"]
+            ]
 
     def test_summary_reports_the_transparent_hugepage_mode(self, tmp_path, monkeypatch):
         env = iz.run_comparison(small_cfg(), tmp_path).summary["environment"]
@@ -312,7 +315,7 @@ class TestRunComparison:
 
         def recorded_match(cube, schedule, grid, **kwargs):
             rd_map = match(cube, schedule, grid, **kwargs)
-            if len(maps) < len(cubes):  # the waveform's map, not a benchmark repeat
+            if kwargs:  # the waveform's own filter call; the benchmark's pass none
                 maps.append(weakref.ref(rd_map))
             return rd_map
 
@@ -333,6 +336,7 @@ class TestRunComparison:
         )
         outcome = iz.run_comparison(cfg, tmp_path)
         assert checks == [True] * len(cfg.waveforms)
+        assert len(maps) == len(cubes) == len(cfg.waveforms)
         assert all(ref() is None for ref in cubes + maps)
 
         def arrays(obj):
@@ -661,6 +665,28 @@ class TestCli:
         text = SMALL_INI.replace("256", "500") + "[run]\nwaveforms = fmcw\n"
         argv = ["run", self.write_ini(tmp_path, text), "--waveforms", "golay_doppler_resilient"]
         self.expect_one_line_error(capsys, 2, argv, "golay_doppler_resilient needs")
+
+    @pytest.mark.parametrize("samples", [4, 5])
+    def test_a_pri_too_short_for_pslr_exits_2(self, tmp_path, capsys, samples):
+        """A PRI of Q < 6 samples leaves PSLR's +-2 bin mainlobe no sidelobe
+        bin wherever the peak falls: at Q = 4 always, at Q = 5 with the
+        peak in bin 2, where a one-chip echo from 0.17 m lands."""
+        text = (
+            f"[radar]\npri_s = {samples / 1.76e9!r}\ncode_length = {samples - 3}\npackets = 4\n"
+            "[scene]\nposition_m = 0.17, 0, 0\nradial_speed_mps = 0\n"
+        )
+        out = tmp_path / "out"
+        argv = ["run", self.write_ini(tmp_path, text), "--out", str(out)]
+        fragment = (
+            f"config error: 'pri_s' * 'bandwidth_hz' gives {samples} fast-time samples per "
+            "PRI; PSLR needs at least 6, a +-2 bin mainlobe and a sidelobe bin beside it"
+        )
+        self.expect_one_line_error(capsys, 2, argv, fragment)
+        assert not out.exists()
+
+    def test_golay_with_a_one_chip_code_exits_2(self, tmp_path, capsys):
+        path = self.write_ini(tmp_path, SMALL_INI.replace("256", "1"))
+        self.expect_one_line_error(capsys, 2, ["run", path], "from 2 to 65536, got 1")
 
     def test_small_car_exits_2(self, tmp_path, capsys):
         path = self.write_ini(tmp_path, SMALL_INI + "[scene]\ntarget = car\nscatterer_count = 3\n")

@@ -100,8 +100,7 @@ def compute_fixed_point() -> dict:
     grid = iz.default_grid(params)
     rd_map = iz.matched_filter_rd(cube, schedule, grid)
     sweep = iz.precision_sweep(
-        cube, schedule, grid, [FXP_FORMAT], iz.FxpMode.FULL_CHAIN,
-        double_map=rd_map, overwrite_cube=True,
+        cube, schedule, grid, [FXP_FORMAT], iz.FxpMode.FULL_CHAIN, double_map=rd_map
     )
     report = sweep.rows[0].report
     return {

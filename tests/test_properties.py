@@ -26,7 +26,7 @@ import isacsim._csvformat as csvformat
 from isacsim import fxp, rsp
 from isacsim._csvformat import CHUNK_VALUES, DIGITS, write_rows
 from isacsim._threads import slices
-from isacsim.config import _SECTIONS
+from isacsim.config import _SECTIONS, MIN_SAMPLES_PER_PRI
 from oracle_cases import KINDS, random_case
 
 PRI_S = 512 / 1.76e9  # Q = 512
@@ -1082,10 +1082,11 @@ def _is_echoable_dir(name):
 @st.composite
 def radar_params(draw, power_of_two_code):
     bandwidth = draw(st.floats(min_value=1e6, max_value=1e10))
-    samples = draw(st.integers(min_value=1, max_value=4096))
+    # fewer samples per PRI, or a one-chip Golay code, is a config error
+    samples = draw(st.integers(min_value=MIN_SAMPLES_PER_PRI, max_value=4096))
     pri = samples / bandwidth
     if power_of_two_code:
-        code_length = 2 ** draw(st.integers(min_value=0, max_value=samples.bit_length() - 1))
+        code_length = 2 ** draw(st.integers(min_value=1, max_value=samples.bit_length() - 1))
     else:
         code_length = draw(st.integers(min_value=1, max_value=samples))
     return iz.WaveformParams(

@@ -234,26 +234,27 @@ class TestMatchedFilter:
                     assert np.shares_memory(overwritten.values, cube.samples)
                     assert np.array_equal(overwritten.values, kept.values), (packets, kind)
 
-    @pytest.mark.parametrize("layout", ["fortran", "complex64"])
-    def test_a_cube_the_map_cannot_overlay_gets_a_map_of_its_own(self, small_params, layout):
-        """Only a C-contiguous complex128 cube holds the float64 map in its
-        first P x Q floats; any other cube the filter may overwrite still
-        gets an allocated float64 map."""
-        grid = iz.default_grid(small_params)
-        sched, cube = self.noisy_echo(small_params, iz.ScheduleKind.PMCW)
-        if layout == "fortran":
-            samples = np.asfortranarray(cube.samples)
-        else:
-            samples = cube.samples.astype(np.complex64)
-        own = iz.DataCube(samples=samples, params=small_params)
-        rd_map = iz.matched_filter_rd(own, sched, grid, overwrite_cube=True)
-        assert rd_map.values.dtype == np.float64
-        assert not np.shares_memory(rd_map.values, own.samples)
-        kept = iz.matched_filter_rd(cube, sched, grid)
-        if layout == "fortran":
-            assert np.array_equal(rd_map.values, kept.values)
-        else:
-            assert iz.map_relative_deviation(rd_map, kept) < 1e-5
+    @pytest.mark.parametrize("packets", [1, 64, 130])
+    def test_the_twiddle_built_in_row_blocks_is_the_one_shot_twiddle(self, packets):
+        """The dense twiddle's phases are filled a block of rows at a time;
+        over a partial block, one block and several it is the twiddle of
+        one P x J phase matrix, to the bit."""
+        pri = 64 / 1.76e9
+        params = iz.WaveformParams(pri_s=pri, cpi_s=packets * pri, code_length=16)
+        grid = iz.symmetric_grid(params, 15)
+        target = [iz.point_target(np.array([1.2, 0.9, 0.0]), np.array([1.6, 1.2, 0.0]))]
+        sched = iz.build_schedule(iz.ScheduleKind.PMCW, params, seed=7)
+        cube = iz.synthesize_echo(sched, target, params)
+        seen = {}
+
+        def record(name, x):
+            if name == "twiddle":
+                seen[name] = x.copy()
+
+        rsp._chain(cube, sched, grid, True, record)
+        p_idx = np.arange(packets) * pri
+        expected = np.exp(2j * np.pi * np.outer(p_idx, grid.frequencies_hz))
+        assert seen["twiddle"].tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("bins", [None, 15])
     def test_the_hook_sees_only_buffers_the_chain_owns(self, small_params, bins):

@@ -168,6 +168,41 @@ class TestNoise:
         assert str((q_len, p_len)) in message
 
 
+class TestDataCube:
+    @pytest.mark.parametrize("layout", ["fortran", "complex64"])
+    def test_a_cube_of_another_layout_is_a_copy_its_owners_may_write(self, small_params, layout):
+        """A C-contiguous complex128 array is the cube itself; any other is
+        copied into one, so an overwriting filter and a sweep write the
+        copy, never the caller's array, and their maps are those of a
+        C-contiguous complex128 cube of the same values."""
+        target = [iz.point_target(np.array([6.0, 8.0, 0.0]), np.array([3.0, 4.0, 0.0]))]
+        sched = iz.build_schedule(iz.ScheduleKind.PMCW, small_params, seed=7)
+        noise = iz.noise_block(target, small_params, 10.0, 5)
+        echo = iz.synthesize_echo(sched, target, small_params, noise=noise).samples
+        samples = np.asfortranarray(echo) if layout == "fortran" else echo.astype(np.complex64)
+        before = samples.tobytes()
+        values = samples.astype(np.complex128, order="C")
+        assert iz.DataCube(samples=values, params=small_params).samples is values
+        grid = iz.default_grid(small_params)
+        kept = iz.matched_filter_rd(iz.DataCube(values.copy(), small_params), sched, grid)
+        fmt = [iz.FixedPointFormat(16, 1)]
+        expected = iz.precision_sweep(
+            iz.DataCube(values.copy(), small_params), sched, grid, fmt, double_map=kept
+        )
+
+        cube = iz.DataCube(samples=samples, params=small_params)
+        assert cube.samples.flags.c_contiguous and cube.samples.dtype == np.complex128
+        assert not np.shares_memory(cube.samples, samples)
+        rd_map = iz.matched_filter_rd(cube, sched, grid, overwrite_cube=True)
+        assert np.shares_memory(rd_map.values, cube.samples)
+        assert np.array_equal(rd_map.values, kept.values)
+        sweep = iz.precision_sweep(
+            iz.DataCube(samples=samples, params=small_params), sched, grid, fmt, double_map=kept
+        )
+        assert sweep.rows[0].report == expected.rows[0].report
+        assert samples.tobytes() == before
+
+
 class TestClusters:
     def test_pedestrian_layout_and_power(self):
         pos = np.array([0.0, 20.0, 0.0])
@@ -246,5 +281,6 @@ class TestScenarioLimits:
 
     def test_point_target_reflected_power_matches_rcs(self):
         t = iz.point_target(np.array([3.0, 4.0, 0.0]), np.zeros(3), rcs_dbsm=6.0)
-        assert t.total_reflected_power() == pytest.approx(10.0 ** 0.6)
+        power = sum(abs(sc.reflectivity) ** 2 for sc in t.scatterers)
+        assert power == pytest.approx(10.0 ** 0.6)
         assert t.scatterers[0].range_m == pytest.approx(5.0)
