@@ -56,8 +56,6 @@ _EXPORTS = {
     # rsp
     "ORACLE_GUARD": ".rsp",
     "DopplerGrid": ".rsp",
-    "default_grid": ".rsp",
-    "symmetric_grid": ".rsp",
     "RangeDopplerMap": ".rsp",
     "Detection": ".rsp",
     "matched_filter_rd": ".rsp",

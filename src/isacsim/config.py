@@ -24,6 +24,7 @@ from typing import Any, Callable, NamedTuple
 from .errors import ConfigError, ParameterError
 from .fxp import FixedPointFormat, FxpMode
 from .params import PulseShape, WaveformParams
+from .rsp import PSLR_MAINLOBE_BINS
 from .scene import PathLoss
 from .waveform import ScheduleKind
 
@@ -39,9 +40,9 @@ _GOLAY_WAVEFORMS = (ScheduleKind.GOLAY_STANDARD, ScheduleKind.GOLAY_DOPPLER_RESI
 # Largest |snr_db| and |rcs_dbsm| the scene accepts.
 MAX_DB = 300.0
 
-# Fewest fast-time samples a PRI may hold: PSLR's +-2 bin mainlobe, wherever
-# the peak falls, must leave at least one sidelobe bin in the range cut.
-MIN_SAMPLES_PER_PRI = 6
+# Fewest fast-time samples a PRI may hold: PSLR's mainlobe, wherever the
+# peak falls, must leave at least one sidelobe bin in the range cut.
+MIN_SAMPLES_PER_PRI = 2 * PSLR_MAINLOBE_BINS + 2
 
 
 @dataclass(frozen=True)
@@ -85,7 +86,8 @@ class ScenarioConfig:
         if q < MIN_SAMPLES_PER_PRI:
             raise ConfigError(
                 f"'pri_s' * 'bandwidth_hz' gives {q} fast-time samples per PRI; PSLR needs "
-                f"at least {MIN_SAMPLES_PER_PRI}, a +-2 bin mainlobe and a sidelobe bin beside it"
+                f"at least {MIN_SAMPLES_PER_PRI}, a +-{PSLR_MAINLOBE_BINS} bin mainlobe and a "
+                "sidelobe bin beside it"
             )
         n = self.params.code_length
         golay = [k.value for k in self.waveforms if k in _GOLAY_WAVEFORMS]

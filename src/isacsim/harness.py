@@ -63,12 +63,10 @@ from .rsp import (
     Detection,
     DopplerGrid,
     RangeDopplerMap,
-    default_grid,
     detect_peak,
     map_relative_deviation,
     matched_filter_rd,
     pslr_db,
-    symmetric_grid,
     time_domain_oracle,
 )
 from .scene import (
@@ -113,12 +111,6 @@ def build_targets(cfg: ScenarioConfig) -> list[TargetModel]:
             count=cfg.scatterer_count,
         )
     ]
-
-
-def grid_for(cfg: ScenarioConfig) -> DopplerGrid:
-    if cfg.doppler_bins is None:
-        return default_grid(cfg.params)
-    return symmetric_grid(cfg.params, cfg.doppler_bins)
 
 
 def derived_parameters(params: WaveformParams) -> dict:
@@ -401,7 +393,7 @@ def run_comparison(cfg: ScenarioConfig, out_dir: Path | str | None = None) -> Ru
     out_path.mkdir(parents=True, exist_ok=True)
 
     targets = build_targets(cfg)
-    grid = grid_for(cfg)
+    grid = DopplerGrid(cfg.params, cfg.doppler_bins)
     results: list[WaveformResult] = []
     waveform_entries = []
     partial = []
@@ -501,7 +493,7 @@ def _oracle_bench(
     params = cube.params
     q_len = params.samples_per_pri
     p_len = params.packets_per_cpi
-    # J tracks P' on the default grid, so solve Q * P' * P' <= guard.
+    # J tracks P' on the FFT grid, so solve Q * P' * P' <= guard.
     max_p = int(math.floor(math.sqrt(ORACLE_GUARD / q_len)))
     if max_p < 1:
         note = (
@@ -513,7 +505,7 @@ def _oracle_bench(
     sub_params = scaled_profile(params, p_used)
     sub_schedule = FrameSchedule(schedule.kind, schedule.frames, schedule.packet_map[:p_used])
     sub_cube = DataCube(samples=cube.samples[:p_used], params=sub_params)  # a view: read only
-    sub_grid = default_grid(sub_params)
+    sub_grid = DopplerGrid(sub_params)
     median = _median_seconds(
         lambda: time_domain_oracle(sub_cube, sub_schedule, sub_grid), repeats
     )

@@ -70,6 +70,23 @@ class WaveformParams:
         # Q is rounded from the PRI; the two must agree to one sample.
         if abs(self.sample_period_s * self.samples_per_pri - self.pri_s) > self.sample_period_s:
             raise ParameterError("pri_s is not an integer number of sample periods")
+        # Finite inputs can still overflow what is derived from them, and an
+        # inf here would reach the FMCW frame or the Doppler axis. The chirp's
+        # phase pi * slope * (q T_s)^2, in generate_fmcw's order, peaks at
+        # the last chip.
+        slope = self.bandwidth_hz / self.chirp_sweep_duration_s
+        t_last = (self.code_length - 1) * self.sample_period_s
+        if not math.isfinite(math.pi * slope * (t_last * t_last)):
+            raise ParameterError(
+                f"chirp_duration_s {self.chirp_duration_s!r} makes the chirp's phase overflow "
+                f"(its slope bandwidth_hz / chirp_duration_s is {slope})"
+            )
+        for name in ("wavelength_m", "max_unambiguous_velocity_mps", "velocity_resolution_mps"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ParameterError(
+                    f"carrier_freq_hz {self.carrier_freq_hz!r} makes {name} overflow to {value}"
+                )
 
     # --- sampling grid ---------------------------------------------------
     @property

@@ -4,8 +4,11 @@ The fast path works in the fast-time frequency domain: FFT each packet,
 multiply by the conjugate reference spectrum, steer across slow time for each
 Doppler hypothesis, sum over packets, and IFFT back to range. Steering uses
 the conjugate of the echo's Doppler rotation, exp(+j 2 pi f_j p T_pri). When
-the Doppler grid coincides with the slow-time FFT bins the steering collapses
-to an IFFT across packets; otherwise the steering matrix is applied directly.
+the Doppler grid is the FFT grid (`DopplerGrid(params)`, J = P bins on the
+slow-time FFT's frequencies) the steering collapses to an IFFT across
+packets; otherwise the steering matrix is applied directly. A grid is its
+radar parameters and bin count, so a grid built for other parameters than
+the cube's is refused.
 The cube is P x Q, one packet per row. The FFT passes and products run in
 contiguous blocks on ISACSIM_THREADS threads (every CPU the process may use
 when it is unset); the map does not depend on the thread count. Every grid
@@ -36,6 +39,9 @@ from .waveform import FrameSchedule
 # Largest Q*P*J the brute-force oracle will accept.
 ORACLE_GUARD = 4_194_304
 
+# Half-width of the range mainlobe `pslr_db` excludes around the peak, in bins.
+PSLR_MAINLOBE_BINS = 2
+
 # Packet rows per block of the dense twiddle's float64 phases: the phases
 # of one block, not of all P rows, sit beside the P x J complex twiddle.
 _TWIDDLE_ROWS = 64
@@ -43,53 +49,44 @@ _TWIDDLE_ROWS = 64
 
 @dataclass(frozen=True)
 class DopplerGrid:
-    frequencies_hz: np.ndarray  # J hypotheses, uniform, monotone increasing
-    spacing_hz: float
-    fft_aligned: bool  # default_grid's J = P bins: steered by a slow-time IFFT
+    """The J Doppler hypotheses of the matched-filter bank for `params`,
+    uniform and increasing, zero at J//2.
+
+    `bins` None is the FFT grid: J = P bins at spacing 1/(P*T_pri) over
+    [-f_max, f_max - spacing] with f_max = 1/(2*T_pri), steered by a
+    slow-time IFFT. An odd `bins` >= 3 spans [-f_max, +f_max] inclusive and
+    is steered densely: its spacing 1/((bins-1)*T_pri) differs from the
+    FFT's 1/(P*T_pri) even at bins = P.
+    """
+
+    params: WaveformParams
+    bins: int | None = None
 
     def __post_init__(self):
-        f = self.frequencies_hz
-        if f.ndim != 1 or f.size < 1:
-            raise ParameterError("Doppler grid must be a non-empty vector")
-        if not np.isfinite(f).all():
-            raise ParameterError("Doppler grid frequencies must be finite")
-        if not (math.isfinite(self.spacing_hz) and self.spacing_hz > 0):
-            raise ParameterError(
-                f"Doppler grid spacing must be finite and positive, got {self.spacing_hz}"
-            )
-        if not np.allclose(np.diff(f), self.spacing_hz, rtol=1e-12, atol=0.0):
-            raise ParameterError("Doppler grid must be uniform and increasing")
+        if self.bins is not None and (self.bins < 3 or self.bins % 2 == 0):
+            raise ParameterError("a custom Doppler grid needs an odd bin count >= 3")
+
+    @property
+    def fft_aligned(self) -> bool:
+        return self.bins is None
 
     def __len__(self) -> int:
-        return self.frequencies_hz.size
+        return self.params.packets_per_cpi if self.bins is None else self.bins
+
+    @property
+    def spacing_hz(self) -> float:
+        if self.bins is None:
+            return 1.0 / (self.params.packets_per_cpi * self.params.pri_s)
+        return 2.0 * self.params.doppler_max_hz / (self.bins - 1)
+
+    @property
+    def frequencies_hz(self) -> np.ndarray:
+        return (np.arange(len(self)) - self.zero_bin) * self.spacing_hz
 
     @property
     def zero_bin(self) -> int:
         """Index of the exact-zero Doppler hypothesis."""
-        return int(self.frequencies_hz.size // 2)
-
-
-def default_grid(params: WaveformParams) -> DopplerGrid:
-    """FFT-equivalent grid: J = P bins at spacing 1/(P*T_pri), zero at J//2.
-
-    Spans [-f_max, f_max - spacing] with f_max = 1/(2*T_pri).
-    """
-    p = params.packets_per_cpi
-    spacing = 1.0 / (p * params.pri_s)
-    freqs = (np.arange(p) - p // 2) * spacing
-    return DopplerGrid(frequencies_hz=freqs, spacing_hz=spacing, fft_aligned=True)
-
-
-def symmetric_grid(params: WaveformParams, bins: int) -> DopplerGrid:
-    """Custom grid with an odd number of bins spanning [-f_max, +f_max]
-    inclusive, zero at the center. Never FFT-aligned: its spacing
-    1/((bins-1)*T_pri) differs from the FFT's 1/(P*T_pri) even at bins = P."""
-    if bins < 3 or bins % 2 == 0:
-        raise ParameterError("a custom Doppler grid needs an odd bin count >= 3")
-    f_max = params.doppler_max_hz
-    spacing = 2.0 * f_max / (bins - 1)
-    freqs = (np.arange(bins) - bins // 2) * spacing
-    return DopplerGrid(frequencies_hz=freqs, spacing_hz=spacing, fft_aligned=False)
+        return len(self) // 2
 
 
 @dataclass(frozen=True)
@@ -123,8 +120,13 @@ def _axes(params: WaveformParams, grid: DopplerGrid) -> tuple[np.ndarray, np.nda
     return range_axis, doppler_axis
 
 
-def _check_schedule(cube: DataCube, schedule: FrameSchedule):
-    """Raise ProcessingError unless the schedule's frames and packets match the cube."""
+def _check_inputs(cube: DataCube, schedule: FrameSchedule, grid: DopplerGrid):
+    """Raise ProcessingError unless the schedule's frames and packets and
+    the grid's radar parameters match the cube."""
+    if grid.params != cube.params:
+        raise ProcessingError(
+            "the Doppler grid was built for other radar parameters than the cube's"
+        )
     p_len, q_len = cube.samples.shape
     if schedule.frames.shape[1] != q_len or len(schedule) != p_len:
         raise ProcessingError(
@@ -166,7 +168,7 @@ def _chain(
 
     Dense steering applies the P x J matrix to each block of range columns
     and writes the block's sums back into `buf` rotated; otherwise the grid
-    must be `default_grid`'s and steering is a slow-time IFFT, whose bins
+    must be the FFT grid and steering is a slow-time IFFT, whose bins
     come out in that order already. Each pass runs in contiguous blocks on
     the ISACSIM_THREADS cores (`_threads.for_blocks`), cut by the pass's
     length alone. So no bit depends on the thread count, even where a
@@ -176,12 +178,7 @@ def _chain(
     params = cube.params
     p_len, q_len = cube.samples.shape
     j_len = len(grid)
-    _check_schedule(cube, schedule)
-    if not dense and not np.array_equal(grid.frequencies_hz, default_grid(params).frequencies_hz):
-        raise ParameterError(
-            f"a Doppler grid marked fft_aligned must be default_grid's {p_len} bins; "
-            "build any other grid with fft_aligned=False"
-        )
+    _check_inputs(cube, schedule, grid)
     ref = np.conj(np.fft.fft(schedule.frames, axis=1))  # U x Q
     stage("reference", ref)
     if overwrite and j_len <= p_len:
@@ -306,7 +303,7 @@ def time_domain_oracle(
         raise OracleGuardError(
             f"oracle instance Q*P*J = {q_len * p_len * j_len} exceeds the guard {ORACLE_GUARD}"
         )
-    _check_schedule(cube, schedule)
+    _check_inputs(cube, schedule, grid)
     corr = np.empty((q_len, p_len), dtype=np.complex128)
     for u, ref in enumerate(schedule.frames):
         cols = np.nonzero(schedule.packet_map == u)[0]
@@ -352,16 +349,15 @@ def detect_peak(rd_map: RangeDopplerMap) -> Detection:
     )
 
 
-def pslr_db(profile: np.ndarray, mainlobe_halfwidth_bins: int = 2) -> float:
+def pslr_db(profile: np.ndarray) -> float:
     """Peak-to-sidelobe ratio of a range cut, in dB.
 
-    20*log10(peak / max outside +-halfwidth bins around the peak). Returns
-    +inf when everything outside the mainlobe is exactly zero (no sidelobe).
+    20*log10(peak / max outside +-PSLR_MAINLOBE_BINS bins around the peak).
+    Returns +inf when everything outside the mainlobe is exactly zero (no
+    sidelobe).
     """
     profile = np.asarray(profile, dtype=np.float64)
-    hw = mainlobe_halfwidth_bins
-    if hw < 0:
-        raise ParameterError("mainlobe halfwidth must be non-negative")
+    hw = PSLR_MAINLOBE_BINS
     if profile.size < 2 * hw + 1:
         raise ParameterError(
             f"profile of {profile.size} bins cannot hold a +-{hw} bin mainlobe"

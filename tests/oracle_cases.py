@@ -28,11 +28,8 @@ def random_case(rng: np.random.Generator):
     kind = KINDS[int(rng.integers(0, len(KINDS)))]
     schedule = iz.build_schedule(kind, params, seed=int(rng.integers(0, 1000)))
 
-    if rng.random() < 0.5:
-        grid = iz.default_grid(params)
-    else:
-        bins = int(rng.choice([5, 9, 17, 33, 65]))
-        grid = iz.symmetric_grid(params, bins)
+    bins = None if rng.random() < 0.5 else int(rng.choice([5, 9, 17, 33, 65]))
+    grid = iz.DopplerGrid(params, bins)
     assert q_len * packets * len(grid) <= iz.ORACLE_GUARD
 
     max_range = SPEED_OF_LIGHT_MPS * q_len * params.sample_period_s / 2.0

@@ -46,7 +46,7 @@ def canonical():
     pos = np.array([12.0, 9.0, 0.0])
     vel = 2.0 * pos / np.linalg.norm(pos)
     targets = [iz.point_target(pos, vel)]
-    grid = iz.default_grid(params)
+    grid = iz.DopplerGrid(params)
     detections, maps, cubes, schedules, pslr = {}, {}, {}, {}, {}
     start = time.perf_counter()
     for kind in KINDS:

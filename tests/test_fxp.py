@@ -18,7 +18,7 @@ def small_pipeline(params, kind=iz.ScheduleKind.PMCW, snr_db=None):
     if snr_db is not None:
         noise = iz.noise_block(targets, params, snr_db, 0)
     cube = iz.synthesize_echo(sched, targets, params, noise=noise)
-    grid = iz.default_grid(params)
+    grid = iz.DopplerGrid(params)
     return cube, sched, grid, iz.matched_filter_rd(cube, sched, grid)
 
 
@@ -223,7 +223,7 @@ class TestQuantizedChain:
         from isacsim import fxp
 
         cube, sched, grid, _ = small_pipeline(small_params)
-        other = iz.matched_filter_rd(cube, sched, iz.symmetric_grid(small_params, 15))
+        other = iz.matched_filter_rd(cube, sched, iz.DopplerGrid(small_params, 15))
         chains = []
         monkeypatch.setattr(fxp, "_chain", lambda *args, **kwargs: chains.append(args))
         with pytest.raises(iz.ProcessingError, match=r"\(15, 512\).*\(16, 512\)"):
@@ -284,7 +284,7 @@ class TestQuantizedChain:
         two-format sweep copies the cube into a buffer of its own for its
         first format."""
         cube, sched, _, _ = small_pipeline(ci_params)
-        grid = iz.symmetric_grid(ci_params, 15)
+        grid = iz.DopplerGrid(ci_params, 15)
         double_map = iz.matched_filter_rd(cube, sched, grid)
         peaks = {}
         for count in (1, 2):

@@ -16,7 +16,6 @@ import isacsim._csvformat as csvformat
 import isacsim.cli as cli
 import isacsim.harness as harness
 import isacsim.scene as scene
-from isacsim.harness import grid_for
 
 
 def small_cfg(**overrides):
@@ -44,7 +43,7 @@ def rebuild_map(cfg, kind):
     """The map a run of `cfg` wrote for `kind`, rebuilt through the library:
     run results keep no maps."""
     schedule, cube = rebuild_echo(cfg, kind)
-    return iz.matched_filter_rd(cube, schedule, grid_for(cfg))
+    return iz.matched_filter_rd(cube, schedule, iz.DopplerGrid(cfg.params, cfg.doppler_bins))
 
 
 SMALL_INI = """\
@@ -418,7 +417,7 @@ class TestRunComparison:
         summary = json.loads((tmp_path / "summary.json").read_text())
         row = summary["waveforms"][0]["fixed_point"]["rows"][0]
         schedule, cube = rebuild_echo(cfg, iz.ScheduleKind.PMCW)
-        grid = grid_for(cfg)
+        grid = iz.DopplerGrid(cfg.params, cfg.doppler_bins)
         double_map = iz.matched_filter_rd(cube, schedule, grid)
         sweep = iz.precision_sweep(cube, schedule, grid, [fmt], cfg.fxp_mode, double_map=double_map)
         counts = sweep.rows[0].report.saturation_counts
@@ -682,6 +681,35 @@ class TestCli:
             "PRI; PSLR needs at least 6, a +-2 bin mainlobe and a sidelobe bin beside it"
         )
         self.expect_one_line_error(capsys, 2, argv, fragment)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "line, fragment",
+        [
+            (
+                "chirp_duration_s = 1e-300",
+                "chirp_duration_s 1e-300 makes the chirp's phase overflow "
+                "(its slope bandwidth_hz / chirp_duration_s is inf)",
+            ),
+            ("carrier_freq_hz = 1e-300", "carrier_freq_hz 1e-300 makes wavelength_m overflow to inf"),
+            (
+                "carrier_freq_hz = 1e-299",
+                "carrier_freq_hz 1e-299 makes max_unambiguous_velocity_mps overflow to inf",
+            ),
+        ],
+        ids=["chirp-slope", "wavelength", "velocity"],
+    )
+    def test_finite_keys_whose_derived_values_overflow_exit_2(
+        self, tmp_path, capsys, line, fragment
+    ):
+        """An overflowing chirp phase makes the FMCW frame NaN, and an
+        overflowing wavelength or velocity an inf Doppler axis: the config
+        is refused before any file is written."""
+        out = tmp_path / "out"
+        argv = ["run", self.write_ini(tmp_path, SMALL_INI + line + "\n"), "--out", str(out)]
+        self.expect_one_line_error(
+            capsys, 2, argv, f"config error: invalid radar parameters: {fragment}"
+        )
         assert not out.exists()
 
     def test_golay_with_a_one_chip_code_exits_2(self, tmp_path, capsys):

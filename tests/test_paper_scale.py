@@ -74,7 +74,7 @@ def compute_run(target: str, speed_mps: float, bins: int | None) -> dict:
     """Detection, PSLR and map sha1 of each waveform for one run."""
     params = iz.scaled_profile(iz.WaveformParams(), 2000)
     targets = [make_target(target, speed_mps)]
-    grid = iz.default_grid(params) if bins is None else iz.symmetric_grid(params, bins)
+    grid = iz.DopplerGrid(params, bins)
     out = {}
     for kind in KINDS:
         schedule = iz.build_schedule(iz.ScheduleKind(kind), params, seed=SEED_CODE)
@@ -97,7 +97,7 @@ def compute_fixed_point() -> dict:
     params = iz.scaled_profile(iz.WaveformParams(), 2000)
     schedule = iz.build_schedule(iz.ScheduleKind.PMCW, params, seed=SEED_CODE)
     cube = iz.synthesize_echo(schedule, [make_target("point", 2.0)], params)
-    grid = iz.default_grid(params)
+    grid = iz.DopplerGrid(params)
     rd_map = iz.matched_filter_rd(cube, schedule, grid)
     sweep = iz.precision_sweep(
         cube, schedule, grid, [FXP_FORMAT], iz.FxpMode.FULL_CHAIN, double_map=rd_map

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 import isacsim as iz
@@ -17,3 +18,32 @@ FLOAT_FIELDS = [
 def test_non_finite_float_fields_raise_a_parameter_error(field, value):
     with pytest.raises(iz.ParameterError, match=f"^{field} must be finite"):
         iz.WaveformParams(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "bandwidth_hz, pri_s, chirp_duration_s",
+    [(1.76e9, 2e-6, 1e-300), (1.0, 100.0, 1e-306)],
+    ids=["infinite-slope", "finite-slope"],
+)
+def test_a_chirp_whose_phase_overflows_raises_a_parameter_error(
+    bandwidth_hz, pri_s, chirp_duration_s
+):
+    """The slope bandwidth_hz / chirp_duration_s overflows, or stays finite
+    while its phase at the last chip does not: either frame would be NaN."""
+    with pytest.raises(iz.ParameterError, match="makes the chirp's phase overflow"):
+        iz.WaveformParams(
+            bandwidth_hz=bandwidth_hz,
+            pri_s=pri_s,
+            cpi_s=8 * pri_s,
+            code_length=64,
+            chirp_duration_s=chirp_duration_s,
+        )
+    # one step longer, every chip's phase is finite
+    params = iz.WaveformParams(
+        bandwidth_hz=bandwidth_hz,
+        pri_s=pri_s,
+        cpi_s=8 * pri_s,
+        code_length=64,
+        chirp_duration_s=chirp_duration_s * 1e10,
+    )
+    assert np.isfinite(iz.generate_fmcw(params)).all()

@@ -211,7 +211,7 @@ LOCALIZATION_PARAMS = iz.WaveformParams(pri_s=PRI_S, cpi_s=16 * PRI_S, code_leng
 )
 def test_on_grid_point_targets_are_located_within_one_bin(delay, doppler, azimuth):
     params = LOCALIZATION_PARAMS
-    grid = iz.default_grid(params)
+    grid = iz.DopplerGrid(params)
     distance = delay * iz.SPEED_OF_LIGHT_MPS * params.sample_period_s / 2.0
     unit = np.array([np.cos(azimuth), np.sin(azimuth), 0.0])
     speed = grid.frequencies_hz[grid.zero_bin + doppler] * params.wavelength_m / 2.0
@@ -331,7 +331,7 @@ def test_block_parallel_filter_equals_the_serial_filter(
 ):
     params = params_for(p_count)
     sched = iz.build_schedule(kind, params, seed=5)
-    grid = iz.default_grid(params) if bins is None else iz.symmetric_grid(params, bins)
+    grid = iz.DopplerGrid(params, bins)
     pos = np.array([distance, 2.0, 0.0])
     target = iz.point_target(pos, speed * pos / np.linalg.norm(pos))
     cube = iz.synthesize_echo(sched, [target], params, noise=noise_or_none(params, snr_db, [target]))
@@ -364,7 +364,7 @@ def test_row_blocked_products_do_not_depend_on_the_thread_count(
     params = iz.WaveformParams(pri_s=PRI_S, cpi_s=p_count * PRI_S, code_length=code_length)
     sched = iz.build_schedule(kind, params, seed=3)
     targets = [iz.make_pedestrian([distance, 1.0, 0.0], seed=seed, speed_mps=speed)]
-    grid = iz.symmetric_grid(params, bins)
+    grid = iz.DopplerGrid(params, bins)
     cubes, maps = [], []
     for threads in ("1", "2", "5"):
         with pytest.MonkeyPatch.context() as mp:
@@ -386,7 +386,7 @@ def test_ci_scale_cluster_cube_and_dense_map_do_not_depend_on_the_thread_count(
     else:
         target = iz.make_pedestrian(center, seed=3, speed_mps=2.0)
     noise = iz.noise_block([target], ci_params, 20.0, 11)
-    grid = iz.symmetric_grid(ci_params, 63)
+    grid = iz.DopplerGrid(ci_params, 63)
     for kind in KINDS:
         sched = iz.build_schedule(kind, ci_params, seed=7)
         cubes, maps = [], []
@@ -636,7 +636,7 @@ def test_quantized_chain_equals_the_serial_quantized_filter(
 ):
     params = params_for(p_count)
     sched = iz.build_schedule(kind, params, seed=5)
-    grid = iz.default_grid(params) if bins is None else iz.symmetric_grid(params, bins)
+    grid = iz.DopplerGrid(params, bins)
     pos = np.array([distance, 2.0, 0.0])
     if pedestrian:
         target = iz.make_pedestrian(pos, seed=9, speed_mps=speed)
@@ -947,7 +947,7 @@ def test_a_long_row_formats_in_scratch_of_one_span(monkeypatch, threads):
 def _filter_peak_alloc(params, bins, overwrite):
     """tracemalloc's peak over one P = 64 matched filter of a PMCW echo, in
     units of one P x Q complex buffer."""
-    grid = iz.default_grid(params) if bins is None else iz.symmetric_grid(params, bins)
+    grid = iz.DopplerGrid(params, bins)
     target = [iz.point_target(np.array([12.0, 9.0, 0.0]), np.array([1.6, 1.2, 0.0]))]
     sched = iz.build_schedule(iz.ScheduleKind.PMCW, params, seed=7)
     cube = iz.synthesize_echo(sched, target, params)
@@ -1006,7 +1006,7 @@ def test_the_matched_multiply_and_steering_allocate_no_block_copy(monkeypatch, t
 
     tracemalloc.start()
     try:
-        rsp._chain(cube, sched, iz.default_grid(params), False, stage, overwrite=True)
+        rsp._chain(cube, sched, iz.DopplerGrid(params), False, stage, overwrite=True)
     finally:
         tracemalloc.stop()
     assert marks["post_steering"] - marks["post_fft"] < 1 << 20

@@ -1,5 +1,6 @@
 """Matched filter, Doppler steering, oracle equivalence, peak metrics."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,61 +12,47 @@ from oracle_cases import random_case
 
 
 class TestGrids:
-    def test_default_grid_matches_slow_time_fft(self, small_params):
-        grid = iz.default_grid(small_params)
+    def test_the_fft_grid_matches_slow_time_fft(self, small_params):
+        grid = iz.DopplerGrid(small_params)
         p = small_params.packets_per_cpi
+        spacing = 1.0 / (p * small_params.pri_s)
         assert len(grid) == p
         assert grid.fft_aligned
-        assert grid.spacing_hz == pytest.approx(1.0 / (p * small_params.pri_s))
+        assert grid.spacing_hz == spacing
+        assert grid.frequencies_hz.tobytes() == ((np.arange(p) - p // 2) * spacing).tobytes()
         assert grid.frequencies_hz[grid.zero_bin] == 0.0
 
-    def test_symmetric_grid_spans_the_ambiguity_band(self, small_params):
-        grid = iz.symmetric_grid(small_params, 9)
+    def test_an_odd_grid_spans_the_ambiguity_band(self, small_params):
+        grid = iz.DopplerGrid(small_params, 9)
         f_max = 1.0 / (2.0 * small_params.pri_s)
         assert len(grid) == 9
+        assert grid.spacing_hz == 2.0 * small_params.doppler_max_hz / 8
         assert grid.frequencies_hz[0] == pytest.approx(-f_max)
         assert grid.frequencies_hz[-1] == pytest.approx(f_max)
         assert grid.frequencies_hz[4] == 0.0
         assert not grid.fft_aligned
         # one bin per packet is still not the FFT grid: the span ends at +f_max
         odd = iz.scaled_profile(small_params, 63)
-        assert not iz.symmetric_grid(odd, 63).fft_aligned
+        assert not iz.DopplerGrid(odd, 63).fft_aligned
 
-    def test_symmetric_grid_rejects_even_or_tiny_bin_counts(self, small_params):
+    def test_a_grid_rejects_even_or_tiny_bin_counts(self, small_params):
         for bins in (2, 4, 1):
             with pytest.raises(iz.ParameterError):
-                iz.symmetric_grid(small_params, bins)
+                iz.DopplerGrid(small_params, bins)
 
-    def test_grid_must_be_uniform(self):
-        with pytest.raises(iz.ParameterError):
-            iz.DopplerGrid(
-                frequencies_hz=np.array([0.0, 1.0, 3.0]), spacing_hz=1.0, fft_aligned=False
-            )
-
-    @pytest.mark.parametrize("bins", [1, 3])
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_grid_frequencies_must_be_finite(self, bins, bad):
-        freqs = np.arange(bins, dtype=np.float64)
-        freqs[-1] = bad
-        with pytest.raises(iz.ParameterError, match="finite"):
-            iz.DopplerGrid(frequencies_hz=freqs, spacing_hz=1.0, fft_aligned=False)
-
-    @pytest.mark.parametrize("bins", [1, 3])
-    @pytest.mark.parametrize("spacing", [0.0, -1.0, math.nan, math.inf])
-    def test_grid_spacing_must_be_finite_and_positive(self, bins, spacing):
-        freqs = np.arange(bins) * (spacing if math.isfinite(spacing) else 1.0)
-        with pytest.raises(iz.ParameterError, match="spacing"):
-            iz.DopplerGrid(frequencies_hz=freqs, spacing_hz=spacing, fft_aligned=False)
-
-    def test_a_one_bin_grid_takes_any_finite_positive_spacing(self):
-        grid = iz.DopplerGrid(frequencies_hz=np.array([0.0]), spacing_hz=5.0, fft_aligned=False)
-        assert len(grid) == 1
+    @pytest.mark.parametrize("bins", [None, 9])
+    def test_grids_of_equal_parameters_are_equal_and_hash_alike(self, small_params, bins):
+        a = iz.DopplerGrid(small_params, bins)
+        b = iz.DopplerGrid(dataclasses.replace(small_params), bins)
+        assert a == b and hash(a) == hash(b)
+        assert a != iz.DopplerGrid(small_params, 15)
+        assert a != iz.DopplerGrid(iz.scaled_profile(small_params, 32), bins)
 
 
 class TestMatchedFilter:
     def test_static_point_peaks_at_its_bins(self, ci_params, point_scene, all_kinds):
         static = [iz.point_target(np.array([12.0, 9.0, 0.0]), np.zeros(3))]
-        grid = iz.default_grid(ci_params)
+        grid = iz.DopplerGrid(ci_params)
         for kind in all_kinds:
             sched = iz.build_schedule(kind, ci_params, seed=7)
             cube = iz.synthesize_echo(sched, static, ci_params)
@@ -75,7 +62,7 @@ class TestMatchedFilter:
 
     def test_on_grid_doppler_lands_in_the_right_bin(self, small_params):
         # v = k * spacing * lambda / 2 coherently integrates at bin zero + k
-        grid = iz.default_grid(small_params)
+        grid = iz.DopplerGrid(small_params)
         k = 3
         v = k * grid.spacing_hz * small_params.wavelength_m / 2.0
         pos = np.array([10.0, 0.0, 0.0])
@@ -88,12 +75,7 @@ class TestMatchedFilter:
         assert det.velocity_mps == pytest.approx(v)
 
     def test_fft_and_dense_steering_paths_agree(self, small_params, all_kinds):
-        aligned = iz.default_grid(small_params)
-        dense = iz.DopplerGrid(
-            frequencies_hz=aligned.frequencies_hz,
-            spacing_hz=aligned.spacing_hz,
-            fft_aligned=False,
-        )
+        grid = iz.DopplerGrid(small_params)
         target = [
             iz.point_target(np.array([6.0, 8.0, 0.0]), np.array([30.0, 40.0, 0.0]))
         ]
@@ -101,35 +83,33 @@ class TestMatchedFilter:
         for kind in all_kinds:
             sched = iz.build_schedule(kind, small_params, seed=7)
             cube = iz.synthesize_echo(sched, target, small_params, noise=noise)
-            a = iz.matched_filter_rd(cube, sched, aligned)
-            b = iz.matched_filter_rd(cube, sched, dense)
-            assert iz.map_relative_deviation(a, b) < 1e-9
+            a = rsp._chain(cube, sched, grid, False, lambda name, x: None)
+            b = rsp._chain(cube, sched, grid, True, lambda name, x: None)
+            assert np.abs(a - b).max() / b.max() < 1e-9
 
     def test_rejects_mismatched_schedule(self, small_params, ci_params):
         sched_small = iz.build_schedule(iz.ScheduleKind.FMCW, small_params)
         sched_big = iz.build_schedule(iz.ScheduleKind.FMCW, ci_params)
         cube = iz.synthesize_echo(sched_small, [], small_params)
         with pytest.raises(iz.ProcessingError, match="does not match a 16 x 512 cube"):
-            iz.matched_filter_rd(cube, sched_big, iz.default_grid(small_params))
+            iz.matched_filter_rd(cube, sched_big, iz.DopplerGrid(small_params))
 
-    @pytest.mark.parametrize("bins,shift_hz", [(31, 0.0), (None, 1.0)])
-    def test_rejects_a_grid_mislabeled_fft_aligned(self, small_params, bins, shift_hz):
-        # the slow-time IFFT yields only default_grid's P bins: a 31-bin grid
-        # would be read modulo P, and P bins shifted by 1 Hz would be mislabeled
-        if bins is None:
-            other = iz.default_grid(small_params)
-        else:
-            other = iz.symmetric_grid(small_params, bins)
-        mislabeled = iz.DopplerGrid(
-            frequencies_hz=other.frequencies_hz + shift_hz,
-            spacing_hz=other.spacing_hz,
-            fft_aligned=True,
+    @pytest.mark.parametrize("bins", [None, 15])
+    def test_rejects_a_grid_built_for_another_pri(self, small_params, bins):
+        """A grid of the cube's P and bin count built for twice the PRI
+        would steer with half the frequencies: the filter and the oracle
+        refuse it."""
+        slower = dataclasses.replace(
+            small_params, pri_s=2 * small_params.pri_s, cpi_s=2 * small_params.cpi_s
         )
+        grid = iz.DopplerGrid(slower, bins)
+        assert len(grid) == len(iz.DopplerGrid(small_params, bins))
         sched = iz.build_schedule(iz.ScheduleKind.FMCW, small_params)
         cube = iz.synthesize_echo(sched, [], small_params)
-        with pytest.raises(iz.ParameterError, match="fft_aligned") as exc:
-            iz.matched_filter_rd(cube, sched, mislabeled)
-        assert "\n" not in str(exc.value)
+        for run in (iz.matched_filter_rd, iz.time_domain_oracle):
+            with pytest.raises(iz.ProcessingError, match="other radar parameters") as exc:
+                run(cube, sched, grid)
+            assert "\n" not in str(exc.value)
 
     @pytest.mark.parametrize("packets", [15, 16])
     @pytest.mark.parametrize("dense", [False, True])
@@ -142,10 +122,7 @@ class TestMatchedFilter:
         over the profiles equals the per-row loop over them for any cut of
         the chain's passes into blocks."""
         params = iz.scaled_profile(small_params, packets)
-        if dense:
-            grid = iz.symmetric_grid(params, 2 * (packets // 2) + 1)
-        else:
-            grid = iz.default_grid(params)
+        grid = iz.DopplerGrid(params, 2 * (packets // 2) + 1 if dense else None)
         target = [iz.point_target(np.array([6.0, 8.0, 0.0]), np.array([30.0, 40.0, 0.0]))]
         noise = iz.noise_block(target, params, 10.0, 0)
         sched = iz.build_schedule(iz.ScheduleKind.PMCW, params, seed=7)
@@ -185,7 +162,7 @@ class TestMatchedFilter:
 
     @pytest.mark.parametrize("bins", [None, 15])
     def test_the_filter_only_reads_the_cube_by_default(self, small_params, bins):
-        grid = iz.default_grid(small_params) if bins is None else iz.symmetric_grid(small_params, bins)
+        grid = iz.DopplerGrid(small_params, bins)
         sched, cube = self.noisy_echo(small_params, iz.ScheduleKind.PMCW)
         before = cube.samples.tobytes()
         iz.matched_filter_rd(cube, sched, grid)
@@ -199,7 +176,7 @@ class TestMatchedFilter:
         """On the FFT grid, on a dense grid of P - 1 bins and on one of
         2P + 1, which steers into a 2P + 1 row buffer of the chain's own."""
         monkeypatch.setenv("ISACSIM_THREADS", threads)
-        grid = iz.default_grid(small_params) if bins is None else iz.symmetric_grid(small_params, bins)
+        grid = iz.DopplerGrid(small_params, bins)
         for kind in all_kinds:
             sched, cube = self.noisy_echo(small_params, kind)
             kept = iz.matched_filter_rd(cube, sched, grid)
@@ -223,7 +200,7 @@ class TestMatchedFilter:
         target = [iz.point_target(np.array([6.0, 8.0, 0.0]), np.array([3.0, 4.0, 0.0]))]
         for packets in range(1, 21):
             params = iz.scaled_profile(base, packets)
-            grid = iz.default_grid(params)
+            grid = iz.DopplerGrid(params)
             noise = iz.noise_block(target, params, 10.0, packets)
             for kind in all_kinds:
                 sched = iz.build_schedule(kind, params, seed=7)
@@ -241,7 +218,7 @@ class TestMatchedFilter:
         one P x J phase matrix, to the bit."""
         pri = 64 / 1.76e9
         params = iz.WaveformParams(pri_s=pri, cpi_s=packets * pri, code_length=16)
-        grid = iz.symmetric_grid(params, 15)
+        grid = iz.DopplerGrid(params, 15)
         target = [iz.point_target(np.array([1.2, 0.9, 0.0]), np.array([1.6, 1.2, 0.0]))]
         sched = iz.build_schedule(iz.ScheduleKind.PMCW, params, seed=7)
         cube = iz.synthesize_echo(sched, target, params)
@@ -264,7 +241,7 @@ class TestMatchedFilter:
         never a stage. The map is a view of the cube's memory exactly when
         `overwrite` is set."""
         dense = bins is not None
-        grid = iz.symmetric_grid(small_params, bins) if dense else iz.default_grid(small_params)
+        grid = iz.DopplerGrid(small_params, bins)
         sched, cube = self.noisy_echo(small_params, iz.ScheduleKind.PMCW)
         names = ["reference", "post_fft", "twiddle", "post_steering", "post_ifft"]
         if not dense:
@@ -304,7 +281,7 @@ class TestOracleEquivalence:
     def test_guard_refuses_oversized_instances(self, ci_params):
         sched = iz.build_schedule(iz.ScheduleKind.FMCW, ci_params)
         cube = iz.synthesize_echo(sched, [], ci_params)
-        grid = iz.default_grid(ci_params)
+        grid = iz.DopplerGrid(ci_params)
         assert ci_params.samples_per_pri * len(sched) * len(grid) > iz.ORACLE_GUARD
         with pytest.raises(iz.OracleGuardError):
             iz.time_domain_oracle(cube, sched, grid)
@@ -314,7 +291,7 @@ class TestOracleEquivalence:
         cube = iz.synthesize_echo(sched, [], small_params)
         shorter = iz.FrameSchedule(sched.kind, sched.frames, sched.packet_map[:-1])
         with pytest.raises(iz.ProcessingError, match="over 15 packets does not match a 16 x 512"):
-            iz.time_domain_oracle(cube, shorter, iz.default_grid(small_params))
+            iz.time_domain_oracle(cube, shorter, iz.DopplerGrid(small_params))
 
 
 class TestCanonicalPslr:
@@ -325,7 +302,7 @@ class TestCanonicalPslr:
         pos = np.array([12.0, 9.0, 0.0])
         vel = 2.0 * pos / np.linalg.norm(pos)
         targets = [iz.point_target(pos, vel)]
-        grid = iz.default_grid(ci_params)
+        grid = iz.DopplerGrid(ci_params)
         expected = {
             iz.ScheduleKind.FMCW: 2.93,
             iz.ScheduleKind.PMCW: 18.34,
@@ -396,11 +373,13 @@ class TestPslr:
         profile = np.array([0.1, 0.0, 0.0, 1.0, 0.0, 0.0, 0.1])
         assert iz.pslr_db(profile) == pytest.approx(20.0)
 
-    def test_zero_halfwidth_counts_neighbours(self):
-        profile = np.array([0.5, 1.0, 0.5])
-        assert iz.pslr_db(profile, mainlobe_halfwidth_bins=0) == pytest.approx(
-            20.0 * math.log10(2.0)
-        )
+    def test_the_mainlobe_spans_its_constant_bins_on_each_side(self):
+        hw = rsp.PSLR_MAINLOBE_BINS
+        profile = np.zeros(2 * hw + 3)
+        profile[hw + 1] = 1.0
+        profile[1] = profile[2 * hw + 1] = 0.9  # the mainlobe's edges: excluded
+        profile[0] = 0.1  # the one bin beyond them
+        assert iz.pslr_db(profile) == pytest.approx(20.0)
 
     def test_profile_too_short_raises(self):
         with pytest.raises(iz.ParameterError):

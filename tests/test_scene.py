@@ -183,7 +183,7 @@ class TestDataCube:
         before = samples.tobytes()
         values = samples.astype(np.complex128, order="C")
         assert iz.DataCube(samples=values, params=small_params).samples is values
-        grid = iz.default_grid(small_params)
+        grid = iz.DopplerGrid(small_params)
         kept = iz.matched_filter_rd(iz.DataCube(values.copy(), small_params), sched, grid)
         fmt = [iz.FixedPointFormat(16, 1)]
         expected = iz.precision_sweep(

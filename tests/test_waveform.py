@@ -202,7 +202,7 @@ class TestSchedules:
     def test_reference_equals_transmit(self, small_params, all_kinds):
         # the matched filter correlates each packet against the frame it carried
         static = [iz.point_target(np.array([8.0, 0.0, 0.0]), np.zeros(3))]
-        grid = iz.default_grid(small_params)
+        grid = iz.DopplerGrid(small_params)
         for kind in all_kinds:
             sched = iz.build_schedule(kind, small_params, seed=7)
             cube = iz.synthesize_echo(sched, static, small_params, path_loss=iz.PathLoss.OFF)
