@@ -47,3 +47,26 @@ def test_a_chirp_whose_phase_overflows_raises_a_parameter_error(
         chirp_duration_s=chirp_duration_s * 1e10,
     )
     assert np.isfinite(iz.generate_fmcw(params)).all()
+
+
+@pytest.mark.parametrize(
+    "carrier_freq_hz, cpi_s, name",
+    [
+        (1e-300, 4e-3, "wavelength_m"),
+        (1e-299, 4e-3, "max_unambiguous_velocity_mps"),
+        (2.5e-295, 2e-6, "velocity_resolution_mps"),
+    ],
+    ids=["wavelength", "velocity", "resolution"],
+)
+def test_a_carrier_whose_derived_values_overflow_raises_a_parameter_error(
+    carrier_freq_hz, cpi_s, name
+):
+    """A finite carrier low enough makes the wavelength, or a velocity
+    derived from it, inf. With one packet per CPI, lambda / (2 T_CPI) is
+    twice lambda / (4 T_pri) and overflows alone."""
+    with pytest.raises(iz.ParameterError, match=f"makes {name} overflow to inf$"):
+        iz.WaveformParams(carrier_freq_hz=carrier_freq_hz, cpi_s=cpi_s)
+    # 1e10 times the carrier, every derived value is finite
+    params = iz.WaveformParams(carrier_freq_hz=1e10 * carrier_freq_hz, cpi_s=cpi_s)
+    assert math.isfinite(params.velocity_resolution_mps)
+    assert math.isfinite(params.max_unambiguous_velocity_mps)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import isacsim as iz
-from isacsim import rsp
+from isacsim import config, rsp
 from oracle_cases import random_case
 
 
@@ -35,10 +35,17 @@ class TestGrids:
         odd = iz.scaled_profile(small_params, 63)
         assert not iz.DopplerGrid(odd, 63).fft_aligned
 
-    def test_a_grid_rejects_even_or_tiny_bin_counts(self, small_params):
-        for bins in (2, 4, 1):
-            with pytest.raises(iz.ParameterError):
-                iz.DopplerGrid(small_params, bins)
+    @pytest.mark.parametrize("bins", [2, 4, 1, 0, -1, -3])
+    def test_a_grid_rejects_even_or_tiny_bin_counts(self, small_params, bins):
+        with pytest.raises(iz.ParameterError, match="odd bin count >= 3"):
+            iz.DopplerGrid(small_params, bins)
+
+    def test_the_smallest_odd_grid_is_minus_zero_plus_f_max(self, small_params):
+        grid = iz.DopplerGrid(small_params, 3)
+        f_max = small_params.doppler_max_hz
+        assert grid.spacing_hz == f_max
+        assert grid.frequencies_hz.tolist() == [-f_max, 0.0, f_max]
+        assert grid.zero_bin == 1
 
     @pytest.mark.parametrize("bins", [None, 9])
     def test_grids_of_equal_parameters_are_equal_and_hash_alike(self, small_params, bins):
@@ -110,6 +117,21 @@ class TestMatchedFilter:
             with pytest.raises(iz.ProcessingError, match="other radar parameters") as exc:
                 run(cube, sched, grid)
             assert "\n" not in str(exc.value)
+
+    @pytest.mark.parametrize("bins", [None, 15])
+    def test_rejects_a_grid_built_for_another_carrier(self, small_params, bins):
+        """A grid built for another carrier steers with the cube's
+        frequencies but would label the map's velocity axis with the other
+        wavelength: the filter and the oracle refuse it."""
+        other = dataclasses.replace(small_params, carrier_freq_hz=77e9)
+        grid = iz.DopplerGrid(other, bins)
+        own = iz.DopplerGrid(small_params, bins)
+        assert grid.frequencies_hz.tobytes() == own.frequencies_hz.tobytes()
+        sched = iz.build_schedule(iz.ScheduleKind.PMCW, small_params, seed=7)
+        cube = iz.synthesize_echo(sched, [], small_params)
+        for run in (iz.matched_filter_rd, iz.time_domain_oracle):
+            with pytest.raises(iz.ProcessingError, match="other radar parameters"):
+                run(cube, sched, grid)
 
     @pytest.mark.parametrize("packets", [15, 16])
     @pytest.mark.parametrize("dense", [False, True])
@@ -380,6 +402,22 @@ class TestPslr:
         profile[1] = profile[2 * hw + 1] = 0.9  # the mainlobe's edges: excluded
         profile[0] = 0.1  # the one bin beyond them
         assert iz.pslr_db(profile) == pytest.approx(20.0)
+
+    def test_min_samples_per_pri_leaves_a_sidelobe_bin_for_any_peak(self):
+        """A range profile of config's least Q keeps a bin outside the
+        +-PSLR_MAINLOBE_BINS mainlobe wherever its peak lies; one bin less
+        and a centred peak's mainlobe covers it all."""
+        hw = rsp.PSLR_MAINLOBE_BINS
+        q = config.MIN_SAMPLES_PER_PRI
+        assert q == 2 * hw + 2
+        for peak_bin in range(q):
+            profile = np.full(q, 0.1)
+            profile[peak_bin] = 1.0
+            assert iz.pslr_db(profile) == pytest.approx(20.0)
+        short = np.full(q - 1, 0.1)
+        short[hw] = 1.0
+        with pytest.raises(iz.ParameterError, match="covers the whole profile"):
+            iz.pslr_db(short)
 
     def test_profile_too_short_raises(self):
         with pytest.raises(iz.ParameterError):
