@@ -15,24 +15,25 @@ Each value is laid out in a 24-byte field of three little-endian words:
     byte  6       first significant digit d0
     byte  7       "." after d0
     bytes 8..15   the digits d1..d8
-    bytes 16..20  "e+dd" / "e-ddd": the exponent of scientific notation
-    byte  21      its separator: "," or, after the last column, "\\n"
+    bytes 16..23  the tail, from byte 16: "e+dd," or "e-ddd," in scientific
+                  notation, "," alone in fixed notation; after the last
+                  column its comma becomes "\\n"
 
-Fixed notation puts its separator in byte 16, right after d8. Two fixed
-notations also move digits. From 10 up (exponents 1..8) the dot follows
+Two fixed notations move digits. From 10 up (exponents 1..8) the dot follows
 de, not d0: byte 7 holds d1 and bytes 8..15 hold d2..de, the dot and
 d(e+1)..d8, shifted in place. Below 1 (exponents -1..-4) no dot follows
 d0: d0 sits in byte 7, after "0." and the -e-1 zeros ahead of it, which
-end at byte 6 (bytes 6+e..6). A mask row chosen by (notation, decimal
-exponent, significant digits) keeps the bytes `%g` prints and the
-separator, and zeroes the rest; the span's text is then its fields'
-nonzero bytes, which one boolean-mask subscript (`raw[keep]`) copies out.
-That copy costs a step per run of kept bytes. After its sign, a value of
-nine significant digits in fixed notation, "0." and its zeros included, is
-one run; any other value is at most three, where a shorter mantissa ends
-before byte 16 and a two-digit exponent leaves its hundreds byte empty. A
-span takes about fifty numpy calls, each over the whole span and each
-releasing the interpreter lock.
+end at byte 6 (bytes 6+e..6). A mask row chosen by (decimal exponent,
+significant digits) keeps the bytes of words 0 and 1 that `%g` prints and
+zeroes the rest; the last word keeps all its bytes, since its table entry
+is zero past the tail. The span's text is then its fields' nonzero bytes,
+which one boolean-mask subscript (`raw[keep]`) copies out. That copy costs
+a step per run of kept bytes. After its sign, a value is one run when its
+mantissa has nine digits, "0." and its zeros included, else two, as a
+shorter mantissa ends before byte 16; a nine-digit integer (exponent 8) is
+two as well, as it leaves out the dot in byte 15. A span takes about fifty
+numpy calls, each over the whole span and each releasing the interpreter
+lock.
 
 Memory: each worker formats in one `_Scratch` of 67 bytes a value (the
 fields, five 8-byte planes of temporaries that later hold the keep mask,
@@ -54,7 +55,8 @@ a correctly rounded table, so m carries at most two roundings, below
 2.3e-7 at m < 1e9. Whenever m lies within 1e-6 of a rounding tie, the
 rounding is not decided from m. Such a value, a mantissa that is not 9
 digits, and any non-finite value or one outside [1e-280, 1e280] other than
-zero are formatted by Python's own `"%.9g" % x` and copied into their fields.
+zero are formatted by Python's own `"%.9g," % x`, right-aligned in their
+fields, so that the comma is byte 23.
 """
 
 from __future__ import annotations
@@ -72,8 +74,6 @@ _TABLE_EXPONENTS = [*range(_E_MAX + 1), *range(_E_MIN, 0)]
 _TIE_WINDOW = 1e-6           # > the 2.3e-7 scaling error at m < 1e9
 _FIELD = 24                  # bytes per value, three uint64 words
 CHUNK_VALUES = 1 << 15       # values per span
-_SEPARATOR = 21              # the separator's byte after an exponent
-_FIXED_SEPARATOR = 16        # in fixed notation: the last word's first byte, after d8
 _FIXED_EXPONENTS = range(-4, DIGITS)  # %g prints these exponents without "e"
 
 _DOT, _ZERO, _MINUS = ord("."), ord("0"), ord("-")
@@ -98,65 +98,44 @@ def _digit_words() -> tuple[np.ndarray, np.ndarray]:
 
 
 def _exponent_words() -> np.ndarray:
-    """The field's last word for each exponent of _TABLE_EXPONENTS: "e", its
-    sign, two or three digits (a missing hundreds digit is a zero byte) and
-    the comma; for an exponent of fixed notation, the comma alone, in its
-    first byte."""
-    words = []
-    for e in _TABLE_EXPONENTS:
-        if e in _FIXED_EXPONENTS:
-            words.append(ord(","))
-            continue
-        hundreds, rest = divmod(abs(e), 100)
-        words.append(
-            _word(
-                [
-                    ord("e"),
-                    ord("-" if e < 0 else "+"),
-                    _ZERO + hundreds if hundreds else 0,
-                    _ZERO + rest // 10,
-                    _ZERO + rest % 10,
-                    ord(","),
-                ]
-            )
-        )
-    return np.array(words, dtype=np.uint64)
+    """The field's last word for each exponent of _TABLE_EXPONENTS: the
+    value's tail from the word's first byte, "e", the exponent's sign, two or
+    three digits and the comma, or for an exponent of fixed notation the comma
+    alone. Its bytes past the tail are zero."""
+    tails = ["," if e in _FIXED_EXPONENTS else f"e{e:+03d}," for e in _TABLE_EXPONENTS]
+    return np.array([_word(t.encode()) for t in tails], dtype=np.uint64)
 
 
 def _mask_class(e: int) -> int:
-    """0 for scientific notation, then one class per fixed exponent; the
-    exponents 1..8, whose dot lies among the digits, come last."""
-    return 1 + e - _FIXED_EXPONENTS.start if e in _FIXED_EXPONENTS else 0
+    """One class per fixed exponent, in order, so that the exponents 1..8,
+    whose dot lies among the digits, come last. Scientific notation keeps the
+    bytes that exponent 0 keeps, and shares its class."""
+    return (e if e in _FIXED_EXPONENTS else 0) - _FIXED_EXPONENTS.start
 
 
 _INNER_DOT_ROW = _mask_class(1) * DIGITS  # the first mask row of exponent 1
 
 
 def _masks() -> np.ndarray:
-    """(class, significant digits - 1) -> the field's three mask words."""
-    table = np.zeros((len(_FIXED_EXPONENTS) + 1, DIGITS, 3), dtype=np.uint64)
-    for e in [None, *_FIXED_EXPONENTS]:
+    """(class, significant digits - 1) -> the field's three mask words: the
+    bytes of words 0 and 1 that %g prints, and an all-ones last word."""
+    table = np.zeros((len(_FIXED_EXPONENTS), DIGITS, _FIELD), dtype=np.uint8)
+    # sign (a zero byte when positive), byte 6 (d0, or below 1 the lead's
+    # last byte) and the tail
+    table[..., [0, 6]] = table[..., 16:] = 0xFF
+    for e in _FIXED_EXPONENTS:
         for nd in range(1, DIGITS + 1):
-            keep = bytearray(_FIELD)
-            # sign (a zero byte when positive), byte 6 (d0, or below 1 the
-            # lead's last byte) and the separator
-            keep[0] = keep[6] = keep[_SEPARATOR if e is None else _FIXED_SEPARATOR] = 0xFF
+            keep = table[_mask_class(e), nd - 1]
             tail = nd - 1  # bytes kept from byte 8 on: d1..d(nd-1)
-            if e is None:  # scientific: d0, any fraction, the exponent
-                keep[7] = 0xFF if nd > 1 else 0
-                keep[16:21] = b"\xff" * 5
-            elif e < 0:  # "0." and -e-1 zeros, then d0 in byte 7
-                keep[6 + e : 8] = b"\xff" * (2 - e)
-            elif e == 0:
+            if e < 0:  # "0." and -e-1 zeros, then d0 in byte 7
+                keep[6 + e : 8] = 0xFF
+            elif e == 0:  # d0, and a dot before any fraction
                 keep[7] = 0xFF if nd > 1 else 0
             else:  # d0, d1 in byte 7, d2..de, then "." and any fraction
                 keep[7] = 0xFF
                 tail = e - 1 + (nd - e if nd > e + 1 else 0)
-            keep[8 : 8 + tail] = b"\xff" * tail
-            table[0 if e is None else _mask_class(e), nd - 1] = np.frombuffer(
-                bytes(keep), dtype="<u8"
-            )
-    return table.reshape(-1, 3)
+            keep[8 : 8 + tail] = 0xFF
+    return table.view("<u8").reshape(-1, 3)
 
 
 def _lead_words() -> tuple[np.ndarray, np.ndarray]:
@@ -296,8 +275,7 @@ def _fields(x: np.ndarray, s: _Scratch) -> np.ndarray:
     out[:, 2] &= word
 
     for i in np.flatnonzero(slow):
-        text = ("%.9g" % x[i]).encode().ljust(_SEPARATOR, b"\0") + b",\0\0"
-        out[i] = np.frombuffer(text, dtype="<u8")
+        out[i] = np.frombuffer(("%.9g," % x[i]).encode().rjust(_FIELD, b"\0"), dtype="<u8")
     return out
 
 

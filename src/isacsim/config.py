@@ -17,6 +17,7 @@ rules that span keys (`cpi_s`/`packets`, `chirp_duration_s = window`,
 from __future__ import annotations
 
 import math
+import sys
 import unicodedata
 from dataclasses import dataclass, field
 from typing import Any, Callable, NamedTuple
@@ -89,6 +90,15 @@ class ScenarioConfig:
                 f"at least {MIN_SAMPLES_PER_PRI}, a +-{PSLR_MAINLOBE_BINS} bin mainlobe and a "
                 "sidelobe bin beside it"
             )
+        # 16 bytes a complex value: the P x Q cube, and on a grid of J bins
+        # the J x Q buffer and the P x J twiddle, must each be addressable.
+        p, j = self.params.packets_per_cpi, self.doppler_bins or 0
+        if 16 * max(p, j) * max(q, j) > sys.maxsize:
+            bins = f" on {_rough(j)} Doppler bins" if j else ""
+            raise ConfigError(
+                f"a CPI of {_rough(p)} packets of {_rough(q)} samples{bins} is too large to "
+                "address"
+            )
         n = self.params.code_length
         golay = [k.value for k in self.waveforms if k in _GOLAY_WAVEFORMS]
         if golay and not (2 <= n <= 1 << 16 and n & (n - 1) == 0):
@@ -99,6 +109,12 @@ class ScenarioConfig:
             raise ConfigError(
                 f"a car target needs 'scatterer_count' >= 4, got {self.scatterer_count}"
             )
+
+
+def _rough(n: int) -> str:
+    """n, or its power of ten when it is too long to read."""
+    digits = str(n)
+    return digits if len(digits) <= 12 else f"~1e{len(digits) - 1}"
 
 
 _BOOL_WORDS = {

@@ -54,6 +54,14 @@ class WaveformParams:
             raise ParameterError("pri_s must be positive")
         if self.cpi_s < self.pri_s:
             raise ParameterError("cpi_s must cover at least one PRI")
+        # Q and P are rounded from these quotients, which finite inputs can
+        # still overflow.
+        for name, quotient in (
+            ("pri_s * bandwidth_hz (samples per PRI)", self.pri_s / self.sample_period_s),
+            ("cpi_s / pri_s (packets per CPI)", self.cpi_s / self.pri_s),
+        ):
+            if not math.isfinite(quotient):
+                raise ParameterError(f"{name} overflows to {quotient}")
         if self.code_length < 1:
             raise ParameterError("code_length must be at least 1")
         if self.code_length > self.samples_per_pri:

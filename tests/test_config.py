@@ -214,6 +214,17 @@ class TestDiagnostics:
         text = f"[{section}]\n{key} = {MALFORMED.get(key, 'abc')}\n"
         self.expect_error(text, "", line=2)
 
+    def test_bins_count_toward_the_address_bound_only_on_a_dense_grid(self):
+        """16 bytes times max(P, J) times max(Q, J) must fit an index, J
+        counting only on a dense grid: the FFT grid has no P x J twiddle, so
+        10**11 packets pass there and are left to run out of memory."""
+        text = "[radar]\npackets = 100000000000\n"
+        assert iz.parse_config(text).params.packets_per_cpi == 10**11
+        self.expect_error(
+            text + "[doppler]\nbins = 100000001\n",
+            "a CPI of 100000000000 packets of 3520 samples on 100000001 Doppler bins is too large",
+        )
+
     def test_nonpositive_counts(self):
         self.expect_error("[scene]\nscatterer_count = 0\n", "must be positive", line=2)
         self.expect_error("[benchmark]\nrepeats = 0\n", "at least 1", line=2)

@@ -712,6 +712,55 @@ class TestCli:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "text, preset, fragment",
+        [
+            (
+                "[radar]\nbandwidth_hz = 1e200\npri_s = 1e200\npackets = 4\n",
+                None,
+                "invalid radar parameters: pri_s * bandwidth_hz (samples per PRI) overflows to inf",
+            ),
+            (
+                "[radar]\nbandwidth_hz = 1e10\npri_s = 1e-9\ncpi_s = 1e300\ncode_length = 8\n",
+                None,
+                "invalid radar parameters: cpi_s / pri_s (packets per CPI) overflows to inf",
+            ),
+            (
+                "[radar]\ncpi_s = 1e300\n",
+                None,
+                "a CPI of ~1e305 packets of 3520 samples is too large to address",
+            ),
+            (
+                "[radar]\npackets = 8\n[doppler]\nbins = 1000000000000001\n",
+                None,
+                "a CPI of 8 packets of 3520 samples on ~1e15 Doppler bins is too large",
+            ),
+            (
+                "[radar]\npackets = 8\n[doppler]\nbins = 10000000000000000001\n",
+                None,
+                "a CPI of 8 packets of 3520 samples on ~1e19 Doppler bins is too large",
+            ),
+            (
+                "[radar]\npri_s = 1e5\nbandwidth_hz = 1e10\npackets = 1\ncode_length = 16\n",
+                "table1",
+                "a CPI of 2000 packets of ~1e15 samples is too large to address",
+            ),
+        ],
+        ids=["samples-per-pri", "packets-per-cpi", "cube", "buffer", "grid-length", "preset"],
+    )
+    def test_a_cpi_too_large_to_count_or_address_exits_2(
+        self, tmp_path, capsys, text, preset, fragment
+    ):
+        """A count rounded from an inf quotient, or a cube, map or twiddle
+        of more bytes than an index holds, is refused before any file or
+        directory is written; one that is addressable but does not fit in
+        memory is a scenario error (exit 3)."""
+        out = tmp_path / "out"
+        argv = ["run", self.write_ini(tmp_path, text), "--out", str(out)]
+        argv += ["--preset", preset] if preset else []
+        self.expect_one_line_error(capsys, 2, argv, f"config error: {fragment}")
+        assert not out.exists()
+
     def test_golay_with_a_one_chip_code_exits_2(self, tmp_path, capsys):
         path = self.write_ini(tmp_path, SMALL_INI.replace("256", "1"))
         self.expect_one_line_error(capsys, 2, ["run", path], "from 2 to 65536, got 1")

@@ -1,6 +1,7 @@
 """Radar parameter validation."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -47,6 +48,27 @@ def test_a_chirp_whose_phase_overflows_raises_a_parameter_error(
         chirp_duration_s=chirp_duration_s * 1e10,
     )
     assert np.isfinite(iz.generate_fmcw(params)).all()
+
+
+@pytest.mark.parametrize(
+    "radar, name",
+    [
+        (
+            dict(bandwidth_hz=1e200, pri_s=1e200, cpi_s=4e200),
+            "pri_s * bandwidth_hz (samples per PRI)",
+        ),
+        (
+            dict(bandwidth_hz=1e10, pri_s=1e-9, cpi_s=1e300, code_length=8),
+            "cpi_s / pri_s (packets per CPI)",
+        ),
+    ],
+    ids=["samples-per-pri", "packets-per-cpi"],
+)
+def test_a_count_whose_quotient_overflows_raises_a_parameter_error(radar, name):
+    """Q and P are rounded from pri_s / sample_period_s and cpi_s / pri_s;
+    finite keys can make either quotient inf, which no count can hold."""
+    with pytest.raises(iz.ParameterError, match=f"^{re.escape(name)} overflows to inf$"):
+        iz.WaveformParams(**radar)
 
 
 @pytest.mark.parametrize(

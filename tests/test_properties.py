@@ -768,6 +768,26 @@ def test_csv_text_below_one_covers_every_layout():
     assert csv_bytes(values) == savetxt_bytes(values)
 
 
+@pytest.mark.parametrize(
+    "value",
+    [
+        1.23456789e-12, -1.23456789e47, 9.87654321e-123, -1.23456789e250,
+        1.23456789, -0.00123456789, 1234.56789, -12345678.9,
+    ],
+)
+def test_a_nine_digit_value_is_one_run_of_its_field(value):
+    """After the sign byte, the kept bytes of a value with a 9-digit
+    mantissa, in scientific notation with two- or three-digit exponents of
+    either sign or in fixed notation, are one contiguous run, and its comma
+    lies in the field's last word."""
+    fields = csvformat._fields(np.array([value]), csvformat._Scratch(1))
+    raw = fields.view(np.uint8).reshape(-1)
+    kept = np.flatnonzero(raw[1:]) + 1
+    assert (np.diff(kept) == 1).all()
+    assert raw.tobytes().index(b",") >= 16
+    assert raw[kept].tobytes() == ("%.9g," % abs(value)).encode()
+
+
 @pytest.mark.parametrize("shape", [(1, 1), (1, 37), (37, 1)])
 def test_csv_text_edge_shapes(shape):
     rng = np.random.default_rng(5)
