@@ -23,24 +23,22 @@ chain splits its passes across ISACSIM_THREADS threads as the double filter
 does; every map and report is the same to the bit for any thread count.
 
 The chain hands its hook only buffers it owns, so every stage is quantized
-in place. The sweep consumes the caller's cube: its last format runs on the
-cube itself, and every format before it on a copy of the cube in one P x Q
-buffer of the sweep's own, dropped before the last format runs, so a
-one-format sweep allocates no P x Q buffer. FULL_CHAIN quantizes the cube
-or its copy as the "input" stage, and the chain runs on it with
-`overwrite`, so with at most P Doppler bins the chain transforms and steers
-in that buffer and writes the format's map over it, and the sweep scores
-the map's error in the map's own memory. Reusing one buffer across formats
-keeps a small sweep from handing its pages back to the system and faulting
-them in again for every format. The sweep detects and scores the
-double-precision map once and shares that score across its formats, so a
-row's runtime_s covers only its own quantized run.
+in place. Each chain consumes a cube of its own: the sweep asks its `cubes`
+callable for a fresh cube once per format, so it allocates no P x Q buffer
+of its own and holds one format's cube at a time. FULL_CHAIN quantizes that
+cube as the "input" stage, and the chain runs on it with `overwrite`, so
+with at most P Doppler bins the chain transforms and steers in the cube and
+writes the format's map over it, and the sweep scores the map's error in
+the map's own memory. The sweep detects and scores the double-precision map
+once and shares that score across its formats, so a row's runtime_s covers
+its own cube, quantized run and scoring.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -196,7 +194,7 @@ class SweepResult:
 
 
 def precision_sweep(
-    cube: DataCube,
+    cubes: Callable[[], DataCube],
     schedule: FrameSchedule,
     grid: DopplerGrid,
     formats,
@@ -207,17 +205,20 @@ def precision_sweep(
     """One quantized run per format, with timing, plus an SQNR monotonicity
     summary across word lengths. Every row is scored against `double_map`,
     the double-precision map of the cube, whose detection, PSLR and power
-    the sweep computes once for all formats; a row's runtime_s is its own
-    quantized run and scoring only. The sweep consumes `cube`: each format
-    but the last copies it into one P x Q buffer of the sweep's own, which
-    its chain then overwrites, and the last quantizes and transforms the
-    cube in place, once the copy is dropped, so a caller that reads the
-    cube afterwards passes a copy. A format's map is a view of the buffer its
-    chain ran in; the sweep detects on it, takes its PSLR, then overwrites
-    it with its squared error against `double_map`, and drops it before the
-    next format runs, so the sweep holds one format's buffers at a time. A
-    `double_map` whose shape is not the grid's bins by the cube's range bins
-    raises ProcessingError before any format runs.
+    the sweep computes once for all formats.
+
+    `cubes` is a callable that returns a fresh `DataCube` of the schedule's
+    echo on each call. Each format calls it once and consumes the cube it
+    gets: its chain quantizes and transforms that cube in place, so the
+    sweep allocates no P x Q buffer of its own, and a row's runtime_s covers
+    the call, the quantized run and its scoring. A format's map is a view of
+    the buffer its chain ran in; the sweep detects on it, takes its PSLR,
+    then overwrites it with its squared error against `double_map`, and
+    drops it and its cube before the next format runs, so the sweep holds
+    one format's buffers at a time. A `double_map` whose shape is not the
+    grid's bins by the schedule's range bins raises ProcessingError before
+    any format runs, and so does a cube that does not match the schedule or
+    the grid, before its format's row is produced.
 
     PSLR agreement is one-sided around the 0.5 dB budget: a quantized PSLR
     that is *better* than double precision (including the no-sidelobe
@@ -227,20 +228,17 @@ def precision_sweep(
     formats = list(formats)
     if not formats:
         raise ParameterError("precision_sweep needs at least one format")
-    shape = (len(grid), cube.samples.shape[1])
+    shape = (len(grid), schedule.frames.shape[1])
     if double_map.values.shape != shape:
         raise ProcessingError(
-            f"double_map is {double_map.values.shape}, but the grid and cube make {shape}"
+            f"double_map is {double_map.values.shape}, but the grid and schedule make {shape}"
         )
     det_d = detect_peak(double_map)
     pslr_d = pslr_db(double_map.range_cut(det_d.doppler_bin))
     power = float(np.sum(double_map.values**2))
     full = mode is FxpMode.FULL_CHAIN
-    samples = cube.samples
-    work = None  # the buffer the formats copy the cube into, made on first use
 
-    def run(fmt: FixedPointFormat, last: bool) -> FxpReport:
-        nonlocal work
+    def run(fmt: FixedPointFormat) -> FxpReport:
         counts: dict[str, int] = {}
         sizes: dict[str, int] = {}  # re and im components
 
@@ -250,13 +248,7 @@ def precision_sweep(
                 sizes[name] = comps.size
                 counts[name] = _quantize_into(comps, comps, fmt)
 
-        if last:
-            data, work = cube, None  # the copy dies before the chain allocates
-        else:
-            if work is None:
-                work = DataCube(np.empty(samples.shape, dtype=np.complex128), cube.params)
-            np.copyto(work.samples, samples)
-            data = work
+        data = cubes()
         stage("input", data.samples)
         fxp_map = RangeDopplerMap(
             values=_chain(data, schedule, grid, True, stage, overwrite=True),
@@ -290,9 +282,9 @@ def precision_sweep(
         )
 
     rows = []
-    for k, fmt in enumerate(formats):
+    for fmt in formats:
         start = time.perf_counter()
-        report = run(fmt, k == len(formats) - 1)
+        report = run(fmt)
         rows.append(SweepRow(report=report, runtime_s=time.perf_counter() - start))
     monotone = True
     by_int: dict[int, list[SweepRow]] = {}

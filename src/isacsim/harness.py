@@ -17,23 +17,25 @@ schedule through synthesis, the cube's read-only readers (the optional
 oracle and `run_benchmarks` timings), the matched filter, detection and
 PSLR, the optional fixed-point sweep (scored against the run's own double
 map) and the CSVs. Only then is the next waveform started, and its cube and
-map are gone: a `WaveformResult` holds no array. Each cube has one owner.
-Without formats the matched filter transforms the cube in place
+map are gone: a `WaveformResult` holds no array. Every chain consumes a
+cube of its own. The matched filter transforms the waveform's cube in place
 (`overwrite_cube=True`) and, with at most P Doppler bins, writes the map
 over it, so one P x Q buffer is in memory at a time, besides the shared
-P x Q noise block. With formats the filter works in a P x Q buffer of its
-own (max(P, J) x Q for a grid of more bins than packets) next to the cube
-and writes the map over that, and the fixed-point sweep, the cube's last
-reader, runs its last format on the cube itself. Each waveform's summary
-times its synthesis (without the shared noise draw, which the run-level
-`timings_s.noise` times), the filter alone and artifact writing. The
+P x Q noise block. With formats the run copies the J x Q map out of the
+cube and drops the cube, and the fixed-point sweep synthesizes the cube
+again for each format from the same schedule, targets and noise block (the
+same bytes), so the sweep too holds one cube at a time. Each waveform's
+summary times its synthesis (without the shared noise draw, which the
+run-level `timings_s.noise` times), the filter alone and artifact writing;
+a fixed-point row's `runtime_s` covers its cube's synthesis. The
 summary's `tool.version` is `isacsim.__version__`, the one place the
 version is written, and its `environment` block records what produced the
 numbers.
 
 `noise_block` and `synthesize_echo` both run `scene.check_scene` first, so a
 scene that cannot run fails at the noise draw, or with noise off at the
-first echo, before any CSV is written.
+first echo. The output directory is made only when the first artifact is
+about to be written, so a run that fails before then leaves none behind.
 """
 
 from __future__ import annotations
@@ -208,14 +210,20 @@ def run_waveform(
 
     The cube has one order of readers. The read-only ones run first: the
     oracle, whose map is scored once the filter's exists, and the benchmark
-    timings. Then the cube goes to its one owner: the filter overwrites it
-    unless formats are set and, with at most P Doppler bins, writes the map
-    over it; with formats the filter only reads it and the sweep consumes
-    it. The map and the cube die with this call."""
+    timings. Then the cube goes to its one owner, the filter, which
+    overwrites it and, with at most P Doppler bins, writes the map over it.
+    With formats the map is copied out and the cube dropped before the
+    sweep, whose every format synthesizes and consumes a cube of its own.
+    The map and the cubes die with this call; `out_path` is made, if need
+    be, just before the CSVs are written."""
     params = cfg.params
     t0 = time.perf_counter()
     schedule = build_schedule(kind, params, seed=cfg.seed_code)
-    cube = synthesize_echo(schedule, targets, params, path_loss=cfg.path_loss, noise=noise)
+
+    def echo() -> DataCube:
+        return synthesize_echo(schedule, targets, params, path_loss=cfg.path_loss, noise=noise)
+
+    cube = echo()
     synth_s = time.perf_counter() - t0
 
     oracle_map = oracle_note = None
@@ -227,7 +235,7 @@ def run_waveform(
     benchmark = run_benchmarks(cfg, cube, schedule, grid) if cfg.bench_enabled else None
 
     t1 = time.perf_counter()
-    rd_map = matched_filter_rd(cube, schedule, grid, overwrite_cube=not cfg.fxp_formats)
+    rd_map = matched_filter_rd(cube, schedule, grid, overwrite_cube=True)
     process_s = time.perf_counter() - t1
     oracle_deviation = None
     if oracle_map is not None:
@@ -244,8 +252,11 @@ def run_waveform(
 
     sweep = None
     if cfg.fxp_formats and failure is None:
+        # the map's own copy, so the cube it was written over can go
+        rd_map = RangeDopplerMap(rd_map.values.copy(), rd_map.range_axis_m, rd_map.doppler_axis_mps)
+        del cube
         sweep = precision_sweep(
-            cube, schedule, grid, cfg.fxp_formats, cfg.fxp_mode, double_map=rd_map
+            echo, schedule, grid, cfg.fxp_formats, cfg.fxp_mode, double_map=rd_map
         )
         if benchmark is not None:
             benchmark["fixed_point"] = [
@@ -257,6 +268,7 @@ def run_waveform(
         "rd_map_csv": f"{kind.value}_rd_map.csv",
         "range_profile_csv": f"{kind.value}_range_profile.csv",
     }
+    out_path.mkdir(parents=True, exist_ok=True)
     t2 = time.perf_counter()
     write_rd_map_csv(out_path / artifacts["rd_map_csv"], rd_map)
     cut_bin = detection.doppler_bin if detection is not None else grid.zero_bin
@@ -390,7 +402,6 @@ def run_comparison(cfg: ScenarioConfig, out_dir: Path | str | None = None) -> Ru
     """
     started = time.perf_counter()
     out_path = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
-    out_path.mkdir(parents=True, exist_ok=True)
 
     targets = build_targets(cfg)
     grid = DopplerGrid(cfg.params, cfg.doppler_bins)
@@ -454,6 +465,7 @@ def run_comparison(cfg: ScenarioConfig, out_dir: Path | str | None = None) -> Ru
 
     summary["timings_s"] = {"total": time.perf_counter() - started, "noise": noise_s}
     summary["peak_rss_mb"] = _peak_rss_mb()
+    out_path.mkdir(parents=True, exist_ok=True)  # a run of no waveform made none
     with open(out_path / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, allow_nan=False)
         fh.write("\n")

@@ -172,11 +172,11 @@ def test_criterion_7_fixed_point(canonical):
         cube, schedule = canonical.cubes[kind], canonical.schedules[kind]
         rd_map = canonical.maps[kind]
 
-        def copied():  # the sweep consumes its cube, and the fixture's is shared
+        def copied():  # each format consumes a cube, and the fixture's is shared
             return iz.DataCube(samples=cube.samples.copy(), params=cube.params)
 
         report = iz.precision_sweep(
-            copied(), schedule, canonical.grid, [fmt24], iz.FxpMode.FULL_CHAIN, double_map=rd_map
+            copied, schedule, canonical.grid, [fmt24], iz.FxpMode.FULL_CHAIN, double_map=rd_map
         ).rows[0].report
         assert report.peak_bin_agree, f"{kind.value}: quantized peak moved"
         assert report.pslr_agree, (
@@ -184,7 +184,7 @@ def test_criterion_7_fixed_point(canonical):
             f"{report.pslr_double_db:.2f} dB"
         )
         sweep = iz.precision_sweep(
-            copied(), schedule, canonical.grid, sweep_formats, double_map=rd_map
+            copied, schedule, canonical.grid, sweep_formats, double_map=rd_map
         )
         sqnrs = [row.report.sqnr_db for row in sweep.rows]
         assert sweep.monotone_sqnr

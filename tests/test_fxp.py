@@ -27,9 +27,14 @@ def copied(cube):
     return iz.DataCube(samples=cube.samples.copy(), params=cube.params)
 
 
+def copies(cube):
+    """The sweep's `cubes`: a fresh copy of `cube` on each call."""
+    return lambda: copied(cube)
+
+
 def sweep_report(cube, sched, grid, fmt, mode=iz.FxpMode.FULL_CHAIN, *, double_map):
     """The report of a one-format sweep of a copy of `cube`."""
-    sweep = iz.precision_sweep(copied(cube), sched, grid, [fmt], mode, double_map=double_map)
+    sweep = iz.precision_sweep(copies(cube), sched, grid, [fmt], mode, double_map=double_map)
     return sweep.rows[0].report
 
 
@@ -206,7 +211,7 @@ class TestQuantizedChain:
     def test_sweep_sqnr_grows_with_word_length(self, small_params):
         cube, sched, grid, double_map = small_pipeline(small_params)
         formats = [iz.FixedPointFormat(w, 1) for w in (8, 16, 24, 32)]
-        sweep = iz.precision_sweep(cube, sched, grid, formats, double_map=double_map)
+        sweep = iz.precision_sweep(copies(cube), sched, grid, formats, double_map=double_map)
         sqnrs = [row.report.sqnr_db for row in sweep.rows]
         assert sweep.monotone_sqnr
         assert all(b > a for a, b in zip(sqnrs, sqnrs[1:]))
@@ -215,20 +220,44 @@ class TestQuantizedChain:
     def test_sweep_requires_formats(self, small_params):
         cube, sched, grid, double_map = small_pipeline(small_params)
         with pytest.raises(iz.ParameterError):
-            iz.precision_sweep(cube, sched, grid, [], double_map=double_map)
+            iz.precision_sweep(copies(cube), sched, grid, [], double_map=double_map)
 
     def test_sweep_rejects_a_double_map_of_another_shape(self, small_params, monkeypatch):
         """A 15-bin double map against the 16-bin grid fails with both shapes
-        named, before any quantized chain runs."""
+        named, before any cube is made or any quantized chain runs."""
         from isacsim import fxp
 
         cube, sched, grid, _ = small_pipeline(small_params)
         other = iz.matched_filter_rd(cube, sched, iz.DopplerGrid(small_params, 15))
-        chains = []
+        made, chains = [], []
         monkeypatch.setattr(fxp, "_chain", lambda *args, **kwargs: chains.append(args))
         with pytest.raises(iz.ProcessingError, match=r"\(15, 512\).*\(16, 512\)"):
-            iz.precision_sweep(cube, sched, grid, [iz.FixedPointFormat(16, 1)], double_map=other)
-        assert chains == []
+            iz.precision_sweep(
+                lambda: made.append(copied(cube)), sched, grid, [iz.FixedPointFormat(16, 1)],
+                double_map=other,
+            )
+        assert made == [] and chains == []
+
+    @pytest.mark.parametrize("mode", list(iz.FxpMode))
+    def test_sweep_rejects_a_cube_of_another_shape(self, small_params, monkeypatch, mode):
+        """A cube of half the schedule's packets (a `DataCube` matches its
+        own parameters) raises ProcessingError from the chain's input check:
+        no quantized map is detected, so no row is produced."""
+        from isacsim import fxp
+
+        cube, sched, grid, double_map = small_pipeline(small_params)
+        short = small_pipeline(iz.scaled_profile(small_params, 8))[0]
+        seen = []
+
+        def keeping(rd_map):
+            seen.append(rd_map)
+            return iz.detect_peak(rd_map)
+
+        monkeypatch.setattr(fxp, "detect_peak", keeping)
+        formats = [iz.FixedPointFormat(w, 1) for w in (16, 24)]
+        with pytest.raises(iz.ProcessingError, match="other radar parameters than the cube's"):
+            iz.precision_sweep(copies(short), sched, grid, formats, mode, double_map=double_map)
+        assert seen == [double_map]
 
     @pytest.mark.parametrize("mode", list(iz.FxpMode))
     def test_sweep_reuses_the_given_double_map(self, small_params, mode):
@@ -237,7 +266,7 @@ class TestQuantizedChain:
         cube, sched, grid, double_map = small_pipeline(small_params, snr_db=20.0)
         formats = [iz.FixedPointFormat(w, 1) for w in (12, 24)]
         sweep = iz.precision_sweep(
-            copied(cube), sched, grid, formats, mode, double_map=double_map
+            copies(cube), sched, grid, formats, mode, double_map=double_map
         )
         for row in sweep.rows:
             single = sweep_report(cube, sched, grid, row.report.format, mode, double_map=double_map)
@@ -258,46 +287,52 @@ class TestQuantizedChain:
 
         monkeypatch.setattr(fxp, "detect_peak", counting)
         formats = [iz.FixedPointFormat(w, 1) for w in (12, 16, 24)[:count]]
-        iz.precision_sweep(cube, sched, grid, formats, double_map=double_map)
+        iz.precision_sweep(copies(cube), sched, grid, formats, double_map=double_map)
         assert len(seen) == count + 1
         assert sum(rd_map is double_map for rd_map in seen) == 1
 
     @pytest.mark.parametrize("mode", list(iz.FxpMode))
     @pytest.mark.parametrize("count", [1, 3])
-    def test_the_sweep_consumes_its_cube(self, small_params, mode, count):
-        """The last format runs on the caller's cube itself, so the cube is
-        written; every report is the one a sweep of a copy gives."""
+    def test_each_format_consumes_a_cube_of_its_own(self, small_params, mode, count):
+        """The sweep calls `cubes` once per format and writes every cube it
+        gets; each report is the one a one-format sweep of its format gives."""
         cube, sched, grid, double_map = small_pipeline(small_params, snr_db=20.0)
         formats = [iz.FixedPointFormat(w, 1) for w in (12, 16, 24)[:count]]
-        kept = iz.precision_sweep(copied(cube), sched, grid, formats, mode, double_map=double_map)
-        samples = cube.samples.copy()
-        over = iz.precision_sweep(cube, sched, grid, formats, mode, double_map=double_map)
-        assert [r.report for r in over.rows] == [r.report for r in kept.rows]
-        assert over.monotone_sqnr == kept.monotone_sqnr
-        assert not np.array_equal(cube.samples, samples)
+        made = []
+
+        def cubes():
+            made.append(copied(cube))
+            return made[-1]
+
+        sweep = iz.precision_sweep(cubes, sched, grid, formats, mode, double_map=double_map)
+        assert len(made) == count
+        assert all(not np.array_equal(own.samples, cube.samples) for own in made)
+        for row in sweep.rows:
+            single = sweep_report(cube, sched, grid, row.report.format, mode, double_map=double_map)
+            assert single == row.report
 
     @pytest.mark.parametrize("mode", list(iz.FxpMode))
-    def test_only_the_formats_before_the_last_allocate_a_cube(self, ci_params, mode):
-        """On a 15-bin grid at P = 64 a one-format sweep quantizes the
-        caller's cube in place and allocates less than half of one P x Q
-        complex buffer, its dense steering sums and maps included; a
-        two-format sweep copies the cube into a buffer of its own for its
-        first format."""
+    def test_no_format_allocates_a_cube_of_the_sweeps_own(self, ci_params, mode):
+        """On a 15-bin grid at P = 64 each format quantizes and transforms
+        the cube `cubes` hands it, so a one- and a two-format sweep both
+        allocate less than half of one P x Q complex buffer, dense steering
+        sums and maps included, besides the cubes themselves (made here
+        before tracing starts)."""
         cube, sched, _, _ = small_pipeline(ci_params)
         grid = iz.DopplerGrid(ci_params, 15)
         double_map = iz.matched_filter_rd(cube, sched, grid)
         peaks = {}
         for count in (1, 2):
             formats = [iz.FixedPointFormat(w, 1) for w in (16, 24)[:count]]
-            own = copied(cube)
+            own = [copied(cube) for _ in formats]
             tracemalloc.start()
             try:
-                iz.precision_sweep(own, sched, grid, formats, mode, double_map=double_map)
+                iz.precision_sweep(own.pop, sched, grid, formats, mode, double_map=double_map)
                 peaks[count] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peaks[1] < cube.samples.nbytes // 2
-        assert peaks[2] >= cube.samples.nbytes
+            assert own == []
+        assert max(peaks.values()) < cube.samples.nbytes // 2
 
     @pytest.mark.parametrize("mode", list(iz.FxpMode))
     def test_chain_stages_keep_the_schedule_and_the_double_map(self, small_params, mode):
@@ -308,7 +343,7 @@ class TestQuantizedChain:
         cube, sched, grid, double_map = small_pipeline(small_params, snr_db=15.0)
         before = [a.tobytes() for a in (sched.frames, double_map.values)]
         iz.precision_sweep(
-            cube, sched, grid, [iz.FixedPointFormat(12, 1)], mode, double_map=double_map
+            lambda: cube, sched, grid, [iz.FixedPointFormat(12, 1)], mode, double_map=double_map
         )
         after = [a.tobytes() for a in (sched.frames, double_map.values)]
         assert after == before

@@ -46,6 +46,26 @@ def rebuild_map(cfg, kind):
     return iz.matched_filter_rd(cube, schedule, iz.DopplerGrid(cfg.params, cfg.doppler_bins))
 
 
+def traced_run_peak(cfg, tmp_path):
+    """The traced allocation peak of a run of `cfg`, after a warm-up run
+    has done the imports and first-call caches."""
+    iz.run_comparison(cfg, tmp_path / "warm")
+    tracemalloc.start()
+    try:
+        iz.run_comparison(cfg, tmp_path / "run")
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def run_budget(buffer, threads, snr_db):
+    """One P x Q complex `buffer`, each writer worker's span of a P x Q map,
+    an eighth of a buffer of slack and, with noise on, the noise block."""
+    span = min(csvformat.CHUNK_VALUES, buffer // 16)
+    noise = buffer if snr_db is not None else 0
+    return buffer + int(threads) * CHUNK_BYTES_PER_VALUE * span + buffer // 8 + noise
+
+
 SMALL_INI = """\
 [radar]
 pri_s = 2.909090909090909e-07
@@ -205,31 +225,38 @@ class TestRunComparison:
         monkeypatch.setenv("ISACSIM_THREADS", threads)
         cfg = dataclasses.replace(iz.parse_config(""), params=ci_params, snr_db=snr_db)
         assert not (cfg.run_oracle or cfg.fxp_formats or cfg.bench_enabled)
-        iz.run_comparison(cfg, tmp_path / "warm")  # imports and first-call caches
         buffer = ci_params.packets_per_cpi * ci_params.samples_per_pri * 16
-        span = min(csvformat.CHUNK_VALUES, buffer // 16)  # the map is P x Q values
-        budget = buffer + int(threads) * CHUNK_BYTES_PER_VALUE * span + buffer // 8
-        if snr_db is not None:
-            budget += buffer
-        tracemalloc.start()
-        try:
-            iz.run_comparison(cfg, tmp_path / "run")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= budget
+        assert traced_run_peak(cfg, tmp_path) <= run_budget(buffer, threads, snr_db)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("snr_db", [None, 10.0])
+    def test_a_run_with_formats_holds_one_cube_and_the_map(
+        self, tmp_path, monkeypatch, ci_params, threads, snr_db
+    ):
+        """A CI-scale run with two formats holds one P x Q complex cube at a
+        time and the J x Q map copied out of the filter's, besides each
+        writer worker's span and, with noise on, the shared noise block: no
+        work copy for the sweep, and no filter buffer beside a cube."""
+        monkeypatch.setenv("ISACSIM_THREADS", threads)
+        formats = (iz.FixedPointFormat(12, 1), iz.FixedPointFormat(16, 1))
+        cfg = dataclasses.replace(
+            iz.parse_config(""), params=ci_params, snr_db=snr_db, fxp_formats=formats
+        )
+        assert cfg.doppler_bins is None and not (cfg.run_oracle or cfg.bench_enabled)
+        buffer = ci_params.packets_per_cpi * ci_params.samples_per_pri * 16
+        map_bytes = buffer // 2  # J = P real values
+        assert traced_run_peak(cfg, tmp_path) <= run_budget(buffer, threads, snr_db) + map_bytes
 
     @pytest.mark.parametrize("snr_db", [None, 10.0])
     @pytest.mark.parametrize("bins", [None, 15])
     @pytest.mark.parametrize("reader", ["oracle", "bench", "formats"])
-    def test_only_the_sweep_keeps_the_filter_off_the_cube(
+    def test_every_filter_call_of_the_run_overwrites_its_cube(
         self, tmp_path, monkeypatch, snr_db, bins, reader
     ):
-        """The oracle and the benchmark read the cube before the filter, so
-        the filter still overwrites it; with formats the sweep reads it
-        after the filter, which keeps it. The waveform's own filter call is
-        the one that passes `overwrite_cube`, the benchmark's repeats pass
-        none. Every run writes a plain run's bytes."""
+        """The oracle and the benchmark read the cube before the filter, and
+        the sweep synthesizes cubes of its own, so the waveform's filter
+        call always passes `overwrite_cube=True`; the benchmark's repeats
+        pass none. Every run writes a plain run's bytes."""
         calls = []
         match = harness.matched_filter_rd
 
@@ -249,7 +276,7 @@ class TestRunComparison:
         calls.clear()
         iz.run_comparison(dataclasses.replace(base, **read), tmp_path / "read")
         own = [kwargs for kwargs in calls if kwargs]
-        assert own == [{"overwrite_cube": reader != "formats"}] * len(base.waveforms)
+        assert own == [{"overwrite_cube": True}] * len(base.waveforms)
         repeats = 2 * len(base.waveforms) if reader == "bench" else 0  # warmup and one timed
         assert len(calls) - len(own) == repeats
         names = sorted(p.name for p in (tmp_path / "read").glob("*.csv"))
@@ -257,6 +284,27 @@ class TestRunComparison:
         for name in names:
             read_bytes = (tmp_path / "read" / name).read_bytes()
             assert read_bytes == (tmp_path / "plain" / name).read_bytes()
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_the_sweep_synthesizes_one_cube_per_format(self, tmp_path, monkeypatch, count):
+        """Each waveform synthesizes its cube once for the filter and once
+        for each format, every time the same bytes."""
+        made = {}
+        synthesize = harness.synthesize_echo
+
+        def recorded_synthesis(schedule, *args, **kwargs):
+            cube = synthesize(schedule, *args, **kwargs)
+            made.setdefault(schedule.kind, []).append(cube.samples.tobytes())
+            return cube
+
+        monkeypatch.setattr(harness, "synthesize_echo", recorded_synthesis)
+        formats = tuple(iz.FixedPointFormat(w, 1) for w in (12, 16, 24)[:count])
+        cfg = small_cfg(snr_db=10.0, fxp_formats=formats)
+        iz.run_comparison(cfg, tmp_path)
+        assert list(made) == list(cfg.waveforms)
+        for kind, cubes in made.items():
+            assert len(cubes) == 1 + count
+            assert cubes == [rebuild_echo(cfg, kind)[1].samples.tobytes()] * (1 + count)
 
     def test_a_benchmarked_sweep_reports_what_a_plain_one_does(self, tmp_path):
         """The benchmark times the filter and the oracle before the sweep
@@ -298,10 +346,12 @@ class TestRunComparison:
         monkeypatch.setattr(harness, "_THP_MODE", str(tmp_path / "missing"))
         assert harness._transparent_hugepage() is None
 
+    @pytest.mark.parametrize("formats", [0, 1], ids=["no-formats", "formats"])
     @pytest.mark.parametrize("bench", [False, True])
-    def test_each_waveform_drops_its_cube_and_map(self, tmp_path, monkeypatch, bench):
+    def test_each_waveform_drops_its_cube_and_map(self, tmp_path, monkeypatch, bench, formats):
         # when a waveform's range profile is written, the cube and map of
-        # every waveform before it are already collected
+        # every waveform before it are already collected; with formats so
+        # are the waveform's own cubes, since its map is a copy
         cubes, maps, checks = [], [], []
         synthesize = harness.synthesize_echo
         match = harness.matched_filter_rd
@@ -320,7 +370,8 @@ class TestRunComparison:
 
         def checked_write(path, rd_map, doppler_bin):
             earlier = cubes[:-1] + maps[:-1]
-            checks.append(all(ref() is None for ref in earlier) and cubes[-1]() is not None)
+            own = (cubes[-1]() is None, maps[-1]() is None)
+            checks.append(all(ref() is None for ref in earlier) and own == (bool(formats),) * 2)
             write_profile(path, rd_map, doppler_bin)
 
         monkeypatch.setattr(harness, "synthesize_echo", recorded_synthesis)
@@ -329,13 +380,14 @@ class TestRunComparison:
         cfg = small_cfg(
             snr_db=10.0,
             run_oracle=True,
-            fxp_formats=(iz.FixedPointFormat(16, 1),),
+            fxp_formats=(iz.FixedPointFormat(16, 1),) * formats,
             bench_enabled=bench,
             bench_repeats=1,
         )
         outcome = iz.run_comparison(cfg, tmp_path)
         assert checks == [True] * len(cfg.waveforms)
-        assert len(maps) == len(cubes) == len(cfg.waveforms)
+        assert len(maps) == len(cfg.waveforms)
+        assert len(cubes) == (1 + formats) * len(cfg.waveforms)
         assert all(ref() is None for ref in cubes + maps)
 
         def arrays(obj):
@@ -419,7 +471,9 @@ class TestRunComparison:
         schedule, cube = rebuild_echo(cfg, iz.ScheduleKind.PMCW)
         grid = iz.DopplerGrid(cfg.params, cfg.doppler_bins)
         double_map = iz.matched_filter_rd(cube, schedule, grid)
-        sweep = iz.precision_sweep(cube, schedule, grid, [fmt], cfg.fxp_mode, double_map=double_map)
+        sweep = iz.precision_sweep(
+            lambda: cube, schedule, grid, [fmt], cfg.fxp_mode, double_map=double_map
+        )
         counts = sweep.rows[0].report.saturation_counts
         assert list(row["saturation_counts"].items()) == list(counts.items())
         assert list(counts) == [  # chain order; fxp steers through its quantized twiddle
@@ -817,7 +871,34 @@ class TestCli:
         out_dir = tmp_path / "out"
         argv = ["run", path, "--out", str(out_dir)]
         self.expect_one_line_error(capsys, 3, argv, "scenario error")
-        assert not list(out_dir.glob("*.csv")) and not (out_dir / "summary.json").exists()
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "text, fragment",
+        [
+            (
+                "[scene]\nposition_m = 5000.0, 0.0, 0.0\n",
+                "scenario error: scatterer at 5000.00 m is beyond the unambiguous range 299.79 m",
+            ),
+            (
+                "[radar]\npri_s = 1e5\nbandwidth_hz = 1e10\npackets = 1\ncode_length = 16\n",
+                "scenario error: out of memory: Unable to allocate 14.2 PiB",
+            ),
+        ],
+        ids=["far", "too-large"],
+    )
+    def test_a_run_that_exits_3_makes_no_output_directory(self, tmp_path, capsys, text, fragment):
+        """The scene check and the first waveform's allocations run before
+        the output directory is made; one that exists already is left as
+        it was."""
+        out_dir = tmp_path / "out"
+        argv = ["run", self.write_ini(tmp_path, text), "--out", str(out_dir)]
+        self.expect_one_line_error(capsys, 3, argv, fragment)
+        assert not out_dir.exists()
+        out_dir.mkdir()
+        (out_dir / "kept.txt").write_text("from an earlier run\n")
+        self.expect_one_line_error(capsys, 3, argv, fragment)
+        assert [p.name for p in out_dir.iterdir()] == ["kept.txt"]
 
     def test_run_out_of_memory_exits_3(self, tmp_path, capsys, monkeypatch):
         def no_memory(cfg):

@@ -100,7 +100,7 @@ def compute_fixed_point() -> dict:
     grid = iz.DopplerGrid(params)
     rd_map = iz.matched_filter_rd(cube, schedule, grid)
     sweep = iz.precision_sweep(
-        cube, schedule, grid, [FXP_FORMAT], iz.FxpMode.FULL_CHAIN, double_map=rd_map
+        lambda: cube, schedule, grid, [FXP_FORMAT], iz.FxpMode.FULL_CHAIN, double_map=rd_map
     )
     report = sweep.rows[0].report
     return {

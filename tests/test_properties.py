@@ -658,7 +658,7 @@ def test_quantized_chain_equals_the_serial_quantized_filter(
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("ISACSIM_THREADS", threads)
         mp.setattr(fxp, "detect_peak", keeping)
-        sweep = iz.precision_sweep(cube, sched, grid, [fmt], mode, double_map=double_map)
+        sweep = iz.precision_sweep(lambda: cube, sched, grid, [fmt], mode, double_map=double_map)
     assert threading.active_count() == before
     report = sweep.rows[0].report
     assert report == expected_report

@@ -187,7 +187,7 @@ class TestDataCube:
         kept = iz.matched_filter_rd(iz.DataCube(values.copy(), small_params), sched, grid)
         fmt = [iz.FixedPointFormat(16, 1)]
         expected = iz.precision_sweep(
-            iz.DataCube(values.copy(), small_params), sched, grid, fmt, double_map=kept
+            lambda: iz.DataCube(values.copy(), small_params), sched, grid, fmt, double_map=kept
         )
 
         cube = iz.DataCube(samples=samples, params=small_params)
@@ -197,7 +197,11 @@ class TestDataCube:
         assert np.shares_memory(rd_map.values, cube.samples)
         assert np.array_equal(rd_map.values, kept.values)
         sweep = iz.precision_sweep(
-            iz.DataCube(samples=samples, params=small_params), sched, grid, fmt, double_map=kept
+            lambda: iz.DataCube(samples=samples, params=small_params),
+            sched,
+            grid,
+            fmt,
+            double_map=kept,
         )
         assert sweep.rows[0].report == expected.rows[0].report
         assert samples.tobytes() == before
