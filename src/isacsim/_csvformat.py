@@ -39,15 +39,15 @@ Memory: each worker formats in one `_Scratch` of 67 bytes a value (the
 fields, five 8-byte planes of temporaries that later hold the keep mask,
 and three flag rows), made by the calling thread before any worker starts
 and reused for every span the worker formats, so no span allocates or
-faults in per-value arrays of its own. A span allocates its text, a fresh
-array of at most 17 bytes a value (12 to 19 bytes a value of the whole
-span, index and temporaries included, on the maps of a run), which the
-file takes as it is, without a copy to `bytes`; a span of values from 10
-up in fixed notation alone allocates up to 48 bytes a value, for the
-digit shifts of that subset. Every array goes out in spans of
-CHUNK_VALUES (32 K) values, whatever its shape: a worker needs about 2.1
-MB of scratch and at most 0.6 MB of text for a table1 map or a single row
-of millions of values alike.
+faults in per-value arrays of its own. The digit shifts of the values
+from 10 up in fixed notation run in planes free by then, so a span
+allocates only its text, a fresh array of at most 17 bytes a value, and
+the indices of the subsets its fix-ups run on (11 to 15 bytes a value of
+the whole span at its peak, on random spans of one to 24 decades), which
+the file takes as it is, without a copy to `bytes`. Every array goes out
+in spans of CHUNK_VALUES (32 K) values, whatever its shape: a worker needs
+about 2.1 MB of scratch and at most 0.6 MB of text for a table1 map or a
+single row of millions of values alike.
 
 Digits come from scaling: with e = floor(log10|x|), m = |x| * 10**(8 - e)
 lies in [1e8, 1e9) and rint(m) is the 9-digit mantissa. The power comes from
@@ -176,7 +176,6 @@ _INNER_DOT = np.array([0] + [_DOT << 8 * (e - 1) for e in range(1, 9)], dtype=np
 _INNER_HIGH = np.array(
     [0] + [~((1 << 8 * e) - 1) & (1 << 64) - 1 for e in range(1, 9)], dtype=np.uint64
 )
-_NOT_BYTE_7 = np.uint64((1 << 56) - 1)
 
 
 class _Scratch:
@@ -264,15 +263,22 @@ def _fields(x: np.ndarray, s: _Scratch) -> np.ndarray:
     np.right_shift(x.view(np.uint64), np.uint64(63), out=sign)
     sign *= np.uint64(_MINUS)
     lead |= sign
-    if inner.size:  # byte 7 takes d1; d2..de move down a byte, before the dot
-        d, k = digits[inner], e[inner]
-        lead[inner] = (lead[inner] & _NOT_BYTE_7) | ((d & np.uint64(0xFF)) << np.uint64(56))
-        shifted = (d >> np.uint64(8)) & _INNER_LOW[k]
-        digits[inner] = shifted | _INNER_DOT[k] | (d & _INNER_HIGH[k])
     out[:, 0] &= lead
-    out[:, 1] &= digits
     np.take(_EXPONENTS, e, out=word, mode="wrap")
     out[:, 2] &= word
+    if inner.size:  # byte 7 takes d1; d2..de move down a byte, before the dot
+        # the subset's words in planes 0 and 2..4, free now: no per-value array
+        k, d, w, v = (s.planes[i, : inner.size].view(np.uint64) for i in (0, 3, 2, 4))
+        k = np.take(e, inner, out=k.view(np.intp), mode="clip")
+        np.take(digits, inner, out=d, mode="clip")
+        out.view(np.uint8).reshape(-1, _FIELD)[inner, 7] = d.view(np.uint8)[::8]
+        np.bitwise_and(d, np.take(_INNER_HIGH, k, out=w, mode="clip"), out=w)
+        d >>= np.uint64(8)
+        d &= np.take(_INNER_LOW, k, out=v, mode="clip")
+        w |= d
+        w |= np.take(_INNER_DOT, k, out=v, mode="clip")
+        digits[inner] = w
+    out[:, 1] &= digits
 
     for i in np.flatnonzero(slow):
         out[i] = np.frombuffer(("%.9g," % x[i]).encode().rjust(_FIELD, b"\0"), dtype="<u8")

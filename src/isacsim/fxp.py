@@ -26,12 +26,12 @@ The chain hands its hook only buffers it owns, so every stage is quantized
 in place. Each chain consumes a cube of its own: the sweep asks its `cubes`
 callable for a fresh cube once per format, so it allocates no P x Q buffer
 of its own and holds one format's cube at a time. FULL_CHAIN quantizes that
-cube as the "input" stage, and the chain runs on it with `overwrite`, so
-with at most P Doppler bins the chain transforms and steers in the cube and
-writes the format's map over it, and the sweep scores the map's error in
-the map's own memory. The sweep detects and scores the double-precision map
-once and shares that score across its formats, so a row's runtime_s covers
-its own cube, quantized run and scoring.
+cube as the "input" stage, and with at most P Doppler bins the chain
+transforms and steers in the cube and writes the format's map over it, and
+the sweep scores the map's error in the map's own memory. The sweep detects
+and scores the double-precision map once and shares that score across its
+formats, so a row's runtime_s covers its own cube, quantized run and
+scoring.
 """
 
 from __future__ import annotations
@@ -251,7 +251,7 @@ def precision_sweep(
         data = cubes()
         stage("input", data.samples)
         fxp_map = RangeDopplerMap(
-            values=_chain(data, schedule, grid, True, stage, overwrite=True),
+            values=_chain(data, schedule, grid, True, stage),
             range_axis_m=double_map.range_axis_m,
             doppler_axis_mps=double_map.doppler_axis_mps,
         )

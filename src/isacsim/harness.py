@@ -13,24 +13,25 @@ depend on the thread count.
 
 The run streams: it draws the scene's receiver noise once
 (`noise_block`), then `run_waveform` takes one waveform at a time from its
-schedule through synthesis, the cube's read-only readers (the optional
-oracle and `run_benchmarks` timings), the matched filter, detection and
-PSLR, the optional fixed-point sweep (scored against the run's own double
-map) and the CSVs. Only then is the next waveform started, and its cube and
-map are gone: a `WaveformResult` holds no array. Every chain consumes a
-cube of its own. The matched filter transforms the waveform's cube in place
-(`overwrite_cube=True`) and, with at most P Doppler bins, writes the map
-over it, so one P x Q buffer is in memory at a time, besides the shared
-P x Q noise block. With formats the run copies the J x Q map out of the
-cube and drops the cube, and the fixed-point sweep synthesizes the cube
-again for each format from the same schedule, targets and noise block (the
-same bytes), so the sweep too holds one cube at a time. Each waveform's
+schedule through synthesis, the matched filter, the optional oracle,
+detection and PSLR, the optional fixed-point sweep (scored against the
+run's own double map), the CSVs and the optional `run_benchmarks` timings.
+Only then is the next waveform started, and its cubes and map are gone: a
+`WaveformResult` holds no array. Every cube has one reader, which consumes
+it. The waveform's `echo()` synthesizes each from the same schedule,
+targets and noise block (the same bytes): the filter's, which the filter
+transforms in place and, with at most P Doppler bins, writes the map over,
+so one P x Q buffer is in memory at a time besides the shared P x Q noise
+block; the oracle's, once its guard has passed; each fixed-point format's,
+once the run has copied the J x Q map out of the filter's cube and dropped
+that cube; and each benchmark repeat's, made outside the timed call after
+the CSVs are written and the map is dropped. Each waveform's
 summary times its synthesis (without the shared noise draw, which the
 run-level `timings_s.noise` times), the filter alone and artifact writing;
-a fixed-point row's `runtime_s` covers its cube's synthesis. The
-summary's `tool.version` is `isacsim.__version__`, the one place the
-version is written, and its `environment` block records what produced the
-numbers.
+a fixed-point row's `runtime_s` covers its cube's synthesis. The summary
+starts with its `schema_version`; its `tool.version` is
+`isacsim.__version__`, the one place the version is written, and its
+`environment` block records what produced the numbers.
 
 `noise_block` and `synthesize_echo` both run `scene.check_scene` first, so a
 scene that cannot run fails at the noise draw, or with noise off at the
@@ -48,6 +49,7 @@ import resource
 import statistics
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -65,6 +67,7 @@ from .rsp import (
     Detection,
     DopplerGrid,
     RangeDopplerMap,
+    check_oracle_guard,
     detect_peak,
     map_relative_deviation,
     matched_filter_rd,
@@ -84,6 +87,8 @@ from .scene import (
 from .waveform import FrameSchedule, ScheduleKind, build_schedule
 
 TOOL_NAME = "isacsim"
+# The layout of summary.json; raised whenever a field is renamed or removed.
+SCHEMA_VERSION = 1
 
 
 def build_targets(cfg: ScenarioConfig) -> list[TargetModel]:
@@ -204,18 +209,18 @@ def run_waveform(
     noise: np.ndarray | None = None,
 ) -> WaveformResult:
     """Full pipeline for one waveform: schedule, echo (plus the run's shared
-    `noise` block), matched filter, peak detection and PSLR, the optional
-    oracle and fixed-point passes, the two CSVs in `out_path` and the
+    `noise` block), matched filter, the optional oracle, peak detection and
+    PSLR, the optional fixed-point sweep, the two CSVs in `out_path` and the
     optional benchmark timings.
 
-    The cube has one order of readers. The read-only ones run first: the
-    oracle, whose map is scored once the filter's exists, and the benchmark
-    timings. Then the cube goes to its one owner, the filter, which
-    overwrites it and, with at most P Doppler bins, writes the map over it.
-    With formats the map is copied out and the cube dropped before the
-    sweep, whose every format synthesizes and consumes a cube of its own.
-    The map and the cubes die with this call; `out_path` is made, if need
-    be, just before the CSVs are written."""
+    `echo()` is the one source of cubes, and each cube has one reader, which
+    consumes it: the filter gets the first, which it overwrites and, with at
+    most P Doppler bins, writes the map over. The oracle gets one once its
+    guard has passed. With formats the map is copied out and the filter's
+    cube dropped before the sweep, which calls `echo()` once per format.
+    The benchmark calls it for each of its repeats once the CSVs are
+    written and the map is dropped. The map and the cubes die with this
+    call; `out_path` is made, if need be, just before the CSVs are written."""
     params = cfg.params
     t0 = time.perf_counter()
     schedule = build_schedule(kind, params, seed=cfg.seed_code)
@@ -225,25 +230,21 @@ def run_waveform(
 
     cube = echo()
     synth_s = time.perf_counter() - t0
+    t1 = time.perf_counter()
+    rd_map = matched_filter_rd(cube, schedule, grid)
+    process_s = time.perf_counter() - t1
+    del cube  # consumed: on at most P bins the map is written over it
 
-    oracle_map = oracle_note = None
+    oracle_deviation = oracle_note = None
     if cfg.run_oracle:
         try:
-            oracle_map = time_domain_oracle(cube, schedule, grid)
+            check_oracle_guard(grid)  # before a cube is made for it
+            oracle_map = time_domain_oracle(echo(), schedule, grid)
+            oracle_deviation = map_relative_deviation(rd_map, oracle_map)
         except OracleGuardError as exc:
             oracle_note = f"oracle skipped: {exc}"
-    benchmark = run_benchmarks(cfg, cube, schedule, grid) if cfg.bench_enabled else None
 
-    t1 = time.perf_counter()
-    rd_map = matched_filter_rd(cube, schedule, grid, overwrite_cube=True)
-    process_s = time.perf_counter() - t1
-    oracle_deviation = None
-    if oracle_map is not None:
-        oracle_deviation = map_relative_deviation(rd_map, oracle_map)
-
-    detection = None
-    pslr = None
-    failure = None
+    detection = pslr = failure = None
     try:
         detection = detect_peak(rd_map)
         pslr = pslr_db(rd_map.range_cut(detection.doppler_bin))
@@ -254,15 +255,9 @@ def run_waveform(
     if cfg.fxp_formats and failure is None:
         # the map's own copy, so the cube it was written over can go
         rd_map = RangeDopplerMap(rd_map.values.copy(), rd_map.range_axis_m, rd_map.doppler_axis_mps)
-        del cube
         sweep = precision_sweep(
             echo, schedule, grid, cfg.fxp_formats, cfg.fxp_mode, double_map=rd_map
         )
-        if benchmark is not None:
-            benchmark["fixed_point"] = [
-                {"format": str(row.report.format), "runtime_s": row.runtime_s}
-                for row in sweep.rows
-            ]
 
     artifacts = {
         "rd_map_csv": f"{kind.value}_rd_map.csv",
@@ -274,6 +269,13 @@ def run_waveform(
     cut_bin = detection.doppler_bin if detection is not None else grid.zero_bin
     write_range_profile_csv(out_path / artifacts["range_profile_csv"], rd_map, cut_bin)
     write_s = time.perf_counter() - t2
+    del rd_map
+
+    benchmark = run_benchmarks(cfg, echo, schedule, grid) if cfg.bench_enabled else None
+    if benchmark is not None and sweep is not None:
+        benchmark["fixed_point"] = [
+            {"format": str(row.report.format), "runtime_s": row.runtime_s} for row in sweep.rows
+        ]
 
     return WaveformResult(
         kind=kind,
@@ -431,6 +433,7 @@ def run_comparison(cfg: ScenarioConfig, out_dir: Path | str | None = None) -> Ru
 
     scatterer_total = sum(len(t.scatterers) for t in targets)
     summary = {
+        "schema_version": SCHEMA_VERSION,
         "tool": {"name": TOOL_NAME, "version": __version__},
         "environment": _environment(),
         "config_echo": render_config(cfg).splitlines(),
@@ -478,33 +481,36 @@ def run_comparison(cfg: ScenarioConfig, out_dir: Path | str | None = None) -> Ru
     )
 
 
-def _median_seconds(fn, repeats: int) -> float:
-    fn()  # warmup, excluded
+def _median_seconds(fn, make, repeats: int) -> float:
+    """Median wall time of `repeats` calls fn(make()), after one warm-up
+    call that is excluded. Each argument is made outside the timed call and
+    dropped before the next is made, so fn may consume it."""
     times = []
-    for _ in range(repeats):
+    for _ in range(repeats + 1):
+        arg = make()
         start = time.perf_counter()
-        fn()
+        fn(arg)
         times.append(time.perf_counter() - start)
-    return statistics.median(times)
+        del arg
+    return statistics.median(times[1:])
 
 
 def _oracle_bench(
-    cube: DataCube, schedule: FrameSchedule, grid: DopplerGrid, repeats: int
+    cubes: Callable[[], DataCube], schedule: FrameSchedule, grid: DopplerGrid, repeats: int
 ) -> dict:
-    """Time the oracle on the largest guard-compliant prefix of the cube.
+    """Time the oracle on the largest guard-compliant prefix of a cube.
 
     The full instance usually violates the Q*P*J work guard, so the oracle is
-    timed on the cube's first P' packet rows, under the schedule's first P' entries,
-    with a matching P'-bin grid. Its work is Q*Q*P multiply-adds of
-    correlation plus Q*P*J of steering; the scaled estimate multiplies the
-    measured time by the ratio of that work at full size to the work of the
-    timed instance. When Q alone exceeds the guard not even one packet can
-    be timed: the entry then reports 0 packets and bins, no times, and a
-    note that names the guard.
+    timed on a copy of the first P' packet rows of one cube from `cubes`,
+    under the schedule's first P' entries, with a matching P'-bin grid. Its
+    work is Q*Q*P multiply-adds of correlation plus Q*P*J of steering; the
+    scaled estimate multiplies the measured time by the ratio of that work
+    at full size to the work of the timed instance. When Q alone exceeds the guard
+    not even one packet can be timed: no cube is made, and the entry reports
+    0 packets and bins, no times, and a note that names the guard.
     """
-    params = cube.params
-    q_len = params.samples_per_pri
-    p_len = params.packets_per_cpi
+    params = grid.params
+    q_len, p_len = params.samples_per_pri, params.packets_per_cpi
     # J tracks P' on the FFT grid, so solve Q * P' * P' <= guard.
     max_p = int(math.floor(math.sqrt(ORACLE_GUARD / q_len)))
     if max_p < 1:
@@ -516,10 +522,12 @@ def _oracle_bench(
     p_used = min(p_len, max_p)
     sub_params = scaled_profile(params, p_used)
     sub_schedule = FrameSchedule(schedule.kind, schedule.frames, schedule.packet_map[:p_used])
-    sub_cube = DataCube(samples=cube.samples[:p_used], params=sub_params)  # a view: read only
+    # the oracle only reads, so every repeat reads this copy of one cube's
+    # first P' rows, and the cube itself goes at once
+    sub_cube = DataCube(samples=cubes().samples[:p_used].copy(), params=sub_params)
     sub_grid = DopplerGrid(sub_params)
     median = _median_seconds(
-        lambda: time_domain_oracle(sub_cube, sub_schedule, sub_grid), repeats
+        lambda c: time_domain_oracle(c, sub_schedule, sub_grid), lambda: sub_cube, repeats
     )
     ratio = (q_len * q_len * p_len + q_len * p_len * len(grid)) / (
         q_len * q_len * p_used + q_len * p_used * len(sub_grid)
@@ -542,17 +550,22 @@ def _oracle_bench(
 
 
 def run_benchmarks(
-    cfg: ScenarioConfig, cube: DataCube, schedule: FrameSchedule, grid: DopplerGrid
+    cfg: ScenarioConfig, cubes: Callable[[], DataCube], schedule: FrameSchedule, grid: DopplerGrid
 ) -> dict:
     """Median-of-`cfg.bench_repeats` wall times (one warmup excluded) for one
-    waveform's FFT processor and time-domain oracle, both of which only read
-    the cube: the waveform's entry of the summary's benchmark, to which
-    `run_waveform` adds each fixed-point row's single-run `runtime_s` (not
-    re-timed) once its sweep has run."""
+    waveform's FFT processor and time-domain oracle: the waveform's entry of
+    the summary's benchmark, to which `run_waveform` adds each fixed-point
+    row's single-run `runtime_s` (not re-timed).
+
+    `cubes` returns a fresh cube of the waveform's echo on each call, as
+    `run_waveform`'s `echo` does. Each filter call, warmup included,
+    consumes a cube of its own, made outside the timed call, so the timed
+    filter is the in-place one the run uses and one cube is alive at a
+    time; the oracle's repeats read one more cube."""
     fft_median = _median_seconds(
-        lambda: matched_filter_rd(cube, schedule, grid), cfg.bench_repeats
+        lambda c: matched_filter_rd(c, schedule, grid), cubes, cfg.bench_repeats
     )
-    oracle = _oracle_bench(cube, schedule, grid, cfg.bench_repeats)
+    oracle = _oracle_bench(cubes, schedule, grid, cfg.bench_repeats)
     return {
         "waveform": schedule.kind.value,
         "fft_median_s": fft_median,

@@ -11,13 +11,13 @@ radar parameters and bin count, so a grid built for other parameters than
 the cube's is refused.
 The cube is P x Q, one packet per row. The FFT passes and products run in
 contiguous blocks on ISACSIM_THREADS threads (every CPU the process may use
-when it is unset); the map does not depend on the thread count. Every grid
-steers in one complex buffer and writes the map over it: the cube itself
-when the filter may overwrite it and the grid has at most P bins, so such a
-filter allocates no P x Q or J x Q array; otherwise one P x Q buffer of the
-chain's own (max(P, J) x Q on a grid of more bins than packets). Every
-`DataCube` is C-contiguous complex128, so the chain may own any cube it is
-handed. `fxp` runs the same chain with quantizing hooks.
+when it is unset); the map does not depend on the thread count. The filter
+consumes its cube: every grid steers in one complex buffer and writes the
+map over it, the cube itself when the grid has at most P bins, so such a
+filter allocates no P x Q or J x Q array, and otherwise a J x Q buffer of
+the chain's own. Every `DataCube` is C-contiguous complex128, so the chain
+may own any cube it is handed. `fxp` runs the same chain with quantizing
+hooks.
 
 The oracle computes the same map by rolling time-domain references under each
 packet, which is deliberately slow and shares no FFT code with the fast path.
@@ -141,20 +141,19 @@ def _chain(
     grid: DopplerGrid,
     dense: bool,
     stage,
-    overwrite: bool = False,
 ):
     """The range-Doppler chain of both matched filters; returns the J x Q map.
 
-    The chain works in one complex buffer, `buf`. With `overwrite` set and
-    at most P bins, `buf` is `cube.samples` (C-contiguous complex128, as
-    `DataCube` makes every cube) and the fast-time FFT runs in place;
-    otherwise it is a max(P, J) x Q buffer of the chain's own and the cube
-    is only read. Its first P rows carry the
+    The chain consumes the cube and works in one complex buffer, `buf`.
+    With at most P bins `buf` is `cube.samples` (C-contiguous complex128,
+    as `DataCube` makes every cube) and the fast-time FFT runs in place;
+    otherwise (J > P) it is a J x Q buffer of the chain's own, into which
+    the fast-time FFT reads the cube. Its first P rows carry the
     matched spectra and its first J rows the steered profiles, bin j in row
     (j - J//2) % J on every grid; `_magnitude_over` then writes the map over
     it, so the map is a C-contiguous float64 view of `buf`. A map of the
-    chain's own buffer keeps that buffer alive, twice the map's bytes or
-    more. The matched multiply scales each packet's row in place by the
+    chain's own buffer keeps that buffer alive, twice the map's bytes. The
+    matched multiply scales each packet's row in place by the
     reference row of the frame it carried: it copies no block of packets or
     of reference rows, and a row stays in cache from its read to its write.
 
@@ -181,10 +180,7 @@ def _chain(
     _check_inputs(cube, schedule, grid)
     ref = np.conj(np.fft.fft(schedule.frames, axis=1))  # U x Q
     stage("reference", ref)
-    if overwrite and j_len <= p_len:
-        buf = cube.samples
-    else:
-        buf = np.empty((max(p_len, j_len), q_len), dtype=np.complex128)
+    buf = cube.samples if j_len <= p_len else np.empty((j_len, q_len), dtype=np.complex128)
     spectra = buf[:p_len]
 
     def fast_time(b):  # packets b
@@ -267,7 +263,7 @@ def _magnitude_over(buf: np.ndarray, j_len: int) -> np.ndarray:
 
 
 def matched_filter_rd(
-    cube: DataCube, schedule: FrameSchedule, grid: DopplerGrid, *, overwrite_cube: bool = False
+    cube: DataCube, schedule: FrameSchedule, grid: DopplerGrid
 ) -> RangeDopplerMap:
     """Frequency-domain matched filter with Doppler steering.
 
@@ -276,18 +272,23 @@ def matched_filter_rd(
     by exp(+j 2 pi f_j p T_pri), summed over packets, and IFFT'd to a range
     profile; the map stores magnitudes as J x Q.
 
-    `cube.samples` is never written unless `overwrite_cube` is set: then a
-    filter of at most P bins transforms the cube in place instead of a
-    P x Q copy, and the map's values are a view of the cube's memory. The
-    caller must then neither read nor write `cube.samples` while the map
-    lives. The map is the same either way; any other run writes it over the
-    P x Q (or J x Q) buffer the filter steered in, which the map keeps
-    alive.
+    The filter consumes `cube`, as `scipy.fft`'s `overwrite_x` lets a
+    transform do: on a grid of at most P bins it transforms `cube.samples`
+    in place and writes the map over it, so the map's values are a view of
+    the cube's memory; on more bins it writes the map over a buffer of its
+    own, which the map keeps alive. Afterwards nothing may read or write
+    `cube.samples`; pass a copy to keep the echo.
     """
-    values = _chain(
-        cube, schedule, grid, not grid.fft_aligned, lambda name, x: None, overwrite_cube
-    )
+    values = _chain(cube, schedule, grid, not grid.fft_aligned, lambda name, x: None)
     return RangeDopplerMap(values, *_axes(cube.params, grid))
+
+
+def check_oracle_guard(grid: DopplerGrid):
+    """Raise OracleGuardError when the oracle's Q*P*J on `grid`'s radar
+    parameters exceeds ORACLE_GUARD, before any cube needs to exist."""
+    work = grid.params.samples_per_pri * grid.params.packets_per_cpi * len(grid)
+    if work > ORACLE_GUARD:
+        raise OracleGuardError(f"oracle instance Q*P*J = {work} exceeds the guard {ORACLE_GUARD}")
 
 
 def time_domain_oracle(
@@ -296,14 +297,10 @@ def time_domain_oracle(
     """Brute-force reference: circular time-domain correlation per packet,
     then a directly accumulated Doppler-steered sum. Refuses instances with
     Q*P*J beyond ORACLE_GUARD."""
+    check_oracle_guard(grid)
+    _check_inputs(cube, schedule, grid)
     params = cube.params
     q_len, p_len = params.samples_per_pri, params.packets_per_cpi
-    j_len = len(grid)
-    if q_len * p_len * j_len > ORACLE_GUARD:
-        raise OracleGuardError(
-            f"oracle instance Q*P*J = {q_len * p_len * j_len} exceeds the guard {ORACLE_GUARD}"
-        )
-    _check_inputs(cube, schedule, grid)
     corr = np.empty((q_len, p_len), dtype=np.complex128)
     for u, ref in enumerate(schedule.frames):
         cols = np.nonzero(schedule.packet_map == u)[0]
@@ -311,12 +308,12 @@ def time_domain_oracle(
         for k in range(q_len):
             rolled = np.conj(np.roll(ref, k))
             corr[k, cols] = rolled @ sub
+    del sub  # the last frame's packets, dead before the steering product
     p_idx = np.arange(p_len) * params.pri_s
     w = np.exp(2j * np.pi * np.outer(p_idx, grid.frequencies_hz))  # P x J
-    steered = corr @ w  # Q x J
     range_axis, doppler_axis = _axes(params, grid)
     return RangeDopplerMap(
-        values=np.abs(steered).T.copy(),
+        values=np.abs(corr @ w).T.copy(),  # the Q x J steered sums, dead after abs
         range_axis_m=range_axis,
         doppler_axis_mps=doppler_axis,
     )

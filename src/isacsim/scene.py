@@ -82,10 +82,10 @@ class DataCube:
 
     `samples` is always a C-contiguous complex128 array: `np.ascontiguousarray`
     takes such an array, as every cube `synthesize_echo` makes is, as it is
-    and copies any other into one. So any cube can hold its own map: an
-    overwriting matched filter and the fixed-point sweep transform it in
-    place and write their maps over its memory, and a caller that reads the
-    cube after either passes it a copy."""
+    and copies any other into one. So any cube can hold its own map: the
+    matched filter and the fixed-point sweep's chains consume their cubes,
+    transform them in place and write their maps over their memory, and a
+    caller that reads the cube after either passes it a copy."""
 
     samples: np.ndarray
     params: WaveformParams
@@ -338,8 +338,7 @@ def synthesize_echo(
     `noise`, a P x Q block from `noise_block`, is where a noisy echo starts:
     the cube is a copy of it and the band is added in. Without one the echo
     is noise-free and starts from `np.zeros`. Either way the cube is a
-    C-contiguous array of its own, which `rsp.matched_filter_rd(...,
-    overwrite_cube=True)` may transform in place.
+    C-contiguous array of its own, which `rsp.matched_filter_rd` consumes.
     """
     q_len = params.samples_per_pri
     p_len = params.packets_per_cpi

@@ -19,7 +19,7 @@ def small_pipeline(params, kind=iz.ScheduleKind.PMCW, snr_db=None):
         noise = iz.noise_block(targets, params, snr_db, 0)
     cube = iz.synthesize_echo(sched, targets, params, noise=noise)
     grid = iz.DopplerGrid(params)
-    return cube, sched, grid, iz.matched_filter_rd(cube, sched, grid)
+    return cube, sched, grid, iz.matched_filter_rd(copied(cube), sched, grid)
 
 
 def copied(cube):
@@ -228,7 +228,7 @@ class TestQuantizedChain:
         from isacsim import fxp
 
         cube, sched, grid, _ = small_pipeline(small_params)
-        other = iz.matched_filter_rd(cube, sched, iz.DopplerGrid(small_params, 15))
+        other = iz.matched_filter_rd(copied(cube), sched, iz.DopplerGrid(small_params, 15))
         made, chains = [], []
         monkeypatch.setattr(fxp, "_chain", lambda *args, **kwargs: chains.append(args))
         with pytest.raises(iz.ProcessingError, match=r"\(15, 512\).*\(16, 512\)"):
@@ -320,7 +320,7 @@ class TestQuantizedChain:
         before tracing starts)."""
         cube, sched, _, _ = small_pipeline(ci_params)
         grid = iz.DopplerGrid(ci_params, 15)
-        double_map = iz.matched_filter_rd(cube, sched, grid)
+        double_map = iz.matched_filter_rd(copied(cube), sched, grid)
         peaks = {}
         for count in (1, 2):
             formats = [iz.FixedPointFormat(w, 1) for w in (16, 24)[:count]]

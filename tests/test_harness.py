@@ -6,6 +6,7 @@ import json
 import os
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from test_properties import CHUNK_BYTES_PER_VALUE
 import isacsim as iz
 import isacsim._csvformat as csvformat
 import isacsim.cli as cli
+import isacsim.fxp as fxp
 import isacsim.harness as harness
 import isacsim.scene as scene
 
@@ -64,6 +66,41 @@ def run_budget(buffer, threads, snr_db):
     span = min(csvformat.CHUNK_VALUES, buffer // 16)
     noise = buffer if snr_db is not None else 0
     return buffer + int(threads) * CHUNK_BYTES_PER_VALUE * span + buffer // 8 + noise
+
+
+class CubeReaders:
+    """Every cube `harness.synthesize_echo` makes, kept alive so that no two
+    share an address, and every call of a cube's readers: the filter and
+    the oracle as the harness calls them, the run's and the benchmark's
+    alike, and the fixed-point chain. `calls` holds (reader, index of the
+    made cube the reader was handed, or None for a cube made otherwise)."""
+
+    READERS = ((harness, "matched_filter_rd"), (harness, "time_domain_oracle"), (fxp, "_chain"))
+
+    def __init__(self, monkeypatch):
+        self.made, self.calls, self.handed = [], [], []
+        synthesize = harness.synthesize_echo
+
+        def made(*args, **kwargs):
+            self.made.append(synthesize(*args, **kwargs))
+            return self.made[-1]
+
+        monkeypatch.setattr(harness, "synthesize_echo", made)
+        for module, name in self.READERS:
+            monkeypatch.setattr(module, name, self.reader(name, getattr(module, name)))
+
+    def reader(self, name, fn):
+        def read(cube, *args, **kwargs):
+            index = next((k for k, c in enumerate(self.made) if c is cube), None)
+            self.calls.append((name, index))
+            self.handed.append(cube)
+            return fn(cube, *args, **kwargs)
+
+        return read
+
+    def readers(self, k: int) -> list[str]:
+        """The readers made cube k was handed to, one entry per call."""
+        return [name for name, index in self.calls if index == k]
 
 
 SMALL_INI = """\
@@ -247,24 +284,38 @@ class TestRunComparison:
         map_bytes = buffer // 2  # J = P real values
         assert traced_run_peak(cfg, tmp_path) <= run_budget(buffer, threads, snr_db) + map_bytes
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("snr_db", [None, 10.0])
+    def test_a_benchmarked_run_holds_one_cube_and_the_map(
+        self, tmp_path, monkeypatch, ci_params, threads, snr_db
+    ):
+        """A CI-scale --bench run holds one P x Q complex cube at a time, or
+        the cube its map is written over: each filter call of the benchmark
+        consumes a cube of its own, made once the CSVs are written and the
+        map is dropped, and the benchmark's oracle reads a copy of one
+        cube's first rows. So it stays within a formats run's budget: one
+        cube and the J x Q map, besides each writer worker's span and, with
+        noise on, the shared noise block."""
+        monkeypatch.setenv("ISACSIM_THREADS", threads)
+        cfg = dataclasses.replace(
+            iz.parse_config(""), params=ci_params, snr_db=snr_db, bench_enabled=True,
+            bench_repeats=1, waveforms=(iz.ScheduleKind.PMCW,),
+        )
+        assert cfg.doppler_bins is None and not (cfg.run_oracle or cfg.fxp_formats)
+        buffer = ci_params.packets_per_cpi * ci_params.samples_per_pri * 16
+        map_bytes = buffer // 2  # J = P real values
+        assert traced_run_peak(cfg, tmp_path) <= run_budget(buffer, threads, snr_db) + map_bytes
+
     @pytest.mark.parametrize("snr_db", [None, 10.0])
     @pytest.mark.parametrize("bins", [None, 15])
     @pytest.mark.parametrize("reader", ["oracle", "bench", "formats"])
-    def test_every_filter_call_of_the_run_overwrites_its_cube(
+    def test_every_filter_call_of_the_run_consumes_a_cube_of_its_own(
         self, tmp_path, monkeypatch, snr_db, bins, reader
     ):
-        """The oracle and the benchmark read the cube before the filter, and
-        the sweep synthesizes cubes of its own, so the waveform's filter
-        call always passes `overwrite_cube=True`; the benchmark's repeats
-        pass none. Every run writes a plain run's bytes."""
-        calls = []
-        match = harness.matched_filter_rd
-
-        def recorded_match(cube, schedule, grid, **kwargs):
-            calls.append(kwargs)
-            return match(cube, schedule, grid, **kwargs)
-
-        monkeypatch.setattr(harness, "matched_filter_rd", recorded_match)
+        """The oracle, each benchmark repeat and each format get a cube of
+        their own, so the waveform's filter and every other filter call
+        is handed a cube that no other call is handed. Every run writes a
+        plain run's bytes."""
         base = small_cfg(snr_db=snr_db, doppler_bins=bins)
         read = {
             "oracle": dict(run_oracle=True),
@@ -272,18 +323,65 @@ class TestRunComparison:
             "formats": dict(fxp_formats=(iz.FixedPointFormat(16, 1),)),
         }[reader]
         iz.run_comparison(base, tmp_path / "plain")
-        assert calls == [{"overwrite_cube": True}] * len(base.waveforms)
-        calls.clear()
+        seen = CubeReaders(monkeypatch)
         iz.run_comparison(dataclasses.replace(base, **read), tmp_path / "read")
-        own = [kwargs for kwargs in calls if kwargs]
-        assert own == [{"overwrite_cube": True}] * len(base.waveforms)
-        repeats = 2 * len(base.waveforms) if reader == "bench" else 0  # warmup and one timed
-        assert len(calls) - len(own) == repeats
+        filtered = [k for name, k in seen.calls if name == "matched_filter_rd"]
+        repeats = 2 if reader == "bench" else 0  # warmup and one timed
+        assert len(filtered) == (1 + repeats) * len(base.waveforms)
+        assert None not in filtered
+        assert all(seen.readers(k) == ["matched_filter_rd"] for k in filtered)
         names = sorted(p.name for p in (tmp_path / "read").glob("*.csv"))
         assert len(names) == 2 * len(base.waveforms)
         for name in names:
             read_bytes = (tmp_path / "read" / name).read_bytes()
             assert read_bytes == (tmp_path / "plain" / name).read_bytes()
+
+    def test_each_cube_of_a_run_has_exactly_one_reader(self, tmp_path, monkeypatch):
+        """With the oracle, the benchmark and two formats on, each waveform
+        makes seven cubes: one for its filter, one for the oracle, one for
+        each format, one for each of the benchmark's two filter calls
+        (warmup and repeat) and one whose first rows the benchmark's oracle
+        copies and reads twice. Each cube is handed to one reader call, but
+        that last one, which reaches none."""
+        cfg = small_cfg(
+            snr_db=10.0,
+            run_oracle=True,
+            bench_enabled=True,
+            bench_repeats=1,
+            fxp_formats=(iz.FixedPointFormat(12, 1), iz.FixedPointFormat(16, 1)),
+        )
+        seen = CubeReaders(monkeypatch)
+        outcome = iz.run_comparison(cfg, tmp_path)
+        assert outcome.exit_code == 0
+        waveforms = len(cfg.waveforms)
+        assert len(seen.made) == 7 * waveforms
+        readers = [seen.readers(k) for k in range(len(seen.made))]
+        per_waveform = [
+            sorted(r[0] for r in readers[7 * w : 7 * w + 7] if r) for w in range(waveforms)
+        ]
+        expected = sorted(["matched_filter_rd"] * 3 + ["time_domain_oracle"] + ["_chain"] * 2)
+        assert per_waveform == [expected] * waveforms
+        assert all(len(r) == 1 for r in readers if r)
+        unread = [seen.made[k] for k, r in enumerate(readers) if not r]
+        assert len(unread) == waveforms
+        copies = [c for (name, k), c in zip(seen.calls, seen.handed) if k is None]
+        assert len(copies) == 2 * waveforms
+        for cube in copies:  # of all 16 rows: the guard admits the whole instance
+            rows = len(cube.samples)
+            assert not any(cube is c for c in seen.made)
+            assert any(np.array_equal(u.samples[:rows], cube.samples) for u in unread)
+
+    def test_a_refused_oracle_makes_no_cube(self, tmp_path, monkeypatch):
+        """Q*P*J = 512 * 128 * 128 exceeds the oracle's guard: the run notes
+        the refusal and synthesizes the filter's cube alone."""
+        pri = 512 / 1.76e9
+        params = iz.WaveformParams(pri_s=pri, cpi_s=128 * pri, code_length=256)
+        cfg = dataclasses.replace(small_cfg(run_oracle=True), params=params)
+        seen = CubeReaders(monkeypatch)
+        summary = iz.run_comparison(cfg, tmp_path).summary
+        assert all("oracle skipped" in w["oracle_note"] for w in summary["waveforms"])
+        assert len(seen.made) == len(cfg.waveforms)
+        assert [name for name, _ in seen.calls] == ["matched_filter_rd"] * len(cfg.waveforms)
 
     @pytest.mark.parametrize("count", [1, 3])
     def test_the_sweep_synthesizes_one_cube_per_format(self, tmp_path, monkeypatch, count):
@@ -349,10 +447,12 @@ class TestRunComparison:
     @pytest.mark.parametrize("formats", [0, 1], ids=["no-formats", "formats"])
     @pytest.mark.parametrize("bench", [False, True])
     def test_each_waveform_drops_its_cube_and_map(self, tmp_path, monkeypatch, bench, formats):
-        # when a waveform's range profile is written, the cube and map of
-        # every waveform before it are already collected; with formats so
-        # are the waveform's own cubes, since its map is a copy
-        cubes, maps, checks = [], [], []
+        # when a waveform's range profile is written, every cube made so far
+        # is collected, the filter's too, whose samples live on only as its
+        # map's memory, and every map but the waveform's own; with formats so
+        # is that one, since the map written is a copy. The benchmark's cubes
+        # and maps come after the CSVs.
+        cubes, filtered, checks = [], [], []
         synthesize = harness.synthesize_echo
         match = harness.matched_filter_rd
         write_profile = harness.write_range_profile_csv
@@ -362,16 +462,17 @@ class TestRunComparison:
             cubes.append(weakref.ref(cube))
             return cube
 
-        def recorded_match(cube, schedule, grid, **kwargs):
-            rd_map = match(cube, schedule, grid, **kwargs)
-            if kwargs:  # the waveform's own filter call; the benchmark's pass none
-                maps.append(weakref.ref(rd_map))
+        def recorded_match(cube, schedule, grid):
+            rd_map = match(cube, schedule, grid)
+            filtered.append((weakref.ref(cube), weakref.ref(rd_map)))
             return rd_map
 
         def checked_write(path, rd_map, doppler_bin):
-            earlier = cubes[:-1] + maps[:-1]
-            own = (cubes[-1]() is None, maps[-1]() is None)
-            checks.append(all(ref() is None for ref in earlier) and own == (bool(formats),) * 2)
+            own_map = filtered[-1][1]  # the waveform's own filter call
+            earlier = cubes + [m for _, m in filtered[:-1]]
+            checks.append(
+                all(ref() is None for ref in earlier) and (own_map() is None) == bool(formats)
+            )
             write_profile(path, rd_map, doppler_bin)
 
         monkeypatch.setattr(harness, "synthesize_echo", recorded_synthesis)
@@ -386,9 +487,11 @@ class TestRunComparison:
         )
         outcome = iz.run_comparison(cfg, tmp_path)
         assert checks == [True] * len(cfg.waveforms)
-        assert len(maps) == len(cfg.waveforms)
-        assert len(cubes) == (1 + formats) * len(cfg.waveforms)
-        assert all(ref() is None for ref in cubes + maps)
+        # the filter's, the oracle's, the formats' and, under --bench, two
+        # filter calls' and the benchmark oracle's
+        assert len(filtered) == (1 + 2 * bench) * len(cfg.waveforms)
+        assert len(cubes) == (2 + formats + 3 * bench) * len(cfg.waveforms)
+        assert all(ref() is None for ref in cubes + [m for _, m in filtered])
 
         def arrays(obj):
             if isinstance(obj, np.ndarray):
@@ -402,6 +505,36 @@ class TestRunComparison:
             return sum(arrays(item) for item in obj)
 
         assert arrays(outcome.results) == 0
+
+    @pytest.mark.parametrize("run", ["plain", "bench_oracle", "formats", "guarded"])
+    def test_the_summary_validates_against_its_schema(self, tmp_path, run):
+        """`tests/summary.schema.json` describes every key a summary may
+        hold at its `schema_version`: a plain run's, a `--bench --oracle`
+        run's, a run with formats and one whose oracle the guard refuses."""
+        jsonschema = pytest.importorskip("jsonschema")
+        schema = json.loads((Path(__file__).parent / "summary.schema.json").read_text())
+        jsonschema.Draft202012Validator.check_schema(schema)
+        pri = 512 / 1.76e9
+        cfg = {
+            "plain": small_cfg(),
+            "bench_oracle": small_cfg(
+                snr_db=10.0, run_oracle=True, bench_enabled=True, bench_repeats=1
+            ),
+            "formats": small_cfg(
+                fxp_formats=(iz.FixedPointFormat(12, 1), iz.FixedPointFormat(56, 1)),
+                bench_enabled=True,
+                bench_repeats=1,
+            ),
+            "guarded": dataclasses.replace(
+                small_cfg(run_oracle=True, waveforms=(iz.ScheduleKind.PMCW,)),
+                params=iz.WaveformParams(pri_s=pri, cpi_s=128 * pri, code_length=256),
+            ),
+        }[run]
+        iz.run_comparison(cfg, tmp_path)
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["schema_version"] == harness.SCHEMA_VERSION == 1
+        assert list(summary)[0] == "schema_version"
+        jsonschema.Draft202012Validator(schema).validate(summary)
 
     def test_summary_contract(self, tmp_path):
         cfg = small_cfg()
@@ -470,7 +603,7 @@ class TestRunComparison:
         row = summary["waveforms"][0]["fixed_point"]["rows"][0]
         schedule, cube = rebuild_echo(cfg, iz.ScheduleKind.PMCW)
         grid = iz.DopplerGrid(cfg.params, cfg.doppler_bins)
-        double_map = iz.matched_filter_rd(cube, schedule, grid)
+        double_map = rebuild_map(cfg, iz.ScheduleKind.PMCW)
         sweep = iz.precision_sweep(
             lambda: cube, schedule, grid, [fmt], cfg.fxp_mode, double_map=double_map
         )

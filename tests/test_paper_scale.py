@@ -96,11 +96,14 @@ def compute_fixed_point() -> dict:
     scored against the filter's map of the same cube."""
     params = iz.scaled_profile(iz.WaveformParams(), 2000)
     schedule = iz.build_schedule(iz.ScheduleKind.PMCW, params, seed=SEED_CODE)
-    cube = iz.synthesize_echo(schedule, [make_target("point", 2.0)], params)
     grid = iz.DopplerGrid(params)
-    rd_map = iz.matched_filter_rd(cube, schedule, grid)
+
+    def echo():  # the filter and the format each consume a cube
+        return iz.synthesize_echo(schedule, [make_target("point", 2.0)], params)
+
+    rd_map = iz.matched_filter_rd(echo(), schedule, grid)
     sweep = iz.precision_sweep(
-        lambda: cube, schedule, grid, [FXP_FORMAT], iz.FxpMode.FULL_CHAIN, double_map=rd_map
+        echo, schedule, grid, [FXP_FORMAT], iz.FxpMode.FULL_CHAIN, double_map=rd_map
     )
     report = sweep.rows[0].report
     return {

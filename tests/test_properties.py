@@ -195,8 +195,8 @@ def test_shared_noise_block_equals_the_per_packet_draw(threads, scene, path_loss
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_fast_path_matches_the_oracle(seed):
     cube, schedule, grid = random_case(np.random.default_rng(seed))
+    slow = iz.time_domain_oracle(cube, schedule, grid)  # before the filter consumes the cube
     fast = iz.matched_filter_rd(cube, schedule, grid)
-    slow = iz.time_domain_oracle(cube, schedule, grid)
     assert iz.map_relative_deviation(fast, slow) < 1e-6
 
 
@@ -563,7 +563,7 @@ def serial_quantized_chain(cube, schedule, grid, fmt, mode):
     thread, with its own FFTs, gather, twiddle and magnitude pass; the
     steering product is cut into the filter's row blocks."""
     params = cube.params
-    double_map = iz.matched_filter_rd(cube, schedule, grid)
+    double_map = iz.matched_filter_rd(iz.DataCube(cube.samples.copy(), params), schedule, grid)
     counts, sizes = {}, {}
 
     def quantized(x, name):
@@ -647,7 +647,7 @@ def test_quantized_chain_equals_the_serial_quantized_filter(
     expected_values, expected_report = serial_quantized_chain(
         cube, sched, grid, fmt, mode
     )
-    double_map = iz.matched_filter_rd(cube, sched, grid)
+    double_map = iz.matched_filter_rd(iz.DataCube(cube.samples.copy(), params), sched, grid)
     seen = []  # the sweep detects on the double map, then on the quantized one
 
     def keeping(rd_map):  # the sweep then scores its map's error over its values
@@ -905,10 +905,31 @@ def test_rows_longer_than_a_span_equal_savetxt(monkeypatch, shape, span):
 
 # Bytes per value that formatting one span of a map may take: the scratch
 # (24 bytes of field, 40 of planes and 3 of flags a value) and what the
-# span allocates, its text (at most 17 bytes a value) and the temporaries
-# of its values from 10 up in fixed notation.
+# span allocates, its text (at most 17 bytes a value) and, before the
+# text, the 8-byte indices of the subsets its fix-ups run on.
 SCRATCH_BYTES_PER_VALUE = 24 + 40 + 3
 CHUNK_BYTES_PER_VALUE = SCRATCH_BYTES_PER_VALUE + 24
+
+
+@pytest.mark.parametrize("decades", [(1, 9), (1, 2), (8, 9)])
+def test_a_span_from_10_up_allocates_only_its_text(decades):
+    """A span of values from 10 up in fixed notation, whose dot lies among
+    the digits, shifts those digits in the scratch's planes: the span
+    allocates its text, at most 17 bytes a value, and no per-value array of
+    digits or exponents beside it."""
+    rng = np.random.default_rng(decades[0])
+    values = 10.0 ** rng.uniform(*decades, (1, CHUNK_VALUES))
+    span = values.reshape(-1)
+    scratch = csvformat._Scratch(span.size)
+    csvformat._text(span, 0, span.size, scratch)  # first-call caches
+    tracemalloc.start()
+    try:
+        text = csvformat._text(span, 0, span.size, scratch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text.tobytes() == savetxt_bytes(values)
+    assert peak <= 17 * span.size
 
 
 def test_one_span_formats_within_its_memory_budget():
@@ -964,7 +985,7 @@ def test_a_long_row_formats_in_scratch_of_one_span(monkeypatch, threads):
     assert peak <= int(threads) * CHUNK_BYTES_PER_VALUE * span + 2 * len(expected)
 
 
-def _filter_peak_alloc(params, bins, overwrite):
+def _filter_peak_alloc(params, bins):
     """tracemalloc's peak over one P = 64 matched filter of a PMCW echo, in
     units of one P x Q complex buffer."""
     grid = iz.DopplerGrid(params, bins)
@@ -973,7 +994,7 @@ def _filter_peak_alloc(params, bins, overwrite):
     cube = iz.synthesize_echo(sched, target, params)
     tracemalloc.start()
     try:
-        iz.matched_filter_rd(cube, sched, grid, overwrite_cube=overwrite)
+        iz.matched_filter_rd(cube, sched, grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -982,30 +1003,33 @@ def _filter_peak_alloc(params, bins, overwrite):
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 @pytest.mark.parametrize("bins", [None, 63])
-def test_the_filter_overwriting_its_cube_within_its_memory_budget(
+def test_the_filter_consuming_its_cube_within_its_memory_budget(
     monkeypatch, ci_params, threads, bins
 ):
-    """At P = 64, a filter free to transform the cube in place allocates less
-    than a quarter of one P x Q complex buffer on either grid: it steers in
-    the cube and writes the map over it."""
+    """At P = 64, a filter on a grid of at most P bins allocates less than a
+    quarter of one P x Q complex buffer on either grid: it steers in the
+    cube and writes the map over it."""
     monkeypatch.setenv("ISACSIM_THREADS", threads)
-    assert _filter_peak_alloc(ci_params, bins, overwrite=True) < 0.25
+    assert _filter_peak_alloc(ci_params, bins) < 0.25
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
-@pytest.mark.parametrize("bins", [None, 63])
-def test_the_filter_keeping_its_cube_allocates_one_buffer(monkeypatch, ci_params, threads, bins):
-    """At P = 64, a filter that may not overwrite the cube allocates less than
-    1.25 P x Q complex buffers on either grid: the one buffer it steers in,
-    which then holds the map, and no map or steered sums beside it."""
+@pytest.mark.parametrize("bins", [65, 129])
+def test_the_filter_on_more_bins_than_packets_allocates_one_buffer(
+    monkeypatch, ci_params, threads, bins
+):
+    """At P = 64, a filter on a grid of J > P bins allocates less than half
+    of one P x Q complex buffer beyond the J x Q buffer it steers in, which
+    then holds the map: the twiddle and each worker's block of sums, and no
+    map or steered sums of all the range bins beside it."""
     monkeypatch.setenv("ISACSIM_THREADS", threads)
-    assert _filter_peak_alloc(ci_params, bins, overwrite=False) < 1.25
+    assert _filter_peak_alloc(ci_params, bins) < bins / ci_params.packets_per_cpi + 0.5
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 @pytest.mark.parametrize("kind", [iz.ScheduleKind.PMCW, iz.ScheduleKind.GOLAY_DOPPLER_RESILIENT])
 def test_the_matched_multiply_and_steering_allocate_no_block_copy(monkeypatch, threads, kind):
-    """At P = 512, the overwriting chain allocates less than 1 MiB between
+    """At P = 512, the chain allocates less than 1 MiB between
     its "post_fft" and "post_steering" hooks: the matched multiply scales
     each packet's row in place by its frame's reference row, with no copy
     of a block of packets, also when the frame changes from packet to
@@ -1026,7 +1050,7 @@ def test_the_matched_multiply_and_steering_allocate_no_block_copy(monkeypatch, t
 
     tracemalloc.start()
     try:
-        rsp._chain(cube, sched, iz.DopplerGrid(params), False, stage, overwrite=True)
+        rsp._chain(cube, sched, iz.DopplerGrid(params), False, stage)
     finally:
         tracemalloc.stop()
     assert marks["post_steering"] - marks["post_fft"] < 1 << 20

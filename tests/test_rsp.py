@@ -183,55 +183,71 @@ class TestMatchedFilter:
         return sched, iz.synthesize_echo(sched, target, params, noise=noise)
 
     @pytest.mark.parametrize("bins", [None, 15])
-    def test_the_filter_only_reads_the_cube_by_default(self, small_params, bins):
+    def test_the_filter_consumes_its_cube(self, small_params, bins):
+        """On a grid of at most P bins the filter transforms the cube in
+        place and writes the map over it, and the map is the one a copy of
+        the cube gives."""
         grid = iz.DopplerGrid(small_params, bins)
         sched, cube = self.noisy_echo(small_params, iz.ScheduleKind.PMCW)
-        before = cube.samples.tobytes()
-        iz.matched_filter_rd(cube, sched, grid)
-        assert cube.samples.tobytes() == before
+        echo = cube.samples.copy()
+        expected = iz.matched_filter_rd(iz.DataCube(echo.copy(), small_params), sched, grid)
+        rd_map = iz.matched_filter_rd(cube, sched, grid)
+        assert np.shares_memory(rd_map.values, cube.samples)
+        assert not np.array_equal(cube.samples, echo)
+        assert rd_map.values.tobytes() == expected.values.tobytes()
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("bins", [None, 15, 33])
-    def test_overwriting_the_cube_gives_the_same_map(
+    def test_a_consumed_cube_gives_the_map_of_a_copy(
         self, monkeypatch, small_params, all_kinds, threads, bins
     ):
         """On the FFT grid, on a dense grid of P - 1 bins and on one of
-        2P + 1, which steers into a 2P + 1 row buffer of the chain's own."""
+        2P + 1, which steers into a 2P + 1 row buffer of the chain's own and
+        only reads the cube."""
         monkeypatch.setenv("ISACSIM_THREADS", threads)
         grid = iz.DopplerGrid(small_params, bins)
         for kind in all_kinds:
             sched, cube = self.noisy_echo(small_params, kind)
-            kept = iz.matched_filter_rd(cube, sched, grid)
-            own = iz.DataCube(samples=cube.samples.copy(), params=small_params)
-            overwritten = iz.matched_filter_rd(own, sched, grid, overwrite_cube=True)
-            assert np.array_equal(overwritten.values, kept.values)
+            echo = cube.samples.copy()
+            expected = iz.matched_filter_rd(iz.DataCube(echo.copy(), small_params), sched, grid)
+            consumed = iz.matched_filter_rd(cube, sched, grid)
+            assert np.array_equal(consumed.values, expected.values)
             # written in place unless the grid's bins outnumber the cube's rows
-            assert np.array_equal(own.samples, cube.samples) == (len(grid) > len(cube.samples))
+            assert np.array_equal(cube.samples, echo) == (len(grid) > len(echo))
+            assert np.shares_memory(consumed.values, cube.samples) == (len(grid) <= len(echo))
 
     @pytest.mark.parametrize("threads", ["1", "2", "5"])
-    def test_the_map_written_over_the_cube_equals_the_allocated_map(
+    def test_the_map_written_over_the_cube_is_the_rotated_magnitude(
         self, monkeypatch, all_kinds, threads
     ):
-        """On the FFT grid the overwriting filter writes its map over the
-        cube's own rows, the ones below P // 2 from the highest down and then
-        the rest; for every P from 1 to 20, odd and even, the map is the one
-        the filter allocates when it may not overwrite."""
+        """On the FFT grid the filter writes its map over the cube's own
+        rows, the ones below P // 2 from the highest down and then the rest;
+        for every P from 1 to 20, odd and even, map row j is the magnitude
+        of the chain's range profiles in row (j - P // 2) % P."""
         monkeypatch.setenv("ISACSIM_THREADS", threads)
         pri = 128 / 1.76e9
         base = iz.WaveformParams(pri_s=pri, cpi_s=16 * pri, code_length=64)
         target = [iz.point_target(np.array([6.0, 8.0, 0.0]), np.array([3.0, 4.0, 0.0]))]
+        profiles = []
+
+        def keep_profiles(name, x):
+            if name == "post_ifft":
+                profiles.append(x.copy())
+
         for packets in range(1, 21):
             params = iz.scaled_profile(base, packets)
             grid = iz.DopplerGrid(params)
             noise = iz.noise_block(target, params, 10.0, packets)
+            rows = (np.arange(packets) - packets // 2) % packets
             for kind in all_kinds:
                 sched = iz.build_schedule(kind, params, seed=7)
                 for block in (None, noise):
                     cube = iz.synthesize_echo(sched, target, params, noise=block)
-                    kept = iz.matched_filter_rd(cube, sched, grid)
-                    overwritten = iz.matched_filter_rd(cube, sched, grid, overwrite_cube=True)
-                    assert np.shares_memory(overwritten.values, cube.samples)
-                    assert np.array_equal(overwritten.values, kept.values), (packets, kind)
+                    profiles.clear()
+                    values = rsp._chain(cube, sched, grid, False, keep_profiles)
+                    assert np.shares_memory(values, cube.samples)
+                    expected = np.abs(profiles[0][rows])
+                    assert np.array_equal(values, expected), (packets, kind)
 
     @pytest.mark.parametrize("packets", [1, 64, 130])
     def test_the_twiddle_built_in_row_blocks_is_the_one_shot_twiddle(self, packets):
@@ -255,35 +271,31 @@ class TestMatchedFilter:
         expected = np.exp(2j * np.pi * np.outer(p_idx, grid.frequencies_hz))
         assert seen["twiddle"].tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("bins", [None, 15])
+    @pytest.mark.parametrize("bins", [None, 15, 33])
     def test_the_hook_sees_only_buffers_the_chain_owns(self, small_params, bins):
-        """`overwrite` alone decides ownership: without it no stage buffer
-        shares memory with the cube; with it every grid of at most P bins
-        transforms and steers in the cube's own memory. The cube itself is
-        never a stage. The map is a view of the cube's memory exactly when
-        `overwrite` is set."""
+        """The chain consumes its cube: every grid of at most P bins
+        transforms and steers in the cube's own memory, and the map is a
+        view of it; a grid of more bins steers in a buffer of the chain's
+        own, and no stage buffer shares memory with the cube. The cube
+        itself is never a stage."""
         dense = bins is not None
         grid = iz.DopplerGrid(small_params, bins)
         sched, cube = self.noisy_echo(small_params, iz.ScheduleKind.PMCW)
         names = ["reference", "post_fft", "twiddle", "post_steering", "post_ifft"]
         if not dense:
             names.remove("twiddle")
-        for overwrite in (False, True):
-            own = iz.DataCube(samples=cube.samples.copy(), params=small_params)
-            seen = {}
+        in_place = len(grid) <= len(cube.samples)
+        seen = {}
 
-            def record(name, x):
-                seen[name] = x
+        def record(name, x):
+            seen[name] = x
 
-            values = rsp._chain(own, sched, grid, dense, record, overwrite)
-            assert values.flags.c_contiguous
-            assert np.shares_memory(values, own.samples) == overwrite
-            assert list(seen) == names
-            shared = {name for name, x in seen.items() if np.shares_memory(x, own.samples)}
-            if overwrite:  # every grid steers and transforms the cube in place
-                assert shared == {"post_fft", "post_steering", "post_ifft"}
-            else:
-                assert shared == set()
+        values = rsp._chain(cube, sched, grid, dense, record)
+        assert values.flags.c_contiguous
+        assert np.shares_memory(values, cube.samples) == in_place
+        assert list(seen) == names
+        shared = {name for name, x in seen.items() if np.shares_memory(x, cube.samples)}
+        assert shared == ({"post_fft", "post_steering", "post_ifft"} if in_place else set())
 
     def test_range_axis_spacing_is_the_range_resolution(self, small_params):
         axis = small_params.range_axis_m()
@@ -296,8 +308,8 @@ class TestOracleEquivalence:
         rng = np.random.default_rng(2024)
         for _ in range(6):
             cube, schedule, grid = random_case(rng)
+            slow = iz.time_domain_oracle(cube, schedule, grid)  # before the filter consumes the cube
             fast = iz.matched_filter_rd(cube, schedule, grid)
-            slow = iz.time_domain_oracle(cube, schedule, grid)
             assert iz.map_relative_deviation(fast, slow) < 1e-6
 
     def test_guard_refuses_oversized_instances(self, ci_params):

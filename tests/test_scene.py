@@ -172,9 +172,9 @@ class TestDataCube:
     @pytest.mark.parametrize("layout", ["fortran", "complex64"])
     def test_a_cube_of_another_layout_is_a_copy_its_owners_may_write(self, small_params, layout):
         """A C-contiguous complex128 array is the cube itself; any other is
-        copied into one, so an overwriting filter and a sweep write the
-        copy, never the caller's array, and their maps are those of a
-        C-contiguous complex128 cube of the same values."""
+        copied into one, so the filter and a sweep consume the copy, never
+        the caller's array, and their maps are those of a C-contiguous
+        complex128 cube of the same values."""
         target = [iz.point_target(np.array([6.0, 8.0, 0.0]), np.array([3.0, 4.0, 0.0]))]
         sched = iz.build_schedule(iz.ScheduleKind.PMCW, small_params, seed=7)
         noise = iz.noise_block(target, small_params, 10.0, 5)
@@ -193,7 +193,7 @@ class TestDataCube:
         cube = iz.DataCube(samples=samples, params=small_params)
         assert cube.samples.flags.c_contiguous and cube.samples.dtype == np.complex128
         assert not np.shares_memory(cube.samples, samples)
-        rd_map = iz.matched_filter_rd(cube, sched, grid, overwrite_cube=True)
+        rd_map = iz.matched_filter_rd(cube, sched, grid)
         assert np.shares_memory(rd_map.values, cube.samples)
         assert np.array_equal(rd_map.values, kept.values)
         sweep = iz.precision_sweep(
