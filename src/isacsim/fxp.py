@@ -2,7 +2,8 @@
 
 `precision_sweep` is the one entry: it runs the quantized chain once per
 format and scores each map against the double-precision map of the same
-cube. Every stage applies `quantize`'s arithmetic in place.
+cube on the same Doppler grid. Every stage applies `quantize`'s arithmetic
+in place.
 
 Signals are quantized to a two's-complement <word,integer> grid with
 round-to-nearest-even and saturation. `quantize` returns the values already
@@ -175,8 +176,8 @@ class FxpReport:
     pslr_fxp_db: float
     pslr_delta_db: float         # fxp - double; +inf when fxp has no sidelobes
     pslr_agree: bool             # |delta| <= 0.5 dB, or quantization improved
-    saturation_counts: dict[str, int]
     saturation_fraction: float
+    saturation_counts: dict[str, int]
     warning: str | None
 
 
@@ -215,10 +216,10 @@ def precision_sweep(
     the buffer its chain ran in; the sweep detects on it, takes its PSLR,
     then overwrites it with its squared error against `double_map`, and
     drops it and its cube before the next format runs, so the sweep holds
-    one format's buffers at a time. A `double_map` whose shape is not the
-    grid's bins by the schedule's range bins raises ProcessingError before
-    any format runs, and so does a cube that does not match the schedule or
-    the grid, before its format's row is produced.
+    one format's buffers at a time. A `double_map` on another grid than
+    `grid` raises ProcessingError before any format runs, and so does a
+    cube that does not match the schedule or the grid, before its format's
+    row is produced.
 
     PSLR agreement is one-sided around the 0.5 dB budget: a quantized PSLR
     that is *better* than double precision (including the no-sidelobe
@@ -228,11 +229,8 @@ def precision_sweep(
     formats = list(formats)
     if not formats:
         raise ParameterError("precision_sweep needs at least one format")
-    shape = (len(grid), schedule.frames.shape[1])
-    if double_map.values.shape != shape:
-        raise ProcessingError(
-            f"double_map is {double_map.values.shape}, but the grid and schedule make {shape}"
-        )
+    if double_map.grid != grid:
+        raise ProcessingError("double_map was built on another Doppler grid than the sweep's")
     det_d = detect_peak(double_map)
     pslr_d = pslr_db(double_map.range_cut(det_d.doppler_bin))
     power = float(np.sum(double_map.values**2))
@@ -250,11 +248,7 @@ def precision_sweep(
 
         data = cubes()
         stage("input", data.samples)
-        fxp_map = RangeDopplerMap(
-            values=_chain(data, schedule, grid, True, stage),
-            range_axis_m=double_map.range_axis_m,
-            doppler_axis_mps=double_map.doppler_axis_mps,
-        )
+        fxp_map = RangeDopplerMap(_chain(data, schedule, grid, True, stage), grid)
         det_f = detect_peak(fxp_map)
         pslr_f = pslr_db(fxp_map.range_cut(det_f.doppler_bin))
         err = np.subtract(double_map.values, fxp_map.values, out=fxp_map.values)
@@ -272,8 +266,8 @@ def precision_sweep(
             pslr_fxp_db=pslr_f,
             pslr_delta_db=delta,
             pslr_agree=(math.isfinite(delta) and abs(delta) <= 0.5) or pslr_f >= pslr_d,
-            saturation_counts=counts,
             saturation_fraction=frac,
+            saturation_counts=counts,
             warning=(
                 f"pervasive saturation: {frac:.2%} of quantized components clipped"
                 if frac > 0.01

@@ -29,9 +29,10 @@ the CSVs are written and the map is dropped. Each waveform's
 summary times its synthesis (without the shared noise draw, which the
 run-level `timings_s.noise` times), the filter alone and artifact writing;
 a fixed-point row's `runtime_s` covers its cube's synthesis. The summary
-starts with its `schema_version`; its `tool.version` is
-`isacsim.__version__`, the one place the version is written, and its
-`environment` block records what produced the numbers.
+records a detection and each fixed-point report field by field, in the
+order of their types (`_record`). It starts with its `schema_version`;
+its `tool.version` is `isacsim.__version__`, the one place the version is
+written, and its `environment` block records what produced the numbers.
 
 `noise_block` and `synthesize_echo` both run `scene.check_scene` first, so a
 scene that cannot run fails at the noise draw, or with noise off at the
@@ -50,7 +51,8 @@ import statistics
 import sys
 import time
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -60,7 +62,7 @@ from ._csvformat import write_rows
 from ._threads import blas_core, blas_pool_size, thread_count
 from .config import ScenarioConfig, render_config
 from .errors import NoDetectionError, OracleGuardError
-from .fxp import SweepResult, precision_sweep
+from .fxp import FixedPointFormat, SweepResult, precision_sweep
 from .params import WaveformParams, round_sig, scaled_profile
 from .rsp import (
     ORACLE_GUARD,
@@ -177,8 +179,9 @@ class RunOutcome:
 
 
 def write_rd_map_csv(path: Path, rd_map: RangeDopplerMap):
-    """Two header lines (range axis in m, Doppler-velocity axis in m/s), then
-    one row of %.9g magnitudes per Doppler bin."""
+    """Two header lines (range axis in m, Doppler-velocity axis in m/s, both
+    derived from the map's grid), then one row of %.9g magnitudes per
+    Doppler bin."""
     with open(path, "wb") as fh:
         write_rows(fh, rd_map.range_axis_m[None, :])
         write_rows(fh, rd_map.doppler_axis_mps[None, :])
@@ -198,6 +201,23 @@ def _json_float(x: float | None) -> float | None:
     if x is None or not math.isfinite(x):
         return None
     return float(x)
+
+
+def _record(result) -> dict:
+    """A result dataclass's fields, in order, as JSON values: a float
+    through `_json_float` (non-finite ones become null), an enum as its
+    value and a fixed-point format as its `<W,I>` text."""
+    entry = {}
+    for f in fields(result):
+        value = getattr(result, f.name)
+        if isinstance(value, float):
+            value = _json_float(value)
+        elif isinstance(value, Enum):
+            value = value.value
+        elif isinstance(value, FixedPointFormat):
+            value = str(value)
+        entry[f.name] = value
+    return entry
 
 
 def run_waveform(
@@ -254,7 +274,7 @@ def run_waveform(
     sweep = None
     if cfg.fxp_formats and failure is None:
         # the map's own copy, so the cube it was written over can go
-        rd_map = RangeDopplerMap(rd_map.values.copy(), rd_map.range_axis_m, rd_map.doppler_axis_mps)
+        rd_map = RangeDopplerMap(rd_map.values.copy(), grid)
         sweep = precision_sweep(
             echo, schedule, grid, cfg.fxp_formats, cfg.fxp_mode, double_map=rd_map
         )
@@ -296,14 +316,7 @@ def run_waveform(
 def _waveform_summary(result: WaveformResult) -> dict:
     entry: dict = {"waveform": result.kind.value}
     if result.detection is not None:
-        det = result.detection
-        entry["detection"] = {
-            "range_m": det.range_m,
-            "velocity_mps": det.velocity_mps,
-            "range_bin": det.range_bin,
-            "doppler_bin": det.doppler_bin,
-            "peak_magnitude": det.peak_magnitude,
-        }
+        entry["detection"] = _record(result.detection)
         entry["pslr_db"] = _json_float(result.pslr_db)
         if result.pslr_db is not None and math.isinf(result.pslr_db):
             entry["pslr_note"] = "no nonzero sidelobes in the peak range cut"
@@ -321,25 +334,7 @@ def _waveform_summary(result: WaveformResult) -> dict:
     if result.oracle_note is not None:
         entry["oracle_note"] = result.oracle_note
     if result.sweep is not None:
-        rows = []
-        for row in result.sweep.rows:
-            rep = row.report
-            rows.append(
-                {
-                    "format": str(rep.format),
-                    "mode": rep.mode.value,
-                    "sqnr_db": _json_float(rep.sqnr_db),
-                    "peak_bin_agree": rep.peak_bin_agree,
-                    "pslr_double_db": _json_float(rep.pslr_double_db),
-                    "pslr_fxp_db": _json_float(rep.pslr_fxp_db),
-                    "pslr_delta_db": _json_float(rep.pslr_delta_db),
-                    "pslr_agree": rep.pslr_agree,
-                    "saturation_fraction": rep.saturation_fraction,
-                    "saturation_counts": dict(rep.saturation_counts),
-                    "warning": rep.warning,
-                    "runtime_s": row.runtime_s,
-                }
-            )
+        rows = [{**_record(row.report), "runtime_s": row.runtime_s} for row in result.sweep.rows]
         entry["fixed_point"] = {
             "rows": rows,
             "sqnr_non_decreasing": result.sweep.monotone_sqnr,

@@ -8,7 +8,9 @@ the Doppler grid is the FFT grid (`DopplerGrid(params)`, J = P bins on the
 slow-time FFT's frequencies) the steering collapses to an IFFT across
 packets; otherwise the steering matrix is applied directly. A grid is its
 radar parameters and bin count, so a grid built for other parameters than
-the cube's is refused.
+the cube's is refused. A map is its J x Q values and the grid they lie on:
+its range and Doppler axes derive from that grid, values of another shape
+than the grid's are refused, and so is a comparison of maps on two grids.
 The cube is P x Q, one packet per row. The FFT passes and products run in
 contiguous blocks on ISACSIM_THREADS threads (every CPU the process may use
 when it is unset); the map does not depend on the thread count. The filter
@@ -91,14 +93,26 @@ class DopplerGrid:
 
 @dataclass(frozen=True)
 class RangeDopplerMap:
-    values: np.ndarray           # J x Q magnitudes
-    range_axis_m: np.ndarray     # Q entries
-    doppler_axis_mps: np.ndarray # J entries
+    """J x Q magnitudes on `grid`: one row per Doppler hypothesis, one column
+    per range bin. Its axes derive from the grid."""
+
+    values: np.ndarray
+    grid: DopplerGrid
 
     def __post_init__(self):
-        j, q = self.values.shape
-        if self.range_axis_m.shape != (q,) or self.doppler_axis_mps.shape != (j,):
-            raise ParameterError("axis lengths must match the map dimensions")
+        shape = (len(self.grid), self.grid.params.samples_per_pri)
+        if self.values.shape != shape:
+            raise ParameterError(f"map values are {self.values.shape}, but its grid makes {shape}")
+
+    @property
+    def range_axis_m(self) -> np.ndarray:
+        """The range of each of the Q range bins."""
+        return self.grid.params.range_axis_m()
+
+    @property
+    def doppler_axis_mps(self) -> np.ndarray:
+        """The radial velocity f_j * wavelength / 2 of each of the J bins."""
+        return self.grid.frequencies_hz * self.grid.params.wavelength_m / 2.0
 
     def range_cut(self, doppler_bin: int) -> np.ndarray:
         """Range profile at one Doppler hypothesis."""
@@ -109,15 +123,9 @@ class RangeDopplerMap:
 class Detection:
     range_m: float
     velocity_mps: float
-    peak_magnitude: float
     range_bin: int
     doppler_bin: int
-
-
-def _axes(params: WaveformParams, grid: DopplerGrid) -> tuple[np.ndarray, np.ndarray]:
-    range_axis = params.range_axis_m()
-    doppler_axis = grid.frequencies_hz * params.wavelength_m / 2.0
-    return range_axis, doppler_axis
+    peak_magnitude: float
 
 
 def _check_inputs(cube: DataCube, schedule: FrameSchedule, grid: DopplerGrid):
@@ -280,7 +288,7 @@ def matched_filter_rd(
     `cube.samples`; pass a copy to keep the echo.
     """
     values = _chain(cube, schedule, grid, not grid.fft_aligned, lambda name, x: None)
-    return RangeDopplerMap(values, *_axes(cube.params, grid))
+    return RangeDopplerMap(values, grid)
 
 
 def check_oracle_guard(grid: DopplerGrid):
@@ -304,19 +312,19 @@ def time_domain_oracle(
     corr = np.empty((q_len, p_len), dtype=np.complex128)
     for u, ref in enumerate(schedule.frames):
         cols = np.nonzero(schedule.packet_map == u)[0]
-        sub = cube.samples[cols].T.copy()  # Q x packets, fast time down the columns
+        # Q x packets, fast time down the columns, filled a packet at a time
+        # so no gathered copy sits beside it
+        block = np.empty((q_len, len(cols)), dtype=np.complex128)
+        for i, p in enumerate(cols):
+            block[:, i] = cube.samples[p]
         for k in range(q_len):
             rolled = np.conj(np.roll(ref, k))
-            corr[k, cols] = rolled @ sub
-    del sub  # the last frame's packets, dead before the steering product
+            corr[k, cols] = rolled @ block
+        del block  # dead before the next frame's and the steering product
     p_idx = np.arange(p_len) * params.pri_s
     w = np.exp(2j * np.pi * np.outer(p_idx, grid.frequencies_hz))  # P x J
-    range_axis, doppler_axis = _axes(params, grid)
-    return RangeDopplerMap(
-        values=np.abs(corr @ w).T.copy(),  # the Q x J steered sums, dead after abs
-        range_axis_m=range_axis,
-        doppler_axis_mps=doppler_axis,
-    )
+    # the Q x J steered sums, dead after abs
+    return RangeDopplerMap(np.abs(corr @ w).T.copy(), grid)
 
 
 def detect_peak(rd_map: RangeDopplerMap) -> Detection:
@@ -340,9 +348,9 @@ def detect_peak(rd_map: RangeDopplerMap) -> Detection:
     return Detection(
         range_m=float(rd_map.range_axis_m[q]),
         velocity_mps=float(rd_map.doppler_axis_mps[j]),
-        peak_magnitude=float(peak),
         range_bin=q,
         doppler_bin=j,
+        peak_magnitude=float(peak),
     )
 
 
@@ -372,7 +380,10 @@ def pslr_db(profile: np.ndarray) -> float:
 
 
 def map_relative_deviation(a: RangeDopplerMap, b: RangeDopplerMap) -> float:
-    """max |a - b| / max |b|; the oracle-equivalence metric."""
+    """max |a - b| / max |b|; the oracle-equivalence metric. Maps on
+    different grids raise ProcessingError."""
+    if a.grid != b.grid:
+        raise ProcessingError("the two maps were built on different Doppler grids")
     denom = b.values.max()
     if denom == 0.0:
         return float(np.abs(a.values).max())

@@ -1,4 +1,5 @@
-"""Randomized guard-compliant scenes for fast-path vs oracle equivalence."""
+"""Randomized guard-compliant scenes for fast-path vs oracle equivalence,
+and hand-made values as a map on a real grid."""
 
 import numpy as np
 
@@ -49,3 +50,12 @@ def random_case(rng: np.random.Generator):
         noise = iz.noise_block(targets, params, snr, noise_seed)
     cube = iz.synthesize_echo(schedule, targets, params, noise=noise)
     return cube, schedule, grid
+
+
+def map_of(values: np.ndarray) -> iz.RangeDopplerMap:
+    """J x Q `values` as a map on the FFT grid of radar parameters with
+    Q = q samples per PRI and P = J packets, for any J, Q >= 1."""
+    j, q = values.shape
+    bw = 1.76e9
+    params = iz.WaveformParams(pri_s=q / bw, cpi_s=j * q / bw, bandwidth_hz=bw, code_length=1)
+    return iz.RangeDopplerMap(values, iz.DopplerGrid(params))

@@ -1,5 +1,6 @@
 """Fixed-point formats, quantizer semantics, and quantized-chain accuracy."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -223,19 +224,26 @@ class TestQuantizedChain:
             iz.precision_sweep(copies(cube), sched, grid, [], double_map=double_map)
 
     def test_sweep_rejects_a_double_map_of_another_shape(self, small_params, monkeypatch):
-        """A 15-bin double map against the 16-bin grid fails with both shapes
-        named, before any cube is made or any quantized chain runs."""
+        """A double map on another grid than the sweep's fails in one line,
+        before any cube is made or any quantized chain runs: a 15-bin map
+        against the 16-bin grid, and one of the grid's shape on a 77 GHz
+        carrier, against which every format would be scored wrongly."""
         from isacsim import fxp
 
         cube, sched, grid, _ = small_pipeline(small_params)
-        other = iz.matched_filter_rd(copied(cube), sched, iz.DopplerGrid(small_params, 15))
+        carrier = dataclasses.replace(small_params, carrier_freq_hz=77e9)
+        others = [
+            iz.matched_filter_rd(copied(cube), sched, iz.DopplerGrid(small_params, 15)),
+            small_pipeline(carrier)[3],
+        ]
         made, chains = [], []
         monkeypatch.setattr(fxp, "_chain", lambda *args, **kwargs: chains.append(args))
-        with pytest.raises(iz.ProcessingError, match=r"\(15, 512\).*\(16, 512\)"):
-            iz.precision_sweep(
-                lambda: made.append(copied(cube)), sched, grid, [iz.FixedPointFormat(16, 1)],
-                double_map=other,
-            )
+        for other in others:
+            with pytest.raises(iz.ProcessingError, match="^double_map was built on another Doppler"):
+                iz.precision_sweep(
+                    lambda: made.append(copied(cube)), sched, grid, [iz.FixedPointFormat(16, 1)],
+                    double_map=other,
+                )
         assert made == [] and chains == []
 
     @pytest.mark.parametrize("mode", list(iz.FxpMode))

@@ -627,6 +627,13 @@ class TestRunComparison:
             "pslr_delta_db", "pslr_agree", "saturation_fraction", "saturation_counts",
             "warning", "runtime_s",
         ]
+        # the summary records each result's own fields, in their order
+        assert list(row) == [f.name for f in dataclasses.fields(iz.FxpReport)] + ["runtime_s"]
+        detection = summary["waveforms"][0]["detection"]
+        assert list(detection) == [
+            "range_m", "velocity_mps", "range_bin", "doppler_bin", "peak_magnitude",
+        ]
+        assert list(detection) == [f.name for f in dataclasses.fields(iz.Detection)]
 
 
 class TestBuildTargets:

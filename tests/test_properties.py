@@ -27,7 +27,7 @@ from isacsim import fxp, rsp
 from isacsim._csvformat import CHUNK_VALUES, DIGITS, write_rows
 from isacsim._threads import slices
 from isacsim.config import _SECTIONS, MIN_SAMPLES_PER_PRI
-from oracle_cases import KINDS, random_case
+from oracle_cases import KINDS, map_of, random_case
 
 PRI_S = 512 / 1.76e9  # Q = 512
 
@@ -249,7 +249,8 @@ def reference_detect_peak(rd_map):
 def peak_maps(draw):
     """A J x Q map of at most three levels, so the peak ties across rows and
     columns (one level: an all-equal map, zero among them), with up to two
-    planted NaN or +-inf cells; C or Fortran order."""
+    planted NaN or +-inf cells; C or Fortran order, on the FFT grid of its
+    shape."""
     j, q = draw(st.integers(1, 8)), draw(st.integers(1, 8))
     levels = draw(
         st.lists(st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, -1.0]), min_size=1, max_size=3)
@@ -260,7 +261,7 @@ def peak_maps(draw):
         values[draw(st.integers(0, j - 1)), draw(st.integers(0, q - 1))] = bad
     if draw(st.booleans()):
         values = np.asfortranarray(values)
-    return iz.RangeDopplerMap(values, np.arange(q) * 0.25, np.arange(j) - j / 2.0)
+    return map_of(values)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -590,7 +591,7 @@ def serial_quantized_chain(cube, schedule, grid, fmt, mode):
     err_power = float(np.sum(err**2))
     sig_power = float(np.sum(double_map.values**2))
     sqnr = math.inf if err_power == 0.0 else 10.0 * math.log10(sig_power / err_power)
-    fxp_map = iz.RangeDopplerMap(values, double_map.range_axis_m, double_map.doppler_axis_mps)
+    fxp_map = iz.RangeDopplerMap(values, double_map.grid)
     det_d, det_f = iz.detect_peak(double_map), iz.detect_peak(fxp_map)
     pslr_d = iz.pslr_db(double_map.range_cut(det_d.doppler_bin))
     pslr_f = iz.pslr_db(values[det_f.doppler_bin])

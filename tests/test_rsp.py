@@ -2,13 +2,14 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import isacsim as iz
 from isacsim import config, rsp
-from oracle_cases import random_case
+from oracle_cases import map_of, random_case
 
 
 class TestGrids:
@@ -327,6 +328,47 @@ class TestOracleEquivalence:
         with pytest.raises(iz.ProcessingError, match="over 15 packets does not match a 16 x 512"):
             iz.time_domain_oracle(cube, shorter, iz.DopplerGrid(small_params))
 
+    @pytest.mark.parametrize("kind", list(iz.ScheduleKind))
+    def test_oracle_peak_holds_one_frame_block_beside_its_sums(self, ci_params, kind):
+        """The oracle's correlation sums and one frame's Q x packets block,
+        filled a packet at a time, are two cube buffers; the steering tail
+        (sums, Q x J products and their magnitudes, J = P) is 2.5. A
+        gathered copy transposed into the block would reach 3 on one-frame
+        schedules."""
+        params = iz.scaled_profile(ci_params, 16)
+        sched = iz.build_schedule(kind, params, seed=7)
+        cube = iz.synthesize_echo(sched, [], params)
+        grid = iz.DopplerGrid(params)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            iz.time_domain_oracle(cube, sched, grid)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.75 * cube.samples.nbytes
+
+
+class TestMaps:
+    @pytest.mark.parametrize("shape", [(15, 512), (16, 511), (512, 16), (16 * 512,)])
+    def test_a_map_refuses_values_of_another_shape_than_its_grid(self, small_params, shape):
+        with pytest.raises(iz.ParameterError, match=r"but its grid makes \(16, 512\)$"):
+            iz.RangeDopplerMap(np.zeros(shape), iz.DopplerGrid(small_params))
+
+    @pytest.mark.parametrize("other", ["15 bins", "77 GHz"])
+    def test_deviation_refuses_maps_on_two_grids(self, small_params, other):
+        """Maps of two shapes, or of one shape on two carriers, are not
+        compared: no broadcast error, and no silent deviation."""
+        a = iz.RangeDopplerMap(np.ones((16, 512)), iz.DopplerGrid(small_params))
+        if other == "15 bins":
+            b = iz.RangeDopplerMap(np.ones((15, 512)), iz.DopplerGrid(small_params, 15))
+        else:
+            carrier = dataclasses.replace(small_params, carrier_freq_hz=77e9)
+            b = iz.RangeDopplerMap(np.ones((16, 512)), iz.DopplerGrid(carrier))
+        for first, second in ((a, b), (b, a)):
+            with pytest.raises(iz.ProcessingError, match="^the two maps were built on different"):
+                iz.map_relative_deviation(first, second)
+
 
 class TestCanonicalPslr:
     def test_frozen_reference_values(self, ci_params, all_kinds):
@@ -353,44 +395,37 @@ class TestCanonicalPslr:
                 assert value >= 150.0, kind.value
 
 
-def _map_from(values: np.ndarray) -> iz.RangeDopplerMap:
-    j, q = values.shape
-    return iz.RangeDopplerMap(
-        values=values,
-        range_axis_m=np.arange(q, dtype=np.float64),
-        doppler_axis_mps=np.arange(j, dtype=np.float64) - j // 2,
-    )
-
-
 class TestDetectPeak:
     def test_tie_breaks_toward_smaller_range_then_doppler(self):
         values = np.zeros((3, 5))
         values[2, 1] = 1.0
         values[0, 3] = 1.0
-        det = iz.detect_peak(_map_from(values))
+        det = iz.detect_peak(map_of(values))
         assert (det.range_bin, det.doppler_bin) == (1, 2)
         values[1, 1] = 1.0  # same range bin, smaller Doppler bin wins
-        det = iz.detect_peak(_map_from(values))
+        det = iz.detect_peak(map_of(values))
         assert (det.range_bin, det.doppler_bin) == (1, 1)
 
     def test_zero_map_raises(self):
         with pytest.raises(iz.NoDetectionError):
-            iz.detect_peak(_map_from(np.zeros((3, 5))))
+            iz.detect_peak(map_of(np.zeros((3, 5))))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_map_raises_a_one_line_data_error(self, bad):
         values = np.ones((3, 5))
         values[1, 2] = bad
         with pytest.raises(iz.DataError) as info:
-            iz.detect_peak(_map_from(values))
+            iz.detect_peak(map_of(values))
         assert "non-finite" in str(info.value) and "\n" not in str(info.value)
 
     def test_detection_reports_axis_values(self):
         values = np.zeros((3, 5))
         values[2, 4] = 2.5
-        det = iz.detect_peak(_map_from(values))
-        assert det.range_m == 4.0
-        assert det.velocity_mps == 1.0
+        rd_map = map_of(values)
+        params, grid = rd_map.grid.params, rd_map.grid
+        det = iz.detect_peak(rd_map)
+        assert det.range_m == pytest.approx(4 * params.range_resolution_m, rel=1e-12)
+        assert det.velocity_mps == pytest.approx(grid.spacing_hz * params.wavelength_m / 2.0)
         assert det.peak_magnitude == 2.5
 
 
